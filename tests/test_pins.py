@@ -1,0 +1,416 @@
+"""Behaviour pins: SHA-256 digests of every command's outputs and run
+reports, and of each subcommand's parser surface.
+
+Each case runs `cascade` in-process inside a fresh temporary directory with
+relative paths only, so the digests do not depend on where the tests run
+(config files holding absolute paths would change the `sha256` fields of
+the reports). Run reports are pinned without their `timing` key, the only
+part that may differ between identical runs.
+
+A pin changes only together with a deliberate output change that
+CHANGES.md names; it is never edited to get past a failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import io
+import json
+import os
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+from tagcascade.cli import build_parser, main
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _report_digest(text: str) -> str:
+    report = json.loads(text)
+    report.pop("timing")
+    return _digest(json.dumps(report, indent=2, sort_keys=True).encode())
+
+
+def _report_file_digest(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return _report_digest(fh.read())
+
+
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _digest(fh.read())
+
+
+def _tree_digest(root: str) -> str:
+    """Digest of every file under `root`: relative path and bytes, in sorted
+    order; JSON reports inside the tree are pinned without `timing`."""
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            if name == "report.json":
+                h.update(_report_file_digest(path).encode())
+            else:
+                h.update(_file_digest(path).encode())
+    return h.hexdigest()
+
+
+def _cascade(*argv: str) -> str:
+    """Run one command, require exit 0, and return its report's digest."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, argv
+    return _report_digest(out.getvalue())
+
+
+def _write_log() -> None:
+    """A 30-user log with same-timestamp co-adoptions (strict and inclusive
+    ties differ) and repeated usages (adopters and usages differ)."""
+    rng = np.random.Generator(np.random.PCG64(2024))
+    users = [f"user{i:02d}" for i in range(30)]
+    tags = [f"tag{i}" for i in range(10)]
+    with open("adoptions.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["user_id", "tag_id", "timestamp"])
+        for _ in range(400):
+            tag = min(int(rng.zipf(1.6)), 10) - 1
+            w.writerow([users[rng.integers(30)], tags[tag], int(rng.integers(0, 200)) * 10])
+    with open("follows.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["src_id", "dst_id"])
+        for _ in range(180):
+            w.writerow([users[rng.integers(30)], users[rng.integers(30)]])
+
+
+def _write_sim_config(path: str, graph: dict, model: str) -> None:
+    cfg = {
+        "graph": graph,
+        "model": model,
+        "params": {"thresholds": {"kind": "uniform", "a": 0.0, "b": 0.6}, "p": 0.35, "lag": 1},
+        "seeds": {"k": 3},
+        "max_steps": 40,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=2, sort_keys=True)
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CASCADE_THREADS", raising=False)
+    _write_log()
+    return tmp_path
+
+
+@pytest.fixture
+def snapshot(workdir):
+    _cascade("ingest", "adoptions.csv", "follows.csv", "--out", "data.cscd")
+    return "data.cscd"
+
+
+# ---------------------------------------------------------------------------
+# log measurement
+# ---------------------------------------------------------------------------
+
+def test_pin_ingest_and_stats(workdir):
+    got = {
+        "ingest.report": _cascade("ingest", "adoptions.csv", "follows.csv", "--out", "data.cscd",
+                                  "--report", "ingest.json"),
+        "ingest.report_file": _report_file_digest("ingest.json"),
+        "ingest.snapshot": _file_digest("data.cscd"),
+        "ingest_mutual.report": _cascade("ingest", "adoptions.csv", "follows.csv", "--out",
+                                         "mutual.cscd", "--mutual-edges", "--time-unit", "s"),
+        "ingest_mutual.snapshot": _file_digest("mutual.cscd"),
+        "stats.report": _cascade("stats", "data.cscd"),
+    }
+    assert got == PINS["ingest_stats"]
+
+
+@pytest.mark.parametrize("ties", ["strict", "inclusive"])
+@pytest.mark.parametrize("popularity", ["adopters", "usages"])
+def test_pin_thresholds(snapshot, ties, popularity):
+    got = {
+        "report": _cascade("thresholds", snapshot, "--out", "e.tsv", "--per-user", "u.tsv",
+                           "--summary", "s.json", "--ties", ties, "--popularity", popularity),
+        "exposures": _file_digest("e.tsv"),
+        "per_user": _file_digest("u.tsv"),
+        "summary": _file_digest("s.json"),
+    }
+    assert got == PINS[f"thresholds-{ties}-{popularity}"]
+
+
+def test_pin_fit_curve_correlate(snapshot):
+    got = {
+        "fit.report": _cascade("fit-powerlaw", snapshot, "--bootstrap", "10", "--seed", "5",
+                               "--out", "fit.tsv", "--summary", "fit.json",
+                               "--report", "fit_report.json"),
+        "fit.tsv": _file_digest("fit.tsv"),
+        "fit.json": _file_digest("fit.json"),
+        "fit.report_file": _report_file_digest("fit_report.json"),
+        "fit_usages.report": _cascade("fit-powerlaw", snapshot, "--popularity", "usages",
+                                      "--bootstrap", "0", "--seed", "1"),
+        "curve.report": _cascade("curve", snapshot, "--tag", "tag0", "--bucket", "100",
+                                 "--out", "curve.tsv", "--summary", "curve.json"),
+        "curve.tsv": _file_digest("curve.tsv"),
+        "curve.json": _file_digest("curve.json"),
+        "spearman.report": _cascade("correlate", snapshot, "--bins", "6", "--out", "sp.tsv",
+                                    "--summary", "sp.json"),
+        "spearman.tsv": _file_digest("sp.tsv"),
+        "spearman.json": _file_digest("sp.json"),
+        "pearson.report": _cascade("correlate", snapshot, "--method", "pearson", "--ties",
+                                   "inclusive", "--popularity", "usages", "--out", "pe.tsv",
+                                   "--summary", "pe.json"),
+        "pearson.tsv": _file_digest("pe.tsv"),
+        "pearson.json": _file_digest("pe.json"),
+    }
+    assert got == PINS["fit_curve_correlate"]
+
+
+# ---------------------------------------------------------------------------
+# simulation and recovery
+# ---------------------------------------------------------------------------
+
+GRAPHS = {
+    "er": {"kind": "erdos_renyi", "n": 60, "mean_out_degree": 4},
+    "pa": {"kind": "preferential_attachment", "n": 60, "m": 3},
+    "dataset": {"kind": "dataset", "snapshot": "data.cscd"},
+}
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("model", ["threshold", "cascade", "learning"])
+def test_pin_simulate(snapshot, graph, model):
+    _write_sim_config("sim.json", GRAPHS[graph], model)
+    got = {
+        "report": _cascade("simulate", "--config", "sim.json", "--runs", "2", "--seed", "13",
+                           "--out", "runs"),
+        "runs": _tree_digest("runs"),
+    }
+    assert got == PINS[f"simulate-{graph}-{model}"]
+
+
+def test_pin_recover(workdir):
+    _write_sim_config("sim.json", GRAPHS["pa"], "threshold")
+    _cascade("simulate", "--config", "sim.json", "--runs", "3", "--seed", "21", "--out", "runs")
+    got = {
+        "recover.report": _cascade("recover", "--runs", "runs", "--out", "rec.json",
+                                   "--report", "rec_report.json"),
+        "recover.json": _file_digest("rec.json"),
+        "recover.report_file": _report_file_digest("rec_report.json"),
+        "recover_inclusive.report": _cascade("recover", "--runs", "runs", "--ties", "inclusive"),
+    }
+    assert got == PINS["recover"]
+
+
+# ---------------------------------------------------------------------------
+# pipeline
+# ---------------------------------------------------------------------------
+
+def test_pin_pipeline_full(workdir):
+    cfg = {
+        "seed": 7,
+        "out_dir": "pipe",
+        "stages": [
+            {"stage": "ingest", "adoptions": "adoptions.csv", "follows": "follows.csv"},
+            {"stage": "thresholds"},
+            {"stage": "fit", "bootstrap": 5},
+            {"stage": "correlate", "bins": 5},
+            {"stage": "simulate", "model": "threshold", "runs": 2,
+             "graph": {"kind": "erdos_renyi", "n": 60, "mean_out_degree": 4},
+             "params": {"thresholds": {"kind": "uniform", "a": 0, "b": 1}},
+             "seeds": {"k": 2}, "max_steps": 30},
+            {"stage": "recover"},
+        ],
+    }
+    with open("pipeline.json", "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=2)
+    got = {
+        "report": _cascade("pipeline", "--config", "pipeline.json"),
+        "out_dir": _tree_digest("pipe"),
+    }
+    assert got == PINS["pipeline_full"]
+
+
+def test_pin_pipeline_options(snapshot):
+    _write_sim_config("sim.json", GRAPHS["er"], "learning")
+    _cascade("simulate", "--config", "sim.json", "--runs", "2", "--seed", "3", "--out", "given")
+    cfg = {
+        "out_dir": "pipe2",
+        "snapshot": snapshot,
+        "stages": [
+            {"stage": "thresholds", "ties": "inclusive", "popularity": "usages"},
+            {"stage": "fit", "popularity": "usages", "bootstrap": 3},
+            {"stage": "correlate", "bins": 4, "method": "pearson", "ties": "inclusive"},
+            {"stage": "recover", "runs": "given", "ties": "inclusive"},
+        ],
+    }
+    with open("pipeline.json", "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=2)
+    got = {
+        "report": _cascade("pipeline", "--config", "pipeline.json", "--seed", "11"),
+        "out_dir": _tree_digest("pipe2"),
+    }
+    assert got == PINS["pipeline_options"]
+
+
+# ---------------------------------------------------------------------------
+# parser surface
+# ---------------------------------------------------------------------------
+
+def _parser_surface() -> dict:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    surface = {}
+    for name, sp in sub.choices.items():
+        surface[name] = {
+            "help": helps.get(name),
+            "options": [
+                {
+                    "option_strings": list(a.option_strings),
+                    "dest": a.dest,
+                    "default": a.default,
+                    "choices": None if a.choices is None else list(a.choices),
+                    "required": a.required,
+                    "type": None if a.type is None else a.type.__name__,
+                    "nargs": a.nargs,
+                    "help": a.help,
+                }
+                for a in sp._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        }
+    return surface
+
+
+def test_pin_parser_surface():
+    surface = _parser_surface()
+    got = {
+        name: _digest(json.dumps(spec, sort_keys=True).encode())
+        for name, spec in surface.items()
+    }
+    got["subcommands"] = " ".join(surface)
+    assert got == PINS["parser"]
+
+
+# Digests captured from the code before the command-table rewrite of cli.py.
+PINS = {
+    "ingest_stats": {
+        "ingest.report": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
+        "ingest.report_file": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
+        "ingest.snapshot": "839f6d33b3440bef656ef57104990edd3279cc781e429311c1cd94ab41f7f034",
+        "ingest_mutual.report": "e6e1241cd3cb07a54db99ff7a20eb08c748b6614c637a7d6d76485e4e8f30122",
+        "ingest_mutual.snapshot": "60e9f4ffef4b415895d804a80eb1f5a913ec9b54b2dc5cab78aa9b5448275ac5",
+        "stats.report": "379f44aea1a65c8627ba257f0020d9f741ddaa4f7584c316be0dcc9a18cf7153",
+    },
+    "thresholds-strict-adopters": {
+        "report": "2c5f367a23249e9ac601efcbf9cd8f87379c12839e6b60b1b61a429963afb8ab",
+        "exposures": "b27256118cadf02630905f3150f7fbf7e8c5a584ebb0e857a90f7a72acd593a9",
+        "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
+        "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
+    },
+    "thresholds-strict-usages": {
+        "report": "a97d09fde29927c0e1a71e2e88b6232a1fdb6e91180f9af7e62d3bcdd8e6eb93",
+        "exposures": "b401d67f6847bdefa99505d10a2fde05858b4e34f33f8cec39453011bf437d4b",
+        "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
+        "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
+    },
+    "thresholds-inclusive-adopters": {
+        "report": "79aac774736a3f90c875a9561df21d40e84b2479967ff8138d3ab13e52c66eb5",
+        "exposures": "ac62098925616052092ef6aef974ef9102650b8942c9e9a8b497c53cb746083b",
+        "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
+        "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
+    },
+    "thresholds-inclusive-usages": {
+        "report": "5fba970a98905c896112f71c9ca4014d6b1f25206611ca12b2246272e1f7f6a1",
+        "exposures": "cc2289a0e71f508ec675ad5b9ab5088edd579220e864b659234ecd7bc09bfbea",
+        "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
+        "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
+    },
+    "fit_curve_correlate": {
+        "fit.report": "b914b1fcc2149dde3b9f9361c6e4a7c0ddfdfa8baaf223ea22e661e4d0d4d388",
+        "fit.tsv": "a40e399af13faa8dc11cb377ddacde4f6abfe6f88ff1b29023f40886fac67475",
+        "fit.json": "5c83b6fbecc806456a6553067f01163841ea49057183f8e6e13fe5208e204f40",
+        "fit.report_file": "b914b1fcc2149dde3b9f9361c6e4a7c0ddfdfa8baaf223ea22e661e4d0d4d388",
+        "fit_usages.report": "54392b602d1eb367326321c29fdfb5b5ed1326729abd43c06401aedcab9cfd5c",
+        "curve.report": "eb8dfa4be26b8909b9388abef3c906a149bb194a0a09037fb5f4ae69b5290e7e",
+        "curve.tsv": "ebf56dfaac1edee103a248a7de6d80b4a3bba85c57d9ac8f43407bb181271cd8",
+        "curve.json": "46622f8df490510d5763d692f8135291135cbdd49628b29368e097604f53cded",
+        "spearman.report": "2db6902c500e37c2dd946ae1d098bcf3d5f414679c80e85b7c7e7c70ef0e0d66",
+        "spearman.tsv": "9a1b947bc5f9081a5bcb66bf60fb07cae7417c6e52bc3dbedf5d12a41b0a9ff0",
+        "spearman.json": "b73264e72fd4efb15938eb210ce19debc1fc9bef8de674af41173a67fefa3d94",
+        "pearson.report": "422dfca2bb047698208cdce2da4a7edba28ee8c06fa8c13bf7b612ae6f6680e9",
+        "pearson.tsv": "97345bac971e40249a01efe8d09ab0c310ddda903f2a7e48240bf4804f483c8f",
+        "pearson.json": "483727e7a54a82d16ef8affaa58163ad7c53326d48f6c3282dd66165175496ae",
+    },
+    "simulate-dataset-threshold": {
+        "report": "1226db0a493d844fd8e7db665ec1dcf9efeff060c7da6d2669507b011dfd6ba5",
+        "runs": "65cbb5d42cc4ab8a5136e6fa30aa27a5930cfba87ef40f074e10fc91aede67fa",
+    },
+    "simulate-dataset-cascade": {
+        "report": "ff0b0b7e96278a15ee65da6f71c391b27ef4d7067fb32f62fc6da16b6ed1d502",
+        "runs": "9711ca15ae490af54f193848870c38bed3c86fd5a71b5567101b6495e480df38",
+    },
+    "simulate-dataset-learning": {
+        "report": "385bbf9954f62d4abbea398b1efe9edf59a503ca25569b7d2d4ff5243a6b0256",
+        "runs": "b463e87c4f25641c8ec7c14c5e101576ffcd3ffa6202ec5333313084af3bb84b",
+    },
+    "simulate-er-threshold": {
+        "report": "fb19c0286d1056528c0f74989d4d572ce747174b59b3d0aaa6640182e7ffd1fa",
+        "runs": "4504daff0b6e40fc7792383d360bee31682b39c92d43bf37638f683c7758b8a4",
+    },
+    "simulate-er-cascade": {
+        "report": "f0a1569b3335e78caba08de7b8557fc03fd401a26bcc14cc13dc488e93a93676",
+        "runs": "aa4738fcabdb87b9d57bff6c00730715fcdfd91455367762acb794b55748931e",
+    },
+    "simulate-er-learning": {
+        "report": "a8daeb540802a4ad0001770aad57835cee55e68d6ea909d19f0976cf4102c0e6",
+        "runs": "c281745459d4f1e660e7202838dc167e4462bfc07379fbcd3a330c2de34c1fbf",
+    },
+    "simulate-pa-threshold": {
+        "report": "f1c9c4df6fd8d0befc2158fd63ef181cd77f85329ca0bee649488bb0caefd053",
+        "runs": "888cd56004b6eac40044250297aaa735acea8fbd75ad8952fb5615522e285496",
+    },
+    "simulate-pa-cascade": {
+        "report": "ebc7d92ba583beed9d0db885a51ff8bec9278d9e88606925b5186a39673483f2",
+        "runs": "f830d04df88b0ea41156e37d5763cf34d5b3cb4329bf4d06f0f849123b098946",
+    },
+    "simulate-pa-learning": {
+        "report": "094a9d1bcf26e8e249b887188ee3dcfb1d4474aa4dd7ffd4ce7eeb54c597e03a",
+        "runs": "dca7c158069314c1fdf9c6deed2e86edeed80b6956133866183c3dd3c8c1354b",
+    },
+    "recover": {
+        "recover.report": "f3c7a3fc6cdadd9df26c01324e9111110378d61f9f8719258a4c7a99764800c8",
+        "recover.json": "902b170320523f4a9004bbeaf662e64be2e314676001209cafd33c3d8f7c77de",
+        "recover.report_file": "f3c7a3fc6cdadd9df26c01324e9111110378d61f9f8719258a4c7a99764800c8",
+        "recover_inclusive.report": "01763c9aa51443d74b0c6d55741c5ad2974bb98634963945435c4cf735305560",
+    },
+    "pipeline_full": {
+        "report": "798456f086ec6ed0ce4c3335c545465d9e561a0b8119c729faaa1a7fb035662f",
+        "out_dir": "513580b494a663eeb71b5a026ac513bcf0932a27508aaa8a2a544cdfb9d85ea4",
+    },
+    "pipeline_options": {
+        "report": "6a4d618866d7d415c0d1bc1565e370cc4fe944e15934b590e7be9894a6c85c3f",
+        "out_dir": "38027ee76543f95173e88658985415908e89d650af9ccad660967c6defeda6f7",
+    },
+    "parser": {
+        "ingest": "bd98bccc19097fdb3db697c68099a69c90441e77ab564faabdfcd004f287ad35",
+        "stats": "622baa700b25f6bb52333b11dcf0309313f06ccf4add0947e460bf5f30d39e99",
+        "thresholds": "3602789087a2346f20bd9a20e06c8f1c6d00f26aec085883c15d1ccf72f00955",
+        "fit-powerlaw": "a60f8f57a1933ce66045ce76a1cf770ebe4127b9ef0c4ac3197210a2c7bbd5f7",
+        "curve": "cf3b6a93d28d6214241d0f3d00d060e7d58b3270ce9c285243ddab6cec8d02ac",
+        "correlate": "d7d9dd4febdc44f1c11276a4154acbbd5c44adc664c648a40f7897794e7f678d",
+        "simulate": "4deb6d48e68fcf57bdc2728934814efdfd9f1d05cb157c2cec498018637526da",
+        "recover": "01e51436138bb56bd01db6b5355740af19bcaaf3bd4fd7ad37101393b5b57457",
+        "pipeline": "594327a8ceae8e0b747e2229af7962c32c50f8a92956d35b201f96cde6efdaeb",
+        "subcommands": "ingest stats thresholds fit-powerlaw curve correlate simulate recover pipeline",
+    },
+}
