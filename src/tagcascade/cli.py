@@ -10,10 +10,12 @@ runs are comparable byte-for-byte. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,12 @@ from .simulate import (
     run_model,
 )
 from .snapshot import load_snapshot, save_snapshot
-from .stats import adoption_curve, popularity_samples, popularity_threshold_correlation
+from .stats import (
+    adoption_curve,
+    popularity_samples,
+    popularity_threshold_correlation,
+    spearman_rho,
+)
 from .textio import (
     dump_json,
     file_digest,
@@ -96,36 +103,25 @@ def _report(command: str, config: dict, inputs: dict, outputs: dict, result: dic
 
 
 def _input_entry(path) -> dict:
+    if Path(path).is_dir():  # a directory of runs is named, not digested
+        return {"path": str(path)}
     return {"path": str(path), "sha256": file_digest(path)}
 
 
 # ---------------------------------------------------------------------------
-# stage bodies (shared by subcommands and the pipeline)
+# stage bodies (shared by subcommands and the pipeline); each takes the
+# resolved options of its command and returns the result summary
 # ---------------------------------------------------------------------------
 
-def stage_ingest(
-    adoptions_path,
-    follows_path,
-    out_path,
-    *,
-    force: bool = False,
-    reverse_edges: bool = False,
-    mutual_edges: bool = False,
-    time_unit: str = "ms",
-    strict: bool = False,
-) -> dict:
-    out_path = Path(out_path)
-    if out_path.exists() and not force:
+def stage_ingest(o) -> dict:
+    out_path = Path(o.out)
+    if out_path.exists() and not o.force:
         raise DataError(f"refusing to overwrite existing snapshot {out_path} without --force")
-    on_bad = "raise" if strict else "drop"
-    adoptions, dropped_a = read_adoptions(adoptions_path, time_unit=time_unit, on_bad=on_bad)
-    follows, dropped_f = read_follows(follows_path, time_unit=time_unit, on_bad=on_bad)
-    ds = build_dataset(
-        adoptions,
-        follows,
-        reverse_edges=reverse_edges,
-        mutual_edges=mutual_edges,
-    )
+    on_bad = "raise" if o.strict else "drop"
+    adoptions, dropped_a = read_adoptions(o.adoptions, time_unit=o.time_unit, on_bad=on_bad)
+    follows, dropped_f = read_follows(o.follows, time_unit=o.time_unit, on_bad=on_bad)
+    ds = build_dataset(adoptions, follows,
+                       reverse_edges=o.reverse_edges, mutual_edges=o.mutual_edges)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_snapshot(ds, out_path)
     summary = ds.summary()
@@ -135,8 +131,8 @@ def stage_ingest(
     return summary
 
 
-def stage_stats(snapshot_path) -> dict:
-    ds = load_snapshot(snapshot_path)
+def stage_stats(o) -> dict:
+    ds = load_snapshot(o.snapshot)
     result = ds.summary()
     if ds.n_users >= 2:
         members = giant_component(ds)
@@ -152,66 +148,39 @@ def stage_stats(snapshot_path) -> dict:
     return result
 
 
-def stage_thresholds(
-    snapshot_path,
-    exposures_out,
-    per_user_out,
-    summary_out,
-    *,
-    ties: str = "strict",
-    popularity: str = "adopters",
-) -> dict:
-    ds = load_snapshot(snapshot_path)
-    table = all_exposures(ds, ties=ties, popularity=popularity)
-    thresholds = population_thresholds(ds, ties=ties, table=table)
+def stage_thresholds(o) -> dict:
+    ds = load_snapshot(o.snapshot)
+    table = all_exposures(ds, ties=o.ties, popularity=o.popularity)
+    thresholds = population_thresholds(ds, ties=o.ties, table=table)
     summary = threshold_summary(table, thresholds)
 
-    if exposures_out is not None:
+    if o.out is not None:
         write_tsv(
-            exposures_out,
+            o.out,
             ["user", "tag", "time", "active_alters", "neighborhood_size",
              "exposure", "tag_popularity_at_adoption"],
-            (
-                (
-                    ds.user_label(int(table.user[i])),
-                    ds.tag_label(int(table.tag[i])),
-                    int(table.time[i]),
-                    int(table.active_alters[i]),
-                    int(table.neighborhood_size[i]),
-                    float(table.exposure[i]),
-                    int(table.tag_popularity_at_adoption[i]),
-                )
-                for i in range(len(table))
-            ),
+            ((ds.user_label(int(table.user[i])), ds.tag_label(int(table.tag[i])),
+              int(table.time[i]), int(table.active_alters[i]), int(table.neighborhood_size[i]),
+              float(table.exposure[i]), int(table.tag_popularity_at_adoption[i]))
+             for i in range(len(table))),
         )
-    if per_user_out is not None:
+    if o.per_user is not None:
         write_tsv(
-            per_user_out,
+            o.per_user,
             ["user", "beta", "defined_adoptions", "undefined_adoptions"],
-            (
-                (ds.user_label(t.user), t.beta, t.defined_adoptions, t.undefined_adoptions)
-                for t in thresholds
-            ),
+            ((ds.user_label(t.user), t.beta, t.defined_adoptions, t.undefined_adoptions)
+             for t in thresholds),
         )
-    if summary_out is not None:
-        dump_json(summary, summary_out)
     return summary
 
 
-def stage_fit(
-    snapshot_path,
-    *,
-    popularity: str = "adopters",
-    bootstrap: int = 100,
-    seed: int = 0,
-    out_tsv=None,
-    summary_out=None,
-) -> dict:
-    ds = load_snapshot(snapshot_path)
-    samples = popularity_samples(ds, popularity)
+def stage_fit(o) -> dict:
+    ds = load_snapshot(o.snapshot)
+    samples = popularity_samples(ds, o.popularity)
     samples = samples[samples >= 1]
-    fit = fit_power_law(samples, bootstrap=bootstrap, seed=seed, threads=_threads())
-    if out_tsv is not None:
+    o.threads = _threads()
+    fit = fit_power_law(samples, bootstrap=o.bootstrap, seed=o.seed, threads=o.threads)
+    if o.out is not None:
         values, counts = np.unique(samples, return_counts=True)
         n = samples.shape[0]
         emp_ccdf = counts[::-1].cumsum()[::-1] / n
@@ -219,7 +188,7 @@ def stage_fit(
         tail = values >= fit.xmin
         model_ccdf[tail] = fitted_tail_ccdf(fit, values[tail]) * (fit.n_tail / n)
         write_tsv(
-            out_tsv,
+            o.out,
             ["value", "count", "empirical_ccdf", "fitted_ccdf"],
             (
                 (int(values[i]), int(counts[i]), float(emp_ccdf[i]),
@@ -228,78 +197,54 @@ def stage_fit(
             ),
         )
     result = fit.as_dict()
-    result["popularity"] = popularity
-    if summary_out is not None:
-        dump_json(result, summary_out)
+    result["popularity"] = o.popularity
     return result
 
 
-def stage_curve(snapshot_path, tag_label: str, bucket_ms: int, *, out_tsv=None, summary_out=None) -> dict:
-    ds = load_snapshot(snapshot_path)
-    curve = adoption_curve(ds, ds.tag_handle(tag_label), bucket_ms)
-    if out_tsv is not None:
+def stage_curve(o) -> dict:
+    o.bucket_ms = parse_duration_ms(o.bucket)
+    ds = load_snapshot(o.snapshot)
+    curve = adoption_curve(ds, ds.tag_handle(o.tag), o.bucket_ms)
+    if o.out is not None:
         write_tsv(
-            out_tsv,
+            o.out,
             ["time", "new_first_usages", "cumulative_first_usages",
              "subsequent_usages", "saturation"],
-            (
-                (p.time, p.new_first_usages, p.cumulative_first_usages,
-                 p.subsequent_usages, p.saturation)
-                for p in curve.points
-            ),
+            ((p.time, p.new_first_usages, p.cumulative_first_usages,
+              p.subsequent_usages, p.saturation) for p in curve.points),
         )
-    result = {
-        "tag": tag_label,
-        "bucket_ms": bucket_ms,
-        "points": len(curve.points),
+    return {
+        "tag": o.tag, "bucket_ms": o.bucket_ms, "points": len(curve.points),
         "final_saturation": curve.final_saturation,
         "distinct_adopters": curve.points[-1].cumulative_first_usages if curve.points else 0,
     }
-    if summary_out is not None:
-        dump_json(result, summary_out)
-    return result
 
 
-def stage_correlate(
-    snapshot_path,
-    *,
-    bins: int = 10,
-    method: str = "spearman",
-    ties: str = "strict",
-    popularity: str = "adopters",
-    out_tsv=None,
-    summary_out=None,
-) -> dict:
-    ds = load_snapshot(snapshot_path)
-    table = all_exposures(ds, ties=ties, popularity=popularity)
-    report = popularity_threshold_correlation(table, bins=bins, method=method)
-    if out_tsv is not None:
+def stage_correlate(o) -> dict:
+    ds = load_snapshot(o.snapshot)
+    table = all_exposures(ds, ties=o.ties, popularity=o.popularity)
+    report = popularity_threshold_correlation(table, bins=o.bins, method=o.method)
+    if o.out is not None:
         write_tsv(
-            out_tsv,
+            o.out,
             ["popularity_lo", "popularity_hi", "mean_exposure", "count"],
             ((b.lo, b.hi, b.mean_exposure, b.count) for b in report.bins),
         )
-    result = {
-        "method": report.method,
-        "rho": report.rho,
-        "n_pairs": report.n_pairs,
-        "bins": len(report.bins),
-    }
-    if summary_out is not None:
-        dump_json(result, summary_out)
-    return result
+    return {"method": report.method, "rho": report.rho, "n_pairs": report.n_pairs,
+            "bins": len(report.bins)}
 
 
 def _load_json_config(path) -> dict:
-    import json as _json
-
     try:
         with open(path, encoding="utf-8") as fh:
-            return _json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from None
     except ValueError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _cfg_value(cfg: dict, key: str, context: str):
@@ -309,23 +254,16 @@ def _cfg_value(cfg: dict, key: str, context: str):
         raise UsageError(f"{context} needs a {key!r} entry") from None
 
 
+_THRESHOLD_PARAMS = {"constant": ("c",), "uniform": ("a", "b"), "truncnorm": ("mu", "sigma")}
+_GRAPH_PARAMS = {"erdos_renyi": ("n", "mean_out_degree"), "preferential_attachment": ("n", "m")}
+
+
 def _threshold_spec_from_config(cfg: dict) -> ThresholdSpec:
     kind = cfg.get("kind") if isinstance(cfg, dict) else None
-    if kind == "constant":
-        return ThresholdSpec("constant", (float(_cfg_value(cfg, "c", "constant threshold")),))
-    if kind == "uniform":
-        return ThresholdSpec(
-            "uniform",
-            (float(_cfg_value(cfg, "a", "uniform threshold")),
-             float(_cfg_value(cfg, "b", "uniform threshold"))),
-        )
-    if kind == "truncnorm":
-        return ThresholdSpec(
-            "truncnorm",
-            (float(_cfg_value(cfg, "mu", "truncnorm threshold")),
-             float(_cfg_value(cfg, "sigma", "truncnorm threshold"))),
-        )
-    raise UsageError(f"unknown threshold distribution: {kind!r}")
+    if not isinstance(kind, str) or kind not in _THRESHOLD_PARAMS:
+        raise UsageError(f"unknown threshold distribution: {kind!r}")
+    values = (float(_cfg_value(cfg, key, f"{kind} threshold")) for key in _THRESHOLD_PARAMS[kind])
+    return ThresholdSpec(kind, tuple(values))
 
 
 def _params_from_config(model: str, params_cfg: dict):
@@ -348,26 +286,16 @@ def _resolve_graph(graph_cfg: dict, seed: int):
     if kind == "dataset":
         ds = load_snapshot(_cfg_value(graph_cfg, "snapshot", "dataset graph"))
         return ds.graph, ds, {"kind": "dataset", "snapshot": str(graph_cfg["snapshot"])}
-    if kind == "erdos_renyi":
-        graph = gen_graph(
-            kind, seed,
-            n=_cfg_value(graph_cfg, "n", "erdos_renyi graph"),
-            mean_out_degree=_cfg_value(graph_cfg, "mean_out_degree", "erdos_renyi graph"),
-        )
-    elif kind == "preferential_attachment":
-        graph = gen_graph(
-            kind, seed,
-            n=_cfg_value(graph_cfg, "n", "preferential_attachment graph"),
-            m=_cfg_value(graph_cfg, "m", "preferential_attachment graph"),
-        )
-    else:
+    if not isinstance(kind, str) or kind not in _GRAPH_PARAMS:
         raise UsageError(f"unknown graph kind: {kind!r}")
+    params = {key: _cfg_value(graph_cfg, key, f"{kind} graph") for key in _GRAPH_PARAMS[kind]}
+    graph = gen_graph(kind, seed, **params)
     echo = dict(graph_cfg)
     echo["seed"] = seed
     return graph, None, echo
 
 
-def _resolve_seed_users(seeds_cfg: dict, graph_n: int, source_ds) -> tuple | None:
+def _resolve_seed_users(seeds_cfg: dict, source_ds) -> tuple | None:
     if "users" in seeds_cfg:
         out = []
         for u in seeds_cfg["users"]:
@@ -381,44 +309,34 @@ def _resolve_seed_users(seeds_cfg: dict, graph_n: int, source_ds) -> tuple | Non
     return None
 
 
-def stage_simulate(sim_cfg: dict, model: str | None, runs: int, seed: int, out_dir) -> dict:
-    model = model or sim_cfg.get("model")
-    if model is None:
+def stage_simulate(o) -> dict:
+    """`o.config` is a config file path, or (in a pipeline) the config itself."""
+    sim_cfg = o.config if isinstance(o.config, dict) else _load_json_config(o.config)
+    o.model = o.model or sim_cfg.get("model")
+    if o.model is None:
         raise UsageError("no model given (use --model or put \"model\" in the config)")
-    if runs < 1:
+    if o.runs < 1:
         raise UsageError("--runs must be >= 1")
-    out_dir = Path(out_dir)
+    out_dir = Path(o.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     graph_cfg = sim_cfg.get("graph")
     if graph_cfg is None:
         raise UsageError("simulation config needs a \"graph\" entry")
-    shared = bool(sim_cfg.get("shared_graph", False))
     seeds_cfg = sim_cfg.get("seeds", {"k": 1})
     max_steps = int(sim_cfg.get("max_steps", 100))
-    params = _params_from_config(model, sim_cfg.get("params", {}))
+    params = _params_from_config(o.model, sim_cfg.get("params", {}))
 
-    shared_graph = None
-    shared_echo = None
-    if shared or graph_cfg.get("kind") == "dataset":
-        shared_graph, source_ds, shared_echo = _resolve_graph(graph_cfg, derive_seed(seed, 0))
+    shared = None  # (graph, source dataset, graph echo), resolved once for all runs
+    if sim_cfg.get("shared_graph", False) or graph_cfg.get("kind") == "dataset":
+        shared = _resolve_graph(graph_cfg, derive_seed(o.seed, 0))
     run_summaries = []
-    for r in range(runs):
-        if shared_graph is not None:
-            graph, g_echo = shared_graph, shared_echo
-            ds_source = source_ds if graph_cfg.get("kind") == "dataset" else None
-        else:
-            graph, ds_source, g_echo = _resolve_graph(graph_cfg, derive_seed(seed, 0, r))
-        seed_users = _resolve_seed_users(seeds_cfg, graph.n, ds_source)
-        cfg = SimConfig(
-            graph=graph,
-            model=model,
-            params=params,
-            n_seeds=int(seeds_cfg.get("k", 1)),
-            seed_users=seed_users,
-            max_steps=max_steps,
-            seed=derive_seed(seed, 1, r),
-        )
+    for r in range(o.runs):
+        graph, ds_source, g_echo = shared or _resolve_graph(graph_cfg, derive_seed(o.seed, 0, r))
+        seed_users = _resolve_seed_users(seeds_cfg, ds_source)
+        cfg = SimConfig(graph=graph, model=o.model, params=params,
+                        n_seeds=int(seeds_cfg.get("k", 1)), seed_users=seed_users,
+                        max_steps=max_steps, seed=derive_seed(o.seed, 1, r))
         run = run_model(cfg)
 
         run_dir = out_dir / f"run_{r:04d}"
@@ -443,330 +361,306 @@ def stage_simulate(sim_cfg: dict, model: str | None, runs: int, seed: int, out_d
             "files": {"adoptions": "adoptions.csv", "follows": "follows.csv"},
         }
         dump_json(manifest, run_dir / "manifest.json")
-        run_summaries.append(
-            {
-                "run": r,
-                "n_adopters": run.n_adopters,
-                "final_saturation": run.final_saturation,
-                "steps": len(run.step_counts) - 1,
-            }
-        )
-    return {
-        "model": model,
-        "runs": runs,
-        "out_dir": str(out_dir),
-        "run_summaries": run_summaries,
-    }
+        run_summaries.append({"run": r, "n_adopters": run.n_adopters,
+                              "final_saturation": run.final_saturation,
+                              "steps": len(run.step_counts) - 1})
+    return {"model": o.model, "runs": o.runs, "out_dir": str(out_dir),
+            "run_summaries": run_summaries}
 
 
-def stage_recover(runs_dir, *, ties: str = "strict", out_json=None) -> dict:
-    runs_dir = Path(runs_dir)
+def _read_manifest(run_dir: Path) -> dict:
+    try:
+        with open(run_dir / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"{run_dir}: cannot read manifest.json: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{run_dir}: manifest.json is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{run_dir}: manifest.json must be a JSON object")
+    missing = [key for key in ("files", "theta", "n_users", "seed_users") if key not in manifest]
+    if missing:
+        raise DataError(f"{run_dir}: manifest.json has no {', '.join(missing)}")
+    return manifest
+
+
+def stage_recover(o) -> dict:
+    runs_dir = Path(o.runs)
     run_dirs = sorted(p for p in runs_dir.glob("run_*") if p.is_dir())
     if not run_dirs:
         raise DataError(f"no run_* directories under {runs_dir}")
 
-    import json as _json
-
-    per_run = []
-    pooled_pop = []
-    pooled_expo = []
-    total_violations = 0
-    total_compared = 0
-    worst_margin = None
+    reports = []
     for run_dir in run_dirs:
-        with open(run_dir / "manifest.json", encoding="utf-8") as fh:
-            manifest = _json.load(fh)
-        if manifest.get("theta") is None:
-            raise DataError(
-                f"{run_dir.name}: model {manifest.get('model')!r} has no planted "
-                "thresholds to recover"
-            )
+        manifest = _read_manifest(run_dir)
+        if manifest["theta"] is None:
+            raise DataError(f"{run_dir.name}: model {manifest.get('model')!r} has no planted "
+                            "thresholds to recover")
         adoptions, _ = read_adoptions(run_dir / manifest["files"]["adoptions"])
         follows, _ = read_follows(run_dir / manifest["files"]["follows"])
         ds = build_dataset(adoptions, follows)
-        report = recover_from_ingested(
+        reports.append(recover_from_ingested(
             ds,
             theta=np.asarray(manifest["theta"], dtype=np.float64),
             n_users=int(manifest["n_users"]),
             n_seeds=len(manifest["seed_users"]),
-            ties=ties,
-        )
-        per_run.append({"run": run_dir.name, **report.as_dict()})
-        pooled_pop.append(report.popularity)
-        pooled_expo.append(report.exposure)
-        total_violations += report.n_violations
-        total_compared += report.n_compared
-        if report.min_margin is not None:
-            worst_margin = report.min_margin if worst_margin is None else min(worst_margin, report.min_margin)
+            ties=o.ties,
+        ))
 
-    pop = np.concatenate(pooled_pop) if pooled_pop else np.empty(0)
-    expo = np.concatenate(pooled_expo) if pooled_expo else np.empty(0)
-    pooled_rho = None
-    if pop.shape[0] >= 3 and not np.all(pop == pop[0]) and not np.all(expo == expo[0]):
-        from .stats import spearman_rho
-
-        pooled_rho = spearman_rho(pop, expo)
-
-    result = {
-        "runs": len(per_run),
-        "compared_adoptions": total_compared,
-        "violations": total_violations,
-        "min_margin": worst_margin,
-        "pooled_spearman_popularity_exposure": pooled_rho,
-        "per_run": per_run,
+    margins = [r.min_margin for r in reports if r.min_margin is not None]
+    return {
+        "runs": len(reports),
+        "compared_adoptions": sum(r.n_compared for r in reports),
+        "violations": sum(r.n_violations for r in reports),
+        "min_margin": min(margins, default=None),
+        "pooled_spearman_popularity_exposure": spearman_rho(
+            np.concatenate([r.popularity for r in reports]),
+            np.concatenate([r.exposure for r in reports]),
+        ),
+        "per_run": [{"run": d.name, **r.as_dict()} for d, r in zip(run_dirs, reports)],
     }
-    if out_json is not None:
-        dump_json(result, out_json)
+
+
+# ---------------------------------------------------------------------------
+# command table: argparse subcommands, run reports and pipeline stages are
+# all derived from it
+# ---------------------------------------------------------------------------
+
+class Opt(NamedTuple):
+    """One command option, stated once. `flag` is "--name" or a positional
+    name; type `bool` makes a store_true flag. A pipeline stage key named
+    like the option's dest goes through the same type and choices."""
+    flag: str
+    help: str | None = None
+    default: object = None
+    type: type | None = None
+    choices: tuple | None = None
+    required: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+class Command(NamedTuple):
+    """One subcommand. `body` names its stage function, looked up at call
+    time. Its report echoes the resolved values named in `config`, records
+    the positional options and the `inputs` flags under "inputs" (files with
+    their digest), and lists `outputs` under their key; inside a pipeline
+    out_dir each output gets a fixed file name. The result JSON is written
+    to the path of the `summary` option."""
+    help: str
+    body: str
+    opts: tuple
+    config: tuple = ()
+    inputs: dict = {}
+    outputs: dict = {}
+    summary: str | None = None
+
+
+SNAPSHOT = Opt("snapshot")
+TIES = Opt("--ties", default="strict", choices=("strict", "inclusive"))
+POPULARITY = Opt("--popularity", default="adopters", choices=("adopters", "usages"))
+SEED = Opt("--seed", type=int)
+SUMMARY = Opt("--summary", "summary JSON path")
+REPORT = Opt("--report", "write the run report JSON here too")
+
+
+def _flag(flag: str, help: str) -> Opt:
+    return Opt(flag, help, default=False, type=bool)
+
+
+COMMANDS = {
+    "ingest": Command(
+        "parse CSV logs into a binary snapshot", "stage_ingest",
+        (Opt("adoptions", "adoptions CSV (user_id,tag_id,timestamp)"),
+         Opt("follows", "follows CSV (src_id,dst_id[,since])"),
+         Opt("--out", "snapshot output path", required=True),
+         _flag("--force", "overwrite an existing snapshot"),
+         _flag("--reverse-edges", "treat rows as dst observing src"),
+         _flag("--mutual-edges", "treat each follow row as a mutual relation (both directions)"),
+         Opt("--time-unit", "unit for integer timestamps (default ms)", "ms", choices=("ms", "s")),
+         _flag("--strict", "fail on malformed rows instead of dropping them")),
+        config=("reverse_edges", "mutual_edges", "time_unit", "strict"),
+        outputs={"out": ("snapshot", "snapshot.cscd")}),
+    "stats": Command("dataset summary counts and densities", "stage_stats", (SNAPSHOT,)),
+    "thresholds": Command(
+        "per-adoption exposures and per-user thresholds", "stage_thresholds",
+        (SNAPSHOT, Opt("--out", "exposures TSV path"),
+         Opt("--per-user", "per-user thresholds TSV path"), SUMMARY,
+         TIES._replace(help="whether same-timestamp alters count as active (default strict)"),
+         POPULARITY._replace(help="popularity-at-adoption counts distinct adopters or all usages")),
+        config=("ties", "popularity"),
+        outputs={"out": ("exposures", "exposures.tsv"), "per_user": ("per_user", "thresholds.tsv"),
+                 "summary": ("summary", "thresholds_summary.json")},
+        summary="summary"),
+    "fit-powerlaw": Command(
+        "fit a discrete power law to tag popularity", "stage_fit",
+        (SNAPSHOT, POPULARITY,
+         Opt("--bootstrap", "goodness-of-fit bootstrap replicates (default 100)", 100, int),
+         SEED, Opt("--out", "distribution TSV path"), Opt("--summary", "fit summary JSON path")),
+        config=("popularity", "bootstrap", "seed", "threads"),
+        outputs={"out": ("tsv", "powerlaw.tsv"), "summary": ("summary", "powerlaw.json")},
+        summary="summary"),
+    "curve": Command(
+        "adoption/saturation curve for one tag", "stage_curve",
+        (SNAPSHOT, Opt("--tag", "tag label", required=True),
+         Opt("--bucket", "bucket duration (e.g. 1d, 3600s, 500)", required=True),
+         Opt("--out", "curve TSV path"), SUMMARY),
+        config=("tag", "bucket_ms"),
+        outputs={"out": ("tsv", None), "summary": ("summary", None)},
+        summary="summary"),
+    "correlate": Command(
+        "popularity-vs-exposure correlation", "stage_correlate",
+        (SNAPSHOT, Opt("--bins", "logarithmic popularity bins", 10, int),
+         Opt("--method", default="spearman", choices=("spearman", "pearson")),
+         TIES, POPULARITY, Opt("--out", "binned-means TSV path"), SUMMARY),
+        config=("bins", "method", "ties", "popularity"),
+        outputs={"out": ("tsv", "correlation.tsv"), "summary": ("summary", "correlation.json")},
+        summary="summary"),
+    "simulate": Command(
+        "run seeded diffusion simulations", "stage_simulate",
+        (Opt("--model", choices=("threshold", "cascade", "learning")),
+         Opt("--config", "simulation config JSON", required=True),
+         Opt("--runs", default=1, type=int), SEED, Opt("--out", "output directory", required=True)),
+        config=("model", "runs", "seed"),
+        inputs={"config": "config"},
+        outputs={"out": ("out_dir", "runs")}),
+    "recover": Command(
+        "check measured exposures against planted thresholds", "stage_recover",
+        (Opt("--runs", "directory produced by simulate", required=True), TIES,
+         Opt("--out", "recovery report JSON path")),
+        config=("ties",),
+        inputs={"runs": "runs_dir"},
+        outputs={"out": ("report", "recovery.json")},
+        summary="out"),
+}
+
+PIPELINE_OPTS = (Opt("--config", "pipeline config JSON", required=True), SEED)
+# pipeline stage -> command; "fit" is the pipeline's name for fit-powerlaw
+PIPELINE_STAGES = {"ingest": "ingest", "thresholds": "thresholds", "fit": "fit-powerlaw",
+                   "correlate": "correlate", "simulate": "simulate", "recover": "recover"}
+
+
+def _inputs(cmd: Command) -> dict:
+    """Option -> key under "inputs": the positionals, then `cmd.inputs`."""
+    positional = {opt.dest: opt.dest for opt in cmd.opts if not opt.flag.startswith("-")}
+    return {**positional, **cmd.inputs}
+
+
+def _run_stage(cmd: Command, o) -> dict:
+    result = globals()[cmd.body](o)
+    path = getattr(o, cmd.summary) if cmd.summary else None
+    if path is not None:
+        dump_json(result, path)
+        if "per_run" in result:  # the per-run list stays in the file; the report counts it
+            result = {**result, "per_run": len(result["per_run"])}
     return result
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-def _cmd_ingest(args) -> dict:
+def _run_command(name: str, args) -> dict:
+    cmd = COMMANDS[name]
     started = time.monotonic()
-    result = stage_ingest(
-        args.adoptions,
-        args.follows,
-        args.out,
-        force=args.force,
-        reverse_edges=args.reverse_edges,
-        mutual_edges=args.mutual_edges,
-        time_unit=args.time_unit,
-        strict=args.strict,
-    )
+    if hasattr(args, "seed"):
+        args.seed = _resolve_seed(args.seed)
+    result = _run_stage(cmd, args)
+    outputs = {key: getattr(args, dest) for dest, (key, _) in cmd.outputs.items()}
     return _report(
-        "ingest",
-        {
-            "reverse_edges": args.reverse_edges,
-            "mutual_edges": args.mutual_edges,
-            "time_unit": args.time_unit,
-            "strict": args.strict,
-        },
-        {"adoptions": _input_entry(args.adoptions), "follows": _input_entry(args.follows)},
-        {"snapshot": str(args.out)},
+        name,
+        {key: getattr(args, key) for key in cmd.config},
+        {key: _input_entry(getattr(args, dest)) for dest, key in _inputs(cmd).items()},
+        {key: str(path) for key, path in outputs.items() if path},
         result,
         started,
     )
 
 
-def _cmd_stats(args) -> dict:
-    started = time.monotonic()
-    result = stage_stats(args.snapshot)
-    return _report("stats", {}, {"snapshot": _input_entry(args.snapshot)}, {}, result, started)
+def _coerce(opt: Opt, value, stage: str):
+    convert = opt.type or str
+    try:
+        value = convert(value)
+    except (TypeError, ValueError):
+        raise UsageError(
+            f"stage '{stage}': {opt.dest} must be {convert.__name__}, got {value!r}"
+        ) from None
+    if opt.choices is not None and value not in opt.choices:
+        raise UsageError(f"stage '{stage}': {opt.dest} must be one of {opt.choices}, got {value!r}")
+    return value
 
 
-def _cmd_thresholds(args) -> dict:
-    started = time.monotonic()
-    result = stage_thresholds(
-        args.snapshot,
-        args.out,
-        args.per_user,
-        args.summary,
-        ties=args.ties,
-        popularity=args.popularity,
-    )
-    outputs = {}
-    if args.out:
-        outputs["exposures"] = str(args.out)
-    if args.per_user:
-        outputs["per_user"] = str(args.per_user)
-    if args.summary:
-        outputs["summary"] = str(args.summary)
-    return _report(
-        "thresholds",
-        {"ties": args.ties, "popularity": args.popularity},
-        {"snapshot": _input_entry(args.snapshot)},
-        outputs,
-        result,
-        started,
-    )
+def _plan_stage(entry, out_dir: Path, seed: int, flow: dict):
+    """(name, command, resolved options) of one pipeline stage entry. An
+    option takes the value the pipeline fixes, else the entry's key (checked
+    like the flag), else the flag's default. `flow` carries the snapshot and
+    the runs directory that earlier stages write."""
+    if not isinstance(entry, dict):
+        raise UsageError(f"pipeline stage {entry!r} is not a JSON object")
+    name = entry.get("stage")
+    if not isinstance(name, str) or name not in PIPELINE_STAGES:
+        raise UsageError(f"unknown pipeline stage: {name!r}")
+    cmd = COMMANDS[PIPELINE_STAGES[name]]
+    fixed = {dest: out_dir / file for dest, (_, file) in cmd.outputs.items()}
+    if "snapshot" in _inputs(cmd):
+        if flow["snapshot"] is None:
+            raise UsageError(f"stage '{name}' needs a snapshot: add an ingest stage first or a "
+                             "top-level \"snapshot\" path")
+        fixed["snapshot"] = flow["snapshot"]
+    # rules only the pipeline has
+    if name == "ingest":
+        fixed["force"] = True
+    elif name == "fit":
+        fixed["seed"] = derive_seed(seed, 100)
+    elif name == "simulate":
+        fixed["seed"] = derive_seed(seed, 200)
+        fixed["config"] = {k: v for k, v in entry.items() if k != "stage"}
+    elif name == "recover":
+        entry = {"runs": str(out_dir / "runs"), **entry}
+        if flow["runs"] is not None:
+            fixed["runs"] = flow["runs"]
+
+    o = argparse.Namespace()
+    for opt in cmd.opts:
+        if opt.dest in fixed:
+            value = fixed[opt.dest]
+        elif opt.dest in entry:
+            value = _coerce(opt, entry[opt.dest], name)
+        elif opt.required or not opt.flag.startswith("-"):
+            raise UsageError(f"stage '{name}' needs a {opt.dest!r} entry")
+        else:
+            value = opt.default
+        setattr(o, opt.dest, value)
+    if name == "ingest":
+        flow["snapshot"] = o.out
+    elif name == "simulate":
+        flow["runs"] = o.out
+    return name, cmd, o
 
 
-def _cmd_fit(args) -> dict:
-    started = time.monotonic()
-    seed = _resolve_seed(args.seed)
-    result = stage_fit(
-        args.snapshot,
-        popularity=args.popularity,
-        bootstrap=args.bootstrap,
-        seed=seed,
-        out_tsv=args.out,
-        summary_out=args.summary,
-    )
-    return _report(
-        "fit-powerlaw",
-        {"popularity": args.popularity, "bootstrap": args.bootstrap, "seed": seed,
-         "threads": _threads()},
-        {"snapshot": _input_entry(args.snapshot)},
-        {k: str(v) for k, v in (("tsv", args.out), ("summary", args.summary)) if v},
-        result,
-        started,
-    )
-
-
-def _cmd_curve(args) -> dict:
-    started = time.monotonic()
-    bucket = parse_duration_ms(args.bucket)
-    result = stage_curve(args.snapshot, args.tag, bucket, out_tsv=args.out, summary_out=args.summary)
-    return _report(
-        "curve",
-        {"tag": args.tag, "bucket_ms": bucket},
-        {"snapshot": _input_entry(args.snapshot)},
-        {k: str(v) for k, v in (("tsv", args.out), ("summary", args.summary)) if v},
-        result,
-        started,
-    )
-
-
-def _cmd_correlate(args) -> dict:
-    started = time.monotonic()
-    result = stage_correlate(
-        args.snapshot,
-        bins=args.bins,
-        method=args.method,
-        ties=args.ties,
-        popularity=args.popularity,
-        out_tsv=args.out,
-        summary_out=args.summary,
-    )
-    return _report(
-        "correlate",
-        {"bins": args.bins, "method": args.method, "ties": args.ties,
-         "popularity": args.popularity},
-        {"snapshot": _input_entry(args.snapshot)},
-        {k: str(v) for k, v in (("tsv", args.out), ("summary", args.summary)) if v},
-        result,
-        started,
-    )
-
-
-def _cmd_simulate(args) -> dict:
-    started = time.monotonic()
-    sim_cfg = _load_json_config(args.config)
-    seed = _resolve_seed(args.seed)
-    result = stage_simulate(sim_cfg, args.model, args.runs, seed, args.out)
-    return _report(
-        "simulate",
-        {"model": result["model"], "runs": args.runs, "seed": seed},
-        {"config": _input_entry(args.config)},
-        {"out_dir": str(args.out)},
-        result,
-        started,
-    )
-
-
-def _cmd_recover(args) -> dict:
-    started = time.monotonic()
-    result = stage_recover(args.runs, ties=args.ties, out_json=args.out)
-    slim = dict(result)
-    slim["per_run"] = len(result["per_run"])
-    return _report(
-        "recover",
-        {"ties": args.ties},
-        {"runs_dir": {"path": str(args.runs)}},
-        {"report": str(args.out)} if args.out else {},
-        slim if args.out else result,
-        started,
-    )
-
-
-_PIPELINE_STAGES = ("ingest", "thresholds", "fit", "correlate", "simulate", "recover")
-
-
-def _cmd_pipeline(args) -> dict:
+def _run_pipeline(args) -> dict:
     started = time.monotonic()
     cfg = _load_json_config(args.config)
     stages = cfg.get("stages")
     if not isinstance(stages, list) or not stages:
         raise UsageError("pipeline config must name at least one stage")
-    for entry in stages:
-        name = entry.get("stage")
-        if name not in _PIPELINE_STAGES:
-            raise UsageError(f"unknown pipeline stage: {name!r}")
-
     out_dir = Path(cfg.get("out_dir", "cascade_out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    snapshot = cfg.get("snapshot")
-    runs_dir = None
-    stage_results = []
+    flow = {"snapshot": cfg.get("snapshot"), "runs": None}
+    plan = [_plan_stage(entry, out_dir, seed, flow) for entry in stages]
 
-    for entry in stages:
-        name = entry["stage"]
-        opts = {k: v for k, v in entry.items() if k != "stage"}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage_results = []
+    for name, cmd, o in plan:
         try:
-            if name == "ingest":
-                snapshot = out_dir / "snapshot.cscd"
-                result = stage_ingest(
-                    opts["adoptions"],
-                    opts["follows"],
-                    snapshot,
-                    force=True,
-                    reverse_edges=opts.get("reverse_edges", False),
-                    mutual_edges=opts.get("mutual_edges", False),
-                    time_unit=opts.get("time_unit", "ms"),
-                    strict=opts.get("strict", False),
-                )
-            elif name == "thresholds":
-                _require_snapshot(snapshot, name)
-                result = stage_thresholds(
-                    snapshot,
-                    out_dir / "exposures.tsv",
-                    out_dir / "thresholds.tsv",
-                    out_dir / "thresholds_summary.json",
-                    ties=opts.get("ties", "strict"),
-                    popularity=opts.get("popularity", "adopters"),
-                )
-            elif name == "fit":
-                _require_snapshot(snapshot, name)
-                result = stage_fit(
-                    snapshot,
-                    popularity=opts.get("popularity", "adopters"),
-                    bootstrap=int(opts.get("bootstrap", 100)),
-                    seed=derive_seed(seed, 100),
-                    out_tsv=out_dir / "powerlaw.tsv",
-                    summary_out=out_dir / "powerlaw.json",
-                )
-            elif name == "correlate":
-                _require_snapshot(snapshot, name)
-                result = stage_correlate(
-                    snapshot,
-                    bins=int(opts.get("bins", 10)),
-                    method=opts.get("method", "spearman"),
-                    ties=opts.get("ties", "strict"),
-                    popularity=opts.get("popularity", "adopters"),
-                    out_tsv=out_dir / "correlation.tsv",
-                    summary_out=out_dir / "correlation.json",
-                )
-            elif name == "simulate":
-                runs_dir = out_dir / "runs"
-                result = stage_simulate(
-                    opts,
-                    opts.get("model"),
-                    int(opts.get("runs", 1)),
-                    derive_seed(seed, 200),
-                    runs_dir,
-                )
-            else:  # recover
-                if runs_dir is None:
-                    runs_dir = Path(opts.get("runs", out_dir / "runs"))
-                result = stage_recover(
-                    runs_dir,
-                    ties=opts.get("ties", "strict"),
-                    out_json=out_dir / "recovery.json",
-                )
-                result = {**result, "per_run": len(result["per_run"])}
+            result = _run_stage(cmd, o)
         except CascadeError as exc:
-            raise type(exc)(f"stage '{name}' failed: {exc}") from exc
+            kind = next(k for k in (UsageError, DataError, CascadeError) if isinstance(exc, k))
+            raise kind(f"stage '{name}' failed: {exc}") from exc
         stage_results.append({"stage": name, "result": result})
 
-    inputs = {"config": _input_entry(args.config)}
     report = _report(
         "pipeline",
-        {"seed": seed, "out_dir": str(out_dir), "stages": [e["stage"] for e in stages]},
-        inputs,
+        {"seed": seed, "out_dir": str(out_dir), "stages": [name for name, _, _ in plan]},
+        {"config": _input_entry(args.config)},
         {"out_dir": str(out_dir)},
         {"stages": stage_results},
         started,
@@ -775,120 +669,44 @@ def _cmd_pipeline(args) -> dict:
     return report
 
 
-def _require_snapshot(snapshot, stage: str):
-    if snapshot is None:
-        raise UsageError(
-            f"stage '{stage}' needs a snapshot: add an ingest stage first or a "
-            "top-level \"snapshot\" path"
-        )
-    if not Path(snapshot).exists():
-        raise DataError(f"stage '{stage}': snapshot {snapshot} not found")
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _add_option(parser: argparse.ArgumentParser, opt: Opt) -> None:
+    kwargs = {"help": opt.help}
+    if opt.flag.startswith("-"):
+        kwargs["required"] = opt.required
+    if opt.type is bool:
+        kwargs["action"] = "store_true"
+    else:
+        kwargs.update(default=opt.default, type=opt.type, choices=opt.choices)
+    parser.add_argument(opt.flag, **kwargs)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cascade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tagcascade {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="parse CSV logs into a binary snapshot")
-    p.add_argument("adoptions", help="adoptions CSV (user_id,tag_id,timestamp)")
-    p.add_argument("follows", help="follows CSV (src_id,dst_id[,since])")
-    p.add_argument("--out", required=True, help="snapshot output path")
-    p.add_argument("--force", action="store_true", help="overwrite an existing snapshot")
-    p.add_argument("--reverse-edges", action="store_true",
-                   help="treat rows as dst observing src")
-    p.add_argument("--mutual-edges", action="store_true",
-                   help="treat each follow row as a mutual relation (both directions)")
-    p.add_argument("--time-unit", choices=["ms", "s"], default="ms",
-                   help="unit for integer timestamps (default ms)")
-    p.add_argument("--strict", action="store_true",
-                   help="fail on malformed rows instead of dropping them")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("stats", help="dataset summary counts and densities")
-    p.add_argument("snapshot")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("thresholds", help="per-adoption exposures and per-user thresholds")
-    p.add_argument("snapshot")
-    p.add_argument("--out", help="exposures TSV path")
-    p.add_argument("--per-user", help="per-user thresholds TSV path")
-    p.add_argument("--summary", help="summary JSON path")
-    p.add_argument("--ties", choices=["strict", "inclusive"], default="strict",
-                   help="whether same-timestamp alters count as active (default strict)")
-    p.add_argument("--popularity", choices=["adopters", "usages"], default="adopters",
-                   help="popularity-at-adoption counts distinct adopters or all usages")
-    p.set_defaults(func=_cmd_thresholds)
-
-    p = sub.add_parser("fit-powerlaw", help="fit a discrete power law to tag popularity")
-    p.add_argument("snapshot")
-    p.add_argument("--popularity", choices=["adopters", "usages"], default="adopters")
-    p.add_argument("--bootstrap", type=int, default=100,
-                   help="goodness-of-fit bootstrap replicates (default 100)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="distribution TSV path")
-    p.add_argument("--summary", help="fit summary JSON path")
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("curve", help="adoption/saturation curve for one tag")
-    p.add_argument("snapshot")
-    p.add_argument("--tag", required=True, help="tag label")
-    p.add_argument("--bucket", required=True, help="bucket duration (e.g. 1d, 3600s, 500)")
-    p.add_argument("--out", help="curve TSV path")
-    p.add_argument("--summary", help="summary JSON path")
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("correlate", help="popularity-vs-exposure correlation")
-    p.add_argument("snapshot")
-    p.add_argument("--bins", type=int, default=10, help="logarithmic popularity bins")
-    p.add_argument("--method", choices=["spearman", "pearson"], default="spearman")
-    p.add_argument("--ties", choices=["strict", "inclusive"], default="strict")
-    p.add_argument("--popularity", choices=["adopters", "usages"], default="adopters")
-    p.add_argument("--out", help="binned-means TSV path")
-    p.add_argument("--summary", help="summary JSON path")
-    p.set_defaults(func=_cmd_correlate)
-
-    p = sub.add_parser("simulate", help="run seeded diffusion simulations")
-    p.add_argument("--model", choices=["threshold", "cascade", "learning"], default=None)
-    p.add_argument("--config", required=True, help="simulation config JSON")
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("recover", help="check measured exposures against planted thresholds")
-    p.add_argument("--runs", required=True, help="directory produced by simulate")
-    p.add_argument("--ties", choices=["strict", "inclusive"], default="strict")
-    p.add_argument("--out", help="recovery report JSON path")
-    p.set_defaults(func=_cmd_recover)
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for opt in cmd.opts + (REPORT,):
+            _add_option(p, opt)
     p = sub.add_parser("pipeline", help="run configured stages end to end")
-    p.add_argument("--config", required=True, help="pipeline config JSON")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_pipeline)
-
-    for name, sp in sub.choices.items():
-        if name != "pipeline":
-            sp.add_argument("--report", help="write the run report JSON here too")
-
+    for opt in PIPELINE_OPTS:
+        _add_option(p, opt)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.command == "pipeline":
+            report = _run_pipeline(args)
+        else:
+            report = _run_command(args.command, args)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

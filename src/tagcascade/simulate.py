@@ -460,10 +460,6 @@ def recover_from_ingested(
     margins = expo - theta[nodes]
     pop = table.tag_popularity_at_adoption[use].astype(np.float64)
 
-    rho = None
-    if expo.shape[0] >= 3 and not np.all(pop == pop[0]) and not np.all(expo == expo[0]):
-        rho = spearman_rho(pop, expo)
-
     return RecoveryReport(
         n_users=n_users,
         n_adopters=ds.n_first_usages,
@@ -472,7 +468,7 @@ def recover_from_ingested(
         n_violations=int(np.count_nonzero(margins < 0)),
         min_margin=float(margins.min()) if margins.shape[0] else None,
         mean_margin=float(margins.mean()) if margins.shape[0] else None,
-        spearman=rho,
+        spearman=spearman_rho(pop, expo),
         margins=margins,
         popularity=pop,
         exposure=expo,

@@ -14,7 +14,6 @@ from scipy.stats import rankdata, spearmanr
 from .errors import DegenerateSampleError, UndefinedCorrelationError, UnknownIdError
 from .events import Dataset
 from .exposure import ExposureTable
-from .powerlaw import PowerLawFit, fit_power_law, fitted_tail_ccdf  # noqa: F401  (re-export)
 
 
 def tag_popularity(d: Dataset) -> dict:
@@ -228,8 +227,11 @@ def popularity_threshold_correlation(
     return CorrelationReport(method=method, rho=rho, n_pairs=n, bins=tuple(out_bins))
 
 
-def spearman_rho(x, y) -> float:
-    """Average-rank Spearman correlation (helper for simulation reports)."""
-    xr = rankdata(x)
-    yr = rankdata(y)
-    return float(np.corrcoef(xr, yr)[0, 1])
+def spearman_rho(x, y) -> float | None:
+    """Average-rank Spearman correlation (helper for simulation reports);
+    None when it is undefined: fewer than 3 pairs, or either side constant."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if x.shape[0] < 3 or np.all(x == x[0]) or np.all(y == y[0]):
+        return None
+    return float(np.corrcoef(rankdata(x), rankdata(y))[0, 1])

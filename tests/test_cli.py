@@ -263,6 +263,35 @@ def test_recover_zero_violations(tmp_path, capsys):
     assert doc["runs"] == 3
 
 
+@pytest.mark.parametrize("damage,named", [
+    ("delete", "manifest.json"),
+    ("not-json", "manifest.json"),
+    ("files", "files"),
+    ("theta", "theta"),
+    ("n_users", "n_users"),
+    ("seed_users", "seed_users"),
+])
+def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, named):
+    cfg = _sim_config(tmp_path)
+    out = tmp_path / "runs"
+    code, _ = _run(capsys, "simulate", "--config", str(cfg), "--runs", "2", "--seed", "9",
+                   "--out", str(out))
+    assert code == 0
+    manifest_path = out / "run_0001" / "manifest.json"
+    if damage == "delete":
+        manifest_path.unlink()
+    elif damage == "not-json":
+        manifest_path.write_text("{truncated")
+    else:
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[damage]
+        manifest_path.write_text(json.dumps(manifest))
+    code = main(["recover", "--runs", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "run_0001" in err and named in err
+
+
 def test_recover_cascade_run_is_data_error(tmp_path, capsys):
     cfg = _sim_config(tmp_path, model="cascade")
     out = tmp_path / "cascade_runs"
@@ -283,10 +312,14 @@ def test_simulate_invalid_json_config_is_usage_error(tmp_path, capsys):
 
 def test_simulate_missing_config_key_is_usage_error(tmp_path, capsys):
     path = tmp_path / "sim.json"
-    path.write_text(json.dumps({"graph": {"kind": "erdos_renyi", "n": 10}}))
-    code, _ = _run(capsys, "simulate", "--model", "threshold", "--config", str(path),
-                   "--runs", "1", "--seed", "1", "--out", str(tmp_path / "r"))
-    assert code == 1
+    for cfg in (
+        {"graph": {"kind": "erdos_renyi", "n": 10}},
+        [{"graph": {"kind": "erdos_renyi", "n": 10, "mean_out_degree": 2}}],  # not an object
+    ):
+        path.write_text(json.dumps(cfg))
+        code, _ = _run(capsys, "simulate", "--model", "threshold", "--config", str(path),
+                       "--runs", "1", "--seed", "1", "--out", str(tmp_path / "r"))
+        assert code == 1, cfg
 
 
 def test_simulate_missing_config_file_is_data_error(tmp_path, capsys):
@@ -356,8 +389,9 @@ def test_pipeline_single_ingest_stage_equals_ingest(tmp_path, capsys):
     }
     path = tmp_path / "p.json"
     path.write_text(json.dumps(cfg))
-    code, report = _run(capsys, "pipeline", "--config", str(path))
-    assert code == 0
+    for _ in range(2):  # a pipeline's ingest overwrites its snapshot
+        code, report = _run(capsys, "pipeline", "--config", str(path))
+        assert code == 0
     pipeline_result = report["result"]["stages"][0]["result"]
 
     snap = tmp_path / "direct.cscd"
@@ -369,28 +403,47 @@ def test_pipeline_single_ingest_stage_equals_ingest(tmp_path, capsys):
 
 def test_pipeline_empty_stages_is_usage_error(tmp_path, capsys):
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"stages": []}))
-    code, _ = _run(capsys, "pipeline", "--config", str(path))
-    assert code == 1
+    for cfg in ({"stages": []}, [1, 2]):  # the second is not an object
+        path.write_text(json.dumps(cfg))
+        code, _ = _run(capsys, "pipeline", "--config", str(path))
+        assert code == 1, cfg
 
 
-def test_pipeline_unknown_stage_is_usage_error(tmp_path, capsys):
+def test_pipeline_unknown_stage_is_usage_error(tmp_path, capsys, snapshot):
+    adoptions, follows = _write_inputs(tmp_path)
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"stages": [{"stage": "frobnicate"}]}))
-    code, _ = _run(capsys, "pipeline", "--config", str(path))
-    assert code == 1
+    for stage in (
+        {"stage": "frobnicate"},
+        "ingest",  # not an object
+        {"stage": "ingest", "follows": str(follows)},  # no adoptions
+        {"stage": "ingest", "adoptions": str(adoptions), "follows": str(follows),
+         "time_unit": "fortnights"},
+        {"stage": "thresholds", "ties": "bogus"},
+        {"stage": "fit", "bootstrap": "many"},
+        {"stage": "simulate", "runs": "several", "model": "threshold",
+         "graph": {"kind": "erdos_renyi", "n": 20, "mean_out_degree": 2},
+         "params": {"thresholds": {"kind": "constant", "c": 0.5}}},
+    ):
+        path.write_text(json.dumps({
+            "out_dir": str(tmp_path / "pipe"), "snapshot": str(snapshot), "stages": [stage],
+        }))
+        code, _ = _run(capsys, "pipeline", "--config", str(path))
+        assert code == 1, stage
+        assert not (tmp_path / "pipe").exists(), stage  # rejected before any stage ran
 
 
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
+    adoptions, follows = _write_inputs(tmp_path, bad_timestamp_row=True)
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({
-        "out_dir": str(tmp_path / "pipe"),
-        "stages": [{"stage": "ingest", "adoptions": "missing.csv", "follows": "missing.csv"}],
-    }))
-    code = main(["pipeline", "--config", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "stage 'ingest'" in err
+    for stage in (
+        {"stage": "ingest", "adoptions": "missing.csv", "follows": "missing.csv"},
+        {"stage": "ingest", "adoptions": str(adoptions), "follows": str(follows), "strict": True},
+    ):
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "pipe"), "stages": [stage]}))
+        code = main(["pipeline", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, stage
+        assert "stage 'ingest'" in err
 
 
 def test_cascade_threads_env_does_not_change_results(snapshot, capsys, monkeypatch):

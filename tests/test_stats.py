@@ -232,3 +232,13 @@ def test_spearman_invariant_under_monotone_transform(pairs):
     squashed = [(p * p * 3 + 1, e) for p, e in pairs]  # strictly increasing on ints >= 0
     transformed = tc.popularity_threshold_correlation(_records(squashed), bins=3)
     assert transformed.rho == pytest.approx(base.rho, abs=1e-12)
+
+
+def test_spearman_rho_undefined_is_none():
+    from tagcascade.stats import spearman_rho
+
+    assert spearman_rho([1.0, 2.0], [0.1, 0.2]) is None  # fewer than 3 pairs
+    assert spearman_rho([3.0, 3.0, 3.0], [0.1, 0.2, 0.3]) is None
+    assert spearman_rho([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]) is None
+    assert spearman_rho(np.empty(0), np.empty(0)) is None
+    assert spearman_rho([1.0, 2.0, 3.0], [0.1, 0.3, 0.2]) == pytest.approx(0.5)
