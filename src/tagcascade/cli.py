@@ -21,10 +21,17 @@ import numpy as np
 
 from . import __version__
 from .errors import CascadeError, DataError, UsageError
-from .events import build_dataset, density, giant_component
-from .exposure import all_exposures, population_thresholds, threshold_summary
+from .events import _MS_PER_UNIT, build_dataset, density, giant_component
+from .exposure import (
+    POPULARITY_MODES,
+    TIE_RULES,
+    all_exposures,
+    population_thresholds,
+    threshold_summary,
+)
 from .powerlaw import fit_power_law, fitted_tail_ccdf
 from .simulate import (
+    MODELS,
     CascadeParams,
     LearningParams,
     SimConfig,
@@ -247,22 +254,37 @@ def _load_json_config(path) -> dict:
     return cfg
 
 
-def _cfg_value(cfg: dict, key: str, context: str):
+def _cfg_value(cfg: dict, key: str, context: str, convert=None, default=None):
+    """cfg[key] passed through `convert`. A missing key takes `default`; it
+    is a usage error when there is none, as is a value `convert` rejects."""
+    value = cfg.get(key, default)
+    if value is None:
+        raise UsageError(f"{context} needs a {key!r} entry")
+    if convert is None:
+        return value
     try:
-        return cfg[key]
-    except (KeyError, TypeError):
-        raise UsageError(f"{context} needs a {key!r} entry") from None
+        return convert(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{context}: {key} must be {convert.__name__}, got {value!r}") from None
+
+
+def _cfg_object(cfg: dict, key: str, default=None) -> dict:
+    value = cfg.get(key, default)
+    if not isinstance(value, dict):
+        raise UsageError(f"simulation config needs a {key!r} object, got {value!r}")
+    return value
 
 
 _THRESHOLD_PARAMS = {"constant": ("c",), "uniform": ("a", "b"), "truncnorm": ("mu", "sigma")}
-_GRAPH_PARAMS = {"erdos_renyi": ("n", "mean_out_degree"), "preferential_attachment": ("n", "m")}
+_GRAPH_PARAMS = {"erdos_renyi": (("n", int), ("mean_out_degree", float)),
+                 "preferential_attachment": (("n", int), ("m", int))}
 
 
 def _threshold_spec_from_config(cfg: dict) -> ThresholdSpec:
     kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in _THRESHOLD_PARAMS:
         raise UsageError(f"unknown threshold distribution: {kind!r}")
-    values = (float(_cfg_value(cfg, key, f"{kind} threshold")) for key in _THRESHOLD_PARAMS[kind])
+    values = (_cfg_value(cfg, key, f"{kind} threshold", float) for key in _THRESHOLD_PARAMS[kind])
     return ThresholdSpec(kind, tuple(values))
 
 
@@ -272,11 +294,11 @@ def _params_from_config(model: str, params_cfg: dict):
             _threshold_spec_from_config(_cfg_value(params_cfg, "thresholds", "threshold model"))
         )
     if model == "cascade":
-        return CascadeParams(float(_cfg_value(params_cfg, "p", "cascade model")))
+        return CascadeParams(_cfg_value(params_cfg, "p", "cascade model", float))
     if model == "learning":
         return LearningParams(
             _threshold_spec_from_config(_cfg_value(params_cfg, "thresholds", "learning model")),
-            int(params_cfg.get("lag", 0)),
+            _cfg_value(params_cfg, "lag", "learning model", int, default=0),
         )
     raise UsageError(f"unknown model: {model!r}")
 
@@ -284,11 +306,12 @@ def _params_from_config(model: str, params_cfg: dict):
 def _resolve_graph(graph_cfg: dict, seed: int):
     kind = graph_cfg.get("kind")
     if kind == "dataset":
-        ds = load_snapshot(_cfg_value(graph_cfg, "snapshot", "dataset graph"))
+        ds = load_snapshot(_cfg_value(graph_cfg, "snapshot", "dataset graph", str))
         return ds.graph, ds, {"kind": "dataset", "snapshot": str(graph_cfg["snapshot"])}
     if not isinstance(kind, str) or kind not in _GRAPH_PARAMS:
         raise UsageError(f"unknown graph kind: {kind!r}")
-    params = {key: _cfg_value(graph_cfg, key, f"{kind} graph") for key in _GRAPH_PARAMS[kind]}
+    params = {key: _cfg_value(graph_cfg, key, f"{kind} graph", convert)
+              for key, convert in _GRAPH_PARAMS[kind]}
     graph = gen_graph(kind, seed, **params)
     echo = dict(graph_cfg)
     echo["seed"] = seed
@@ -296,17 +319,18 @@ def _resolve_graph(graph_cfg: dict, seed: int):
 
 
 def _resolve_seed_users(seeds_cfg: dict, source_ds) -> tuple | None:
-    if "users" in seeds_cfg:
-        out = []
-        for u in seeds_cfg["users"]:
-            if source_ds is not None:
-                out.append(source_ds.user_handle(str(u)))
-            elif isinstance(u, str) and u.startswith("u"):
-                out.append(int(u[1:]))
-            else:
-                out.append(int(u))
-        return tuple(out)
-    return None
+    if "users" not in seeds_cfg:
+        return None
+    users = seeds_cfg["users"]
+    if not isinstance(users, list):
+        raise UsageError(f"seeds: users must be a list, got {users!r}")
+    if source_ds is not None:
+        return tuple(source_ds.user_handle(str(u)) for u in users)
+    try:
+        return tuple(int(u[1:]) if isinstance(u, str) and u.startswith("u") else int(u)
+                     for u in users)
+    except (TypeError, ValueError):
+        raise UsageError(f"seeds: users must be node ids, got {users!r}") from None
 
 
 def stage_simulate(o) -> dict:
@@ -320,12 +344,11 @@ def stage_simulate(o) -> dict:
     out_dir = Path(o.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    graph_cfg = sim_cfg.get("graph")
-    if graph_cfg is None:
-        raise UsageError("simulation config needs a \"graph\" entry")
-    seeds_cfg = sim_cfg.get("seeds", {"k": 1})
-    max_steps = int(sim_cfg.get("max_steps", 100))
-    params = _params_from_config(o.model, sim_cfg.get("params", {}))
+    graph_cfg = _cfg_object(sim_cfg, "graph")
+    seeds_cfg = _cfg_object(sim_cfg, "seeds", {"k": 1})
+    n_seeds = _cfg_value(seeds_cfg, "k", "seeds", int, default=1)
+    max_steps = _cfg_value(sim_cfg, "max_steps", "simulation config", int, default=100)
+    params = _params_from_config(o.model, _cfg_object(sim_cfg, "params", {}))
 
     shared = None  # (graph, source dataset, graph echo), resolved once for all runs
     if sim_cfg.get("shared_graph", False) or graph_cfg.get("kind") == "dataset":
@@ -335,7 +358,7 @@ def stage_simulate(o) -> dict:
         graph, ds_source, g_echo = shared or _resolve_graph(graph_cfg, derive_seed(o.seed, 0, r))
         seed_users = _resolve_seed_users(seeds_cfg, ds_source)
         cfg = SimConfig(graph=graph, model=o.model, params=params,
-                        n_seeds=int(seeds_cfg.get("k", 1)), seed_users=seed_users,
+                        n_seeds=n_seeds, seed_users=seed_users,
                         max_steps=max_steps, seed=derive_seed(o.seed, 1, r))
         run = run_model(cfg)
 
@@ -381,6 +404,18 @@ def _read_manifest(run_dir: Path) -> dict:
     missing = [key for key in ("files", "theta", "n_users", "seed_users") if key not in manifest]
     if missing:
         raise DataError(f"{run_dir}: manifest.json has no {', '.join(missing)}")
+    files, theta = manifest["files"], manifest["theta"]
+    well_formed = {
+        "files": isinstance(files, dict)
+        and all(isinstance(files.get(key), str) for key in ("adoptions", "follows")),
+        "theta": theta is None
+        or (isinstance(theta, list) and all(isinstance(v, (int, float)) for v in theta)),
+        "n_users": isinstance(manifest["n_users"], int),
+        "seed_users": isinstance(manifest["seed_users"], list),
+    }
+    bad = [key for key, ok in well_formed.items() if not ok]
+    if bad:
+        raise DataError(f"{run_dir}: manifest.json has a malformed {', '.join(bad)}")
     return manifest
 
 
@@ -399,13 +434,16 @@ def stage_recover(o) -> dict:
         adoptions, _ = read_adoptions(run_dir / manifest["files"]["adoptions"])
         follows, _ = read_follows(run_dir / manifest["files"]["follows"])
         ds = build_dataset(adoptions, follows)
-        reports.append(recover_from_ingested(
-            ds,
-            theta=np.asarray(manifest["theta"], dtype=np.float64),
-            n_users=int(manifest["n_users"]),
-            n_seeds=len(manifest["seed_users"]),
-            ties=o.ties,
-        ))
+        try:
+            reports.append(recover_from_ingested(
+                ds,
+                theta=np.asarray(manifest["theta"], dtype=np.float64),
+                n_users=int(manifest["n_users"]),
+                n_seeds=len(manifest["seed_users"]),
+                ties=o.ties,
+            ))
+        except DataError as exc:
+            raise DataError(f"{run_dir}: {exc}") from None
 
     margins = [r.min_margin for r in reports if r.min_margin is not None]
     return {
@@ -459,8 +497,8 @@ class Command(NamedTuple):
 
 
 SNAPSHOT = Opt("snapshot")
-TIES = Opt("--ties", default="strict", choices=("strict", "inclusive"))
-POPULARITY = Opt("--popularity", default="adopters", choices=("adopters", "usages"))
+TIES = Opt("--ties", default="strict", choices=TIE_RULES)
+POPULARITY = Opt("--popularity", default="adopters", choices=POPULARITY_MODES)
 SEED = Opt("--seed", type=int)
 SUMMARY = Opt("--summary", "summary JSON path")
 REPORT = Opt("--report", "write the run report JSON here too")
@@ -479,7 +517,8 @@ COMMANDS = {
          _flag("--force", "overwrite an existing snapshot"),
          _flag("--reverse-edges", "treat rows as dst observing src"),
          _flag("--mutual-edges", "treat each follow row as a mutual relation (both directions)"),
-         Opt("--time-unit", "unit for integer timestamps (default ms)", "ms", choices=("ms", "s")),
+         Opt("--time-unit", "unit for integer timestamps (default ms)", "ms",
+             choices=tuple(_MS_PER_UNIT)),
          _flag("--strict", "fail on malformed rows instead of dropping them")),
         config=("reverse_edges", "mutual_edges", "time_unit", "strict"),
         outputs={"out": ("snapshot", "snapshot.cscd")}),
@@ -520,7 +559,7 @@ COMMANDS = {
         summary="summary"),
     "simulate": Command(
         "run seeded diffusion simulations", "stage_simulate",
-        (Opt("--model", choices=("threshold", "cascade", "learning")),
+        (Opt("--model", choices=MODELS),
          Opt("--config", "simulation config JSON", required=True),
          Opt("--runs", default=1, type=int), SEED, Opt("--out", "output directory", required=True)),
         config=("model", "runs", "seed"),
@@ -575,16 +614,21 @@ def _run_command(name: str, args) -> dict:
     )
 
 
-def _coerce(opt: Opt, value, stage: str):
+def _coerce(opt: Opt, value, where: str):
     convert = opt.type or str
     try:
         value = convert(value)
     except (TypeError, ValueError):
-        raise UsageError(
-            f"stage '{stage}': {opt.dest} must be {convert.__name__}, got {value!r}"
-        ) from None
+        raise UsageError(f"{where}: {opt.dest} must be {convert.__name__}, got {value!r}") from None
     if opt.choices is not None and value not in opt.choices:
-        raise UsageError(f"stage '{stage}': {opt.dest} must be one of {opt.choices}, got {value!r}")
+        raise UsageError(f"{where}: {opt.dest} must be one of {opt.choices}, got {value!r}")
+    return value
+
+
+def _cfg_path(cfg: dict, key: str, default=None):
+    value = cfg.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise UsageError(f"pipeline config: {key} must be a path string, got {value!r}")
     return value
 
 
@@ -623,7 +667,7 @@ def _plan_stage(entry, out_dir: Path, seed: int, flow: dict):
         if opt.dest in fixed:
             value = fixed[opt.dest]
         elif opt.dest in entry:
-            value = _coerce(opt, entry[opt.dest], name)
+            value = _coerce(opt, entry[opt.dest], f"stage '{name}'")
         elif opt.required or not opt.flag.startswith("-"):
             raise UsageError(f"stage '{name}' needs a {opt.dest!r} entry")
         else:
@@ -642,9 +686,10 @@ def _run_pipeline(args) -> dict:
     stages = cfg.get("stages")
     if not isinstance(stages, list) or not stages:
         raise UsageError("pipeline config must name at least one stage")
-    out_dir = Path(cfg.get("out_dir", "cascade_out"))
-    seed = _resolve_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    flow = {"snapshot": cfg.get("snapshot"), "runs": None}
+    out_dir = Path(_cfg_path(cfg, "out_dir", "cascade_out"))
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    seed = _resolve_seed(None if seed is None else _coerce(SEED, seed, "pipeline config"))
+    flow = {"snapshot": _cfg_path(cfg, "snapshot"), "runs": None}
     plan = [_plan_stage(entry, out_dir, seed, flow) for entry in stages]
 
     out_dir.mkdir(parents=True, exist_ok=True)

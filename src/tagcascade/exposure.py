@@ -8,7 +8,6 @@ usages, restricted to records where the ego had at least one alter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,42 +97,26 @@ class ExposureTable:
         return len(self) - self.n_defined
 
 
-def all_exposures(
-    d: Dataset,
-    *,
-    ties: str = "strict",
-    popularity: str = "adopters",
-) -> ExposureTable:
-    """Exposure records for every first usage in the dataset.
-
-    ties: 'strict' counts alters whose first usage is strictly before the
-        ego's (default); 'inclusive' also counts same-timestamp co-adopters.
-    popularity: 'adopters' counts distinct users with a strictly earlier
-        first usage of the tag; 'usages' counts all strictly earlier usages.
-    """
+def _check_rules(ties: str, popularity: str) -> None:
     if ties not in TIE_RULES:
         raise ValueError(f"ties must be one of {TIE_RULES}")
     if popularity not in POPULARITY_MODES:
         raise ValueError(f"popularity must be one of {POPULARITY_MODES}")
 
-    fidx = np.flatnonzero(d.event_first)
+
+def _measure(d: Dataset, fidx: np.ndarray, ties: str, popularity: str) -> ExposureTable:
+    """Exposure records for the first usages at event indices `fidx`, in
+    record order. `fidx` must hold every first usage of each tag it touches:
+    the other adopters' times are what make an alter active. This is the one
+    place that applies the tie rule and counts popularity at adoption."""
     k = fidx.shape[0]
-    out_user = np.empty(k, dtype=np.int32)
-    out_tag = np.empty(k, dtype=np.int32)
-    out_time = np.empty(k, dtype=np.int64)
+    f_user = d.event_user[fidx].astype(np.int32, copy=False)
+    f_tag = d.event_tag[fidx].astype(np.int32, copy=False)
+    f_time = d.event_time[fidx].astype(np.int64, copy=False)
     out_active = np.zeros(k, dtype=np.int32)
     out_nbh = np.zeros(k, dtype=np.int32)
     out_expo = np.full(k, np.nan, dtype=np.float64)
     out_pop = np.zeros(k, dtype=np.int64)
-    if k == 0:
-        return ExposureTable(out_user, out_tag, out_time, out_active, out_nbh, out_expo, out_pop)
-
-    f_user = d.event_user[fidx]
-    f_tag = d.event_tag[fidx]
-    f_time = d.event_time[fidx]
-    out_user[:] = f_user
-    out_tag[:] = f_tag
-    out_time[:] = f_time
 
     # Group first usages by tag; stable sort keeps (time, user) order inside
     # each group. `by_tag` holds row indices into the output table.
@@ -184,7 +167,24 @@ def all_exposures(
             out_active[row] = active
             out_expo[row] = active / nbh
 
-    return ExposureTable(out_user, out_tag, out_time, out_active, out_nbh, out_expo, out_pop)
+    return ExposureTable(f_user, f_tag, f_time, out_active, out_nbh, out_expo, out_pop)
+
+
+def all_exposures(
+    d: Dataset,
+    *,
+    ties: str = "strict",
+    popularity: str = "adopters",
+) -> ExposureTable:
+    """Exposure records for every first usage in the dataset.
+
+    ties: 'strict' counts alters whose first usage is strictly before the
+        ego's (default); 'inclusive' also counts same-timestamp co-adopters.
+    popularity: 'adopters' counts distinct users with a strictly earlier
+        first usage of the tag; 'usages' counts all strictly earlier usages.
+    """
+    _check_rules(ties, popularity)
+    return _measure(d, np.flatnonzero(d.event_first), ties, popularity)
 
 
 def exposure_at_adoption(
@@ -195,52 +195,20 @@ def exposure_at_adoption(
     ties: str = "strict",
     popularity: str = "adopters",
 ) -> ExposureRecord:
-    """Exposure record for one (user, tag) first usage.
-
-    Matches the corresponding all_exposures row bit-exactly.
+    """Exposure record for one (user, tag) first usage: the user's row of
+    the tag's measurement, so it costs as much as measuring all of tag x.
+    Nothing in the package calls it; the commands use all_exposures.
     """
-    if ties not in TIE_RULES:
-        raise ValueError(f"ties must be one of {TIE_RULES}")
-    if popularity not in POPULARITY_MODES:
-        raise ValueError(f"popularity must be one of {POPULARITY_MODES}")
+    _check_rules(ties, popularity)
     if not 0 <= u < d.n_users:
         raise UnknownIdError(f"user handle out of range: {u}")
     if not 0 <= x < d.n_tags:
         raise UnknownIdError(f"tag handle out of range: {x}")
-
-    mine = np.flatnonzero((d.event_user == u) & (d.event_tag == x) & d.event_first)
+    table = _measure(d, np.flatnonzero(d.event_first & (d.event_tag == x)), ties, popularity)
+    mine = np.flatnonzero(table.user == u)
     if mine.shape[0] == 0:
         raise NoAdoptionError(f"user {d.user_label(u)!r} never adopted tag {d.tag_label(x)!r}")
-    t = int(d.event_time[mine[0]])
-
-    nb = d.graph.neighbors_at(u, t)
-    nbh = int(nb.shape[0])
-    active = 0
-    if nbh:
-        first_of_tag = np.flatnonzero((d.event_tag == x) & d.event_first)
-        adopt_time = {int(d.event_user[i]): int(d.event_time[i]) for i in first_of_tag}
-        for v in nb:
-            tv = adopt_time.get(int(v))
-            if tv is None:
-                continue
-            if tv < t or (ties == "inclusive" and tv == t):
-                active += 1
-
-    if popularity == "adopters":
-        pop_mask = (d.event_tag == x) & d.event_first & (d.event_time < t)
-    else:
-        pop_mask = (d.event_tag == x) & (d.event_time < t)
-    pop = int(np.count_nonzero(pop_mask))
-
-    return ExposureRecord(
-        user=u,
-        tag=x,
-        time=t,
-        active_alters=active,
-        neighborhood_size=nbh,
-        exposure=(active / nbh) if nbh else math.nan,
-        tag_popularity_at_adoption=pop,
-    )
+    return table[int(mine[0])]
 
 
 def user_threshold(d: Dataset, u: int, *, ties: str = "strict") -> UserThreshold:
@@ -250,32 +218,28 @@ def user_threshold(d: Dataset, u: int, *, ties: str = "strict") -> UserThreshold
     user observed nobody at any adoption time); such users are excluded
     from population statistics.
     """
-    mine = np.flatnonzero((d.event_user == u) & d.event_first)
-    if mine.shape[0] == 0:
+    _check_rules(ties, "adopters")
+    if not 0 <= u < d.n_users:
+        raise UnknownIdError(f"user handle out of range: {u}")
+    tags = d.event_tag[d.event_first & (d.event_user == u)]
+    if tags.shape[0] == 0:
         raise NoAdoptionError(f"user {d.user_label(u)!r} has no adoptions")
-    total = 0.0
-    n_def = 0
-    n_undef = 0
-    for i in mine:
-        rec = exposure_at_adoption(d, u, int(d.event_tag[i]), ties=ties)
-        if rec.defined:
-            total += rec.exposure
-            n_def += 1
-        else:
-            n_undef += 1
-    if n_def == 0:
-        raise UndefinedThresholdError(
-            f"user {d.user_label(u)!r} has no adoption with a defined exposure"
-        )
-    return UserThreshold(user=u, beta=total / n_def, defined_adoptions=n_def, undefined_adoptions=n_undef)
+    fidx = np.flatnonzero(d.event_first & np.isin(d.event_tag, tags))
+    table = _measure(d, fidx, ties, "adopters")
+    for t in user_thresholds_from_table(table, d.n_users):
+        if t.user == u:
+            return t
+    raise UndefinedThresholdError(
+        f"user {d.user_label(u)!r} has no adoption with a defined exposure"
+    )
 
 
 def user_thresholds_from_table(table: ExposureTable, n_users: int) -> list[UserThreshold]:
     """Per-user mean exposures aggregated from a record table.
 
     Returns one UserThreshold per user with at least one defined record,
-    ordered by user handle. Accumulation runs in record (time) order, so
-    results match per-user recomputation bit-exactly.
+    ordered by user handle. Accumulation runs in record (time) order, so a
+    user's beta is bit-identical whichever other records share the table.
     """
     defined = table.defined_mask
     users_def = table.user[defined]

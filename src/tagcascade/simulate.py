@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import truncnorm
 
-from .errors import UnsupportedModelError, UsageError
+from .errors import DataError, UnsupportedModelError, UsageError
 from .events import Dataset, FollowerGraph, build_dataset, build_follower_graph
 from .exposure import all_exposures
 from .stats import spearman_rho
@@ -454,6 +454,9 @@ def recover_from_ingested(
     node_of = np.fromiter(
         (int(lab[1:]) for lab in ds.user_labels), dtype=np.int64, count=ds.n_users
     )
+    if ds.n_users and not 0 <= node_of.min() <= node_of.max() < theta.shape[0]:
+        raise DataError(f"theta holds {theta.shape[0]} planted thresholds, but node ids "
+                        f"reach {int(node_of.max())}")
     use = (table.time > 0) & table.defined_mask
     nodes = node_of[table.user[use]]
     expo = table.exposure[use]

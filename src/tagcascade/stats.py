@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata, spearmanr
+from scipy.stats import rankdata
 
 from .errors import DegenerateSampleError, UndefinedCorrelationError, UnknownIdError
 from .events import Dataset
@@ -200,7 +200,7 @@ def popularity_threshold_correlation(
         raise UndefinedCorrelationError("all exposure values identical")
 
     if method == "spearman":
-        rho = float(spearmanr(pop, expo).statistic)
+        rho = spearman_rho(pop, expo)
     elif method == "pearson":
         rho = float(np.corrcoef(pop, expo)[0, 1])
     else:
@@ -228,8 +228,9 @@ def popularity_threshold_correlation(
 
 
 def spearman_rho(x, y) -> float | None:
-    """Average-rank Spearman correlation (helper for simulation reports);
-    None when it is undefined: fewer than 3 pairs, or either side constant."""
+    """Average-rank Spearman correlation, used by `correlate` and by the
+    simulation reports; None when it is undefined: fewer than 3 pairs, or
+    either side constant."""
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape[0] < 3 or np.all(x == x[0]) or np.all(y == y[0]):

@@ -270,6 +270,8 @@ def test_recover_zero_violations(tmp_path, capsys):
     ("theta", "theta"),
     ("n_users", "n_users"),
     ("seed_users", "seed_users"),
+    ("short-theta", "theta"),
+    ("files-list", "files"),
 ])
 def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, named):
     cfg = _sim_config(tmp_path)
@@ -284,7 +286,12 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
         manifest_path.write_text("{truncated")
     else:
         manifest = json.loads(manifest_path.read_text())
-        del manifest[damage]
+        if damage == "short-theta":
+            manifest["theta"] = manifest["theta"][:10]
+        elif damage == "files-list":
+            manifest["files"]["adoptions"] = [manifest["files"]["adoptions"]]
+        else:
+            del manifest[damage]
         manifest_path.write_text(json.dumps(manifest))
     code = main(["recover", "--runs", str(out)])
     err = capsys.readouterr().err
@@ -312,9 +319,16 @@ def test_simulate_invalid_json_config_is_usage_error(tmp_path, capsys):
 
 def test_simulate_missing_config_key_is_usage_error(tmp_path, capsys):
     path = tmp_path / "sim.json"
+    graph = {"kind": "erdos_renyi", "n": 10, "mean_out_degree": 2}
+    params = {"thresholds": {"kind": "constant", "c": 0.5}}
     for cfg in (
         {"graph": {"kind": "erdos_renyi", "n": 10}},
-        [{"graph": {"kind": "erdos_renyi", "n": 10, "mean_out_degree": 2}}],  # not an object
+        [{"graph": graph}],  # not an object
+        {"graph": graph, "params": params, "seeds": [3]},
+        {"graph": [1], "params": params},
+        {"graph": {**graph, "n": "many"}, "params": params},
+        {"graph": graph, "params": params, "max_steps": "lots"},
+        {"graph": graph, "params": params, "seeds": {"users": ["u1", "someone"]}},
     ):
         path.write_text(json.dumps(cfg))
         code, _ = _run(capsys, "simulate", "--model", "threshold", "--config", str(path),
@@ -403,7 +417,14 @@ def test_pipeline_single_ingest_stage_equals_ingest(tmp_path, capsys):
 
 def test_pipeline_empty_stages_is_usage_error(tmp_path, capsys):
     path = tmp_path / "p.json"
-    for cfg in ({"stages": []}, [1, 2]):  # the second is not an object
+    stages = [{"stage": "ingest", "adoptions": "a.csv", "follows": "f.csv"}]
+    for cfg in (
+        {"stages": []},
+        [1, 2],  # not an object
+        {"seed": "x", "out_dir": str(tmp_path / "pipe"), "stages": stages},
+        {"out_dir": 5, "stages": stages},
+        {"out_dir": str(tmp_path / "pipe"), "snapshot": 5, "stages": [{"stage": "thresholds"}]},
+    ):
         path.write_text(json.dumps(cfg))
         code, _ = _run(capsys, "pipeline", "--config", str(path))
         assert code == 1, cfg

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
-from tagcascade.errors import NoAdoptionError, UndefinedThresholdError
+from tagcascade.errors import NoAdoptionError, UndefinedThresholdError, UnknownIdError
 
 from oracles import assert_table_matches_oracle, brute_force_exposures, random_micro_rows
 
@@ -119,6 +120,13 @@ def test_user_threshold_isolated_user_errors():
         tc.user_threshold(ds, ds.user_handle("A"))
 
 
+def test_user_threshold_rejects_out_of_range_handle():
+    ds = tc.build_dataset([("A", "t", 1), ("B", "t", 2)], [("A", "B")])
+    for u in (ds.n_users, -1):
+        with pytest.raises(UnknownIdError):
+            tc.user_threshold(ds, u)
+
+
 def test_population_thresholds_median():
     # two users with betas 0.2 and 0.4 -> median 0.3
     adoptions = [
@@ -191,6 +199,21 @@ def test_oracle_equivalence_sampled(ties, popularity):
         table = tc.all_exposures(ds, ties=ties, popularity=popularity)
         oracle = brute_force_exposures(adoptions, follows, ties=ties, popularity=popularity)
         assert_table_matches_oracle(ds, table, oracle)
+        singles = [tc.exposure_at_adoption(ds, rec.user, rec.tag, ties=ties, popularity=popularity)
+                   for rec in table]
+        assert_table_matches_oracle(ds, singles, oracle)
+        for u in sorted(set(table.user.tolist())):
+            label = ds.user_label(u)
+            mine = [rec["exposure"] for (v, _), rec in oracle.items() if v == label]
+            defined = [e for e in mine if e is not None]
+            if not defined:
+                with pytest.raises(UndefinedThresholdError):
+                    tc.user_threshold(ds, u, ties=ties)
+                continue
+            got = tc.user_threshold(ds, u, ties=ties)
+            assert abs(got.beta - float(sum(defined, Fraction(0)) / len(defined))) < 1e-12, label
+            assert (got.defined_adoptions, got.undefined_adoptions) == (
+                len(defined), len(mine) - len(defined)), label
 
 
 def test_permutation_invariance():
