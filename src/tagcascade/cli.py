@@ -341,8 +341,7 @@ def stage_simulate(o) -> dict:
         raise UsageError("no model given (use --model or put \"model\" in the config)")
     if o.runs < 1:
         raise UsageError("--runs must be >= 1")
-    out_dir = Path(o.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(o.out)  # created with the first run's directory: a rejected config leaves none
 
     graph_cfg = _cfg_object(sim_cfg, "graph")
     seeds_cfg = _cfg_object(sim_cfg, "seeds", {"k": 1})
@@ -363,7 +362,7 @@ def stage_simulate(o) -> dict:
         run = run_model(cfg)
 
         run_dir = out_dir / f"run_{r:04d}"
-        run_dir.mkdir(exist_ok=True)
+        run_dir.mkdir(parents=True, exist_ok=True)
         write_adoptions_csv(run_dir / "adoptions.csv", run.adoption_rows())
         write_follows_csv(run_dir / "follows.csv", run.follow_rows())
         manifest = {
@@ -617,6 +616,8 @@ def _run_command(name: str, args) -> dict:
 def _coerce(opt: Opt, value, where: str):
     convert = opt.type or str
     try:
+        if convert is str and not isinstance(value, str):
+            raise TypeError  # str() would turn a list or a number into a path
         value = convert(value)
     except (TypeError, ValueError):
         raise UsageError(f"{where}: {opt.dest} must be {convert.__name__}, got {value!r}") from None

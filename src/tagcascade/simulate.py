@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .errors import DataError, UnsupportedModelError, UsageError
 from .events import Dataset, FollowerGraph, build_dataset, build_follower_graph
@@ -127,6 +126,8 @@ class ThresholdSpec:
         if self.kind == "uniform":
             a, b = self.params
             return a + (b - a) * rng.random(n)
+        from scipy.stats import truncnorm  # imported here: scipy.stats is slow to load
+
         mu, sigma = self.params
         lo, hi = (0.0 - mu) / sigma, (1.0 - mu) / sigma
         return truncnorm.rvs(lo, hi, loc=mu, scale=sigma, size=n, random_state=rng)
@@ -438,6 +439,13 @@ def recover_thresholds(run: SimRun, *, ties: str = "strict", dataset: Dataset | 
     )
 
 
+def _node_id(label: str) -> int:
+    digits = label[1:]
+    if label[:1] != "u" or not (digits.isascii() and digits.isdigit()):
+        raise DataError(f"user {label!r} is not a simulated node label (u followed by digits)")
+    return int(digits)
+
+
 def recover_from_ingested(
     ds: Dataset,
     *,
@@ -451,9 +459,7 @@ def recover_from_ingested(
     are step indices; step 0 marks seeds."""
     table = all_exposures(ds, ties=ties)
     # dataset handle -> simulation node id, via the synthetic labels
-    node_of = np.fromiter(
-        (int(lab[1:]) for lab in ds.user_labels), dtype=np.int64, count=ds.n_users
-    )
+    node_of = np.fromiter(map(_node_id, ds.user_labels), dtype=np.int64, count=ds.n_users)
     if ds.n_users and not 0 <= node_of.min() <= node_of.max() < theta.shape[0]:
         raise DataError(f"theta holds {theta.shape[0]} planted thresholds, but node ids "
                         f"reach {int(node_of.max())}")

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateSampleError, UndefinedCorrelationError, UnknownIdError
 from .events import Dataset
@@ -235,4 +234,17 @@ def spearman_rho(x, y) -> float | None:
     y = np.asarray(y)
     if x.shape[0] < 3 or np.all(x == x[0]) or np.all(y == y[0]):
         return None
-    return float(np.corrcoef(rankdata(x), rankdata(y))[0, 1])
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions, as in
+    scipy's rankdata (an integer plus an exact half, so bit-identical)."""
+    order = np.argsort(a, kind="mergesort")
+    ranked = a[order]
+    new = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    first = np.flatnonzero(new)  # 0-based first position of each tie group
+    counts = np.diff(first, append=a.shape[0])
+    ranks = np.empty(a.shape[0])
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks

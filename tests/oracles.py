@@ -3,7 +3,8 @@
 These deliberately avoid the library's data structures and algorithms:
 the exposure oracle rescans raw event rows per first usage, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
-on the survival function. Tests compare library output against these,
+on the survival function, and the cutoff scan fits one candidate at a
+time with scipy's scalar brentq. Tests compare library output against these,
 never the other way round.
 """
 
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import zeta
+
+from tagcascade.errors import DegenerateSampleError, InsufficientTailError
 
 # ---------------------------------------------------------------------------
 # brute-force exposure oracle
@@ -147,3 +150,93 @@ def zeta_sample(alpha: float, xmin: int, size: int, rng: np.random.Generator) ->
         hi = np.where(le & (lo < hi), mid, hi)
         lo = np.where(~le & (lo < hi), mid + 1, lo)
     return lo
+
+
+# ---------------------------------------------------------------------------
+# scalar power-law cutoff scan (one brentq solve and one KS pass per cutoff)
+# ---------------------------------------------------------------------------
+
+_ALPHA_LO = 1.01
+_ALPHA_HI = 20.0
+_MLE_DIFF_H = 1e-6
+
+
+def _log_zeta(alpha: float, q: float) -> float:
+    if alpha <= 1.0:
+        return math.inf  # zeta pole: likelihood -inf this side of the bracket
+    z = zeta(alpha, q)
+    if z > 0 and math.isfinite(z):
+        return math.log(z)
+    if math.isinf(z):
+        return math.inf
+    # Underflow guard: zeta(a, q) ~ q^-a for large a.
+    return -alpha * math.log(q)
+
+
+def alpha_mle(log_sum: float, n: int, xmin: int) -> float:
+    """Maximize -alpha * sum(log x) - n * log(zeta(alpha, xmin)) by solving
+    the stationarity condition mean(log x) + d/da log zeta(a, xmin) = 0
+    with scipy's scalar brentq."""
+    from scipy.optimize import brentq
+
+    mean_log = log_sum / n
+
+    def grad(a: float) -> float:
+        dlz = (_log_zeta(a + _MLE_DIFF_H, xmin) - _log_zeta(a - _MLE_DIFF_H, xmin))
+        return mean_log + dlz / (2.0 * _MLE_DIFF_H)
+
+    # grad is strictly increasing (the log-likelihood is concave in alpha)
+    if grad(_ALPHA_HI) <= 0:
+        return _ALPHA_HI
+    if grad(_ALPHA_LO) >= 0:
+        return _ALPHA_LO
+    return float(brentq(grad, _ALPHA_LO, _ALPHA_HI, xtol=1e-12))
+
+
+def ks_distance(alpha: float, xmin: int, vals: np.ndarray, cum_counts: np.ndarray, n: int) -> float:
+    """Sup-norm distance between the empirical tail CDF and the fitted CDF.
+
+    vals: sorted unique tail values (vals[0] == xmin); cum_counts[i] is the
+    number of tail samples <= vals[i]. The supremum is attained at an
+    observed value or just before the next one.
+    """
+    surv_next = zeta(alpha, vals + 1.0)          # zeta(a, v+1)
+    surv_at = surv_next + np.power(vals, -alpha)  # zeta(a, v)
+    z_norm = surv_at[0]                           # zeta(a, xmin)
+    fit_at = 1.0 - surv_next / z_norm             # F(v)
+    fit_before = 1.0 - surv_at / z_norm           # F(v - 1)
+    emp = cum_counts / n
+    emp_prev = np.concatenate(([0.0], emp[:-1]))
+    return float(np.maximum(np.abs(emp - fit_at), np.abs(emp_prev - fit_before)).max())
+
+
+def scan_xmin(sorted_samples: np.ndarray, max_candidates: int | None = None, min_tail: int = 2):
+    """(alpha, xmin, D, n_tail) of the first cutoff with the smallest KS
+    distance, one candidate at a time."""
+    n = sorted_samples.shape[0]
+    vals, starts = np.unique(sorted_samples, return_index=True)
+    if vals.shape[0] < 2:
+        raise DegenerateSampleError("need at least two distinct sample values")
+    log_suffix = np.cumsum(np.log(sorted_samples[::-1]))[::-1]
+
+    candidates = np.arange(vals.shape[0] - 1)
+    if max_candidates is not None and candidates.shape[0] > max_candidates:
+        pick = np.linspace(0, candidates.shape[0] - 1, max_candidates).round().astype(int)
+        candidates = candidates[np.unique(pick)]
+
+    best = None
+    for ci in candidates:
+        pos = int(starts[ci])
+        n_tail = n - pos
+        if n_tail < max(2, min_tail):
+            continue
+        xmin = int(vals[ci])
+        alpha = alpha_mle(float(log_suffix[pos]), n_tail, xmin)
+        tail_vals = vals[ci:].astype(np.float64)
+        cum = np.concatenate((np.diff(starts[ci:]), [n - starts[-1]])).cumsum()
+        dist = ks_distance(alpha, xmin, tail_vals, cum.astype(np.float64), n_tail)
+        if best is None or dist < best[2]:
+            best = (alpha, xmin, dist, n_tail)
+    if best is None:
+        raise InsufficientTailError("no cutoff leaves at least two tail samples")
+    return best

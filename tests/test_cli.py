@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tagcascade
 from tagcascade.cli import main
 from tagcascade.snapshot import load_snapshot
 
@@ -272,6 +277,7 @@ def test_recover_zero_violations(tmp_path, capsys):
     ("seed_users", "seed_users"),
     ("short-theta", "theta"),
     ("files-list", "files"),
+    ("label", "alice"),
 ])
 def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, named):
     cfg = _sim_config(tmp_path)
@@ -282,6 +288,9 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
     manifest_path = out / "run_0001" / "manifest.json"
     if damage == "delete":
         manifest_path.unlink()
+    elif damage == "label":  # a user who is no simulated node
+        with open(out / "run_0001" / "adoptions.csv", "a", encoding="utf-8") as fh:
+            fh.write("alice,sim,3\n")
     elif damage == "not-json":
         manifest_path.write_text("{truncated")
     else:
@@ -334,6 +343,7 @@ def test_simulate_missing_config_key_is_usage_error(tmp_path, capsys):
         code, _ = _run(capsys, "simulate", "--model", "threshold", "--config", str(path),
                        "--runs", "1", "--seed", "1", "--out", str(tmp_path / "r"))
         assert code == 1, cfg
+        assert not (tmp_path / "r").exists(), cfg
 
 
 def test_simulate_missing_config_file_is_data_error(tmp_path, capsys):
@@ -424,6 +434,8 @@ def test_pipeline_empty_stages_is_usage_error(tmp_path, capsys):
         {"seed": "x", "out_dir": str(tmp_path / "pipe"), "stages": stages},
         {"out_dir": 5, "stages": stages},
         {"out_dir": str(tmp_path / "pipe"), "snapshot": 5, "stages": [{"stage": "thresholds"}]},
+        {"out_dir": str(tmp_path / "pipe"),
+         "stages": [{"stage": "ingest", "adoptions": ["a.csv"], "follows": "f.csv"}]},
     ):
         path.write_text(json.dumps(cfg))
         code, _ = _run(capsys, "pipeline", "--config", str(path))
@@ -541,3 +553,14 @@ def test_snapshot_roundtrip_equals_direct_build(snapshot, tmp_path, capsys):
     assert direct.user_labels == ds.user_labels
     np.testing.assert_array_equal(direct.event_time, ds.event_time)
     np.testing.assert_array_equal(direct.graph.dst, ds.graph.dst)
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_optimize():
+    # both take about a second to import; the command line needs neither
+    probe = ("import sys, tagcascade.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    src = Path(tagcascade.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import zeta
 
 import tagcascade as tc
-from tagcascade.errors import DegenerateSampleError
-from tagcascade.powerlaw import fit_power_law
+from tagcascade.errors import DegenerateSampleError, InsufficientTailError
+from tagcascade.powerlaw import (
+    _bootstrap_distances,
+    _sample_fitted_tail,
+    _scan_xmin,
+    fit_power_law,
+)
 
-from oracles import zeta_sample
+from oracles import scan_xmin, zeta_sample
 
 
 def test_zeta_sampler_matches_model_pmf():
@@ -127,3 +135,104 @@ def test_ks_distance_is_true_sup_norm():
     emp_cdf = np.array([(tail <= g).mean() for g in grid])
     dense_d = np.abs(emp_cdf - model_cdf).max()
     assert fit.ks_distance == pytest.approx(dense_d, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the batched cutoff scan against the scalar reference
+# ---------------------------------------------------------------------------
+
+def _reference(sample, max_candidates, min_tail):
+    try:
+        return scan_xmin(sample, max_candidates, min_tail)
+    except (DegenerateSampleError, InsufficientTailError) as exc:
+        return type(exc)
+
+
+def _scan_samples(rng, count):
+    """Seeded sorted samples of every shape the scan meets."""
+    out = []
+    for i in range(count):
+        size = int(rng.integers(2, 1_500))
+        kind = i % 5
+        if kind == 0:  # pure power law
+            s = zeta_sample(float(rng.uniform(1.6, 3.5)), int(rng.integers(1, 12)), size, rng)
+        elif kind == 1:  # uniform
+            s = rng.integers(1, int(rng.integers(2, 800)), size)
+        elif kind == 2:  # uniform body below a power-law tail
+            xmin = int(rng.integers(2, 15))
+            s = np.concatenate([rng.integers(1, xmin, size), zeta_sample(2.5, xmin, size, rng)])
+        elif kind == 3:  # two values
+            s = rng.choice(np.sort(rng.integers(1, 50, 2)), size)
+        else:  # geometric, no power law at all
+            s = rng.geometric(float(rng.uniform(0.02, 0.5)), size)
+        out.append(np.sort(s.astype(np.int64)))
+    return out
+
+
+@pytest.mark.parametrize("max_candidates,min_tail_fraction", [
+    (None, 0.0), (None, 0.01), (25, 0.01), (None, 0.3), (7, 0.6),
+])
+def test_batched_scan_equals_scalar_reference(max_candidates, min_tail_fraction):
+    rng = np.random.Generator(np.random.PCG64(2024 + int(100 * min_tail_fraction)))
+    samples = _scan_samples(rng, 40)
+    samples.append(np.full(30, 4, dtype=np.int64))         # degenerate
+    samples.append(np.array([1, 1, 2, 3], dtype=np.int64))  # tail floor above n
+    min_tails = [max(2, math.ceil(min_tail_fraction * s.shape[0])) for s in samples]
+    min_tails[-1] = 5
+    # one batch per tail floor, each sample compared bit for bit
+    for min_tail in sorted(set(min_tails)):
+        batch = [s for s, m in zip(samples, min_tails) if m == min_tail]
+        got = _scan_xmin(batch, max_candidates, min_tail)
+        for sample, fit in zip(batch, got):
+            want = _reference(sample, max_candidates, min_tail)
+            if isinstance(want, type):
+                assert isinstance(fit, want)
+            else:
+                assert fit == want
+
+
+@pytest.mark.parametrize("case", ["tail", "few-values"])
+def test_bootstrap_distances_equal_scalar_replicates(case):
+    rng = np.random.Generator(np.random.PCG64(77))
+    if case == "tail":
+        sample = np.concatenate([zeta_sample(2.3, 4, 1_500, rng), rng.integers(1, 4, 500)])
+    else:  # replicates often repeat one value: those fit nothing
+        sample = np.array([1] * 40 + [2] * 3 + [3])
+    sorted_samples = np.sort(sample.astype(np.int64))
+    n = sorted_samples.shape[0]
+    min_tail = max(2, math.ceil(0.01 * n))
+    alpha, xmin, _, _ = scan_xmin(sorted_samples, None, min_tail)
+    seeds = np.random.SeedSequence(5).generate_state(24, dtype=np.uint64)
+
+    # each replicate drawn and scanned alone, as the scalar fit did
+    body = sorted_samples[sorted_samples < xmin]
+    kmax = max(2 * int(sorted_samples[-1]), xmin + 1000)
+    want = []
+    for seed in seeds:
+        r = np.random.Generator(np.random.PCG64(int(seed)))
+        n_body = int(r.binomial(n, body.shape[0] / n))
+        parts = [body[r.integers(0, body.shape[0], n_body)]] if n_body else []
+        if n - n_body:
+            parts.append(_sample_fitted_tail(alpha, xmin, n - n_body, r, kmax))
+        fit = _reference(np.sort(np.concatenate(parts)), None, min_tail)
+        want.append(math.inf if isinstance(fit, type) else fit[2])
+
+    for threads in (1, 3):
+        got = _bootstrap_distances(sorted_samples, alpha, xmin, seeds, None, min_tail, threads)
+        assert got == want, threads
+    if case == "few-values":
+        assert math.inf in want
+
+
+def test_cutoff_scan_memory_is_bounded():
+    # ~6000 distinct values: the tail triangle holds ~1.8e7 elements, which
+    # unblocked would take gigabytes
+    rng = np.random.Generator(np.random.PCG64(0))
+    sample = rng.integers(1, 6001, 30_000)
+    tracemalloc.start()
+    try:
+        fit_power_law(sample, bootstrap=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -242,3 +242,24 @@ def test_spearman_rho_undefined_is_none():
     assert spearman_rho([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]) is None
     assert spearman_rho(np.empty(0), np.empty(0)) is None
     assert spearman_rho([1.0, 2.0, 3.0], [0.1, 0.3, 0.2]) == pytest.approx(0.5)
+
+
+def test_average_ranks_equal_scipy_rankdata():
+    from scipy.stats import rankdata
+
+    from tagcascade.stats import _average_ranks, spearman_rho
+
+    rng = np.random.Generator(np.random.PCG64(8))
+    for i in range(600):
+        size = int(rng.integers(1, 300))
+        if i % 3 == 0:  # tie-heavy integers
+            x = rng.integers(0, int(rng.integers(1, 12)), size)
+        elif i % 3 == 1:  # tie-heavy fractions
+            x = rng.integers(0, 30, size) / 7.0
+        else:
+            x = rng.normal(size=size)
+        assert np.array_equal(_average_ranks(x), rankdata(x)), i
+        y = rng.integers(0, 5, size) / 4.0
+        rho = spearman_rho(x, y)
+        if rho is not None:
+            assert rho == float(np.corrcoef(rankdata(x), rankdata(y))[0, 1]), i
