@@ -91,6 +91,30 @@ def _write_log() -> None:
             w.writerow([users[rng.integers(30)], users[rng.integers(30)]])
 
 
+def _write_timed_follows() -> None:
+    """Follows with a `since` column over the log's users: a quarter of the
+    edges carry no `since` (always present), and half of the others start
+    exactly at one of the observer's adoption times (the `since <= t`
+    boundary). Needs the log from `_write_log`."""
+    with open("adoptions.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    rng = np.random.Generator(np.random.PCG64(2025))
+    users = [f"user{i:02d}" for i in range(30)]
+    with open("follows_timed.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["src_id", "dst_id", "since"])
+        for _ in range(240):
+            src = users[rng.integers(30)]
+            own = [t for u, _, t in rows if u == src]
+            if rng.integers(4) == 0:
+                since = ""
+            elif own and rng.integers(2) == 0:
+                since = own[rng.integers(len(own))]
+            else:
+                since = int(rng.integers(0, 200)) * 10
+            w.writerow([src, users[rng.integers(30)], since])
+
+
 def _write_sim_config(path: str, graph: dict, model: str) -> None:
     cfg = {
         "graph": graph,
@@ -146,6 +170,22 @@ def test_pin_thresholds(snapshot, ties, popularity):
         "summary": _file_digest("s.json"),
     }
     assert got == PINS[f"thresholds-{ties}-{popularity}"]
+
+
+@pytest.mark.parametrize("ties", ["strict", "inclusive"])
+@pytest.mark.parametrize("popularity", ["adopters", "usages"])
+def test_pin_thresholds_timed_edges(workdir, ties, popularity):
+    _write_timed_follows()
+    _cascade("ingest", "adoptions.csv", "follows_timed.csv", "--out", "timed.cscd")
+    got = {
+        "snapshot": _file_digest("timed.cscd"),
+        "report": _cascade("thresholds", "timed.cscd", "--out", "e.tsv", "--per-user", "u.tsv",
+                           "--summary", "s.json", "--ties", ties, "--popularity", popularity),
+        "exposures": _file_digest("e.tsv"),
+        "per_user": _file_digest("u.tsv"),
+        "summary": _file_digest("s.json"),
+    }
+    assert got == PINS[f"thresholds-timed-{ties}-{popularity}"]
 
 
 def test_pin_fit_curve_correlate(snapshot):
@@ -301,7 +341,9 @@ def test_pin_parser_surface():
     assert got == PINS["parser"]
 
 
-# Digests captured from the code before the command-table rewrite of cli.py.
+# Digests captured from the code before the command-table rewrite of cli.py;
+# the thresholds-timed-* entries from the per-record exposure loop, before the
+# sort-join kernel replaced it.
 PINS = {
     "ingest_stats": {
         "ingest.report": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
@@ -334,6 +376,34 @@ PINS = {
         "exposures": "cc2289a0e71f508ec675ad5b9ab5088edd579220e864b659234ecd7bc09bfbea",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
+    },
+    "thresholds-timed-strict-adopters": {
+        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
+        "report": "aa62c9ed70766cd497e20e4a85e59442552fa8576f76eb7a066c4281727f0217",
+        "exposures": "71c6564146ca2c31ad08f55ba105f174d413e92af3bfbef8c3a037c15f045ce6",
+        "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
+        "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
+    },
+    "thresholds-timed-strict-usages": {
+        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
+        "report": "0d9db701321abd13db0a8af74b94767d57c108bb7fffb3d8352409293897e122",
+        "exposures": "60dd905e9504a375d76bd5d17f6ed40e5b8aa71f5b588517e2ba53741ece75a2",
+        "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
+        "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
+    },
+    "thresholds-timed-inclusive-adopters": {
+        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
+        "report": "49ce366db936290972f924e7a8a588b97c647f011efa44c8e62d16fa47e9e9ad",
+        "exposures": "753d60bf644951e4339178c0ab94e75d5850ee04d9e3dfe3405a4eccc555000c",
+        "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
+        "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
+    },
+    "thresholds-timed-inclusive-usages": {
+        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
+        "report": "3231762ae8991c9af459f39ac21ca4f2479d29c81357104b4c4ee595b6fef07d",
+        "exposures": "d97b1889dc8399af64ad19e091810b4a38c42b513ce9f20e5f63fb38c6a169e2",
+        "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
+        "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "fit_curve_correlate": {
         "fit.report": "b914b1fcc2149dde3b9f9361c6e4a7c0ddfdfa8baaf223ea22e661e4d0d4d388",
