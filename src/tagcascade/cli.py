@@ -614,13 +614,12 @@ def _run_command(name: str, args) -> dict:
 
 
 def _coerce(opt: Opt, value, where: str):
-    convert = opt.type or str
-    try:
-        if convert is str and not isinstance(value, str):
-            raise TypeError  # str() would turn a list or a number into a path
-        value = convert(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{where}: {opt.dest} must be {convert.__name__}, got {value!r}") from None
+    """A config value for `opt`, taken only when JSON already gives it the
+    option's type: str(), bool() and int() would turn a list into a path,
+    "false" into True and 2.7 into 2."""
+    kind = opt.type or str
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise UsageError(f"{where}: {opt.dest} must be {kind.__name__}, got {value!r}")
     if opt.choices is not None and value not in opt.choices:
         raise UsageError(f"{where}: {opt.dest} must be one of {opt.choices}, got {value!r}")
     return value

@@ -56,4 +56,5 @@ class UnsupportedModelError(DataError):
 
 
 class SnapshotFormatError(DataError):
-    """Snapshot file is missing, truncated, or has the wrong magic/version."""
+    """Snapshot file is missing, truncated, structurally corrupt, or has the
+    wrong magic/version."""

@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoAdoptionError, UndefinedThresholdError, UnknownIdError
-from .events import Dataset
+from .events import Dataset, _csr_sources
 
 TIE_RULES = ("strict", "inclusive")
 POPULARITY_MODES = ("adopters", "usages")
+# Alters expanded per pass of the active-alter join in `_measure`.
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -113,61 +115,65 @@ def _measure(d: Dataset, fidx: np.ndarray, ties: str, popularity: str) -> Exposu
     f_user = d.event_user[fidx].astype(np.int32, copy=False)
     f_tag = d.event_tag[fidx].astype(np.int32, copy=False)
     f_time = d.event_time[fidx].astype(np.int64, copy=False)
-    out_active = np.zeros(k, dtype=np.int32)
-    out_nbh = np.zeros(k, dtype=np.int32)
-    out_expo = np.full(k, np.nan, dtype=np.float64)
-    out_pop = np.zeros(k, dtype=np.int64)
-
-    # Group first usages by tag; stable sort keeps (time, user) order inside
-    # each group. `by_tag` holds row indices into the output table.
-    by_tag = np.argsort(f_tag, kind="stable")
-    tag_starts = np.searchsorted(f_tag[by_tag], np.arange(d.n_tags + 1))
-
-    if popularity == "usages":
-        a_order = np.argsort(d.event_tag, kind="stable")
-        a_time_sorted = d.event_time[a_order]
-        a_starts = np.searchsorted(d.event_tag[a_order], np.arange(d.n_tags + 1))
-
-    # Per-user first-usage time of the tag currently being processed;
-    # `stamp` marks which tag the slot belongs to, so no per-tag reset.
-    stamp = np.full(d.n_users, -1, dtype=np.int64)
-    atime = np.empty(d.n_users, dtype=np.int64)
     graph = d.graph
-    strict = ties == "strict"
 
-    for x in range(d.n_tags):
-        rows = by_tag[tag_starts[x]:tag_starts[x + 1]]
-        if rows.shape[0] == 0:
-            continue
-        users = f_user[rows]
-        times = f_time[rows]
-        stamp[users] = x
-        atime[users] = times
+    # Events are time-sorted, so an event time's or a `since`'s position in
+    # event_time keeps every <, <= and == between them, and fits in
+    # [0, n_events]: (row, time) and (tag, time) pack into one int64 key.
+    span = d.n_events + 1
+    f_rank = np.searchsorted(d.event_time, f_time, "left")
+    f_tag_key = f_tag.astype(np.int64) * span
 
-        # Distinct adopters (or total usages) strictly before each adoption.
-        if popularity == "adopters":
-            out_pop[rows] = np.searchsorted(times, times, side="left")
-        else:
-            tail = a_time_sorted[a_starts[x]:a_starts[x + 1]]
-            out_pop[rows] = np.searchsorted(tail, times, side="left")
+    # Distinct adopters (or total usages) of the tag strictly before each
+    # adoption: the keys of the tag that sort before the record's own.
+    if popularity == "adopters":
+        pop_keys = np.sort(f_tag_key + f_rank)
+    else:
+        ev_rank = np.searchsorted(d.event_time, d.event_time, "left")
+        pop_keys = np.sort(d.event_tag.astype(np.int64) * span + ev_rank)
+    out_pop = (np.searchsorted(pop_keys, f_tag_key + f_rank, "left")
+               - np.searchsorted(pop_keys, f_tag_key, "left"))
 
-        for j in range(rows.shape[0]):
-            u = users[j]
-            t = times[j]
-            nb = graph.neighbors_at(u, t)
-            nbh = nb.shape[0]
-            if nbh == 0:
-                continue
-            if strict:
-                active = np.count_nonzero((stamp[nb] == x) & (atime[nb] < t))
-            else:
-                active = np.count_nonzero((stamp[nb] == x) & (atime[nb] <= t))
-            row = rows[j]
-            out_nbh[row] = nbh
-            out_active[row] = active
-            out_expo[row] = active / nbh
+    # Alters present at adoption: a prefix of the ego's row, whose edges are
+    # sorted by `since`.
+    row_lo = graph.indptr[f_user]
+    if graph.since is None:
+        nbh = graph.indptr[f_user + 1] - row_lo
+    else:
+        edge_keys = (_csr_sources(graph.indptr, graph.n).astype(np.int64) * span
+                     + np.searchsorted(d.event_time, graph.since, "left"))
+        nbh = np.searchsorted(edge_keys, f_user.astype(np.int64) * span + f_rank, "right") - row_lo
 
-    return ExposureTable(f_user, f_tag, f_time, out_active, out_nbh, out_expo, out_pop)
+    # Active alters: look up each present alter's first usage of the ego's
+    # tag among the records, compare under the tie rule and count by record.
+    # The alters of all records are scanned as one flat sequence, _BLOCK at
+    # a time, so memory stays bounded whatever the neighbourhood sizes.
+    use_key = f_user.astype(np.int64) * d.n_tags + f_tag
+    by_key = np.argsort(use_key)
+    use_key = use_key[by_key]
+    use_time = f_time[by_key]
+    earlier = np.less if ties == "strict" else np.less_equal
+    flat_end = np.cumsum(nbh)
+    flat_to_edge = row_lo + nbh - flat_end
+    out_active = np.zeros(k, dtype=np.int64)
+    total = int(flat_end[-1]) if k else 0
+    for lo in range(0, total, _BLOCK):
+        hi = min(lo + _BLOCK, total)
+        first = int(np.searchsorted(flat_end, lo, "right"))
+        last = int(np.searchsorted(flat_end, hi - 1, "right")) + 1
+        ends = flat_end[first:last]
+        starts = ends - nbh[first:last]
+        rec = np.repeat(np.arange(first, last), np.minimum(ends, hi) - np.maximum(starts, lo))
+        alter = graph.dst[flat_to_edge[rec] + np.arange(lo, hi)]
+        q = alter.astype(np.int64) * d.n_tags + f_tag[rec]
+        at = np.minimum(np.searchsorted(use_key, q), k - 1)
+        hit = (use_key[at] == q) & earlier(use_time[at], f_time[rec])
+        out_active += np.bincount(rec[hit], minlength=k)
+
+    out_nbh = nbh.astype(np.int32)
+    out_expo = np.divide(out_active, out_nbh, out=np.full(k, np.nan), where=out_nbh > 0)
+    return ExposureTable(f_user, f_tag, f_time, out_active.astype(np.int32), out_nbh,
+                         out_expo, out_pop.astype(np.int64, copy=False))
 
 
 def all_exposures(

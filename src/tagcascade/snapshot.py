@@ -18,7 +18,8 @@ Layout (all integers little-endian):
     warnings:             u32 count, then per entry
                           u32 key length + key UTF-8 + i64 value
 
-Loading reproduces the in-memory Dataset bit-for-bit.
+Loading reproduces the in-memory Dataset bit-for-bit. It refuses trailing
+bytes and arrays that break the layout the exposure kernel relies on.
 """
 
 from __future__ import annotations
@@ -92,6 +93,26 @@ class _Reader:
         return tuple(out)
 
 
+def _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since) -> None:
+    """O(n) checks of what the exposure kernel indexes by and relies on:
+    a CSR `indptr`, handles in range, time-sorted events and `since` sorted
+    within each row."""
+    n_edges = dst.shape[0]
+    if indptr[0] != 0 or indptr[-1] != n_edges or np.any(indptr[1:] < indptr[:-1]):
+        raise SnapshotFormatError(f"adjacency offsets are not a CSR index over {n_edges} edges")
+    for name, arr, bound in (("follow edge", dst, n_users), ("event user", ev_user, n_users),
+                             ("event tag", ev_tag, n_tags)):
+        if arr.shape[0] and (arr.min() < 0 or arr.max() >= bound):
+            raise SnapshotFormatError(f"{name} handle out of range [0, {bound})")
+    if np.any(ev_time[1:] < ev_time[:-1]):
+        raise SnapshotFormatError("event times are not sorted")
+    if since is not None:
+        row_start = np.zeros(n_edges, dtype=bool)
+        row_start[indptr[:-1][indptr[:-1] < n_edges]] = True
+        if np.any((since[1:] < since[:-1]) & ~row_start[1:]):
+            raise SnapshotFormatError("edge `since` times are not sorted within a row")
+
+
 def load_snapshot(path) -> Dataset:
     try:
         with open(path, "rb") as fh:
@@ -123,7 +144,10 @@ def load_snapshot(path) -> Dataset:
         key = r.take(ln).decode("utf-8")
         (val,) = r.unpack("<q")
         warnings[key] = val
+    if r.pos != len(data):
+        raise SnapshotFormatError(f"{len(data) - r.pos} trailing bytes after the snapshot")
 
+    _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since)
     graph = FollowerGraph(int(n_users), indptr, dst, since)
     return Dataset(
         user_labels=user_labels,

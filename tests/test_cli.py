@@ -436,6 +436,15 @@ def test_pipeline_empty_stages_is_usage_error(tmp_path, capsys):
         {"out_dir": str(tmp_path / "pipe"), "snapshot": 5, "stages": [{"stage": "thresholds"}]},
         {"out_dir": str(tmp_path / "pipe"),
          "stages": [{"stage": "ingest", "adoptions": ["a.csv"], "follows": "f.csv"}]},
+        {"out_dir": str(tmp_path / "pipe"),
+         "stages": [{"stage": "ingest", "adoptions": "a.csv", "follows": "f.csv",
+                     "strict": "false"}]},
+        {"out_dir": str(tmp_path / "pipe"), "snapshot": "s.cscd",
+         "stages": [{"stage": "fit", "bootstrap": 2.7}]},
+        {"out_dir": str(tmp_path / "pipe"), "snapshot": "s.cscd",
+         "stages": [{"stage": "fit", "bootstrap": True}]},
+        {"out_dir": str(tmp_path / "pipe"), "snapshot": "s.cscd",
+         "stages": [{"stage": "correlate", "bins": "10"}]},
     ):
         path.write_text(json.dumps(cfg))
         code, _ = _run(capsys, "pipeline", "--config", str(path))

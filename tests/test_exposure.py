@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
+from tagcascade import exposure
+from tagcascade.events import Dataset, build_follower_graph
 from tagcascade.errors import NoAdoptionError, UndefinedThresholdError, UnknownIdError
 
 from oracles import assert_table_matches_oracle, brute_force_exposures, random_micro_rows
@@ -214,6 +217,68 @@ def test_oracle_equivalence_sampled(ties, popularity):
             assert abs(got.beta - float(sum(defined, Fraction(0)) / len(defined))) < 1e-12, label
             assert (got.defined_adoptions, got.undefined_adoptions) == (
                 len(defined), len(mine) - len(defined)), label
+
+
+@pytest.mark.parametrize("ties", ["strict", "inclusive"])
+@pytest.mark.parametrize("popularity", ["adopters", "usages"])
+def test_oracle_equivalence_tiny_blocks(monkeypatch, ties, popularity):
+    # Blocks of 3 alters split the flat alter sequence mid-dataset, and most
+    # neighbourhoods span several blocks.
+    monkeypatch.setattr(exposure, "_BLOCK", 3)
+    rng = np.random.Generator(np.random.PCG64(43))
+    cases = [random_micro_rows(rng) for _ in range(25)]
+    cases += [
+        ([], []),                                          # no events, no tags, no users
+        ([], [("a", "b"), ("b", "c")]),                    # edges but no events
+        ([("a", "x", 1), ("b", "x", 1), ("a", "y", 0)], []),  # no edges
+        ([("a", "x", 2), ("b", "x", 2), ("c", "x", 1)],
+         [("a", "b", 2), ("a", "c", 3), ("b", "a", None), ("b", "c", 1)]),
+    ]
+    for adoptions, follows in cases:
+        ds = tc.build_dataset(adoptions, follows)
+        table = tc.all_exposures(ds, ties=ties, popularity=popularity)
+        assert_table_matches_oracle(
+            ds, table, brute_force_exposures(adoptions, follows, ties=ties, popularity=popularity))
+        assert [a.dtype for a in (table.user, table.tag, table.active_alters,
+                                  table.neighborhood_size)] == [np.int32] * 4
+        assert (table.time.dtype, table.tag_popularity_at_adoption.dtype,
+                table.exposure.dtype) == (np.int64, np.int64, np.float64)
+
+
+def test_exposure_memory_is_bounded():
+    # 200 egos each observe the same 1000 alters and all 1200 users adopt
+    # the same 50 tags: 1e7 alters scanned, which unblocked would take
+    # hundreds of megabytes.
+    n_alters, n_egos, n_tags = 1000, 200, 50
+    n = n_alters + n_egos
+    rng = np.random.Generator(np.random.PCG64(5))
+    times = rng.integers(0, 10_000, (n, n_tags))
+    user, tag = np.divmod(np.arange(n * n_tags), n_tags)
+    order = np.lexsort((tag, user, times.ravel()))
+    edges = np.column_stack([np.repeat(np.arange(n_alters, n), n_alters),
+                             np.tile(np.arange(n_alters), n_egos)])
+    ds = Dataset(
+        user_labels=tuple(f"u{i:04d}" for i in range(n)),
+        tag_labels=tuple(f"x{j:02d}" for j in range(n_tags)),
+        event_time=times.ravel()[order],
+        event_user=user[order].astype(np.int32),
+        event_tag=tag[order].astype(np.int32),
+        event_first=np.ones(n * n_tags, dtype=bool),
+        graph=build_follower_graph(edges, n),
+    )
+    tracemalloc.start()
+    try:
+        table = tc.all_exposures(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert int(table.neighborhood_size.sum()) == n_egos * n_alters * n_tags
+    ego = table.user >= n_alters
+    alter_times = np.sort(times[:n_alters], axis=0)
+    want = [np.searchsorted(alter_times[:, x], t, "left")
+            for x, t in zip(table.tag[ego], table.time[ego])]
+    np.testing.assert_array_equal(table.active_alters[ego], want)
 
 
 def test_permutation_invariance():

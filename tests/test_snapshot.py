@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tagcascade as tc
+from tagcascade.cli import main
 from tagcascade.errors import SnapshotFormatError
 from tagcascade.snapshot import MAGIC, load_snapshot, save_snapshot
 
@@ -87,3 +88,62 @@ def test_truncated_snapshot_detected(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(SnapshotFormatError):
         load_snapshot(tmp_path / "absent.cscd")
+
+
+# ---------------------------------------------------------------------------
+# structurally corrupt snapshots
+# ---------------------------------------------------------------------------
+
+def _sections(ds) -> dict:
+    """(byte offset, dtype, count) of each array section of `ds`'s snapshot."""
+    pos = 4 + 8 + 32 + sum(4 + len(lab.encode()) for lab in ds.user_labels + ds.tag_labels)
+    out = {}
+    for name, dtype, count in (("time", "<i8", ds.n_events), ("user", "<i4", ds.n_events),
+                               ("tag", "<i4", ds.n_events), ("first", "<u1", ds.n_events),
+                               ("indptr", "<i8", ds.n_users + 1), ("dst", "<i4", ds.n_edges),
+                               ("since", "<i8", ds.n_edges)):
+        out[name] = (pos, np.dtype(dtype), count)
+        pos += np.dtype(dtype).itemsize * count
+    return out
+
+
+def _swap(a, i, j):
+    a[i], a[j] = a[j], a[i]
+
+
+# A observes B and C, B observes C; each corruption leaves the length intact
+# (except "trailing") and used to load without complaint.
+CORRUPTIONS = {
+    "indptr_start": ("indptr", lambda a: a.__setitem__(0, 1), "CSR index"),
+    "indptr_order": ("indptr", lambda a: _swap(a, 1, 2), "CSR index"),
+    "indptr_end": ("indptr", lambda a: a.__setitem__(-1, a[-1] + 1), "CSR index"),
+    "dst_range": ("dst", lambda a: a.__setitem__(0, 3), "follow edge handle"),
+    "user_range": ("user", lambda a: a.__setitem__(0, -1), "event user handle"),
+    "tag_range": ("tag", lambda a: a.__setitem__(0, 1), "event tag handle"),
+    "time_order": ("time", lambda a: _swap(a, 0, -1), "event times"),
+    "since_order": ("since", lambda a: _swap(a, 0, 1), "within a row"),
+    "trailing": (None, None, "trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_structurally_corrupt_snapshot_exits_two(tmp_path, capsys, corruption):
+    ds = tc.build_dataset(
+        [("A", "t", 5), ("B", "t", 1), ("C", "t", 3)],
+        [("A", "B", 1), ("A", "C", 2), ("B", "C", None)],
+    )
+    path = tmp_path / "snap.cscd"
+    save_snapshot(ds, path)
+    assert main(["thresholds", str(path)]) == 0
+    raw = bytearray(path.read_bytes())
+    section, corrupt, message = CORRUPTIONS[corruption]
+    if section is None:
+        raw += b"junk"
+    else:
+        offset, dtype, count = _sections(ds)[section]
+        corrupt(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["thresholds", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err
