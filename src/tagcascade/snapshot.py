@@ -87,9 +87,12 @@ class _Reader:
 
     def labels(self, count: int) -> tuple:
         out = []
-        for _ in range(count):
-            (ln,) = self.unpack("<I")
-            out.append(self.take(ln).decode("utf-8"))
+        try:
+            for _ in range(count):
+                (ln,) = self.unpack("<I")
+                out.append(self.take(ln).decode("utf-8"))
+        except UnicodeDecodeError:
+            raise SnapshotFormatError("a label or warning key is not valid UTF-8") from None
         return tuple(out)
 
 
@@ -140,8 +143,7 @@ def load_snapshot(path) -> Dataset:
     (n_warn,) = r.unpack("<I")
     warnings = {}
     for _ in range(n_warn):
-        (ln,) = r.unpack("<I")
-        key = r.take(ln).decode("utf-8")
+        (key,) = r.labels(1)
         (val,) = r.unpack("<q")
         warnings[key] = val
     if r.pos != len(data):

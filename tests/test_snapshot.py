@@ -95,10 +95,12 @@ def test_missing_file_is_data_error(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _sections(ds) -> dict:
-    """(byte offset, dtype, count) of each array section of `ds`'s snapshot."""
-    pos = 4 + 8 + 32 + sum(4 + len(lab.encode()) for lab in ds.user_labels + ds.tag_labels)
+    """(byte offset, dtype, count) of each section of `ds`'s snapshot."""
+    pos = 4 + 8 + 32
     out = {}
-    for name, dtype, count in (("time", "<i8", ds.n_events), ("user", "<i4", ds.n_events),
+    label_bytes = sum(4 + len(lab.encode()) for lab in ds.user_labels + ds.tag_labels)
+    for name, dtype, count in (("labels", "<u1", label_bytes),
+                               ("time", "<i8", ds.n_events), ("user", "<i4", ds.n_events),
                                ("tag", "<i4", ds.n_events), ("first", "<u1", ds.n_events),
                                ("indptr", "<i8", ds.n_users + 1), ("dst", "<i4", ds.n_edges),
                                ("since", "<i8", ds.n_edges)):
@@ -111,8 +113,8 @@ def _swap(a, i, j):
     a[i], a[j] = a[j], a[i]
 
 
-# A observes B and C, B observes C; each corruption leaves the length intact
-# (except "trailing") and used to load without complaint.
+# A observes B and C, B observes C; every corruption but "trailing" keeps
+# the file's length, so only the structural checks can catch it.
 CORRUPTIONS = {
     "indptr_start": ("indptr", lambda a: a.__setitem__(0, 1), "CSR index"),
     "indptr_order": ("indptr", lambda a: _swap(a, 1, 2), "CSR index"),
@@ -122,6 +124,7 @@ CORRUPTIONS = {
     "tag_range": ("tag", lambda a: a.__setitem__(0, 1), "event tag handle"),
     "time_order": ("time", lambda a: _swap(a, 0, -1), "event times"),
     "since_order": ("since", lambda a: _swap(a, 0, 1), "within a row"),
+    "label_utf8": ("labels", lambda a: a.__setitem__(4, 0xFF), "UTF-8"),
     "trailing": (None, None, "trailing bytes"),
 }
 
