@@ -3,9 +3,10 @@
 These deliberately avoid the library's data structures and algorithms:
 the exposure oracle rescans raw event rows per first usage, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
-on the survival function, and the cutoff scan fits one candidate at a
-time with scipy's scalar brentq. Tests compare library output against these,
-never the other way round.
+on the survival function, the cutoff scan fits one candidate at a
+time with scipy's scalar brentq, and the preferential-attachment generator
+draws each pick with its own `Generator.integers` call. Tests compare
+library output against these, never the other way round.
 """
 
 from __future__ import annotations
@@ -240,3 +241,28 @@ def scan_xmin(sorted_samples: np.ndarray, max_candidates: int | None = None, min
     if best is None:
         raise InsufficientTailError("no cutoff leaves at least two tail samples")
     return best
+
+
+# ---------------------------------------------------------------------------
+# preferential attachment, one Generator.integers call per draw
+# ---------------------------------------------------------------------------
+
+def preferential_attachment_reference(n: int, m: int, seed: int):
+    """(indptr, dst) of the preferential-attachment graph: node i >= m
+    observes m distinct nodes drawn from a pool that holds every node once
+    at birth and once per incoming edge, each draw a scalar
+    `rng.integers(0, len(pool))`."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pool = list(range(m))
+    indptr = [0] * (m + 1)
+    dst = []
+    for i in range(m, n):
+        picks: set = set()
+        while len(picks) < m:
+            picks.add(pool[int(rng.integers(0, len(pool)))])
+        for v in sorted(picks):
+            dst.append(v)
+            pool.append(v)
+        pool.append(i)
+        indptr.append(len(dst))
+    return np.asarray(indptr, dtype=np.int64), np.asarray(dst, dtype=np.int64)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tagcascade as tc
+from oracles import preferential_attachment_reference
 from tagcascade.errors import UnsupportedModelError, UsageError
 from tagcascade.events import build_follower_graph
 from tagcascade.simulate import (
@@ -79,6 +80,20 @@ def test_preferential_attachment_determinism_and_bounds():
     assert not np.any(edges[:, 0] == edges[:, 1])
     with pytest.raises(UsageError):
         preferential_attachment(5, 5, seed=0)
+
+
+def test_preferential_attachment_equals_reference():
+    # m=1 meets a pool of one at i=1, whose pick consumes no draw; m=n-1 and
+    # n=2 are the edges of the valid range; n=2e4 runs long streams.
+    grid = [(2, 1), (3, 1), (5, 1), (40, 1), (3, 2), (10, 9), (60, 59), (30, 3),
+            (200, 2), (1000, 5), (500, 17)]
+    cases = [(n, m, seed) for n, m in grid for seed in (0, 1, 9, 2**63 + 5)]
+    cases += [(20_000, 4, seed) for seed in (3, 77, 2024)]
+    for n, m, seed in cases:
+        g = preferential_attachment(n, m, seed)
+        indptr, dst = preferential_attachment_reference(n, m, seed)
+        np.testing.assert_array_equal(g.indptr, indptr, err_msg=f"{(n, m, seed)}")
+        np.testing.assert_array_equal(g.dst, dst, err_msg=f"{(n, m, seed)}")
 
 
 # ---------------------------------------------------------------------------

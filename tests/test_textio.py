@@ -1,15 +1,23 @@
 from __future__ import annotations
 
 import csv
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagcascade.errors import DataError, MalformedRowError
 from tagcascade.textio import (
+    ADOPTIONS_HEADER,
+    FOLLOWS_HEADER,
+    FOLLOWS_HEADER_TIMED,
     parse_duration_ms,
     read_adoptions,
     read_follows,
     write_adoptions_csv,
+    write_follows_csv,
 )
 
 
@@ -73,3 +81,51 @@ def test_read_on_bad_drop_counts(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         read_adoptions(tmp_path / "absent.csv")
+
+
+def _writerow_reference(path, header, rows):
+    """One csv.writer.writerow call per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+# Labels that need quoting (separators, quotes, line breaks), spaces,
+# non-ASCII and empty strings, mixed with plain ones.
+_LABELS = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "a", "b", "é", "標", "😀"])
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=6,
+) | st.just("u0000007")
+_TIMES = st.integers(0, 2**62)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    adoptions=st.lists(st.tuples(_LABELS, _LABELS, _TIMES), max_size=30),
+    follows=st.lists(
+        st.one_of(st.tuples(_LABELS, _LABELS),
+                  st.tuples(_LABELS, _LABELS, st.one_of(st.none(), _TIMES))),
+        max_size=30,
+    ),
+)
+def test_writers_match_per_row_writerow(adoptions, follows):
+    timed = any(len(r) == 3 for r in follows)
+    expect_follows = [(r[0], r[1], r[2] if len(r) == 3 and r[2] is not None else "")
+                      if timed else r for r in follows]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert write_adoptions_csv(tmp / "a.csv", iter(adoptions)) == len(adoptions)
+        assert write_follows_csv(tmp / "f.csv", iter(follows)) == len(follows)
+        _writerow_reference(tmp / "ra.csv", ADOPTIONS_HEADER, adoptions)
+        _writerow_reference(tmp / "rf.csv", FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER,
+                            expect_follows)
+        assert (tmp / "a.csv").read_bytes() == (tmp / "ra.csv").read_bytes()
+        assert (tmp / "f.csv").read_bytes() == (tmp / "rf.csv").read_bytes()
+
+        assert read_adoptions(tmp / "a.csv") == (adoptions, 0)
+        if timed:
+            follows = [(r[0], r[1], r[2] if len(r) == 3 else None) for r in follows]
+        assert read_follows(tmp / "f.csv") == (follows, 0)
