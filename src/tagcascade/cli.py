@@ -37,6 +37,7 @@ from .simulate import (
     SimConfig,
     ThresholdParams,
     ThresholdSpec,
+    _node_id,
     gen_graph,
     recover_from_ingested,
     run_model,
@@ -254,18 +255,23 @@ def _load_json_config(path) -> dict:
     return cfg
 
 
-def _cfg_value(cfg: dict, key: str, context: str, convert=None, default=None):
-    """cfg[key] passed through `convert`. A missing key takes `default`; it
-    is a usage error when there is none, as is a value `convert` rejects."""
+def _cfg_value(cfg: dict, key: str, context: str, kind=None, default=None):
+    """cfg[key], taken only when JSON already gives it type `kind`, as in
+    `_coerce`: an int key takes an integer that is not a bool, a float key
+    an integer or float that is not a bool (returned as a float), a str key
+    a string. A missing key takes `default`; it is a usage error when there
+    is none, as is a value of another type."""
     value = cfg.get(key, default)
     if value is None:
         raise UsageError(f"{context} needs a {key!r} entry")
-    if convert is None:
+    if kind is None:
         return value
+    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
+        raise UsageError(f"{context}: {key} must be {kind.__name__}, got {value!r}")
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{context}: {key} must be {convert.__name__}, got {value!r}") from None
+        return kind(value)
+    except OverflowError:
+        raise UsageError(f"{context}: {key} is out of range for a float") from None
 
 
 def _cfg_object(cfg: dict, key: str, default=None) -> dict:
@@ -326,11 +332,20 @@ def _resolve_seed_users(seeds_cfg: dict, source_ds) -> tuple | None:
         raise UsageError(f"seeds: users must be a list, got {users!r}")
     if source_ds is not None:
         return tuple(source_ds.user_handle(str(u)) for u in users)
-    try:
-        return tuple(int(u[1:]) if isinstance(u, str) and u.startswith("u") else int(u)
-                     for u in users)
-    except (TypeError, ValueError):
-        raise UsageError(f"seeds: users must be node ids, got {users!r}") from None
+    return tuple(map(_seed_node, users))
+
+
+def _seed_node(user) -> int:
+    """The node id of a seed user given as a JSON integer (not a bool) or as
+    a simulated label: u followed by ASCII digits."""
+    if isinstance(user, int) and not isinstance(user, bool):
+        return user
+    if isinstance(user, str):
+        try:
+            return _node_id(user)
+        except DataError:
+            pass
+    raise UsageError(f"seeds: users must be node ids or u-labels, got {user!r}")
 
 
 def stage_simulate(o) -> dict:

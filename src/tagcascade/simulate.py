@@ -14,7 +14,9 @@ threshold.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,27 +58,77 @@ def erdos_renyi(n: int, mean_out_degree: float, seed: int) -> FollowerGraph:
 def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
     """Directed preferential attachment: each new node observes m distinct
     existing nodes chosen with probability proportional to in-degree + 1,
-    which yields a heavy-tailed in-degree (popularity) distribution."""
+    which yields a heavy-tailed in-degree (popularity) distribution.
+
+    Each pick is an index into a pool that holds every node once at birth
+    and once per incoming edge. The picks replay, bit for bit, the stream
+    of scalar `Generator.integers(0, len(pool))` calls on a fresh `PCG64`
+    (see `_draws_below`), but take the raw words from the bit generator in
+    blocks instead of one call per draw. The graph for a seed therefore
+    depends on numpy keeping that stream; tests compare the generator with
+    a per-call reference, which catches a numpy release that changes it.
+    """
     if n < 2 or m < 1 or m >= n:
         raise UsageError("preferential_attachment needs n >= 2 and 1 <= m < n")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if m + (n - 1 - m) * (m + 1) >= 2**32:
+        raise UsageError(f"preferential_attachment(n={n}, m={m}) needs a pool of 2**32 "
+                         "or more entries")
+    u32 = _uint32_stream(np.random.PCG64(seed))
     pool = list(range(m))  # each node appears once at birth, once per incoming edge
-    src_list, dst_list = [], []
+    dst_list = []
     for i in range(m, n):
+        draws = _draws_below(u32, len(pool))
         picks: set = set()
-        want = min(m, i)
-        while len(picks) < want:
-            picks.add(pool[int(rng.integers(0, len(pool)))])
-        for v in sorted(picks):
-            src_list.append(i)
-            dst_list.append(v)
-            pool.append(v)
+        while len(picks) < m:
+            picks.add(pool[next(draws)])
+        picks = sorted(picks)
+        dst_list.extend(picks)
+        pool.extend(picks)
         pool.append(i)
     edges = np.column_stack([
-        np.asarray(src_list, dtype=np.int64),
+        np.repeat(np.arange(m, n, dtype=np.int64), m),
         np.asarray(dst_list, dtype=np.int64),
     ])
     return build_follower_graph(edges, n)
+
+
+_RAW_BLOCK = 2**14  # most 64-bit words per random_raw call, so memory stays bounded
+
+
+def _uint32_stream(bitgen: np.random.PCG64):
+    """The 32-bit draws a `Generator` over a fresh `bitgen` makes, in order,
+    as Python ints.
+
+    PCG64 serves 32-bit draws from each 64-bit word low half first, then
+    high half, and a fresh bit generator has no half-word buffered. The
+    halves are split arithmetically, so the order does not depend on the
+    host's byte order. Blocks of words start small and double up to
+    `_RAW_BLOCK`, so a small graph does not pay for a large block.
+    """
+    def blocks():
+        size = 64
+        while True:
+            raw = bitgen.random_raw(size)
+            yield np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel().tolist()
+            size = min(2 * size, _RAW_BLOCK)
+
+    return itertools.chain.from_iterable(blocks())
+
+
+def _draws_below(u32, bound: int):
+    """The values successive `Generator.integers(0, bound)` calls return,
+    for 1 <= bound < 2**32, taking their 32-bit draws from the iterator
+    `u32`: Lemire's multiply and reject, as numpy's
+    `buffered_bounded_lemire_uint32`. A bound of 1 consumes no draw, and no
+    draw is taken before the next value is asked for."""
+    if bound == 1:
+        while True:
+            yield 0
+    reject_below = (2**32 - bound) % bound
+    for x in u32:
+        x *= bound
+        if x & 0xFFFFFFFF >= reject_below:
+            yield x >> 32
 
 
 def gen_graph(kind: str, seed: int, **params) -> FollowerGraph:
@@ -207,20 +259,25 @@ class SimRun:
     def final_saturation(self) -> float:
         return self.n_adopters / self.graph.n
 
+    @cached_property
+    def user_labels(self) -> list:
+        """The `u%07d` label of every node, by node id."""
+        return ["u%07d" % u for u in range(self.graph.n)]
+
     def user_label(self, u: int) -> str:
-        return f"u{u:07d}"
+        return self.user_labels[u]
 
     def adoption_rows(self, tag: str = "sim"):
         """Synthetic adoption log rows, directly re-ingestible."""
         adopters = np.flatnonzero(self.adopt_step >= 0)
-        order = np.lexsort((adopters, self.adopt_step[adopters]))
-        for u in adopters[order]:
-            yield (self.user_label(int(u)), tag, int(self.adopt_step[u]))
+        users = adopters[np.lexsort((adopters, self.adopt_step[adopters]))]
+        return zip(map(self.user_labels.__getitem__, users.tolist()),
+                   itertools.repeat(tag), self.adopt_step[users].tolist())
 
     def follow_rows(self):
         edges = self.graph.edge_list()
-        for i in range(edges.shape[0]):
-            yield (self.user_label(int(edges[i, 0])), self.user_label(int(edges[i, 1])))
+        return zip(map(self.user_labels.__getitem__, edges[:, 0].tolist()),
+                   map(self.user_labels.__getitem__, edges[:, 1].tolist()))
 
     def to_dataset(self, tag: str = "sim") -> Dataset:
         return build_dataset(self.adoption_rows(tag), self.follow_rows())

@@ -118,34 +118,30 @@ def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
 
 
 def write_adoptions_csv(path, rows) -> int:
-    """Write (user, tag, time_ms) rows in the ingestion format."""
-    n = 0
+    """Write (user, tag, time_ms) rows in the ingestion format; returns the
+    row count."""
+    rows = list(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ADOPTIONS_HEADER)
-        for user, tag, t in rows:
-            writer.writerow([user, tag, t])
-            n += 1
-    return n
+        writer.writerows(rows)
+    return len(rows)
 
 
 def write_follows_csv(path, rows) -> int:
-    """Write (src, dst[, since]) rows in the ingestion format."""
+    """Write (src, dst[, since]) rows in the ingestion format; returns the
+    row count. If any row has a `since`, every row gets the column, empty
+    where it is missing or None."""
     rows = list(rows)
-    timed = any(len(r) == 3 for r in rows)
-    n = 0
+    timed = 3 in map(len, rows)
+    if timed:
+        # csv.writer writes None as an empty field
+        rows = [r if len(r) == 3 else (r[0], r[1], None) for r in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER)
-        for row in rows:
-            if timed:
-                src, dst = row[0], row[1]
-                since = row[2] if len(row) == 3 else None
-                writer.writerow([src, dst, "" if since is None else since])
-            else:
-                writer.writerow([row[0], row[1]])
-            n += 1
-    return n
+        writer.writerows(rows)
+    return len(rows)
 
 
 def format_cell(value) -> str:

@@ -338,6 +338,22 @@ def test_simulate_missing_config_key_is_usage_error(tmp_path, capsys):
         {"graph": {**graph, "n": "many"}, "params": params},
         {"graph": graph, "params": params, "max_steps": "lots"},
         {"graph": graph, "params": params, "seeds": {"users": ["u1", "someone"]}},
+        # numbers of the wrong JSON type, which int()/float() used to accept
+        {"graph": {"kind": "preferential_attachment", "n": 10, "m": True}, "params": params},
+        {"graph": {**graph, "n": "60"}, "params": params},
+        {"graph": {**graph, "n": 10.0}, "params": params},
+        {"graph": {**graph, "mean_out_degree": "2"}, "params": params},
+        {"graph": {**graph, "mean_out_degree": True}, "params": params},
+        {"graph": graph, "params": params, "max_steps": 2.9},
+        {"graph": graph, "params": params, "seeds": {"k": True}},
+        {"graph": graph, "params": {"thresholds": {"kind": "constant", "c": "0.5"}}},
+        {"graph": graph, "params": {"thresholds": {"kind": "constant", "c": 10**400}}},
+        {"graph": {"kind": "dataset", "snapshot": 5}, "params": params},
+        # seed users that are neither an integer nor u + ASCII digits
+        {"graph": {**graph, "n": 20}, "params": params, "seeds": {"users": [True]}},
+        {"graph": {**graph, "n": 20}, "params": params, "seeds": {"users": [1.9]}},
+        {"graph": {**graph, "n": 20}, "params": params, "seeds": {"users": ["u\uff11\uff12"]}},
+        {"graph": {**graph, "n": 20}, "params": params, "seeds": {"users": ["u 12"]}},
     ):
         path.write_text(json.dumps(cfg))
         code, _ = _run(capsys, "simulate", "--model", "threshold", "--config", str(path),

@@ -14,6 +14,8 @@ from tagcascade.simulate import (
     ThresholdParams,
     ThresholdSpec,
     erdos_renyi,
+    _draws_below,
+    _uint32_stream,
     preferential_attachment,
     recover_thresholds,
     run_independent_cascade,
@@ -94,6 +96,36 @@ def test_preferential_attachment_equals_reference():
         indptr, dst = preferential_attachment_reference(n, m, seed)
         np.testing.assert_array_equal(g.indptr, indptr, err_msg=f"{(n, m, seed)}")
         np.testing.assert_array_equal(g.dst, dst, err_msg=f"{(n, m, seed)}")
+
+
+def test_bounded_draw_replay_equals_generator_integers():
+    # At 2**31+1 about half of the 32-bit draws are rejected; large bounds
+    # are the only ones that reach the rejection branch.
+    rng = np.random.default_rng(12)
+    bounds = [1, 2, 3, 2**31 + 1, 2**32 - 1]
+    bounds += rng.integers(1, 2**32, 12).tolist() + rng.integers(1, 1000, 6).tolist()
+    for seed, bound in enumerate(bounds):
+        taken = []
+        u32 = _uint32_stream(np.random.PCG64(seed))
+        draws = _draws_below((taken.append(x) or x for x in u32), bound)
+        gen = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(3000):
+            assert next(draws) == gen.integers(0, bound), (seed, bound)
+        if bound == 1:
+            assert taken == []
+        if bound == 2**31 + 1:
+            assert len(taken) > 5000
+    # Bounds that change from draw to draw share one stream, with bound 1
+    # taking no draw and odd counts of draws between them.
+    seq = rng.choice(bounds, 5000).tolist()
+    u32 = _uint32_stream(np.random.PCG64(99))
+    gen = np.random.Generator(np.random.PCG64(99))
+    assert [next(_draws_below(u32, b)) for b in seq] == [int(gen.integers(0, b)) for b in seq]
+
+
+def test_preferential_attachment_refuses_a_pool_of_2_to_the_32():
+    with pytest.raises(UsageError, match="2\\*\\*32"):
+        preferential_attachment(2**31, 2, seed=0)  # refused before anything is drawn
 
 
 # ---------------------------------------------------------------------------
