@@ -258,15 +258,16 @@ def _load_json_config(path) -> dict:
 def _cfg_value(cfg: dict, key: str, context: str, kind=None, default=None):
     """cfg[key], taken only when JSON already gives it type `kind`, as in
     `_coerce`: an int key takes an integer that is not a bool, a float key
-    an integer or float that is not a bool (returned as a float), a str key
-    a string. A missing key takes `default`; it is a usage error when there
-    is none, as is a value of another type."""
+    an integer or float that is not a bool (returned as a float), a bool key
+    true or false, a str key a string. A missing key takes `default`; it is
+    a usage error when there is none, as is a value of another type."""
     value = cfg.get(key, default)
     if value is None:
         raise UsageError(f"{context} needs a {key!r} entry")
     if kind is None:
         return value
-    if not isinstance(value, (int, float) if kind is float else kind) or isinstance(value, bool):
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise UsageError(f"{context}: {key} must be {kind.__name__}, got {value!r}")
     try:
         return kind(value)
@@ -365,7 +366,8 @@ def stage_simulate(o) -> dict:
     params = _params_from_config(o.model, _cfg_object(sim_cfg, "params", {}))
 
     shared = None  # (graph, source dataset, graph echo), resolved once for all runs
-    if sim_cfg.get("shared_graph", False) or graph_cfg.get("kind") == "dataset":
+    if (_cfg_value(sim_cfg, "shared_graph", "simulation config", bool, default=False)
+            or graph_cfg.get("kind") == "dataset"):
         shared = _resolve_graph(graph_cfg, derive_seed(o.seed, 0))
     run_summaries = []
     for r in range(o.runs):

@@ -81,9 +81,9 @@ def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
         picks: set = set()
         while len(picks) < m:
             picks.add(pool[next(draws)])
-        picks = sorted(picks)
-        dst_list.extend(picks)
-        pool.extend(picks)
+        targets = sorted(picks)
+        dst_list.extend(targets)
+        pool.extend(targets)
         pool.append(i)
     edges = np.column_stack([
         np.repeat(np.arange(m, n, dtype=np.int64), m),
@@ -92,7 +92,7 @@ def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
     return build_follower_graph(edges, n)
 
 
-_RAW_BLOCK = 2**14  # most 64-bit words per random_raw call, so memory stays bounded
+_RAW_BLOCK = 2**14  # at most this many 64-bit words per random_raw call: bounded memory
 
 
 def _uint32_stream(bitgen: np.random.PCG64):

@@ -349,6 +349,7 @@ def test_simulate_missing_config_key_is_usage_error(tmp_path, capsys):
         {"graph": graph, "params": {"thresholds": {"kind": "constant", "c": "0.5"}}},
         {"graph": graph, "params": {"thresholds": {"kind": "constant", "c": 10**400}}},
         {"graph": {"kind": "dataset", "snapshot": 5}, "params": params},
+        {"graph": graph, "params": params, "shared_graph": "no"},
         # seed users that are neither an integer nor u + ASCII digits
         {"graph": {**graph, "n": 20}, "params": params, "seeds": {"users": [True]}},
         {"graph": {**graph, "n": 20}, "params": params, "seeds": {"users": [1.9]}},
@@ -360,6 +361,20 @@ def test_simulate_missing_config_key_is_usage_error(tmp_path, capsys):
                        "--runs", "1", "--seed", "1", "--out", str(tmp_path / "r"))
         assert code == 1, cfg
         assert not (tmp_path / "r").exists(), cfg
+
+
+def test_simulate_shared_graph_generates_one_graph(tmp_path, capsys):
+    cfg = {"graph": {"kind": "preferential_attachment", "n": 40, "m": 2},
+           "params": {"thresholds": {"kind": "constant", "c": 0.5}}}
+    for shared in (True, False):
+        path = tmp_path / f"sim_{shared}.json"
+        path.write_text(json.dumps({**cfg, "shared_graph": shared}))
+        out = tmp_path / f"runs_{shared}"
+        code, _ = _run(capsys, "simulate", "--model", "threshold", "--config", str(path),
+                       "--runs", "2", "--seed", "4", "--out", str(out))
+        assert code == 0
+        follows = [(out / f"run_{r:04d}" / "follows.csv").read_bytes() for r in range(2)]
+        assert (follows[0] == follows[1]) is shared
 
 
 def test_simulate_missing_config_file_is_data_error(tmp_path, capsys):
