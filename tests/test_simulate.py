@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import tagcascade as tc
-from oracles import preferential_attachment_reference
 from tagcascade.errors import UnsupportedModelError, UsageError
 from tagcascade.events import build_follower_graph
 from tagcascade.simulate import (
@@ -13,15 +12,17 @@ from tagcascade.simulate import (
     SimConfig,
     ThresholdParams,
     ThresholdSpec,
-    erdos_renyi,
     _draws_below,
     _uint32_stream,
+    erdos_renyi,
     preferential_attachment,
     recover_thresholds,
     run_independent_cascade,
     run_social_learning,
     run_threshold_model,
 )
+
+from oracles import preferential_attachment_reference
 
 
 def _cycle_graph():
@@ -105,7 +106,7 @@ def test_bounded_draw_replay_equals_generator_integers():
     bounds = [1, 2, 3, 2**31 + 1, 2**32 - 1]
     bounds += rng.integers(1, 2**32, 12).tolist() + rng.integers(1, 1000, 6).tolist()
     for seed, bound in enumerate(bounds):
-        taken = []
+        taken = []  # every 32-bit draw the replay takes
         u32 = _uint32_stream(np.random.PCG64(seed))
         draws = _draws_below((taken.append(x) or x for x in u32), bound)
         gen = np.random.Generator(np.random.PCG64(seed))
