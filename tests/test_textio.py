@@ -96,7 +96,7 @@ def _writerow_reference(path, header, rows):
 # non-ASCII and empty strings, mixed with plain ones.
 _LABELS = st.text(
     st.sampled_from([",", '"', "\r", "\n", " ", "a", "b", "é", "標", "😀"])
-    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    | st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
     max_size=6,
 ) | st.just("u0000007")
 _TIMES = st.integers(0, 2**62)
