@@ -101,6 +101,13 @@ def _csr_sources(indptr: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
 
 
+def _csr_indptr(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets (int64, length n + 1) of the row handles `rows` in 0..n-1."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def build_follower_graph(
     edges: np.ndarray,
     n: int,
@@ -110,25 +117,12 @@ def build_follower_graph(
 
     Input pairs must already be deduplicated and free of self-loops.
     """
-    if edges.shape[0] == 0:
-        return FollowerGraph(
-            n,
-            np.zeros(n + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int32),
-            None if since is None else np.empty(0, dtype=np.int64),
-        )
     src = edges[:, 0].astype(np.int32, copy=False)
     dst = edges[:, 1].astype(np.int32, copy=False)
-    if since is None:
-        order = np.lexsort((dst, src))
-    else:
-        order = np.lexsort((dst, since, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    order = np.lexsort((dst, src) if since is None else (dst, since, src))
     return FollowerGraph(
         n,
-        indptr,
+        _csr_indptr(src, n),
         np.ascontiguousarray(dst[order]),
         None if since is None else np.ascontiguousarray(since[order].astype(np.int64)),
     )
@@ -280,14 +274,16 @@ def build_dataset(
         ad_tags.append(str(tag))
         ad_times.append(t)
 
-    raw_edges: list = []
+    follow_src: list = []
+    follow_dst: list = []
+    follow_since: list = []
     self_loops = 0
     has_since = False
     for rowno, row in enumerate(follows, start=1):
         if len(row) not in (2, 3):
             raise MalformedRowError(rowno, f"follow row needs 2 or 3 fields, got {row!r}")
         src, dst = str(row[0]), str(row[1])
-        since = None
+        since = SINCE_ALWAYS
         if len(row) == 3 and row[2] not in (None, ""):
             try:
                 since = parse_timestamp(row[2], unit=time_unit)
@@ -299,24 +295,23 @@ def build_dataset(
         if src == dst:
             self_loops += 1
             continue
-        raw_edges.append((src, dst, since))
-        if mutual_edges:
-            raw_edges.append((dst, src, since))
+        follow_src.append(src)
+        follow_dst.append(dst)
+        follow_since.append(since)
+    if mutual_edges:
+        follow_src, follow_dst = follow_src + follow_dst, follow_dst + follow_src
+        follow_since += follow_since
 
     # Handles: lexicographic over the union of labels seen anywhere.
-    user_set = set(ad_users)
-    for src, dst, _ in raw_edges:
-        user_set.add(src)
-        user_set.add(dst)
-    user_labels = tuple(sorted(user_set))
+    user_labels = tuple(sorted(set(ad_users).union(follow_src, follow_dst)))
     tag_labels = tuple(sorted(set(ad_tags)))
     user_index = {lab: i for i, lab in enumerate(user_labels)}
     tag_index = {lab: i for i, lab in enumerate(tag_labels)}
 
     n_events = len(ad_users)
-    ev_user = np.fromiter((user_index[u] for u in ad_users), dtype=np.int32, count=n_events)
-    ev_tag = np.fromiter((tag_index[x] for x in ad_tags), dtype=np.int32, count=n_events)
-    ev_time = np.asarray(ad_times, dtype=np.int64) if ad_times else np.empty(0, dtype=np.int64)
+    ev_user = np.fromiter(map(user_index.__getitem__, ad_users), dtype=np.int32, count=n_events)
+    ev_tag = np.fromiter(map(tag_index.__getitem__, ad_tags), dtype=np.int32, count=n_events)
+    ev_time = np.asarray(ad_times, dtype=np.int64)
 
     order = np.lexsort((ev_tag, ev_user, ev_time))
     ev_user = np.ascontiguousarray(ev_user[order])
@@ -324,36 +319,25 @@ def build_dataset(
     ev_time = np.ascontiguousarray(ev_time[order])
 
     ev_first = np.zeros(n_events, dtype=bool)
-    if n_events:
-        pair_key = ev_user.astype(np.int64) * len(tag_labels) + ev_tag
-        _, first_idx = np.unique(pair_key, return_index=True)
-        ev_first[first_idx] = True
+    pair_key = ev_user.astype(np.int64) * len(tag_labels) + ev_tag
+    _, first_idx = np.unique(pair_key, return_index=True)
+    ev_first[first_idx] = True
 
-    # Deduplicate edges; earliest since wins (None = always present).
-    dedup: dict = {}
-    for src, dst, since in raw_edges:
-        key = (user_index[src], user_index[dst])
-        prev = dedup.get(key, "missing")
-        if prev == "missing":
-            dedup[key] = since
-        elif prev is not None and (since is None or since < prev):
-            dedup[key] = since
-    duplicate_edges = len(raw_edges) - len(dedup)
-
-    n_users = len(user_labels)
-    if dedup:
-        pairs = np.array(list(dedup.keys()), dtype=np.int64)
-        if has_since:
-            sinces = np.fromiter(
-                (SINCE_ALWAYS if s is None else s for s in dedup.values()),
-                dtype=np.int64,
-                count=len(dedup),
-            )
-        else:
-            sinces = None
-        graph = build_follower_graph(pairs, n_users, sinces)
-    else:
-        graph = build_follower_graph(np.empty((0, 2), dtype=np.int64), n_users)
+    # Deduplicate edges: the first row of each (src, dst) in (src, dst, since)
+    # order holds the earliest since (SINCE_ALWAYS, for none, sorts first).
+    n_rows = len(follow_src)
+    src = np.fromiter(map(user_index.__getitem__, follow_src), dtype=np.int32, count=n_rows)
+    dst = np.fromiter(map(user_index.__getitem__, follow_dst), dtype=np.int32, count=n_rows)
+    since = np.asarray(follow_since, dtype=np.int64)
+    order = np.lexsort((since, dst, src))
+    src, dst, since = src[order], dst[order], since[order]
+    keep = np.ones(n_rows, dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    graph = build_follower_graph(
+        np.column_stack((src[keep], dst[keep])),
+        len(user_labels),
+        since[keep] if has_since and n_rows else None,  # an empty graph is static
+    )
 
     return Dataset(
         user_labels=user_labels,
@@ -365,7 +349,7 @@ def build_dataset(
         graph=graph,
         warnings={
             "self_loops_dropped": self_loops,
-            "duplicate_edges_dropped": duplicate_edges,
+            "duplicate_edges_dropped": n_rows - graph.n_edges,
         },
     )
 
@@ -380,38 +364,42 @@ def neighbors_at(d: Dataset, u: int, t) -> set:
     return set(int(v) for v in d.graph.neighbors_at(u, parse_timestamp(t)))
 
 
+def _component_roots(graph: FollowerGraph) -> np.ndarray:
+    """Smallest handle in each user's weakly-connected component.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J. Algorithms
+    3, 1982): each round hooks both endpoint roots of every edge to the
+    smaller of the two, then jumps pointers until each user points at a root.
+    Pointers only ever decrease, so a root is its component's smallest handle.
+    """
+    src = _csr_sources(graph.indptr, graph.n)
+    roots = np.arange(graph.n, dtype=np.int64)
+    while True:
+        a, b = roots[src], roots[graph.dst]
+        low = np.minimum(a, b)
+        hooked = roots.copy()
+        np.minimum.at(hooked, a, low)
+        np.minimum.at(hooked, b, low)
+        if np.array_equal(hooked, roots):
+            return roots
+        roots = hooked
+        jumped = roots[roots]
+        while not np.array_equal(jumped, roots):
+            roots, jumped = jumped, jumped[jumped]
+
+
 def giant_component(d: Dataset) -> set:
     """Largest weakly-connected component of the follower graph.
 
     Ties are broken in favor of the component containing the smallest
     user handle. Users with no edges count as singleton components.
     """
-    n = d.n_users
-    if n == 0:
+    if d.n_users == 0:
         return set()
-    parent = np.arange(n, dtype=np.int64)
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, int(parent[a])
-        return root
-
-    edges = d.graph.edge_list()
-    for i in range(edges.shape[0]):
-        ra, rb = find(int(edges[i, 0])), find(int(edges[i, 1]))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    roots = np.fromiter((find(u) for u in range(n)), dtype=np.int64, count=n)
-    sizes = np.bincount(roots, minlength=n)
-    best = sizes.max()
-    # Roots are always the minimum handle of their component, so the first
-    # root with maximal size is the tie-break winner.
-    winner = int(np.flatnonzero(sizes == best)[0])
-    return set(int(u) for u in np.flatnonzero(roots == winner))
+    roots = _component_roots(d.graph)
+    # argmax takes the first largest root, which is the smallest handle.
+    winner = int(np.argmax(np.bincount(roots, minlength=d.n_users)))
+    return set(np.flatnonzero(roots == winner).tolist())
 
 
 def directed_density(n_nodes: int, n_edges: int) -> float:
@@ -430,6 +418,6 @@ def density(d: Dataset, scope: str = "all") -> float:
         mask = np.zeros(d.n_users, dtype=bool)
         mask[list(members)] = True
         edges = d.graph.edge_list()
-        inside = int(np.count_nonzero(mask[edges[:, 0]] & mask[edges[:, 1]])) if edges.size else 0
+        inside = int(np.count_nonzero(mask[edges[:, 0]] & mask[edges[:, 1]]))
         return directed_density(len(members), inside)
     raise ValueError(f"scope must be 'all' or 'giant_component', got {scope!r}")

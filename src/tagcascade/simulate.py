@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, UnsupportedModelError, UsageError
-from .events import Dataset, FollowerGraph, build_dataset, build_follower_graph
+from .events import Dataset, FollowerGraph, _csr_indptr, build_dataset, build_follower_graph
 from .exposure import all_exposures
 from .stats import spearman_rho
 
@@ -301,10 +301,7 @@ def _observer_csr(graph: FollowerGraph):
     n = graph.n
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     order = np.argsort(graph.dst, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, graph.dst + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, src[order], order  # observers grouped by observed node
+    return _csr_indptr(graph.dst, n), src[order], order  # observers grouped by observed node
 
 
 def run_threshold_model(cfg: SimConfig) -> SimRun:

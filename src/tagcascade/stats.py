@@ -17,8 +17,8 @@ from .exposure import ExposureTable
 
 def tag_popularity(d: Dataset) -> dict:
     """Per-tag (distinct_adopters, total_usages), keyed by tag handle."""
-    adopters = np.bincount(d.event_tag[d.event_first], minlength=d.n_tags)
-    usages = np.bincount(d.event_tag, minlength=d.n_tags)
+    adopters = popularity_samples(d, "adopters")
+    usages = popularity_samples(d, "usages")
     return {x: (int(adopters[x]), int(usages[x])) for x in range(d.n_tags)}
 
 

@@ -4,14 +4,16 @@ These deliberately avoid the library's data structures and algorithms:
 the exposure oracle rescans raw event rows per first usage, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
 on the survival function, the cutoff scan fits one candidate at a
-time with scipy's scalar brentq, and the preferential-attachment generator
-draws each pick with its own `Generator.integers` call. Tests compare
-library output against these, never the other way round.
+time with scipy's scalar brentq, the preferential-attachment generator
+draws each pick with its own `Generator.integers` call, and the giant
+component comes from a union-find that merges one edge at a time. Tests
+compare library output against these, never the other way round.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -266,3 +268,34 @@ def preferential_attachment_reference(n: int, m: int, seed: int):
         pool.append(i)
         indptr.append(len(dst))
     return np.asarray(indptr, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# largest weakly-connected component, union-find one edge at a time
+# ---------------------------------------------------------------------------
+
+def giant_component_reference(n: int, edges) -> set:
+    """Members of the largest weakly-connected component of the graph on
+    users 0..n-1 with (src, dst) `edges`. Users with no edges are singleton
+    components; ties go to the component holding the smallest user."""
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = [find(u) for u in range(n)]
+    sizes = Counter(roots)
+    if not sizes:
+        return set()
+    best = max(sizes.values())
+    winner = min(r for r, size in sizes.items() if size == best)
+    return {u for u in range(n) if roots[u] == winner}

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
+from oracles import giant_component_reference
 from tagcascade.errors import MalformedRowError, UndefinedDensityError
+from tagcascade.snapshot import save_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -23,6 +25,9 @@ def test_empty_inputs_give_empty_dataset():
         "follow_edges": 0,
         "warnings": {"self_loops_dropped": 0, "duplicate_edges_dropped": 0},
     }
+    events = (ds.event_time, ds.event_user, ds.event_tag, ds.event_first)
+    assert [a.dtype for a in events] == [np.int64, np.int32, np.int32, np.bool_]
+    assert (ds.graph.indptr.dtype, ds.graph.dst.dtype) == (np.int64, np.int32)
 
 
 def test_duplicate_usages_keep_one_first_flag():
@@ -147,6 +152,85 @@ def test_handles_are_label_lexicographic_bijection():
 
 
 # ---------------------------------------------------------------------------
+# metamorphic ingest: rewrites of the input rows that must not change the graph
+# ---------------------------------------------------------------------------
+
+_USERS = st.sampled_from(["a", "b", "c", "d", "e"])  # few users: duplicates and self-loops
+_ADOPTIONS = st.lists(st.tuples(_USERS, st.sampled_from(["x", "y", "z"]), st.integers(0, 20)),
+                      max_size=30)
+_FOLLOWS = st.lists(
+    st.one_of(
+        st.tuples(_USERS, _USERS),
+        st.tuples(_USERS, _USERS, st.one_of(st.none(), st.just(""), st.integers(0, 20))),
+    ),
+    max_size=30,
+)
+
+
+def _since(row):
+    """The row's since, or None for an edge present at all times."""
+    return row[2] if len(row) == 3 and row[2] not in (None, "") else None
+
+
+def _swapped(row):
+    return (row[1], row[0], *row[2:])
+
+
+def _graph_state(ds):
+    g = ds.graph
+    since = None if g.since is None else g.since.tolist()
+    return ds.user_labels, g.indptr.tolist(), g.dst.tolist(), since, ds.warnings
+
+
+@settings(max_examples=60, deadline=None)
+@given(adoptions=_ADOPTIONS, follows=_FOLLOWS, data=st.data())
+def test_shuffled_rows_give_identical_snapshot(adoptions, follows, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("shuffle") / "d.cscd"
+    save_snapshot(tc.build_dataset(adoptions, follows), path)
+    want = path.read_bytes()
+    shuffled = tc.build_dataset(data.draw(st.permutations(adoptions)),
+                                data.draw(st.permutations(follows)))
+    save_snapshot(shuffled, path)
+    assert path.read_bytes() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(follows=_FOLLOWS)
+def test_mutual_edges_equal_appending_reversed_rows(follows):
+    rows = [r for r in follows if r[0] != r[1]]
+    mutual = tc.build_dataset([], rows, mutual_edges=True)
+    appended = tc.build_dataset([], rows + [_swapped(r) for r in rows])
+    assert _graph_state(mutual) == _graph_state(appended)
+
+
+@settings(max_examples=60, deadline=None)
+@given(follows=_FOLLOWS)
+def test_reverse_edges_equal_swapped_columns(follows):
+    reversed_ = tc.build_dataset([], follows, reverse_edges=True)
+    swapped = tc.build_dataset([], [_swapped(r) for r in follows])
+    assert _graph_state(reversed_) == _graph_state(swapped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(follows=_FOLLOWS, pick=st.integers(0, 29), delay=st.integers(1, 5))
+def test_later_copy_of_an_edge_only_counts_a_duplicate(follows, pick, delay):
+    rows = [r for r in follows if r[0] != r[1]]
+    # A timed row keeps the graph timed with or without the copy.
+    assume(rows and any(_since(r) is not None for r in follows))
+    src, dst, *_ = row = rows[pick % len(rows)]
+    since = _since(row)
+    base = tc.build_dataset([], follows)
+    grown = tc.build_dataset([], follows + [(src, dst, delay if since is None else since + delay)])
+
+    edges = {(base.user_label(a), base.user_label(b)) for a, b in base.graph.edge_list().tolist()}
+    assert edges == {(r[0], r[1]) for r in rows}
+    *graph, warnings = _graph_state(grown)
+    assert graph == list(_graph_state(base)[:-1])
+    assert warnings == dict(base.warnings,
+                            duplicate_edges_dropped=base.warnings["duplicate_edges_dropped"] + 1)
+
+
+# ---------------------------------------------------------------------------
 # timestamps
 # ---------------------------------------------------------------------------
 
@@ -262,6 +346,41 @@ def test_giant_component_matches_exhaustive_labeling(n, edges):
     winners = [c for c in comps if len(c) == best]
     expected = min(winners, key=min)
     assert tc.giant_component(ds) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 30),
+    edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=60),
+    mirrored=st.booleans(),
+    isolated=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_giant_component_matches_union_find_reference(k, edges, mirrored, isolated, seed):
+    # `mirrored` adds a disjoint copy of the graph, so the largest component
+    # size occurs twice and the tie-break decides; `isolated` users have no
+    # edges. Node i gets handle perm[i], so handles are shuffled.
+    edges = [(a % k, b % k) for a, b in edges if a % k != b % k]
+    if mirrored:
+        edges += [(a + k, b + k) for a, b in edges]
+    n = k * (2 if mirrored else 1) + isolated
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    labels = [f"u{p:03d}" for p in perm]
+    ds = tc.build_dataset([(lab, "x", 0) for lab in labels],
+                          [(labels[a], labels[b]) for a, b in edges])
+    assert tc.giant_component(ds) == giant_component_reference(
+        n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_giant_component_of_a_long_path_with_shuffled_handles(seed):
+    # Handles are shuffled along a 1e4-node path, so hooking takes many
+    # rounds and leaves long pointer chains to jump.
+    n = 10_000
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    edges = list(zip(perm, perm[1:]))
+    ds = tc.build_dataset([], [(f"u{a:05d}", f"u{b:05d}") for a, b in edges])
+    assert tc.giant_component(ds) == giant_component_reference(n, edges) == set(range(n))
 
 
 def test_density_hand_values():
