@@ -78,6 +78,47 @@ def test_read_on_bad_drop_counts(tmp_path):
         read_adoptions(path, on_bad="raise")
 
 
+# (reader, file text, rows and dropped count under on_bad="drop", line of the
+# first bad row under on_bad="raise" or None). A blank line is skipped, not
+# counted, but it still takes a line number.
+_A, _F, _FT = ("user_id,tag_id,timestamp\n", "src_id,dst_id\n", "src_id,dst_id,since\n")
+_READER_CASES = [
+    (read_follows, _F + "a,b\nc,d\n", [("a", "b"), ("c", "d")], 0, None),
+    (read_follows, _FT + "a,b,5\nc,d,\n", [("a", "b", 5), ("c", "d", None)], 0, None),
+    (read_adoptions, _A + "a,x,1\na,x\na,x,2,3\n", [("a", "x", 1)], 2, 3),
+    (read_follows, _F + "a\na,b\na,b,1\n", [("a", "b")], 2, 2),
+    (read_follows, _FT + "a,b,1\na,b\na,b,1,2\n", [("a", "b", 1)], 2, 3),
+    (read_follows, _FT + "a,b,soon\nc,d,7\n", [("c", "d", 7)], 1, 2),
+    (read_adoptions, _A + "a,x,\nb,y,4\n", [("b", "y", 4)], 1, 2),
+    (read_follows, _FT + "a,b,\n", [("a", "b", None)], 0, None),
+    (read_adoptions, _A + "\na,x,1\n\n\nb,y\n", [("a", "x", 1)], 1, 6),
+    (read_follows, _FT + "\n\na,b,1\n\nc,d,x\n", [("a", "b", 1)], 1, 6),
+]
+
+
+@pytest.mark.parametrize("reader,text,rows,dropped,bad_line", _READER_CASES)
+def test_readers_drop_and_raise_table(tmp_path, reader, text, rows, dropped, bad_line):
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    assert reader(path, on_bad="drop") == (rows, dropped)
+    if bad_line is None:
+        assert reader(path, on_bad="raise") == (rows, 0)
+    else:
+        with pytest.raises(MalformedRowError, match=rf"^line {bad_line}: "):
+            reader(path, on_bad="raise")
+
+
+def test_follows_header_mismatch_message(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("user_id,tag_id,timestamp\na,x,1\n")
+    expected = ("line 1: expected header ['src_id', 'dst_id'] or "
+                "['src_id', 'dst_id', 'since'], got ['user_id', 'tag_id', 'timestamp']")
+    for on_bad in ("drop", "raise"):
+        with pytest.raises(MalformedRowError) as info:
+            read_follows(path, on_bad=on_bad)
+        assert str(info.value) == expected
+
+
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         read_adoptions(tmp_path / "absent.csv")
