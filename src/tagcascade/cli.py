@@ -10,7 +10,6 @@ runs are comparable byte-for-byte. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -55,6 +54,7 @@ from .textio import (
     parse_duration_ms,
     read_adoptions,
     read_follows,
+    read_json_object,
     write_adoptions_csv,
     write_follows_csv,
     write_tsv,
@@ -242,32 +242,25 @@ def stage_correlate(o) -> dict:
             "bins": len(report.bins)}
 
 
-def _load_json_config(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from None
-    except ValueError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must be a JSON object, got {type(cfg).__name__}")
-    return cfg
+def _json_is(value, kind) -> bool:
+    """Whether JSON already gives `value` the type `kind`. A bool is never a
+    number: an int is an integer that is not a bool, a float an integer or
+    float that is not a bool, a bool true or false, a str a string."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _cfg_value(cfg: dict, key: str, context: str, kind=None, default=None):
-    """cfg[key], taken only when JSON already gives it type `kind`, as in
-    `_coerce`: an int key takes an integer that is not a bool, a float key
-    an integer or float that is not a bool (returned as a float), a bool key
-    true or false, a str key a string. A missing key takes `default`; it is
-    a usage error when there is none, as is a value of another type."""
+    """cfg[key], taken only when `_json_is(value, kind)`; a float key comes
+    back as a float. A missing key takes `default`; it is a usage error when
+    there is none, as is a value of another type."""
     value = cfg.get(key, default)
     if value is None:
         raise UsageError(f"{context} needs a {key!r} entry")
     if kind is None:
         return value
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+    if not _json_is(value, kind):
         raise UsageError(f"{context}: {key} must be {kind.__name__}, got {value!r}")
     try:
         return kind(value)
@@ -339,7 +332,7 @@ def _resolve_seed_users(seeds_cfg: dict, source_ds) -> tuple | None:
 def _seed_node(user) -> int:
     """The node id of a seed user given as a JSON integer (not a bool) or as
     a simulated label: u followed by ASCII digits."""
-    if isinstance(user, int) and not isinstance(user, bool):
+    if _json_is(user, int):
         return user
     if isinstance(user, str):
         try:
@@ -351,7 +344,7 @@ def _seed_node(user) -> int:
 
 def stage_simulate(o) -> dict:
     """`o.config` is a config file path, or (in a pipeline) the config itself."""
-    sim_cfg = o.config if isinstance(o.config, dict) else _load_json_config(o.config)
+    sim_cfg = o.config if isinstance(o.config, dict) else read_json_object(o.config, UsageError)
     o.model = o.model or sim_cfg.get("model")
     if o.model is None:
         raise UsageError("no model given (use --model or put \"model\" in the config)")
@@ -408,15 +401,7 @@ def stage_simulate(o) -> dict:
 
 
 def _read_manifest(run_dir: Path) -> dict:
-    try:
-        with open(run_dir / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"{run_dir}: cannot read manifest.json: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{run_dir}: manifest.json is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{run_dir}: manifest.json must be a JSON object")
+    manifest = read_json_object(run_dir / "manifest.json", DataError)
     missing = [key for key in ("files", "theta", "n_users", "seed_users") if key not in manifest]
     if missing:
         raise DataError(f"{run_dir}: manifest.json has no {', '.join(missing)}")
@@ -425,8 +410,8 @@ def _read_manifest(run_dir: Path) -> dict:
         "files": isinstance(files, dict)
         and all(isinstance(files.get(key), str) for key in ("adoptions", "follows")),
         "theta": theta is None
-        or (isinstance(theta, list) and all(isinstance(v, (int, float)) for v in theta)),
-        "n_users": isinstance(manifest["n_users"], int),
+        or (isinstance(theta, list) and all(_json_is(v, float) for v in theta)),
+        "n_users": _json_is(manifest["n_users"], int),
         "seed_users": isinstance(manifest["seed_users"], list),
     }
     bad = [key for key, ok in well_formed.items() if not ok]
@@ -635,7 +620,7 @@ def _coerce(opt: Opt, value, where: str):
     option's type: str(), bool() and int() would turn a list into a path,
     "false" into True and 2.7 into 2."""
     kind = opt.type or str
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not _json_is(value, kind):
         raise UsageError(f"{where}: {opt.dest} must be {kind.__name__}, got {value!r}")
     if opt.choices is not None and value not in opt.choices:
         raise UsageError(f"{where}: {opt.dest} must be one of {opt.choices}, got {value!r}")
@@ -699,7 +684,7 @@ def _plan_stage(entry, out_dir: Path, seed: int, flow: dict):
 
 def _run_pipeline(args) -> dict:
     started = time.monotonic()
-    cfg = _load_json_config(args.config)
+    cfg = read_json_object(args.config, UsageError)
     stages = cfg.get("stages")
     if not isinstance(stages, list) or not stages:
         raise UsageError("pipeline config must name at least one stage")
@@ -767,6 +752,8 @@ def main(argv=None) -> int:
             report = _run_pipeline(args)
         else:
             report = _run_command(args.command, args)
+        # the --report file is written first, so a failed write prints no report
+        text = dump_json(report, getattr(args, "report", None) or None)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except UsageError as exc:
@@ -782,12 +769,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    text = dump_json(report)
     sys.stdout.write(text)
-    report_path = getattr(args, "report", None)
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return EXIT_OK
 
 

@@ -31,27 +31,31 @@ def parse_timestamp(value, unit: str = "ms") -> int:
 
     Accepts integers (interpreted per `unit`, default milliseconds),
     numeric strings, and ISO-8601 strings (naive values are taken as UTC).
+    A value whose milliseconds fall outside int64 raises ValueError.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a timestamp: {value!r}")
     if isinstance(value, (int, np.integer)):
-        return int(value) * _MS_PER_UNIT[unit]
-    if isinstance(value, str):
+        ms = int(value) * _MS_PER_UNIT[unit]
+    elif isinstance(value, str):
         text = value.strip()
         try:
-            return int(text) * _MS_PER_UNIT[unit]
+            ms = int(text) * _MS_PER_UNIT[unit]
         except ValueError:
-            pass
-        if text.endswith(("Z", "z")):
-            text = text[:-1] + "+00:00"
-        try:
-            dt = datetime.fromisoformat(text)
-        except ValueError:
-            raise ValueError(f"unparsable timestamp: {value!r}") from None
-        if dt.tzinfo is None:
-            dt = dt.replace(tzinfo=timezone.utc)
-        return int(round(dt.timestamp() * 1000))
-    raise ValueError(f"not a timestamp: {value!r}")
+            if text.endswith(("Z", "z")):
+                text = text[:-1] + "+00:00"
+            try:
+                dt = datetime.fromisoformat(text)
+            except ValueError:
+                raise ValueError(f"unparsable timestamp: {value!r}") from None
+            if dt.tzinfo is None:
+                dt = dt.replace(tzinfo=timezone.utc)
+            ms = int(round(dt.timestamp() * 1000))
+    else:
+        raise ValueError(f"not a timestamp: {value!r}")
+    if not -2**63 <= ms < 2**63:
+        raise ValueError(f"timestamp outside signed 64-bit milliseconds: {value!r}")
+    return ms
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
-"""Text-format plumbing: CSV event logs, TSV series, JSON reports.
+"""Text-format plumbing: CSV event logs, TSV series, JSON configs,
+manifests and reports. Every text file the package reads or writes is
+opened here; each format has one reader and one writer.
 
 TSV and JSON emission is canonical (fixed column order, sorted keys,
 shortest-round-trip floats), so byte-identical inputs and seeds produce
@@ -45,36 +47,47 @@ def parse_duration_ms(text) -> int:
     return value
 
 
+def _read_log(path, headers, time_unit, on_bad):
+    """(rows, dropped) of a CSV log whose header is one of `headers`. The
+    header sets the row width. A third field is a timestamp; under the
+    follows `since` header it may be empty, which gives None."""
+    rows = []
+    dropped = 0
+    with _open_input(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in headers:
+            expected = " or ".join(map(str, headers))
+            raise MalformedRowError(1, f"expected header {expected}, got {header}")
+        width = len(header)
+        may_be_empty = header == FOLLOWS_HEADER_TIMED
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                if width == 2:
+                    rows.append((row[0], row[1]))
+                elif may_be_empty and row[2] == "":
+                    rows.append((row[0], row[1], None))
+                else:
+                    rows.append((row[0], row[1], parse_timestamp(row[2], unit=time_unit)))
+            except ValueError as exc:
+                if on_bad == "drop":
+                    dropped += 1
+                    continue
+                raise MalformedRowError(lineno, str(exc)) from None
+    return rows, dropped
+
+
 def read_adoptions(path, *, time_unit: str = "ms", on_bad: str = "raise"):
     """Parse an adoptions CSV into (rows, dropped_count).
 
     Rows come back as (user, tag, time_ms). With on_bad='drop', malformed
     rows are counted instead of raising.
     """
-    rows = []
-    dropped = 0
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ADOPTIONS_HEADER:
-            raise MalformedRowError(1, f"expected header {ADOPTIONS_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                if on_bad == "drop":
-                    dropped += 1
-                    continue
-                raise MalformedRowError(lineno, f"expected 3 fields, got {len(row)}")
-            try:
-                t = parse_timestamp(row[2], unit=time_unit)
-            except ValueError as exc:
-                if on_bad == "drop":
-                    dropped += 1
-                    continue
-                raise MalformedRowError(lineno, str(exc)) from None
-            rows.append((row[0], row[1], t))
-    return rows, dropped
+    return _read_log(path, (ADOPTIONS_HEADER,), time_unit, on_bad)
 
 
 def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
@@ -82,50 +95,21 @@ def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
 
     Rows come back as (src, dst) or (src, dst, since_ms or None).
     """
-    rows = []
-    dropped = 0
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED):
-            raise MalformedRowError(
-                1, f"expected header {FOLLOWS_HEADER} or {FOLLOWS_HEADER_TIMED}, got {header}"
-            )
-        timed = header == FOLLOWS_HEADER_TIMED
-        want = 3 if timed else 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != want:
-                if on_bad == "drop":
-                    dropped += 1
-                    continue
-                raise MalformedRowError(lineno, f"expected {want} fields, got {len(row)}")
-            if timed:
-                since = None
-                if row[2] != "":
-                    try:
-                        since = parse_timestamp(row[2], unit=time_unit)
-                    except ValueError as exc:
-                        if on_bad == "drop":
-                            dropped += 1
-                            continue
-                        raise MalformedRowError(lineno, str(exc)) from None
-                rows.append((row[0], row[1], since))
-            else:
-                rows.append((row[0], row[1]))
-    return rows, dropped
+    return _read_log(path, (FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED), time_unit, on_bad)
+
+
+def _write_log(path, header, rows: list) -> int:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return len(rows)
 
 
 def write_adoptions_csv(path, rows) -> int:
     """Write (user, tag, time_ms) rows in the ingestion format; returns the
     row count."""
-    rows = list(rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ADOPTIONS_HEADER)
-        writer.writerows(rows)
-    return len(rows)
+    return _write_log(path, ADOPTIONS_HEADER, list(rows))
 
 
 def write_follows_csv(path, rows) -> int:
@@ -137,11 +121,7 @@ def write_follows_csv(path, rows) -> int:
     if timed:
         # csv.writer writes None as an empty field
         rows = [r if len(r) == 3 else (r[0], r[1], None) for r in rows]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER)
-        writer.writerows(rows)
-    return len(rows)
+    return _write_log(path, FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER, rows)
 
 
 def format_cell(value) -> str:
@@ -171,6 +151,20 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
+    return obj
+
+
+def read_json_object(path, invalid) -> dict:
+    """The JSON object in `path`. A file that cannot be read raises
+    DataError; text that is not JSON, or JSON that is not an object, raises
+    `invalid`."""
+    with _open_input(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise invalid(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise invalid(f"{path} must be a JSON object, got {type(obj).__name__}")
     return obj
 
 

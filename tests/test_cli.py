@@ -87,6 +87,39 @@ def test_ingest_strict_fails_on_bad_row(tmp_path, capsys):
     assert code == 2
 
 
+def _int64_overflow_inputs(tmp_path):
+    """Logs whose third row holds a time outside int64 milliseconds under
+    --time-unit s, plus a clean log of each kind."""
+    logs = {
+        "bad_a": "user_id,tag_id,timestamp\nalice,x,1\nbob,x,99999999999999999999\n",
+        "bad_f": "src_id,dst_id,since\nalice,bob,1\nbob,alice,9223372036854776\n",
+        "ok_a": "user_id,tag_id,timestamp\nalice,x,1\n",
+        "ok_f": "src_id,dst_id\n",
+    }
+    for name, text in logs.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    return {name: str(tmp_path / f"{name}.csv") for name in logs}
+
+
+def test_ingest_drops_timestamp_outside_int64(tmp_path, capsys):
+    logs = _int64_overflow_inputs(tmp_path)
+    code, report = _run(capsys, "ingest", logs["bad_a"], logs["bad_f"],
+                        "--out", str(tmp_path / "x.cscd"), "--time-unit", "s")
+    assert code == 0
+    assert report["result"]["dropped_adoption_rows"] == 1
+    assert report["result"]["dropped_follow_rows"] == 1
+
+
+def test_ingest_strict_timestamp_outside_int64_names_line(tmp_path, capsys):
+    logs = _int64_overflow_inputs(tmp_path)
+    for adoptions, follows in ((logs["bad_a"], logs["ok_f"]), (logs["ok_a"], logs["bad_f"])):
+        code = main(["ingest", adoptions, follows, "--out", str(tmp_path / "y.cscd"),
+                     "--strict", "--time-unit", "s"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: line 3:"), err
+
+
 def test_ingest_refuses_overwrite_without_force(tmp_path, capsys, snapshot):
     adoptions, follows = _write_inputs(tmp_path)
     code, _ = _run(capsys, "ingest", str(adoptions), str(follows), "--out", str(snapshot))
@@ -278,6 +311,8 @@ def test_recover_zero_violations(tmp_path, capsys):
     ("short-theta", "theta"),
     ("files-list", "files"),
     ("label", "alice"),
+    ("n_users-bool", "n_users"),
+    ("theta-bool", "theta"),
 ])
 def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, named):
     cfg = _sim_config(tmp_path)
@@ -299,6 +334,10 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
             manifest["theta"] = manifest["theta"][:10]
         elif damage == "files-list":
             manifest["files"]["adoptions"] = [manifest["files"]["adoptions"]]
+        elif damage == "n_users-bool":
+            manifest["n_users"] = True
+        elif damage == "theta-bool":
+            manifest["theta"][0] = True
         else:
             del manifest[damage]
         manifest_path.write_text(json.dumps(manifest))
@@ -543,6 +582,15 @@ def test_internal_error_exits_three(snapshot, capsys, monkeypatch):
     code = main(["stats", str(snapshot)])
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_unwritable_report_exits_three(snapshot, tmp_path, capsys):
+    code = main(["stats", str(snapshot), "--report", str(tmp_path / "missing" / "r.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: FileNotFoundError")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
 
 
 def test_ingest_reverse_and_mutual_flags(tmp_path, capsys):

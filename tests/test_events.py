@@ -140,6 +140,15 @@ def test_mutual_edges_adds_both_directions():
 def test_malformed_adoption_row_reports_row_number():
     with pytest.raises(MalformedRowError, match="line 2"):
         tc.build_dataset([("a", "x", 1), ("a", "x", "not-a-time")], [])
+    # timestamps whose milliseconds do not fit int64
+    for when, unit in (("99999999999999999999", "ms"), (2**63, "ms"), (-2**63 - 1, "ms"),
+                       (2**63 // 1000 + 1, "s"), ("-9223372036854776", "s")):
+        with pytest.raises(MalformedRowError, match="line 2"):
+            tc.build_dataset([("a", "x", 1), ("a", "x", when)], [], time_unit=unit)
+        with pytest.raises(MalformedRowError, match="line 2"):
+            tc.build_dataset([], [("a", "b", 1), ("a", "c", when)], time_unit=unit)
+    ds = tc.build_dataset([("a", "x", 2**63 - 1), ("b", "x", -2**63)], [])
+    assert ds.event_time.tolist() == [-2**63, 2**63 - 1]
 
 
 def test_handles_are_label_lexicographic_bijection():

@@ -76,6 +76,18 @@ def test_read_on_bad_drop_counts(tmp_path):
     assert dropped == 2
     with pytest.raises(MalformedRowError, match="line 3"):
         read_adoptions(path, on_bad="raise")
+    # timestamps whose milliseconds do not fit int64 are malformed rows too
+    path.write_text("user_id,tag_id,timestamp\na,x,1\nb,y,99999999999999999999\n"
+                    "c,z,-9223372036854775809\nd,w,9223372036854775807\n")
+    rows, dropped = read_adoptions(path, on_bad="drop")
+    assert rows == [("a", "x", 1), ("d", "w", 2**63 - 1)] and dropped == 2
+    with pytest.raises(MalformedRowError, match="line 3"):
+        read_adoptions(path, on_bad="raise")
+    path.write_text("src_id,dst_id,since\na,b,1\nc,d,9223372036854776\ne,f,\n")
+    rows, dropped = read_follows(path, time_unit="s", on_bad="drop")
+    assert rows == [("a", "b", 1000), ("e", "f", None)] and dropped == 1
+    with pytest.raises(MalformedRowError, match="line 3"):
+        read_follows(path, time_unit="s", on_bad="raise")
 
 
 # (reader, file text, rows and dropped count under on_bad="drop", line of the
