@@ -33,11 +33,7 @@ def parse_timestamp(value, unit: str = "ms") -> int:
     numeric strings, and ISO-8601 strings (naive values are taken as UTC).
     A value whose milliseconds fall outside int64 raises ValueError.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"not a timestamp: {value!r}")
-    if isinstance(value, (int, np.integer)):
-        ms = int(value) * _MS_PER_UNIT[unit]
-    elif isinstance(value, str):
+    if isinstance(value, str):  # tested first: CSV readers pass strings
         text = value.strip()
         try:
             ms = int(text) * _MS_PER_UNIT[unit]
@@ -51,6 +47,8 @@ def parse_timestamp(value, unit: str = "ms") -> int:
             if dt.tzinfo is None:
                 dt = dt.replace(tzinfo=timezone.utc)
             ms = int(round(dt.timestamp() * 1000))
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        ms = int(value) * _MS_PER_UNIT[unit]
     else:
         raise ValueError(f"not a timestamp: {value!r}")
     if not -2**63 <= ms < 2**63:

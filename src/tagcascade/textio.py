@@ -72,7 +72,7 @@ def _read_log(path, headers, time_unit, on_bad):
                 elif may_be_empty and row[2] == "":
                     rows.append((row[0], row[1], None))
                 else:
-                    rows.append((row[0], row[1], parse_timestamp(row[2], unit=time_unit)))
+                    rows.append((row[0], row[1], parse_timestamp(row[2], time_unit)))
             except ValueError as exc:
                 if on_bad == "drop":
                     dropped += 1
