@@ -5,8 +5,9 @@ the exposure oracle rescans raw event rows per first usage, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
 on the survival function, the cutoff scan fits one candidate at a
 time with scipy's scalar brentq, the preferential-attachment generator
-draws each pick with its own `Generator.integers` call, and the giant
-component comes from a union-find that merges one edge at a time. Tests
+draws each pick with its own `Generator.integers` call, the giant
+component comes from a union-find that merges one edge at a time, and the
+diffusion models walk adopters and edges one Python step at a time. Tests
 compare library output against these, never the other way round.
 """
 
@@ -299,3 +300,73 @@ def giant_component_reference(n: int, edges) -> set:
     best = max(sizes.values())
     winner = min(r for r, size in sizes.items() if size == best)
     return {u for u in range(n) if roots[u] == winner}
+
+
+# ---------------------------------------------------------------------------
+# diffusion models, one adopter and one edge at a time
+# ---------------------------------------------------------------------------
+
+def simulate_reference(cfg):
+    """(adopt_step, step_counts, theta) of the run `cfg` describes, with the
+    same draws as `tagcascade.simulate.run_model` (theta, then seeds, then
+    edge uniforms). Active-alter counts go up by one per observer of each
+    adopter; a cascade step tries every edge of every frontier member."""
+    graph = cfg.graph
+    n = graph.n
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    theta = None if cfg.model == "cascade" else cfg.params.thresholds.draw(n, rng)
+    if cfg.seed_users is not None:
+        seeds = sorted(set(int(u) for u in cfg.seed_users))
+    else:
+        seeds = sorted(rng.choice(n, size=cfg.n_seeds, replace=False).tolist())
+    observers = [[] for _ in range(n)]  # (observer, forward edge slot) per observed node
+    for slot, (src, dst) in enumerate(graph.edge_list().tolist()):
+        observers[dst].append((src, slot))
+
+    adopt_step = np.full(n, -1, dtype=np.int64)
+    adopt_step[seeds] = 0
+    step_counts = [len(seeds)]
+    if cfg.model == "cascade":
+        edge_u = rng.random(graph.n_edges)
+        frontier = seeds
+        step = 0
+        while frontier and step < cfg.max_steps:
+            step += 1
+            newly = []
+            for a in frontier:
+                for v, slot in observers[a]:
+                    if adopt_step[v] < 0 and edge_u[slot] < cfg.params.p:
+                        adopt_step[v] = step
+                        newly.append(v)
+            frontier = newly
+            if frontier:
+                step_counts.append(len(frontier))
+        return adopt_step, np.asarray(step_counts, dtype=np.int64), theta
+
+    lag = cfg.params.lag if cfg.model == "learning" else 0
+    outdeg = graph.out_degrees().astype(np.int64)
+    can_adopt = outdeg > 0
+    active_count = np.zeros(n, dtype=np.int64)
+    for s in seeds:
+        for v, _ in observers[s]:
+            active_count[v] += 1
+    exposure = np.zeros(n, dtype=np.float64)
+    streak = np.zeros(n, dtype=np.int64)
+    for step in range(1, cfg.max_steps + 1):
+        open_mask = (adopt_step < 0) & can_adopt
+        np.divide(active_count, outdeg, out=exposure, where=can_adopt)
+        satisfied = open_mask & (exposure >= theta)
+        streak[satisfied] += 1
+        streak[open_mask & ~satisfied] = 0
+        newly = np.flatnonzero(satisfied & (streak >= lag + 1))
+        if newly.shape[0] == 0:
+            if not np.any(satisfied):
+                break
+            step_counts.append(0)
+            continue
+        adopt_step[newly] = step
+        step_counts.append(int(newly.shape[0]))
+        for u in newly:
+            for v, _ in observers[u]:
+                active_count[v] += 1
+    return adopt_step, np.asarray(step_counts, dtype=np.int64), theta

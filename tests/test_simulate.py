@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagcascade as tc
 from tagcascade.errors import UnsupportedModelError, UsageError
@@ -18,11 +20,12 @@ from tagcascade.simulate import (
     preferential_attachment,
     recover_thresholds,
     run_independent_cascade,
+    run_model,
     run_social_learning,
     run_threshold_model,
 )
 
-from oracles import preferential_attachment_reference
+from oracles import preferential_attachment_reference, simulate_reference
 
 
 def _cycle_graph():
@@ -309,6 +312,59 @@ def test_learning_lag_beyond_max_steps_keeps_seeds():
     )
     run = run_social_learning(cfg)
     assert set(np.flatnonzero(run.adopt_step >= 0)) == {5}
+
+
+# ---------------------------------------------------------------------------
+# all three models against the per-adopter, per-edge reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _graphs(draw):
+    """Deduplicated graphs without self-loops: ER, PA, or an edge set in
+    which some users observe nobody."""
+    kind = draw(st.sampled_from(["er", "pa", "edges"]))
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "er":
+        return erdos_renyi(n, draw(st.floats(0.0, min(6.0, n - 1))), seed)
+    if kind == "pa":
+        return preferential_attachment(n, draw(st.integers(1, min(4, n - 1))), seed)
+    observers = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    pairs = {(a, draw(st.integers(0, n - 1))) for a in observers for _ in range(3)}
+    edges = sorted((a, b) for a, b in pairs if a != b)
+    return build_follower_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n)
+
+
+_SPECS = st.one_of(
+    st.builds(lambda c: ThresholdSpec("constant", (c,)), st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])),
+    st.builds(lambda a, w: ThresholdSpec("uniform", (a, a + w)),
+              st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_graphs(), model=st.sampled_from(["threshold", "cascade", "learning"]),
+       spec=_SPECS, lag=st.integers(0, 3), p=st.floats(0.0, 1.0),
+       max_steps=st.integers(1, 6), seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_models_equal_reference(graph, model, spec, lag, p, max_steps, seed, data):
+    params = {"threshold": ThresholdParams(spec), "cascade": CascadeParams(p),
+              "learning": LearningParams(spec, lag)}[model]
+    if data.draw(st.booleans(), label="explicit seeds"):
+        seeds = {"seed_users": tuple(data.draw(
+            st.lists(st.integers(0, graph.n - 1), min_size=1, max_size=5), label="seed_users"))}
+    else:
+        seeds = {"n_seeds": data.draw(st.integers(1, min(5, graph.n)), label="n_seeds")}
+    cfg = SimConfig(graph=graph, model=model, params=params, max_steps=max_steps, seed=seed,
+                    **seeds)
+    run = run_model(cfg)
+    adopt_step, step_counts, theta = simulate_reference(cfg)
+    np.testing.assert_array_equal(run.adopt_step, adopt_step)
+    np.testing.assert_array_equal(run.step_counts, step_counts)
+    assert run.step_counts.dtype == step_counts.dtype
+    if theta is None:
+        assert run.theta is None
+    else:
+        assert run.theta.tobytes() == theta.tobytes()
 
 
 # ---------------------------------------------------------------------------
