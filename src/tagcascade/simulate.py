@@ -1,9 +1,13 @@
 """Executable diffusion mechanisms over a follower graph.
 
-Three models share one synchronous-update skeleton: a fractional-threshold
-rule, an independent cascade driven by pre-drawn per-edge uniforms (so runs
-at different transmission probabilities are coupled), and a social-learning
-variant that demands the threshold hold for a lag of consecutive steps.
+Three models are rules inside one activation loop, `_spread` (as in Kempe,
+Kleinberg & Tardos, KDD 2003): each step, the users who adopted last step
+are shown to their observers as one array, and the rule picks who adopts.
+A fractional-threshold rule counts them as active alters, a social-learning
+variant also demands the threshold hold for a lag of consecutive steps, and
+an independent cascade keeps observers whose pre-drawn per-edge uniform is
+below p (so runs at different transmission probabilities are coupled).
+The graph must hold no duplicate edge, as `build_follower_graph` requires.
 Every run is deterministic given its config, including the 64-bit seed.
 
 Step semantics: adoption at step k is triggered by the adoption state at
@@ -21,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, UnsupportedModelError, UsageError
-from .events import Dataset, FollowerGraph, _csr_indptr, build_dataset, build_follower_graph
+from .events import (Dataset, FollowerGraph, _csr_indptr, _csr_sources, build_dataset,
+                     build_follower_graph)
 from .exposure import all_exposures
 from .stats import spearman_rho
 
@@ -289,19 +294,46 @@ class SimRun:
 
 def _init_run(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     if cfg.seed_users is not None:
-        seeds = np.array(sorted(set(int(u) for u in cfg.seed_users)), dtype=np.int64)
-    else:
-        seeds = np.sort(rng.choice(cfg.graph.n, size=cfg.n_seeds, replace=False))
-    return seeds
+        return np.array(sorted(set(int(u) for u in cfg.seed_users)), dtype=np.int64)
+    return np.sort(rng.choice(cfg.graph.n, size=cfg.n_seeds, replace=False))
 
 
 def _observer_csr(graph: FollowerGraph):
     """Reverse adjacency: for each node, who observes it, with the forward
     edge slot of each (observer -> node) edge kept for per-edge uniforms."""
-    n = graph.n
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     order = np.argsort(graph.dst, kind="stable")
-    return _csr_indptr(graph.dst, n), src[order], order  # observers grouped by observed node
+    return _csr_indptr(graph.dst, graph.n), _csr_sources(graph.indptr, graph.n)[order], order
+
+
+def _csr_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in a CSR's column array of every entry of `rows`, row by row."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _spread(cfg: SimConfig, seeds: np.ndarray, rule, **planted) -> SimRun:
+    """The activation process all three models share: the seeds adopt at
+    step 0, and at each step k the observers of the users who adopted at
+    step k-1 are handed, one entry per edge, to
+    `rule(observers, edge_slots, adopt_step)`. The rule returns the users
+    who adopt at step k, or None at a fixed point."""
+    graph = cfg.graph
+    obs_indptr, obs_src, obs_eid = _observer_csr(graph)
+    adopt_step = np.full(graph.n, -1, dtype=np.int64)
+    adopt_step[seeds] = 0
+    step_counts = [int(seeds.shape[0])]
+    newly = seeds
+    for step in range(1, cfg.max_steps + 1):
+        slots = _csr_slots(obs_indptr, newly)
+        newly = rule(obs_src[slots], obs_eid[slots], adopt_step)
+        if newly is None:
+            break
+        adopt_step[newly] = step
+        step_counts.append(int(newly.shape[0]))
+    return SimRun(graph=graph, seed_users=seeds, adopt_step=adopt_step,
+                  step_counts=np.asarray(step_counts, dtype=np.int64), config_seed=cfg.seed,
+                  max_steps=cfg.max_steps, **planted)
 
 
 def run_threshold_model(cfg: SimConfig) -> SimRun:
@@ -326,58 +358,30 @@ def run_social_learning(cfg: SimConfig) -> SimRun:
 
 
 def _run_fractional(cfg: SimConfig, spec: ThresholdSpec, lag: int) -> SimRun:
-    graph = cfg.graph
-    n = graph.n
+    n = cfg.graph.n
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     theta = spec.draw(n, rng)
     seeds = _init_run(cfg, rng)
-
-    outdeg = graph.out_degrees().astype(np.int64)
-    obs_indptr, obs_src, _ = _observer_csr(graph)
-
-    adopt_step = np.full(n, -1, dtype=np.int64)
-    adopt_step[seeds] = 0
-    active_count = np.zeros(n, dtype=np.int64)
-    for s in seeds:
-        obs = obs_src[obs_indptr[s]:obs_indptr[s + 1]]
-        active_count[obs] += 1
-
+    outdeg = cfg.graph.out_degrees()
     can_adopt = outdeg > 0
-    exposure = np.zeros(n, dtype=np.float64)
+    active_count = np.zeros(n, dtype=np.int64)
     streak = np.zeros(n, dtype=np.int64)
-    step_counts = [int(seeds.shape[0])]
 
-    for step in range(1, cfg.max_steps + 1):
-        open_mask = (adopt_step < 0) & can_adopt
-        np.divide(active_count, outdeg, out=exposure, where=can_adopt)
-        satisfied = open_mask & (exposure >= theta)
-        streak[satisfied] += 1
-        streak[open_mask & ~satisfied] = 0
-        newly = np.flatnonzero(satisfied & (streak >= lag + 1))
-        if newly.shape[0] == 0:
-            # Fixed point only once no streak can still mature.
-            if not np.any(satisfied):
-                break
-            step_counts.append(0)
-            continue
-        adopt_step[newly] = step
-        step_counts.append(int(newly.shape[0]))
-        for v in newly:
-            obs = obs_src[obs_indptr[v]:obs_indptr[v + 1]]
-            active_count[obs] += 1
+    def rule(observers, _edge_slots, adopt_step):
+        """Counts one active alter per edge: one per observer, because the
+        graph holds no duplicate edge (build_follower_graph requires that,
+        and build_dataset and both generators meet it)."""
+        nonlocal active_count, streak
+        active_count += np.bincount(observers, minlength=n)
+        exposure = np.divide(active_count, outdeg, out=np.zeros(n), where=can_adopt)
+        satisfied = (adopt_step < 0) & can_adopt & (exposure >= theta)
+        if not satisfied.any():
+            return None  # a fixed point only once no streak can still mature
+        streak = np.where(satisfied, streak + 1, 0)
+        return np.flatnonzero(streak > lag)
 
-    return SimRun(
-        model=cfg.model,
-        graph=graph,
-        seed_users=seeds,
-        adopt_step=adopt_step,
-        theta=theta,
-        edge_prob=None,
-        lag=lag if cfg.model == "learning" else None,
-        step_counts=np.asarray(step_counts, dtype=np.int64),
-        config_seed=cfg.seed,
-        max_steps=cfg.max_steps,
-    )
+    return _spread(cfg, seeds, rule, model=cfg.model, theta=theta, edge_prob=None,
+                   lag=lag if cfg.model == "learning" else None)
 
 
 def run_independent_cascade(cfg: SimConfig) -> SimRun:
@@ -389,46 +393,16 @@ def run_independent_cascade(cfg: SimConfig) -> SimRun:
     """
     if not isinstance(cfg.params, CascadeParams):
         raise UsageError("run_independent_cascade needs CascadeParams")
-    graph = cfg.graph
-    n = graph.n
     p = cfg.params.p
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     seeds = _init_run(cfg, rng)
-    edge_u = rng.random(graph.n_edges)
+    edge_u = rng.random(cfg.graph.n_edges)
 
-    obs_indptr, obs_src, obs_eid = _observer_csr(graph)
+    def rule(observers, edge_slots, adopt_step):
+        hit = observers[(edge_u[edge_slots] < p) & (adopt_step[observers] < 0)]
+        return np.unique(hit) if hit.shape[0] else None
 
-    adopt_step = np.full(n, -1, dtype=np.int64)
-    adopt_step[seeds] = 0
-    frontier = seeds
-    step_counts = [int(seeds.shape[0])]
-    step = 0
-    while frontier.shape[0] and step < cfg.max_steps:
-        step += 1
-        newly = []
-        for a in frontier:
-            lo, hi = obs_indptr[a], obs_indptr[a + 1]
-            for k in range(lo, hi):
-                v = obs_src[k]
-                if adopt_step[v] < 0 and edge_u[obs_eid[k]] < p:
-                    adopt_step[v] = step
-                    newly.append(v)
-        frontier = np.asarray(newly, dtype=np.int64)
-        if frontier.shape[0]:
-            step_counts.append(int(frontier.shape[0]))
-
-    return SimRun(
-        model="cascade",
-        graph=graph,
-        seed_users=seeds,
-        adopt_step=adopt_step,
-        theta=None,
-        edge_prob=p,
-        lag=None,
-        step_counts=np.asarray(step_counts, dtype=np.int64),
-        config_seed=cfg.seed,
-        max_steps=cfg.max_steps,
-    )
+    return _spread(cfg, seeds, rule, model="cascade", theta=None, edge_prob=p, lag=None)
 
 
 def run_model(cfg: SimConfig) -> SimRun:
