@@ -50,7 +50,9 @@ def parse_duration_ms(text) -> int:
 def _read_log(path, headers, time_unit, on_bad):
     """(rows, dropped) of a CSV log whose header is one of `headers`. The
     header sets the row width. A third field is a timestamp; under the
-    follows `since` header it may be empty, which gives None."""
+    follows `since` header it may be empty, which gives None. An error names
+    the physical line a bad row ends on, counting line breaks inside quoted
+    fields."""
     rows = []
     dropped = 0
     with _open_input(path) as fh:
@@ -61,7 +63,7 @@ def _read_log(path, headers, time_unit, on_bad):
             raise MalformedRowError(1, f"expected header {expected}, got {header}")
         width = len(header)
         may_be_empty = header == FOLLOWS_HEADER_TIMED
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             try:
@@ -77,7 +79,7 @@ def _read_log(path, headers, time_unit, on_bad):
                 if on_bad == "drop":
                     dropped += 1
                     continue
-                raise MalformedRowError(lineno, str(exc)) from None
+                raise MalformedRowError(reader.line_num, str(exc)) from None
     return rows, dropped
 
 

@@ -105,6 +105,8 @@ _READER_CASES = [
     (read_follows, _FT + "a,b,\n", [("a", "b", None)], 0, None),
     (read_adoptions, _A + "\na,x,1\n\n\nb,y\n", [("a", "x", 1)], 1, 6),
     (read_follows, _FT + "\n\na,b,1\n\nc,d,x\n", [("a", "b", 1)], 1, 6),
+    # a quoted line break: the bad row is on physical line 4, the third record
+    (read_adoptions, _A + '"a\nb",x,1\nc,x,notatime\n', [("a\nb", "x", 1)], 1, 4),
 ]
 
 
