@@ -353,6 +353,8 @@ def build_dataset(
             "self_loops_dropped": self_loops,
             "duplicate_edges_dropped": n_rows - graph.n_edges,
         },
+        _user_index=user_index,
+        _tag_index=tag_index,
     )
 
 
