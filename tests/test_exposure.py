@@ -342,3 +342,40 @@ def test_exposure_bounds_property(data):
     assert np.all(table.active_alters <= table.neighborhood_size)
     for t in tc.population_thresholds(ds, table=table):
         assert 0.0 <= t.beta <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_increasing_time_map_leaves_exposures_unchanged(data):
+    # Exposure, popularity and edge presence depend only on < and == between
+    # times, so any strictly increasing map of every event time and every
+    # `since` changes the time column and nothing else.
+    n_users = data.draw(st.integers(1, 8))
+    users = st.integers(0, n_users - 1).map("u{}".format)
+    times = st.integers(0, 15)  # a narrow range: plenty of ties
+    adoptions = data.draw(st.lists(st.tuples(users, st.sampled_from(["x", "y", "z"]), times),
+                                   max_size=50))
+    follows = data.draw(st.lists(
+        st.one_of(st.tuples(users, users), st.tuples(users, users, st.none() | times)),
+        max_size=40))
+    values = sorted({t for *_, t in adoptions} | {r[2] for r in follows if len(r) == 3} - {None})
+    start = data.draw(st.integers(-2**62, 2**62))
+    gaps = data.draw(st.lists(st.integers(1, 2**56), min_size=len(values), max_size=len(values)))
+    new = dict(zip(values, (start + sum(gaps[:i + 1]) for i in range(len(values)))))
+    mapped_adoptions = [(u, x, new[t]) for u, x, t in adoptions]
+    mapped_follows = [r if len(r) == 2 or r[2] is None else (r[0], r[1], new[r[2]])
+                      for r in follows]
+
+    ds = tc.build_dataset(adoptions, follows)
+    mapped = tc.build_dataset(mapped_adoptions, mapped_follows)
+    for ties in ("strict", "inclusive"):
+        for popularity in ("adopters", "usages"):
+            a = tc.all_exposures(ds, ties=ties, popularity=popularity)
+            b = tc.all_exposures(mapped, ties=ties, popularity=popularity)
+            np.testing.assert_array_equal(b.time, [new[t] for t in a.time.tolist()])
+            for column in ("user", "tag", "active_alters", "neighborhood_size", "exposure",
+                           "tag_popularity_at_adoption"):
+                x, y = getattr(a, column), getattr(b, column)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (ties, popularity, column)
+        betas = [(t.user, t.beta) for t in tc.population_thresholds(ds, ties=ties)]
+        assert [(t.user, t.beta) for t in tc.population_thresholds(mapped, ties=ties)] == betas
