@@ -11,14 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (
     MalformedRowError,
+    SnapshotFormatError,
     UndefinedDensityError,
     UnknownIdError,
 )
+
+if TYPE_CHECKING:
+    from .snapshot import PackedLabels
 
 # Sentinel `since` for edges that are present for all t (static graph).
 SINCE_ALWAYS = np.iinfo(np.int64).min
@@ -136,35 +142,48 @@ class Dataset:
 
     Events are sorted by (time, user, tag); `event_first` flags the earliest
     usage of each (user, tag) pair. All arrays are read-only after build.
+
+    `user_table` and `tag_table` hold the labels in handle order, either as a
+    tuple or, from a snapshot, as a `snapshot.PackedLabels` that `decode`s to
+    one. `user_labels`/`tag_labels` are those tuples, made on first access,
+    and the label -> handle dicts are built on the first `user_handle`/
+    `tag_handle` call, so a command that prints no label decodes none.
     """
 
-    user_labels: tuple
-    tag_labels: tuple
+    user_table: tuple | PackedLabels
+    tag_table: tuple | PackedLabels
     event_time: np.ndarray
     event_user: np.ndarray
     event_tag: np.ndarray
     event_first: np.ndarray
     graph: FollowerGraph
     warnings: dict = field(default_factory=dict)
-    _user_index: dict = field(repr=False, default_factory=dict)
-    _tag_index: dict = field(repr=False, default_factory=dict)
+    _user_index: dict | None = field(repr=False, default=None)
+    _tag_index: dict | None = field(repr=False, default=None)
 
     def __post_init__(self):
         for arr in (self.event_time, self.event_user, self.event_tag, self.event_first):
             arr.setflags(write=False)
-        if not self._user_index:
-            self._user_index.update({lab: i for i, lab in enumerate(self.user_labels)})
-            self._tag_index.update({lab: i for i, lab in enumerate(self.tag_labels)})
+
+    @cached_property
+    def user_labels(self) -> tuple:
+        table = self.user_table
+        return table if isinstance(table, tuple) else table.decode("user")
+
+    @cached_property
+    def tag_labels(self) -> tuple:
+        table = self.tag_table
+        return table if isinstance(table, tuple) else table.decode("tag")
 
     # -- counts -----------------------------------------------------------
 
     @property
     def n_users(self) -> int:
-        return len(self.user_labels)
+        return len(self.user_table)
 
     @property
     def n_tags(self) -> int:
-        return len(self.tag_labels)
+        return len(self.tag_table)
 
     @property
     def n_events(self) -> int:
@@ -190,17 +209,25 @@ class Dataset:
 
     # -- label lookups ----------------------------------------------------
 
-    def user_handle(self, label: str) -> int:
+    def _handle(self, kind: str, label: str) -> int:
+        slot = f"_{kind}_index"
+        index = getattr(self, slot)
+        if index is None:
+            labels = getattr(self, f"{kind}_labels")
+            index = {lab: i for i, lab in enumerate(labels)}
+            if len(index) < len(labels):
+                raise SnapshotFormatError(f"the {kind} label table repeats a label")
+            object.__setattr__(self, slot, index)
         try:
-            return self._user_index[label]
+            return index[label]
         except KeyError:
-            raise UnknownIdError(f"unknown user: {label!r}") from None
+            raise UnknownIdError(f"unknown {kind}: {label!r}") from None
+
+    def user_handle(self, label: str) -> int:
+        return self._handle("user", label)
 
     def tag_handle(self, label: str) -> int:
-        try:
-            return self._tag_index[label]
-        except KeyError:
-            raise UnknownIdError(f"unknown tag: {label!r}") from None
+        return self._handle("tag", label)
 
     def user_label(self, handle: int) -> str:
         return self.user_labels[handle]
@@ -342,8 +369,8 @@ def build_dataset(
     )
 
     return Dataset(
-        user_labels=user_labels,
-        tag_labels=tag_labels,
+        user_table=user_labels,
+        tag_table=tag_labels,
         event_time=ev_time,
         event_user=ev_user,
         event_tag=ev_tag,

@@ -3,10 +3,11 @@
 Layout (all integers little-endian):
 
     bytes 0-3   magic "CSCD"
-    u32         version (currently 1)
+    u32         version (currently 2)
     u32         flags: bit 0 = follow edges carry `since` timestamps
     u64 x 4     n_users, n_tags, n_events, n_edges
-    label table (users):  per label, u32 byte length + UTF-8 bytes
+    label table (users):  offsets u64[n_users + 1], then the labels' UTF-8
+                          bytes back to back; label h is blob[offsets[h]:offsets[h+1]]
     label table (tags):   same encoding
     event arrays:         time  i64[n_events]
                           user  i32[n_events]
@@ -17,14 +18,25 @@ Layout (all integers little-endian):
                           since  i64[n_edges]     (only when flag bit 0)
     warnings:             u32 count, then per entry
                           u32 key length + key UTF-8 + i64 value
+    trailer:              u32 zlib.crc32 of every byte before it
 
-Loading reproduces the in-memory Dataset bit-for-bit. It refuses trailing
-bytes and arrays that break the layout the exposure kernel relies on.
+Version 1 files still load, with the same checks: they have no trailer, and
+each label table is, per label, a u32 byte length + UTF-8 bytes (the
+encoding warning keys keep in both versions).
+
+Loading reproduces the in-memory Dataset bit-for-bit. It refuses a checksum
+mismatch, trailing bytes and arrays that break the layout the exposure
+kernel relies on. A label table is checked as one block: offsets that start
+at 0, never decrease and stay in the file, a blob that is valid UTF-8 and no
+offset inside a UTF-8 character. Splitting it into labels waits for their
+first use (`PackedLabels`).
 """
 
 from __future__ import annotations
 
+import operator
 import struct
+import zlib
 
 import numpy as np
 
@@ -32,8 +44,52 @@ from .errors import SnapshotFormatError
 from .events import Dataset, FollowerGraph
 
 MAGIC = b"CSCD"
-VERSION = 1
+VERSION = 2
 _FLAG_EDGE_TIMES = 1
+_NOT_UTF8 = "a label or warning key is not valid UTF-8"
+
+
+class PackedLabels:
+    """A label table as a snapshot stores it: label h is the UTF-8 bytes
+    `blob[offsets[h]:offsets[h + 1]]`. `text` is the blob decoded whole (the
+    loader decodes it once, which checks the UTF-8); `decode` splits it into
+    labels, which only the first use of a Dataset's labels asks for.
+    """
+
+    __slots__ = ("offsets", "blob", "text")
+
+    def __init__(self, offsets: np.ndarray, blob: bytes, text: str):
+        self.offsets = offsets
+        self.blob = blob
+        self.text = text
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def decode(self, kind: str) -> tuple:
+        """The labels as a tuple; refuses a table that is not strictly
+        increasing, as interning in label order makes every table."""
+        bounds = self.offsets
+        if len(self.text) != len(self.blob):  # not ASCII: byte -> code point offsets
+            chars = np.zeros(len(self.blob) + 1, dtype=np.int64)
+            np.cumsum((np.frombuffer(self.blob, dtype=np.uint8) & 0xC0) != 0x80, out=chars[1:])
+            bounds = chars[bounds]
+        bounds = bounds.tolist()
+        text = self.text
+        labels = tuple([text[a:b] for a, b in zip(bounds, bounds[1:])])
+        if not all(map(operator.lt, labels[:-1], labels[1:])):
+            raise SnapshotFormatError(f"the {kind} labels are not sorted and unique")
+        return labels
+
+
+def _packed(table) -> tuple:
+    """(offsets, blob) of a label table."""
+    if isinstance(table, PackedLabels):
+        return table.offsets, table.blob
+    raw = [label.encode("utf-8") for label in table]
+    offsets = np.zeros(len(raw) + 1, dtype=np.uint64)
+    np.cumsum(np.fromiter(map(len, raw), dtype=np.uint64, count=len(raw)), out=offsets[1:])
+    return offsets, b"".join(raw)
 
 
 def save_snapshot(d: Dataset, path) -> None:
@@ -42,11 +98,10 @@ def save_snapshot(d: Dataset, path) -> None:
     flags = _FLAG_EDGE_TIMES if d.graph.since is not None else 0
     buf += struct.pack("<II", VERSION, flags)
     buf += struct.pack("<QQQQ", d.n_users, d.n_tags, d.n_events, d.n_edges)
-    for table in (d.user_labels, d.tag_labels):
-        for label in table:
-            raw = label.encode("utf-8")
-            buf += struct.pack("<I", len(raw))
-            buf += raw
+    for table in (d.user_table, d.tag_table):
+        offsets, blob = _packed(table)
+        buf += offsets.astype("<u8").tobytes()
+        buf += blob
     buf += d.event_time.astype("<i8").tobytes()
     buf += d.event_user.astype("<i4").tobytes()
     buf += d.event_tag.astype("<i4").tobytes()
@@ -61,6 +116,7 @@ def save_snapshot(d: Dataset, path) -> None:
         buf += struct.pack("<I", len(raw))
         buf += raw
         buf += struct.pack("<q", int(d.warnings[key]))
+    buf += struct.pack("<I", zlib.crc32(buf))
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
 
@@ -86,14 +142,31 @@ class _Reader:
         return np.frombuffer(raw, dtype=dt).copy()
 
     def labels(self, count: int) -> tuple:
+        """A version 1 label table, or `count` warning keys."""
         out = []
         try:
             for _ in range(count):
                 (ln,) = self.unpack("<I")
                 out.append(self.take(ln).decode("utf-8"))
         except UnicodeDecodeError:
-            raise SnapshotFormatError("a label or warning key is not valid UTF-8") from None
+            raise SnapshotFormatError(_NOT_UTF8) from None
         return tuple(out)
+
+    def packed_labels(self, count: int) -> PackedLabels:
+        """A version 2 label table, checked as one block."""
+        offsets = self.array("<u8", count + 1)
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise SnapshotFormatError("label offsets must start at 0 and never decrease")
+        blob = self.take(int(offsets[-1]))
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError:
+            raise SnapshotFormatError(_NOT_UTF8) from None
+        if len(text) != len(blob):  # not ASCII, so a cut can fall inside a character
+            inner = offsets[offsets < len(blob)]
+            if np.any((np.frombuffer(blob, dtype=np.uint8)[inner] & 0xC0) == 0x80):
+                raise SnapshotFormatError("a label offset falls inside a UTF-8 character")
+        return PackedLabels(offsets, blob, text)
 
 
 def _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since) -> None:
@@ -126,12 +199,13 @@ def load_snapshot(path) -> Dataset:
     if r.take(4) != MAGIC:
         raise SnapshotFormatError("bad magic: not a CSCD snapshot")
     version, flags = r.unpack("<II")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
     n_users, n_tags, n_events, n_edges = r.unpack("<QQQQ")
 
-    user_labels = r.labels(n_users)
-    tag_labels = r.labels(n_tags)
+    table = r.labels if version == 1 else r.packed_labels
+    user_table = table(n_users)
+    tag_table = table(n_tags)
     ev_time = r.array("<i8", n_events)
     ev_user = r.array("<i4", n_events)
     ev_tag = r.array("<i4", n_events)
@@ -146,14 +220,19 @@ def load_snapshot(path) -> Dataset:
         (key,) = r.labels(1)
         (val,) = r.unpack("<q")
         warnings[key] = val
-    if r.pos != len(data):
-        raise SnapshotFormatError(f"{len(data) - r.pos} trailing bytes after the snapshot")
+    body = len(data) - (4 if version > 1 else 0)  # v2 ends with its CRC
+    if r.pos > body:
+        raise SnapshotFormatError("snapshot truncated")
+    if r.pos < body:
+        raise SnapshotFormatError(f"{body - r.pos} trailing bytes after the snapshot")
+    if version > 1 and r.unpack("<I")[0] != zlib.crc32(memoryview(data)[:body]):
+        raise SnapshotFormatError("snapshot checksum mismatch")
 
     _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since)
     graph = FollowerGraph(int(n_users), indptr, dst, since)
     return Dataset(
-        user_labels=user_labels,
-        tag_labels=tag_labels,
+        user_table=user_table,
+        tag_table=tag_table,
         event_time=ev_time,
         event_user=ev_user,
         event_tag=ev_tag,

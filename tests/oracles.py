@@ -6,14 +6,16 @@ power-law sampler inverts the discrete CDF by doubling + binary search
 on the survival function, the cutoff scan fits one candidate at a
 time with scipy's scalar brentq, the preferential-attachment generator
 draws each pick with its own `Generator.integers` call, the giant
-component comes from a union-find that merges one edge at a time, and the
-diffusion models walk adopters and edges one Python step at a time. Tests
-compare library output against these, never the other way round.
+component comes from a union-find that merges one edge at a time, the
+diffusion models walk adopters and edges one Python step at a time, and the
+version 1 snapshot writer encodes one label at a time. Tests compare library
+output against these, never the other way round.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -370,3 +372,37 @@ def simulate_reference(cfg):
             for v, _ in observers[u]:
                 active_count[v] += 1
     return adopt_step, np.asarray(step_counts, dtype=np.int64), theta
+
+
+# ---------------------------------------------------------------------------
+# version 1 snapshot writer
+# ---------------------------------------------------------------------------
+
+def save_snapshot_v1(d, path) -> None:
+    """Write `d` as a version 1 snapshot: per label a u32 byte length and the
+    UTF-8 bytes, and no checksum trailer; otherwise the version 2 layout."""
+    buf = bytearray(b"CSCD")
+    flags = 1 if d.graph.since is not None else 0
+    buf += struct.pack("<II", 1, flags)
+    buf += struct.pack("<QQQQ", d.n_users, d.n_tags, d.n_events, d.n_edges)
+    for table in (d.user_labels, d.tag_labels):
+        for label in table:
+            raw = label.encode("utf-8")
+            buf += struct.pack("<I", len(raw))
+            buf += raw
+    buf += d.event_time.astype("<i8").tobytes()
+    buf += d.event_user.astype("<i4").tobytes()
+    buf += d.event_tag.astype("<i4").tobytes()
+    buf += d.event_first.astype("<u1").tobytes()
+    buf += d.graph.indptr.astype("<i8").tobytes()
+    buf += d.graph.dst.astype("<i4").tobytes()
+    if d.graph.since is not None:
+        buf += d.graph.since.astype("<i8").tobytes()
+    buf += struct.pack("<I", len(d.warnings))
+    for key in sorted(d.warnings):
+        raw = key.encode("utf-8")
+        buf += struct.pack("<I", len(raw))
+        buf += raw
+        buf += struct.pack("<q", int(d.warnings[key]))
+    with open(path, "wb") as fh:
+        fh.write(bytes(buf))

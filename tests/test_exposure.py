@@ -258,8 +258,8 @@ def test_exposure_memory_is_bounded():
     edges = np.column_stack([np.repeat(np.arange(n_alters, n), n_alters),
                              np.tile(np.arange(n_alters), n_egos)])
     ds = Dataset(
-        user_labels=tuple(f"u{i:04d}" for i in range(n)),
-        tag_labels=tuple(f"x{j:02d}" for j in range(n_tags)),
+        user_table=tuple(f"u{i:04d}" for i in range(n)),
+        tag_table=tuple(f"x{j:02d}" for j in range(n_tags)),
         event_time=times.ravel()[order],
         event_user=user[order].astype(np.int32),
         event_tag=tag[order].astype(np.int32),
@@ -379,3 +379,73 @@ def test_increasing_time_map_leaves_exposures_unchanged(data):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (ties, popularity, column)
         betas = [(t.user, t.beta) for t in tc.population_thresholds(ds, ties=ties)]
         assert [(t.user, t.beta) for t in tc.population_thresholds(mapped, ties=ties)] == betas
+
+
+def _relabelled_columns(ds, table, thresholds, relabel_user, relabel_tag):
+    """The exposure columns and per-user thresholds that `ds` relabelled
+    should give: handles are ranks of the new labels, and records sort by
+    (time, user, tag) under the new handles."""
+    new_users = sorted(map(relabel_user, ds.user_labels))
+    new_tags = sorted(map(relabel_tag, ds.tag_labels))
+    user_of = np.array([new_users.index(relabel_user(lab)) for lab in ds.user_labels], dtype=np.int64)
+    tag_of = np.array([new_tags.index(relabel_tag(lab)) for lab in ds.tag_labels], dtype=np.int64)
+    user = user_of[table.user].astype(table.user.dtype)
+    tag = tag_of[table.tag].astype(table.tag.dtype)
+    order = np.lexsort((tag, user, table.time))
+    columns = {"user": user[order], "tag": tag[order]}
+    for column in ("time", "active_alters", "neighborhood_size", "exposure",
+                   "tag_popularity_at_adoption"):
+        columns[column] = getattr(table, column)[order]
+    per_user = sorted((int(user_of[t.user]), t.beta, t.defined_adoptions, t.undefined_adoptions)
+                      for t in thresholds)
+    return columns, per_user
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelling_permutes_records_and_keeps_values(data):
+    # Handles are ranks in label order, so an order-preserving relabelling of
+    # users and tags leaves every column bit-identical, and any relabelling
+    # permutes the records to the new handles' order, each keeping its values.
+    n_users = data.draw(st.integers(1, 8))
+    n_tags = data.draw(st.integers(1, 4))
+    users = st.integers(0, n_users - 1).map("u{}".format)
+    tags = st.integers(0, n_tags - 1).map("x{}".format)
+    times = st.integers(0, 15)
+    adoptions = data.draw(st.lists(st.tuples(users, tags, times), max_size=50))
+    follows = data.draw(st.lists(
+        st.one_of(st.tuples(users, users), st.tuples(users, users, st.none() | times)),
+        max_size=40))
+    user_names = data.draw(st.lists(st.text(max_size=3), min_size=n_users, max_size=n_users,
+                                    unique=True))
+    tag_names = data.draw(st.lists(st.text(max_size=3), min_size=n_tags, max_size=n_tags,
+                                   unique=True))
+    ds = tc.build_dataset(adoptions, follows)
+    for preserve_order in (True, False):
+        new_user = dict(zip((f"u{i}" for i in range(n_users)),
+                            sorted(user_names) if preserve_order else user_names))
+        new_tag = dict(zip((f"x{j}" for j in range(n_tags)),
+                           sorted(tag_names) if preserve_order else tag_names))
+        mapped = tc.build_dataset(
+            [(new_user[u], new_tag[x], t) for u, x, t in adoptions],
+            [(new_user[r[0]], new_user[r[1]], *r[2:]) for r in follows])
+        for ties in ("strict", "inclusive"):
+            for popularity in ("adopters", "usages"):
+                a = tc.all_exposures(ds, ties=ties, popularity=popularity)
+                b = tc.all_exposures(mapped, ties=ties, popularity=popularity)
+                want, want_users = _relabelled_columns(
+                    ds, a, tc.population_thresholds(ds, ties=ties, table=a),
+                    new_user.__getitem__, new_tag.__getitem__)
+                for column, x in want.items():
+                    y = getattr(b, column)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (ties, popularity,
+                                                                               column)
+                got_users = [(t.user, t.beta, t.defined_adoptions, t.undefined_adoptions)
+                             for t in tc.population_thresholds(mapped, ties=ties, table=b)]
+                if preserve_order:
+                    assert got_users == want_users
+                else:  # a user's tied records may now sum in another order
+                    assert [(u, d, n) for u, _, d, n in got_users] == \
+                        [(u, d, n) for u, _, d, n in want_users]
+                    assert [beta for _, beta, *_ in got_users] == \
+                        pytest.approx([beta for _, beta, *_ in want_users], rel=1e-12)

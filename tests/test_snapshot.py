@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagcascade as tc
+from tagcascade import cli
 from tagcascade.cli import main
 from tagcascade.errors import SnapshotFormatError
-from tagcascade.snapshot import MAGIC, load_snapshot, save_snapshot
+from tagcascade.snapshot import MAGIC, PackedLabels, load_snapshot, save_snapshot
 
-from oracles import random_micro_rows
+from oracles import random_micro_rows, save_snapshot_v1
+
+# Every round trip and corruption runs on files of both versions.
+WRITERS = {1: save_snapshot_v1, 2: save_snapshot}
 
 
 def _assert_datasets_identical(a, b):
@@ -32,19 +41,27 @@ def test_round_trip_random_datasets(tmp_path):
     for i in range(10):
         adoptions, follows = random_micro_rows(rng)
         ds = tc.build_dataset(adoptions, follows)
-        path = tmp_path / f"snap{i}.cscd"
-        save_snapshot(ds, path)
-        _assert_datasets_identical(ds, load_snapshot(path))
+        for version, write in WRITERS.items():
+            path = tmp_path / f"snap{i}v{version}.cscd"
+            write(ds, path)
+            loaded = load_snapshot(path)
+            _assert_datasets_identical(ds, loaded)
+            # a loaded dataset saves to the same bytes, decoded or not
+            again = tmp_path / f"again{i}v{version}.cscd"
+            save_snapshot(loaded, again)
+            save_snapshot(ds, path)
+            assert again.read_bytes() == path.read_bytes()
 
 
 def test_round_trip_preserves_unicode_labels(tmp_path):
     ds = tc.build_dataset(
-        [("żółw", "समाचार", 5), ("tag,with,commas", "註釋", 9)],
+        [("żółw", "समाचार", 5), ("tag,with,commas", "註釋", 9), ("a\x00b", "", 1)],
         [("żółw", "tag,with,commas")],
     )
-    path = tmp_path / "labels.cscd"
-    save_snapshot(ds, path)
-    _assert_datasets_identical(ds, load_snapshot(path))
+    for version, write in WRITERS.items():
+        path = tmp_path / f"labels{version}.cscd"
+        write(ds, path)
+        _assert_datasets_identical(ds, load_snapshot(path))
 
 
 def test_snapshot_is_byte_stable(tmp_path):
@@ -76,13 +93,15 @@ def test_magic_bytes_and_version_checked(tmp_path):
 
 def test_truncated_snapshot_detected(tmp_path):
     ds = tc.build_dataset([("a", "x", 1), ("b", "y", 2)], [("a", "b")])
-    path = tmp_path / "snap.cscd"
-    save_snapshot(ds, path)
-    raw = path.read_bytes()
-    cut = tmp_path / "cut.cscd"
-    cut.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(SnapshotFormatError, match="truncated"):
-        load_snapshot(cut)
+    for version, write in WRITERS.items():
+        path = tmp_path / f"snap{version}.cscd"
+        write(ds, path)
+        raw = path.read_bytes()
+        for keep in (len(raw) // 2, len(raw) - 1):
+            cut = tmp_path / "cut.cscd"
+            cut.write_bytes(raw[:keep])
+            with pytest.raises(SnapshotFormatError, match="truncated"):
+                load_snapshot(cut)
 
 
 def test_missing_file_is_data_error(tmp_path):
@@ -94,23 +113,61 @@ def test_missing_file_is_data_error(tmp_path):
 # structurally corrupt snapshots
 # ---------------------------------------------------------------------------
 
-def _sections(ds) -> dict:
-    """(byte offset, dtype, count) of each section of `ds`'s snapshot."""
+def _sections(ds, version: int) -> dict:
+    """(byte offset, dtype, count) of each section of `ds`'s snapshot.
+
+    `label0` is the UTF-8 bytes of the first user label, in either version.
+    """
+    encoded = [[lab.encode() for lab in table] for table in (ds.user_labels, ds.tag_labels)]
+    if version == 1:
+        tables = [(f"{kind}_labels", "<u1", sum(4 + len(raw) for raw in table))
+                  for kind, table in zip(("user", "tag"), encoded)]
+    else:
+        tables = [(name, dtype, count) for kind, table in zip(("user", "tag"), encoded)
+                  for name, dtype, count in ((f"{kind}_offsets", "<u8", len(table) + 1),
+                                             (f"{kind}_blob", "<u1", sum(map(len, table))))]
     pos = 4 + 8 + 32
     out = {}
-    label_bytes = sum(4 + len(lab.encode()) for lab in ds.user_labels + ds.tag_labels)
-    for name, dtype, count in (("labels", "<u1", label_bytes),
-                               ("time", "<i8", ds.n_events), ("user", "<i4", ds.n_events),
-                               ("tag", "<i4", ds.n_events), ("first", "<u1", ds.n_events),
-                               ("indptr", "<i8", ds.n_users + 1), ("dst", "<i4", ds.n_edges),
-                               ("since", "<i8", ds.n_edges)):
+    for name, dtype, count in tables + [
+            ("time", "<i8", ds.n_events), ("user", "<i4", ds.n_events),
+            ("tag", "<i4", ds.n_events), ("first", "<u1", ds.n_events),
+            ("indptr", "<i8", ds.n_users + 1), ("dst", "<i4", ds.n_edges),
+            ("since", "<i8", ds.n_edges)]:
         out[name] = (pos, np.dtype(dtype), count)
         pos += np.dtype(dtype).itemsize * count
+    first_label = out["user_labels"][0] + 4 if version == 1 else out["user_blob"][0]
+    out["label0"] = (first_label, np.dtype("<u1"), len(encoded[0][0]))
     return out
+
+
+def _corrupt_and_write(path, version: int, corrupt) -> None:
+    """Apply `corrupt` to the file's bytes (without the version 2 checksum
+    trailer, which is then recomputed), so only the other checks can see it."""
+    raw = bytearray(path.read_bytes())
+    body = raw[:-4] if version == 2 else raw
+    corrupt(body)
+    if version == 2:
+        body += struct.pack("<I", zlib.crc32(body))
+    path.write_bytes(bytes(body))
+
+
+def _in_section(ds, version, section, corrupt):
+    def apply(raw):
+        offset, dtype, count = _sections(ds, version)[section]
+        corrupt(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
+    return apply
 
 
 def _swap(a, i, j):
     a[i], a[j] = a[j], a[i]
+
+
+def _thresholds_error(path, capsys) -> str:
+    capsys.readouterr()
+    assert main(["thresholds", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    return err
 
 
 # A observes B and C, B observes C; every corruption but "trailing" keeps
@@ -124,29 +181,116 @@ CORRUPTIONS = {
     "tag_range": ("tag", lambda a: a.__setitem__(0, 1), "event tag handle"),
     "time_order": ("time", lambda a: _swap(a, 0, -1), "event times"),
     "since_order": ("since", lambda a: _swap(a, 0, 1), "within a row"),
-    "label_utf8": ("labels", lambda a: a.__setitem__(4, 0xFF), "UTF-8"),
+    "label_utf8": ("label0", lambda a: a.__setitem__(0, 0xFF), "UTF-8"),
     "trailing": (None, None, "trailing bytes"),
 }
 
 
-@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-def test_structurally_corrupt_snapshot_exits_two(tmp_path, capsys, corruption):
-    ds = tc.build_dataset(
+def _abc_dataset():
+    return tc.build_dataset(
         [("A", "t", 5), ("B", "t", 1), ("C", "t", 3)],
         [("A", "B", 1), ("A", "C", 2), ("B", "C", None)],
     )
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_structurally_corrupt_snapshot_exits_two(tmp_path, capsys, corruption):
+    ds = _abc_dataset()
+    section, corrupt, message = CORRUPTIONS[corruption]
+    for version, write in WRITERS.items():
+        path = tmp_path / f"snap{version}.cscd"
+        write(ds, path)
+        assert main(["thresholds", str(path)]) == 0
+        if section is None:
+            _corrupt_and_write(path, version, lambda raw: raw.extend(b"junk"))
+        else:
+            _corrupt_and_write(path, version, _in_section(ds, version, section, corrupt))
+        assert message in _thresholds_error(path, capsys), version
+
+
+# Version 2 label tables: A, B and "Cé" (é is two UTF-8 bytes), offsets 0 1 2 5.
+LABEL_TABLE_CORRUPTIONS = {
+    "offsets_start": (lambda a: a.__setitem__(0, 1), "start at 0"),
+    "offsets_order": (lambda a: _swap(a, 1, 2), "never decrease"),
+    "offset_in_character": (lambda a: a.__setitem__(2, 4), "inside a UTF-8 character"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(LABEL_TABLE_CORRUPTIONS))
+def test_corrupt_label_offsets_exit_two(tmp_path, capsys, corruption):
+    ds = tc.build_dataset([("A", "t", 5), ("B", "t", 1), ("Cé", "t", 3)], [("A", "B")])
     path = tmp_path / "snap.cscd"
     save_snapshot(ds, path)
-    assert main(["thresholds", str(path)]) == 0
+    corrupt, message = LABEL_TABLE_CORRUPTIONS[corruption]
+    _corrupt_and_write(path, 2, _in_section(ds, 2, "user_offsets", corrupt))
+    assert message in _thresholds_error(path, capsys)
+
+
+def test_checksum_catches_a_cleared_first_flag(tmp_path, capsys):
+    # Exposures need only the (user, tag) first-usage flags to be consistent
+    # with the events, which no structural check sees; the checksum does.
+    ds = _abc_dataset()
+    path = tmp_path / "snap.cscd"
+    save_snapshot(ds, path)
     raw = bytearray(path.read_bytes())
-    section, corrupt, message = CORRUPTIONS[corruption]
-    if section is None:
-        raw += b"junk"
-    else:
-        offset, dtype, count = _sections(ds)[section]
-        corrupt(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
+    offset = _sections(ds, 2)["first"][0]
+    assert raw[offset] == 1
+    raw[offset] = 0
     path.write_bytes(bytes(raw))
+    assert "checksum" in _thresholds_error(path, capsys)
+
+
+@pytest.mark.parametrize("version", sorted(WRITERS))
+def test_duplicate_labels_exit_two(tmp_path, capsys, version):
+    ds = tc.build_dataset([("A", "a", 1), ("B", "b", 2)], [("A", "B")])
+    path = tmp_path / "snap.cscd"
+    WRITERS[version](ds, path)
+    blob = "tag_labels" if version == 1 else "tag_blob"
+    # the second tag, "b", becomes a second "a"; version 2 gets a valid checksum
+    _corrupt_and_write(path, version, _in_section(ds, version, blob,
+                                                  lambda a: a.__setitem__(-1, ord("a"))))
     capsys.readouterr()
-    assert main(["thresholds", str(path)]) == 2
+    assert main(["curve", str(path), "--tag", "a", "--bucket", "1"]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and message in err
+    assert "data error" in err and "tag label" in err
+
+
+_FUZZ_DATASET = tc.build_dataset([("A", "x", 5), ("Bé", "y", 1), ("C", "x", 3)],
+                                 [("A", "Bé", 1), ("C", "A", None)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_single_byte_mutation_is_refused(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "snap.cscd"
+    save_snapshot(_FUZZ_DATASET, path)
+    raw = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    raw[at] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]), label="byte")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError):
+        load_snapshot(path)
+
+
+def test_labels_are_decoded_only_when_used(tmp_path, monkeypatch, capsys):
+    decoded = []
+    decode = PackedLabels.decode
+    monkeypatch.setattr(PackedLabels, "decode",
+                        lambda table, kind: decoded.append(kind) or decode(table, kind))
+    path = tmp_path / "snap.cscd"
+    save_snapshot(_abc_dataset(), path)
+
+    ds = load_snapshot(path)
+    assert isinstance(ds.user_table, PackedLabels) and isinstance(ds.tag_table, PackedLabels)
+    assert decoded == []
+    tc.adoption_curve(ds, ds.tag_handle("t"), 1)
+    assert decoded == ["tag"]
+
+    loads = []
+    monkeypatch.setattr(cli, "load_snapshot", lambda p: loads.append(load_snapshot(p)) or loads[-1])
+    decoded.clear()
+    assert main(["stats", str(path)]) == 0
+    assert len(loads) == 1 and decoded == []
+    # the guard sees a decode where one happens
+    assert main(["thresholds", str(path), "--out", str(tmp_path / "e.tsv")]) == 0
+    assert sorted(decoded) == ["tag", "user"]
