@@ -348,76 +348,76 @@ PINS = {
     "ingest_stats": {
         "ingest.report": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
         "ingest.report_file": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
-        "ingest.snapshot": "839f6d33b3440bef656ef57104990edd3279cc781e429311c1cd94ab41f7f034",
+        "ingest.snapshot": "0e11850f534f68bfef2f6ecd41fda83b9a4c58147fc4167c9cd89d1153073c52",
         "ingest_mutual.report": "e6e1241cd3cb07a54db99ff7a20eb08c748b6614c637a7d6d76485e4e8f30122",
-        "ingest_mutual.snapshot": "60e9f4ffef4b415895d804a80eb1f5a913ec9b54b2dc5cab78aa9b5448275ac5",
-        "stats.report": "379f44aea1a65c8627ba257f0020d9f741ddaa4f7584c316be0dcc9a18cf7153",
+        "ingest_mutual.snapshot": "cd7710894cb018aecd44498672c15e6141e4a70faa3cbdd12dd3f2f6ab8719d4",
+        "stats.report": "89f50bb5b0db0d6713fcca973a5b371567d5e4358181732ee24ce1a71894f7d3",
     },
     "thresholds-strict-adopters": {
-        "report": "2c5f367a23249e9ac601efcbf9cd8f87379c12839e6b60b1b61a429963afb8ab",
+        "report": "92a72c14e48953770c9e54bf0ed85496558a7ce3a2d01008e7d83d662455203e",
         "exposures": "b27256118cadf02630905f3150f7fbf7e8c5a584ebb0e857a90f7a72acd593a9",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-strict-usages": {
-        "report": "a97d09fde29927c0e1a71e2e88b6232a1fdb6e91180f9af7e62d3bcdd8e6eb93",
+        "report": "047db4f9edc63b05751de159adb4154cfe81b6a7fb00cd8f70422c88645a7543",
         "exposures": "b401d67f6847bdefa99505d10a2fde05858b4e34f33f8cec39453011bf437d4b",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-inclusive-adopters": {
-        "report": "79aac774736a3f90c875a9561df21d40e84b2479967ff8138d3ab13e52c66eb5",
+        "report": "88b744db9e803e5f9b7196af01f26719088c0a59e92ab3de4b31476c9519ab14",
         "exposures": "ac62098925616052092ef6aef974ef9102650b8942c9e9a8b497c53cb746083b",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-inclusive-usages": {
-        "report": "5fba970a98905c896112f71c9ca4014d6b1f25206611ca12b2246272e1f7f6a1",
+        "report": "37920f1b22cac24ac9b1cfa49b5e35ce7c6534afc254fb4c8b2ee68a5e215b69",
         "exposures": "cc2289a0e71f508ec675ad5b9ab5088edd579220e864b659234ecd7bc09bfbea",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-timed-strict-adopters": {
-        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
-        "report": "aa62c9ed70766cd497e20e4a85e59442552fa8576f76eb7a066c4281727f0217",
+        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
+        "report": "05b908c5b685ac0a27c86f0fc5a5b62476a40cb9020f26740c2faa15bed4a08f",
         "exposures": "71c6564146ca2c31ad08f55ba105f174d413e92af3bfbef8c3a037c15f045ce6",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-strict-usages": {
-        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
-        "report": "0d9db701321abd13db0a8af74b94767d57c108bb7fffb3d8352409293897e122",
+        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
+        "report": "fc6bf0b755dc20a1460f50c1a262e0a13faaa5c035fc4ee564c47e476709adb7",
         "exposures": "60dd905e9504a375d76bd5d17f6ed40e5b8aa71f5b588517e2ba53741ece75a2",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-inclusive-adopters": {
-        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
-        "report": "49ce366db936290972f924e7a8a588b97c647f011efa44c8e62d16fa47e9e9ad",
+        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
+        "report": "c9236f2e9d1d2dd571d778b3e456b23eb9c6e44796af2e0039164c632f9294ab",
         "exposures": "753d60bf644951e4339178c0ab94e75d5850ee04d9e3dfe3405a4eccc555000c",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "thresholds-timed-inclusive-usages": {
-        "snapshot": "d6920f56fd1ce37b5005dc42f4a8cba3b06b9e1738628a2b6fbdf0e62c785721",
-        "report": "3231762ae8991c9af459f39ac21ca4f2479d29c81357104b4c4ee595b6fef07d",
+        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
+        "report": "4e80b65782bfcce8267dd274725b6fe63032da215db286fefa1693926cc6a130",
         "exposures": "d97b1889dc8399af64ad19e091810b4a38c42b513ce9f20e5f63fb38c6a169e2",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "fit_curve_correlate": {
-        "fit.report": "b914b1fcc2149dde3b9f9361c6e4a7c0ddfdfa8baaf223ea22e661e4d0d4d388",
+        "fit.report": "8915d6af4f492102a4a88568ad022a9a31c8aa3ed2a195bc5f1bc6ff496113c8",
         "fit.tsv": "a40e399af13faa8dc11cb377ddacde4f6abfe6f88ff1b29023f40886fac67475",
         "fit.json": "5c83b6fbecc806456a6553067f01163841ea49057183f8e6e13fe5208e204f40",
-        "fit.report_file": "b914b1fcc2149dde3b9f9361c6e4a7c0ddfdfa8baaf223ea22e661e4d0d4d388",
-        "fit_usages.report": "54392b602d1eb367326321c29fdfb5b5ed1326729abd43c06401aedcab9cfd5c",
-        "curve.report": "eb8dfa4be26b8909b9388abef3c906a149bb194a0a09037fb5f4ae69b5290e7e",
+        "fit.report_file": "8915d6af4f492102a4a88568ad022a9a31c8aa3ed2a195bc5f1bc6ff496113c8",
+        "fit_usages.report": "6601b8a6697d59874ce4a1ca44785bfdc82f8ba8863c74ddf5c5fe92cfcd0ab7",
+        "curve.report": "0c4bbd049d7f5038f8410553ead06aa58393019f78ad14c818aa97edb356e66e",
         "curve.tsv": "ebf56dfaac1edee103a248a7de6d80b4a3bba85c57d9ac8f43407bb181271cd8",
         "curve.json": "46622f8df490510d5763d692f8135291135cbdd49628b29368e097604f53cded",
-        "spearman.report": "2db6902c500e37c2dd946ae1d098bcf3d5f414679c80e85b7c7e7c70ef0e0d66",
+        "spearman.report": "4dd50b7e9a50651495b3f65ffc9ca1a2fd11773d3f53e09a4993bcce5ea25f6e",
         "spearman.tsv": "9a1b947bc5f9081a5bcb66bf60fb07cae7417c6e52bc3dbedf5d12a41b0a9ff0",
         "spearman.json": "b73264e72fd4efb15938eb210ce19debc1fc9bef8de674af41173a67fefa3d94",
-        "pearson.report": "422dfca2bb047698208cdce2da4a7edba28ee8c06fa8c13bf7b612ae6f6680e9",
+        "pearson.report": "a87fb376175b38aa098bb097454134766c63f5fcab364a88e95bdde059b3fcfa",
         "pearson.tsv": "97345bac971e40249a01efe8d09ab0c310ddda903f2a7e48240bf4804f483c8f",
         "pearson.json": "483727e7a54a82d16ef8affaa58163ad7c53326d48f6c3282dd66165175496ae",
     },
@@ -465,7 +465,7 @@ PINS = {
     },
     "pipeline_full": {
         "report": "798456f086ec6ed0ce4c3335c545465d9e561a0b8119c729faaa1a7fb035662f",
-        "out_dir": "513580b494a663eeb71b5a026ac513bcf0932a27508aaa8a2a544cdfb9d85ea4",
+        "out_dir": "7b1b9aac4a3663b09311b267534f0ada6a6241f219fa7e20067beb3bd25ea98f",
     },
     "pipeline_options": {
         "report": "6a4d618866d7d415c0d1bc1565e370cc4fe944e15934b590e7be9894a6c85c3f",
