@@ -82,11 +82,9 @@ class PackedLabels:
         return labels
 
 
-def _packed(table) -> tuple:
+def _packed(labels: tuple) -> tuple:
     """(offsets, blob) of a label table."""
-    if isinstance(table, PackedLabels):
-        return table.offsets, table.blob
-    raw = [label.encode("utf-8") for label in table]
+    raw = [label.encode("utf-8") for label in labels]
     offsets = np.zeros(len(raw) + 1, dtype=np.uint64)
     np.cumsum(np.fromiter(map(len, raw), dtype=np.uint64, count=len(raw)), out=offsets[1:])
     return offsets, b"".join(raw)
@@ -98,8 +96,8 @@ def save_snapshot(d: Dataset, path) -> None:
     flags = _FLAG_EDGE_TIMES if d.graph.since is not None else 0
     buf += struct.pack("<II", VERSION, flags)
     buf += struct.pack("<QQQQ", d.n_users, d.n_tags, d.n_events, d.n_edges)
-    for table in (d.user_table, d.tag_table):
-        offsets, blob = _packed(table)
+    for labels in (d.user_labels, d.tag_labels):
+        offsets, blob = _packed(labels)
         buf += offsets.astype("<u8").tobytes()
         buf += blob
     buf += d.event_time.astype("<i8").tobytes()
