@@ -50,32 +50,24 @@ _NOT_UTF8 = "a label or warning key is not valid UTF-8"
 
 
 class PackedLabels:
-    """A label table as a snapshot stores it: label h is the UTF-8 bytes
-    `blob[offsets[h]:offsets[h + 1]]`. `text` is the blob decoded whole (the
-    loader decodes it once, which checks the UTF-8); `decode` splits it into
-    labels, which only the first use of a Dataset's labels asks for.
+    """A label table as a snapshot stores it, checked but not yet split:
+    label h is `text[bounds[h]:bounds[h + 1]]`. `decode` splits it, which
+    only the first use of a Dataset's labels asks for.
     """
 
-    __slots__ = ("offsets", "blob", "text")
+    __slots__ = ("text", "bounds")
 
-    def __init__(self, offsets: np.ndarray, blob: bytes, text: str):
-        self.offsets = offsets
-        self.blob = blob
+    def __init__(self, text: str, bounds: np.ndarray):
         self.text = text
+        self.bounds = bounds
 
     def __len__(self) -> int:
-        return self.offsets.shape[0] - 1
+        return self.bounds.shape[0] - 1
 
     def decode(self, kind: str) -> tuple:
         """The labels as a tuple; refuses a table that is not strictly
         increasing, as interning in label order makes every table."""
-        bounds = self.offsets
-        if len(self.text) != len(self.blob):  # not ASCII: byte -> code point offsets
-            chars = np.zeros(len(self.blob) + 1, dtype=np.int64)
-            np.cumsum((np.frombuffer(self.blob, dtype=np.uint8) & 0xC0) != 0x80, out=chars[1:])
-            bounds = chars[bounds]
-        bounds = bounds.tolist()
-        text = self.text
+        text, bounds = self.text, self.bounds.tolist()
         labels = tuple([text[a:b] for a, b in zip(bounds, bounds[1:])])
         if not all(map(operator.lt, labels[:-1], labels[1:])):
             raise SnapshotFormatError(f"the {kind} labels are not sorted and unique")
@@ -160,11 +152,14 @@ class _Reader:
             text = blob.decode("utf-8")
         except UnicodeDecodeError:
             raise SnapshotFormatError(_NOT_UTF8) from None
-        if len(text) != len(blob):  # not ASCII, so a cut can fall inside a character
-            inner = offsets[offsets < len(blob)]
-            if np.any((np.frombuffer(blob, dtype=np.uint8)[inner] & 0xC0) == 0x80):
+        if len(text) != len(blob):  # not ASCII: byte offsets -> code point offsets
+            starts = (np.frombuffer(blob, dtype=np.uint8) & 0xC0) != 0x80
+            if not starts[offsets[offsets < len(blob)]].all():
                 raise SnapshotFormatError("a label offset falls inside a UTF-8 character")
-        return PackedLabels(offsets, blob, text)
+            chars = np.zeros(len(blob) + 1, dtype=np.int64)
+            np.cumsum(starts, out=chars[1:])
+            offsets = chars[offsets]
+        return PackedLabels(text, offsets)
 
 
 def _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since) -> None:
