@@ -406,3 +406,28 @@ def save_snapshot_v1(d, path) -> None:
         buf += struct.pack("<q", int(d.warnings[key]))
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
+
+
+# ---------------------------------------------------------------------------
+# per-row TSV writer
+# ---------------------------------------------------------------------------
+
+def format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_tsv_reference(path, header, rows) -> int:
+    """Write rows of Python values as TSV one cell at a time: None is an
+    empty cell, a float its repr, anything else str(). Returns the row
+    count."""
+    n = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(format_cell(v) for v in row) + "\n")
+            n += 1
+    return n

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,10 @@ from tagcascade.textio import (
     read_follows,
     write_adoptions_csv,
     write_follows_csv,
+    write_tsv,
 )
+
+from oracles import write_tsv_reference
 
 
 def test_parse_duration_units():
@@ -184,3 +189,59 @@ def test_writers_match_per_row_writerow(adoptions, follows):
         if timed:
             follows = [(r[0], r[1], r[2] if len(r) == 3 else None) for r in follows]
         assert read_follows(tmp / "f.csv") == (follows, 0)
+
+
+# TSV columns: each is drawn as a short base and tiled to the row count, so
+# some examples cross the writer's block boundaries.
+_TSV_BLOCK = 4096
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e16, 1e-7]
+_TSV_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_TSV_LABELS = st.text(st.sampled_from(["a", "é", "標", "😀", " ", ",", "\t"])
+                      | st.characters(exclude_categories=("Cs",)), max_size=6)
+
+
+def _int_array(dtype):
+    info = np.iinfo(dtype)
+    return lambda k: st.lists(st.integers(int(info.min), int(info.max)), min_size=k,
+                              max_size=k).map(lambda v: np.array(v, dtype=dtype))
+
+
+_TSV_COLUMNS = {
+    "int32": _int_array(np.int32),
+    "int64": _int_array(np.int64),
+    "float64": lambda k: st.lists(_TSV_FLOATS, min_size=k, max_size=k).map(
+        lambda v: np.array(v, dtype=np.float64)),
+    "ints": lambda k: st.lists(st.integers(-2**70, 2**70), min_size=k, max_size=k),
+    "floats_or_none": lambda k: st.lists(_TSV_FLOATS | st.none(), min_size=k, max_size=k),
+    "labels": lambda k: st.lists(_TSV_LABELS, min_size=k, max_size=k),
+}
+
+
+def _tiled(base, n):
+    if isinstance(base, np.ndarray):
+        return np.resize(base, n)
+    return (base * (n // max(len(base), 1) + 1))[:n]
+
+
+@st.composite
+def _tsv_columns(draw):
+    n = draw(st.integers(0, 12) | st.sampled_from(
+        [_TSV_BLOCK - 1, _TSV_BLOCK, _TSV_BLOCK + 1, 2 * _TSV_BLOCK + 3]))
+    kinds = draw(st.lists(st.sampled_from(sorted(_TSV_COLUMNS)), min_size=1, max_size=5))
+    return [_tiled(draw(_TSV_COLUMNS[kind](min(n, 12))), n) for kind in kinds]
+
+
+def _python_rows(columns):
+    return zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+
+
+@settings(max_examples=80, deadline=None)
+@given(columns=_tsv_columns())
+def test_write_tsv_matches_per_cell_reference(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    n = len(columns[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert write_tsv(tmp / "out.tsv", header, _python_rows(columns)) == n
+        assert write_tsv_reference(tmp / "ref.tsv", header, _python_rows(columns)) == n
+        assert (tmp / "out.tsv").read_bytes() == (tmp / "ref.tsv").read_bytes()
