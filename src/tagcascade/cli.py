@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -121,6 +122,16 @@ def _input_entry(path) -> dict:
 # resolved options of its command and returns the result summary
 # ---------------------------------------------------------------------------
 
+def _labels(table, handles: list) -> list:
+    """The labels of `handles`, a TSV column."""
+    return list(map(table.__getitem__, handles))
+
+
+def _field_columns(items, names) -> list:
+    """One TSV column per attribute name, in the order of `items`."""
+    return [list(map(attrgetter(name), items)) for name in names]
+
+
 def stage_ingest(o) -> dict:
     out_path = Path(o.out)
     if out_path.exists() and not o.force:
@@ -163,22 +174,19 @@ def stage_thresholds(o) -> dict:
     summary = threshold_summary(table, thresholds)
 
     if o.out is not None:
+        users = _labels(ds.user_labels, table.user.tolist())
+        tags = _labels(ds.tag_labels, table.tag.tolist())
         write_tsv(
             o.out,
             ["user", "tag", "time", "active_alters", "neighborhood_size",
              "exposure", "tag_popularity_at_adoption"],
-            ((ds.user_label(int(table.user[i])), ds.tag_label(int(table.tag[i])),
-              int(table.time[i]), int(table.active_alters[i]), int(table.neighborhood_size[i]),
-              float(table.exposure[i]), int(table.tag_popularity_at_adoption[i]))
-             for i in range(len(table))),
+            [users, tags, table.time, table.active_alters, table.neighborhood_size,
+             table.exposure, table.tag_popularity_at_adoption],
         )
     if o.per_user is not None:
-        write_tsv(
-            o.per_user,
-            ["user", "beta", "defined_adoptions", "undefined_adoptions"],
-            ((ds.user_label(t.user), t.beta, t.defined_adoptions, t.undefined_adoptions)
-             for t in thresholds),
-        )
+        header = ["user", "beta", "defined_adoptions", "undefined_adoptions"]
+        users, *columns = _field_columns(thresholds, header)
+        write_tsv(o.per_user, header, [_labels(ds.user_labels, users), *columns])
     return summary
 
 
@@ -195,15 +203,8 @@ def stage_fit(o) -> dict:
         model_ccdf = np.full(values.shape[0], np.nan)
         tail = values >= fit.xmin
         model_ccdf[tail] = fitted_tail_ccdf(fit, values[tail]) * (fit.n_tail / n)
-        write_tsv(
-            o.out,
-            ["value", "count", "empirical_ccdf", "fitted_ccdf"],
-            (
-                (int(values[i]), int(counts[i]), float(emp_ccdf[i]),
-                 None if np.isnan(model_ccdf[i]) else float(model_ccdf[i]))
-                for i in range(values.shape[0])
-            ),
-        )
+        write_tsv(o.out, ["value", "count", "empirical_ccdf", "fitted_ccdf"],
+                  [values, counts, emp_ccdf, np.where(np.isnan(model_ccdf), None, model_ccdf)])
     result = fit.as_dict()
     result["popularity"] = o.popularity
     return result
@@ -214,13 +215,9 @@ def stage_curve(o) -> dict:
     ds = load_snapshot(o.snapshot)
     curve = adoption_curve(ds, ds.tag_handle(o.tag), o.bucket_ms)
     if o.out is not None:
-        write_tsv(
-            o.out,
-            ["time", "new_first_usages", "cumulative_first_usages",
-             "subsequent_usages", "saturation"],
-            ((p.time, p.new_first_usages, p.cumulative_first_usages,
-              p.subsequent_usages, p.saturation) for p in curve.points),
-        )
+        header = ["time", "new_first_usages", "cumulative_first_usages",
+                  "subsequent_usages", "saturation"]
+        write_tsv(o.out, header, _field_columns(curve.points, header))
     return {
         "tag": o.tag, "bucket_ms": o.bucket_ms, "points": len(curve.points),
         "final_saturation": curve.final_saturation,
@@ -233,11 +230,8 @@ def stage_correlate(o) -> dict:
     table = all_exposures(ds, ties=o.ties, popularity=o.popularity)
     report = popularity_threshold_correlation(table, bins=o.bins, method=o.method)
     if o.out is not None:
-        write_tsv(
-            o.out,
-            ["popularity_lo", "popularity_hi", "mean_exposure", "count"],
-            ((b.lo, b.hi, b.mean_exposure, b.count) for b in report.bins),
-        )
+        write_tsv(o.out, ["popularity_lo", "popularity_hi", "mean_exposure", "count"],
+                  _field_columns(report.bins, ("lo", "hi", "mean_exposure", "count")))
     return {"method": report.method, "rho": report.rho, "n_pairs": report.n_pairs,
             "bins": len(report.bins)}
 

@@ -243,25 +243,18 @@ class Dataset:
         Feeding these rows back through build_dataset reproduces this
         dataset exactly (handles are label-lexicographic, order canonical).
         """
-        for i in range(self.n_events):
-            yield (
-                self.user_labels[self.event_user[i]],
-                self.tag_labels[self.event_tag[i]],
-                int(self.event_time[i]),
-            )
+        return zip(map(self.user_labels.__getitem__, self.event_user.tolist()),
+                   map(self.tag_labels.__getitem__, self.event_tag.tolist()),
+                   self.event_time.tolist())
 
     def follow_rows(self):
         """Edges as (src_label, dst_label[, since_ms]) triples."""
-        edges = self.graph.edge_list()
-        since = self.graph.since
-        for i in range(edges.shape[0]):
-            src = self.user_labels[edges[i, 0]]
-            dst = self.user_labels[edges[i, 1]]
-            if since is None:
-                yield (src, dst)
-            else:
-                s = int(since[i])
-                yield (src, dst, None if s == SINCE_ALWAYS else s)
+        g = self.graph
+        src = map(self.user_labels.__getitem__, _csr_sources(g.indptr, g.n).tolist())
+        dst = map(self.user_labels.__getitem__, g.dst.tolist())
+        if g.since is None:
+            return zip(src, dst)
+        return zip(src, dst, [None if s == SINCE_ALWAYS else s for s in g.since.tolist()])
 
 
 def build_dataset(

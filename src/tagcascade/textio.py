@@ -15,6 +15,8 @@ import json
 import math
 import re
 
+import numpy as np
+
 from .errors import DataError, MalformedRowError
 from .events import parse_timestamp
 
@@ -126,22 +128,30 @@ def write_follows_csv(path, rows) -> int:
     return _write_log(path, FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER, rows)
 
 
-def format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_TSV_BLOCK = 4096  # rows rendered per write: write_tsv's memory stays bounded
 
 
-def write_tsv(path, columns: list[str], rows) -> int:
-    """Write rows of cells as canonical TSV; returns the row count."""
-    n = 0
+def _cells(block) -> list:
+    """The TSV cells of one block of a column: None is an empty cell, a float
+    its shortest round-trip repr, anything else str()."""
+    if isinstance(block, np.ndarray) and block.dtype.kind in "biuf":
+        return list(map(repr if block.dtype.kind == "f" else str, block.tolist()))
+    return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in block]
+
+
+def write_tsv(path, header: list[str], columns) -> int:
+    """Write equal-length columns (numpy arrays or lists) under `header` as
+    canonical TSV; returns the row count."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names but {len(columns)} columns")
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(columns) + "\n")
-        for row in rows:
-            fh.write("\t".join(format_cell(v) for v in row) + "\n")
-            n += 1
+        fh.write("\t".join(header) + "\n")
+        for start in range(0, n, _TSV_BLOCK):
+            cells = [_cells(column[start:start + _TSV_BLOCK]) for column in columns]
+            fh.write("\n".join(map("\t".join, zip(*cells))) + "\n")
     return n
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tagcascade.errors import DataError, MalformedRowError
 from tagcascade.textio import (
+    _TSV_BLOCK,
     ADOPTIONS_HEADER,
     FOLLOWS_HEADER,
     FOLLOWS_HEADER_TIMED,
@@ -193,7 +194,6 @@ def test_writers_match_per_row_writerow(adoptions, follows):
 
 # TSV columns: each is drawn as a short base and tiled to the row count, so
 # some examples cross the writer's block boundaries.
-_TSV_BLOCK = 4096
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e16, 1e-7]
 _TSV_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
 _TSV_LABELS = st.text(st.sampled_from(["a", "é", "標", "😀", " ", ",", "\t"])
@@ -242,6 +242,17 @@ def test_write_tsv_matches_per_cell_reference(columns):
     n = len(columns[0])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        assert write_tsv(tmp / "out.tsv", header, _python_rows(columns)) == n
+        assert write_tsv(tmp / "out.tsv", header, columns) == n
         assert write_tsv_reference(tmp / "ref.tsv", header, _python_rows(columns)) == n
         assert (tmp / "out.tsv").read_bytes() == (tmp / "ref.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("header,columns", [
+    (["a", "b"], [[1, 2], [1]]),
+    (["a", "b"], [np.arange(3), ["x", "y"]]),
+    (["a", "b"], [[1, 2]]),
+    (["a"], [[1, 2], [3, 4]]),
+])
+def test_write_tsv_refuses_uneven_columns(tmp_path, header, columns):
+    with pytest.raises(ValueError):
+        write_tsv(tmp_path / "out.tsv", header, columns)
