@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     MalformedRowError,
-    SnapshotFormatError,
     UndefinedDensityError,
     UnknownIdError,
 )
@@ -215,8 +214,6 @@ class Dataset:
         if index is None:
             labels = getattr(self, f"{kind}_labels")
             index = {lab: i for i, lab in enumerate(labels)}
-            if len(index) < len(labels):
-                raise SnapshotFormatError(f"the {kind} label table repeats a label")
             object.__setattr__(self, slot, index)
         try:
             return index[label]

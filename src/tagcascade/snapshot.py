@@ -22,7 +22,8 @@ Layout (all integers little-endian):
 
 Version 1 files still load, with the same checks: they have no trailer, and
 each label table is, per label, a u32 byte length + UTF-8 bytes (the
-encoding warning keys keep in both versions).
+encoding warning keys keep in both versions). A version 1 table is decoded,
+and so checked for order, on load.
 
 Loading reproduces the in-memory Dataset bit-for-bit. It refuses a checksum
 mismatch, trailing bytes and arrays that break the layout the exposure
@@ -65,13 +66,17 @@ class PackedLabels:
         return self.bounds.shape[0] - 1
 
     def decode(self, kind: str) -> tuple:
-        """The labels as a tuple; refuses a table that is not strictly
-        increasing, as interning in label order makes every table."""
+        """The labels as a tuple, checked by `_sorted_unique`."""
         text, bounds = self.text, self.bounds.tolist()
-        labels = tuple([text[a:b] for a, b in zip(bounds, bounds[1:])])
-        if not all(map(operator.lt, labels[:-1], labels[1:])):
-            raise SnapshotFormatError(f"the {kind} labels are not sorted and unique")
-        return labels
+        return _sorted_unique(tuple([text[a:b] for a, b in zip(bounds, bounds[1:])]), kind)
+
+
+def _sorted_unique(labels: tuple, kind: str) -> tuple:
+    """`labels`, refused unless strictly increasing, as interning in label
+    order makes every table."""
+    if not all(map(operator.lt, labels[:-1], labels[1:])):
+        raise SnapshotFormatError(f"the {kind} labels are not sorted and unique")
+    return labels
 
 
 def _packed(labels: tuple) -> tuple:
@@ -196,9 +201,12 @@ def load_snapshot(path) -> Dataset:
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
     n_users, n_tags, n_events, n_edges = r.unpack("<QQQQ")
 
-    table = r.labels if version == 1 else r.packed_labels
-    user_table = table(n_users)
-    tag_table = table(n_tags)
+    if version == 1:  # decoded here, so checked here
+        user_table = _sorted_unique(r.labels(n_users), "user")
+        tag_table = _sorted_unique(r.labels(n_tags), "tag")
+    else:
+        user_table = r.packed_labels(n_users)
+        tag_table = r.packed_labels(n_tags)
     ev_time = r.array("<i8", n_events)
     ev_user = r.array("<i4", n_events)
     ev_tag = r.array("<i4", n_events)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import struct
 import zlib
 
@@ -253,6 +254,21 @@ def test_duplicate_labels_exit_two(tmp_path, capsys, version):
     assert main(["curve", str(path), "--tag", "a", "--bucket", "1"]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "tag label" in err
+
+
+@pytest.mark.parametrize("table,labels", [("tag_table", ("a", "a")),
+                                          ("user_table", ("B", "A"))])
+def test_v1_labels_out_of_order_exit_two(tmp_path, capsys, table, labels):
+    ds = tc.build_dataset([("A", "a", 1), ("B", "b", 2)], [("A", "B")])
+    path, out = tmp_path / "snap.cscd", tmp_path / "e.tsv"
+    save_snapshot_v1(ds, path)
+    assert main(["thresholds", str(path), "--out", str(out)]) == 0  # a valid v1 file loads
+    save_snapshot_v1(dataclasses.replace(ds, **{table: labels}), path)
+    with pytest.raises(SnapshotFormatError, match="not sorted and unique"):
+        load_snapshot(path)
+    capsys.readouterr()
+    assert main(["thresholds", str(path), "--out", str(out)]) == 2
+    assert "not sorted and unique" in capsys.readouterr().err
 
 
 _FUZZ_DATASET = tc.build_dataset([("A", "x", 5), ("Bé", "y", 1), ("C", "x", 3)],
