@@ -191,6 +191,8 @@ def stage_thresholds(o) -> dict:
 
 
 def stage_fit(o) -> dict:
+    if o.bootstrap < 0:
+        raise UsageError("--bootstrap must be >= 0")
     ds = load_snapshot(o.snapshot)
     samples = popularity_samples(ds, o.popularity)
     samples = samples[samples >= 1]
@@ -226,6 +228,8 @@ def stage_curve(o) -> dict:
 
 
 def stage_correlate(o) -> dict:
+    if o.bins < 1:
+        raise UsageError("--bins must be >= 1")
     ds = load_snapshot(o.snapshot)
     table = all_exposures(ds, ties=o.ties, popularity=o.popularity)
     report = popularity_threshold_correlation(table, bins=o.bins, method=o.method)

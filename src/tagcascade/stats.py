@@ -189,6 +189,8 @@ def popularity_threshold_correlation(
     over defined records, with logarithmic popularity bins for the
     binned-means view. `method='pearson'` switches to linear correlation.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     pop, expo = _extract_pairs(records)
     n = pop.shape[0]
     if n < 3:

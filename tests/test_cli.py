@@ -242,6 +242,25 @@ def test_correlate_output(snapshot, tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7  # header + bins
 
 
+@pytest.mark.parametrize("command,stage,key,value,message", [
+    ("correlate", "correlate", "bins", 0, "--bins must be >= 1"),
+    ("correlate", "correlate", "bins", -1, "--bins must be >= 1"),
+    ("fit-powerlaw", "fit", "bootstrap", -3, "--bootstrap must be >= 0"),
+])
+def test_out_of_range_counts_are_usage_errors(tmp_path, capsys, snapshot, command, stage, key,
+                                              value, message):
+    out = tmp_path / "out.tsv"
+    assert main([command, str(snapshot), f"--{key}", str(value), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "pipe"), "snapshot": str(snapshot),
+                                "stages": [{"stage": stage, key: value}]}))
+    assert main(["pipeline", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"stage '{stage}' failed" in err and message in err
+
+
 # ---------------------------------------------------------------------------
 # simulate / recover
 # ---------------------------------------------------------------------------

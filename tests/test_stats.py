@@ -188,6 +188,13 @@ def test_correlation_needs_three_defined():
         tc.popularity_threshold_correlation(_records([(1, 0.1), (2, 0.2)]))
 
 
+def test_correlation_needs_a_bin():
+    pairs = [(1, 0.1), (2, 0.2), (3, 0.3)]
+    for bins in (0, -1):
+        with pytest.raises(ValueError, match="bins"):
+            tc.popularity_threshold_correlation(_records(pairs), bins=bins)
+
+
 def test_correlation_pearson_flag():
     pairs = [(1, 0.1), (2, 0.2), (3, 0.4), (10, 0.5)]
     spearman = tc.popularity_threshold_correlation(_records(pairs), method="spearman")
