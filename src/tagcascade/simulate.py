@@ -444,22 +444,21 @@ class RecoveryReport:
         }
 
 
-def recover_thresholds(run: SimRun, *, ties: str = "strict", dataset: Dataset | None = None) -> RecoveryReport:
+def recover_thresholds(run: SimRun, *, ties: str = "strict") -> RecoveryReport:
     """Round-trip a simulated tag through the measurement pipeline.
 
-    Converts the run into a Dataset (or uses a re-ingested one), measures
-    exposure at every adoption, and compares against planted thresholds:
-    for non-seed adopters under synchronous updates the measured exposure
-    can never be below the planted value. Seed adoptions are excluded
+    Converts the run into a Dataset, measures exposure at every adoption,
+    and compares against planted thresholds (`recover_from_ingested` does
+    this for a re-ingested log): for non-seed adopters under synchronous
+    updates the measured exposure can never be below the planted value. Seed adoptions are excluded
     (their exposure says nothing about their threshold).
     """
     if run.theta is None:
         raise UnsupportedModelError(
             f"model {run.model!r} has no planted thresholds to recover"
         )
-    ds = dataset if dataset is not None else run.to_dataset()
     return recover_from_ingested(
-        ds,
+        run.to_dataset(),
         theta=run.theta,
         n_users=run.graph.n,
         n_seeds=int(run.seed_users.shape[0]),
