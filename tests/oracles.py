@@ -7,9 +7,10 @@ on the survival function, the cutoff scan fits one candidate at a
 time with scipy's scalar brentq, the preferential-attachment generator
 draws each pick with its own `Generator.integers` call, the giant
 component comes from a union-find that merges one edge at a time, the
-diffusion models walk adopters and edges one Python step at a time, and the
-version 1 snapshot writer encodes one label at a time. Tests compare library
-output against these, never the other way round.
+diffusion models walk adopters and edges one Python step at a time, the
+version 1 snapshot writer encodes one label at a time, and the reference
+ingest checks and interns one row at a time. Tests compare library output
+against these, never the other way round.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta
 
-from tagcascade.errors import DegenerateSampleError, InsufficientTailError
+from tagcascade.errors import DegenerateSampleError, InsufficientTailError, MalformedRowError
+from tagcascade.events import SINCE_ALWAYS, Dataset, FollowerGraph, parse_timestamp
 
 # ---------------------------------------------------------------------------
 # brute-force exposure oracle
@@ -431,3 +433,99 @@ def write_tsv_reference(path, header, rows) -> int:
             fh.write("\t".join(format_cell(v) for v in row) + "\n")
             n += 1
     return n
+
+
+# ---------------------------------------------------------------------------
+# row-loop ingest
+# ---------------------------------------------------------------------------
+
+def build_dataset_reference(adoptions, follows, *, reverse_edges=False, mutual_edges=False,
+                            time_unit="ms"):
+    """`build_dataset` one row at a time: each row is checked, parsed and
+    collected in a Python loop, self-loops are dropped before the labels are
+    interned, and edges are deduplicated by one lexsort and sorted into CSR
+    order by another."""
+    ad_users, ad_tags, ad_times = [], [], []
+    for rowno, row in enumerate(adoptions, start=1):
+        try:
+            user, tag, when = row[0], row[1], row[2]
+        except (IndexError, TypeError):
+            raise MalformedRowError(rowno, f"adoption row needs 3 fields, got {row!r}")
+        try:
+            t = parse_timestamp(when, unit=time_unit)
+        except ValueError as exc:
+            raise MalformedRowError(rowno, str(exc)) from None
+        ad_users.append(str(user))
+        ad_tags.append(str(tag))
+        ad_times.append(t)
+
+    follow_src, follow_dst, follow_since = [], [], []
+    self_loops = 0
+    has_since = False
+    for rowno, row in enumerate(follows, start=1):
+        if len(row) not in (2, 3):
+            raise MalformedRowError(rowno, f"follow row needs 2 or 3 fields, got {row!r}")
+        src, dst = str(row[0]), str(row[1])
+        since = SINCE_ALWAYS
+        if len(row) == 3 and row[2] not in (None, ""):
+            try:
+                since = parse_timestamp(row[2], unit=time_unit)
+            except ValueError as exc:
+                raise MalformedRowError(rowno, str(exc)) from None
+            has_since = True
+        if reverse_edges:
+            src, dst = dst, src
+        if src == dst:
+            self_loops += 1
+            continue
+        follow_src.append(src)
+        follow_dst.append(dst)
+        follow_since.append(since)
+    if mutual_edges:
+        follow_src, follow_dst = follow_src + follow_dst, follow_dst + follow_src
+        follow_since += follow_since
+
+    user_labels = tuple(sorted(set(ad_users).union(follow_src, follow_dst)))
+    tag_labels = tuple(sorted(set(ad_tags)))
+    user_index = {lab: i for i, lab in enumerate(user_labels)}
+    tag_index = {lab: i for i, lab in enumerate(tag_labels)}
+
+    ev_user = np.array([user_index[u] for u in ad_users], dtype=np.int32)
+    ev_tag = np.array([tag_index[x] for x in ad_tags], dtype=np.int32)
+    ev_time = np.array(ad_times, dtype=np.int64)
+    order = np.lexsort((ev_tag, ev_user, ev_time))
+    ev_user, ev_tag, ev_time = ev_user[order], ev_tag[order], ev_time[order]
+    ev_first = np.zeros(len(ad_users), dtype=bool)
+    seen = set()
+    for i, pair in enumerate(zip(ev_user.tolist(), ev_tag.tolist())):
+        if pair not in seen:
+            seen.add(pair)
+            ev_first[i] = True
+
+    n_rows = len(follow_src)
+    src = np.array([user_index[u] for u in follow_src], dtype=np.int32)
+    dst = np.array([user_index[u] for u in follow_dst], dtype=np.int32)
+    since = np.array(follow_since, dtype=np.int64)
+    order = np.lexsort((since, dst, src))
+    src, dst, since = src[order], dst[order], since[order]
+    keep = np.ones(n_rows, dtype=bool)
+    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    src, dst, since = src[keep], dst[keep], since[keep]
+    timed = has_since and n_rows > 0  # an empty graph is static
+    order = np.lexsort((dst, since, src) if timed else (dst, src))
+    n = len(user_labels)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    graph = FollowerGraph(n, indptr, np.ascontiguousarray(dst[order]),
+                          np.ascontiguousarray(since[order]) if timed else None)
+    return Dataset(
+        user_table=user_labels,
+        tag_table=tag_labels,
+        event_time=np.ascontiguousarray(ev_time),
+        event_user=np.ascontiguousarray(ev_user),
+        event_tag=np.ascontiguousarray(ev_tag),
+        event_first=ev_first,
+        graph=graph,
+        warnings={"self_loops_dropped": self_loops,
+                  "duplicate_edges_dropped": n_rows - int(keep.sum())},
+    )

@@ -1,14 +1,24 @@
 from __future__ import annotations
 
+import csv
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
-from oracles import giant_component_reference
+from oracles import build_dataset_reference, giant_component_reference
 from tagcascade.errors import MalformedRowError, UndefinedDensityError
 from tagcascade.snapshot import save_snapshot
+from tagcascade.textio import (
+    ADOPTIONS_HEADER,
+    FOLLOWS_HEADER,
+    FOLLOWS_HEADER_TIMED,
+    read_adoptions,
+    read_follows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +246,109 @@ def test_later_copy_of_an_edge_only_counts_a_duplicate(follows, pick, delay):
     assert _graph_state(grown)[:-1] == _graph_state(base)[:-1]
     assert grown.warnings == dict(
         base.warnings, duplicate_edges_dropped=base.warnings["duplicate_edges_dropped"] + 1)
+
+
+# ---------------------------------------------------------------------------
+# ingest paths: CSV through the readers, Python rows, and the row-loop oracle
+# ---------------------------------------------------------------------------
+
+# Few short labels, so users repeat and self-loops and duplicate edges occur;
+# non-ASCII and characters that csv quotes included.
+_LABEL = st.text(st.sampled_from(["a", "b", "é", "標", " ", ",", '"', "\n"]), max_size=2)
+# A time cell: an int (read per the time unit), a numeric string with
+# padding, or an ISO-8601 string (naive, Z or with an offset).
+_ISO = st.builds(
+    lambda dt, tz: dt.replace(tzinfo=tz).isoformat().replace("+00:00", "Z"),
+    st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1)),
+    st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-5, minutes=-30))]),
+)
+_WHEN = (st.integers(-10**15, 10**15) | st.integers(0, 30)
+         | st.integers(-10**12, 10**12).map(lambda t: f" {t} ") | _ISO)
+
+
+@st.composite
+def _follow_rows(draw):
+    """Follow rows of one file: static (two fields), timed, or timed with
+    every `since` empty, which gives a static graph."""
+    pairs = draw(st.lists(st.tuples(_LABEL, _LABEL), max_size=25))
+    kind = draw(st.sampled_from(["static", "timed", "all_empty"]))
+    if kind == "static":
+        return pairs
+    cells = st.sampled_from([None, ""]) if kind == "all_empty" else \
+        st.sampled_from([None, ""]) | _WHEN
+    # A duplicate of an earlier edge with another since, half of the time.
+    rows = [(a, b, draw(cells)) for a, b in pairs]
+    if rows and draw(st.booleans()):
+        rows.append(rows[0][:2] + (draw(cells),))
+    return rows
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if c is None else c for c in row] for row in rows)
+
+
+def _check_invariants(ds):
+    """Structural invariants every built Dataset must hold."""
+    n_users, n_tags = ds.n_users, ds.n_tags
+    for labels in (ds.user_labels, ds.tag_labels):
+        assert all(a < b for a, b in zip(labels, labels[1:]))
+    keys = list(zip(ds.event_time.tolist(), ds.event_user.tolist(), ds.event_tag.tolist()))
+    assert keys == sorted(keys)
+    seen: set = set()
+    first = []
+    for _, user, tag in keys:
+        first.append((user, tag) not in seen)
+        seen.add((user, tag))
+    assert ds.event_first.tolist() == first
+    assert all(0 <= u < n_users for u in ds.event_user.tolist())
+    assert all(0 <= x < n_tags for x in ds.event_tag.tolist())
+    g = ds.graph
+    indptr = g.indptr.tolist()
+    assert len(indptr) == n_users + 1 and indptr[0] == 0 and indptr[-1] == g.n_edges
+    assert all(a <= b for a, b in zip(indptr, indptr[1:]))
+    assert all(0 <= v < n_users for v in g.dst.tolist())
+    for u in range(n_users):
+        lo, hi = indptr[u], indptr[u + 1]
+        row = g.dst[lo:hi].tolist()
+        keys = list(zip(g.since[lo:hi].tolist(), row)) if g.since is not None else row
+        assert keys == sorted(keys) and len(set(row)) == len(row) and u not in row
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    adoptions=st.lists(st.tuples(_LABEL, _LABEL, _WHEN), max_size=25),
+    follows=_follow_rows(),
+    unit=st.sampled_from(["ms", "s"]),
+    reverse_edges=st.booleans(),
+    mutual_edges=st.booleans(),
+)
+def test_csv_and_python_rows_build_identical_datasets(
+        adoptions, follows, unit, reverse_edges, mutual_edges, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("ingest")
+    timed = any(len(r) == 3 for r in follows)
+    _write_csv(tmp / "a.csv", ADOPTIONS_HEADER, adoptions)
+    _write_csv(tmp / "f.csv", FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER, follows)
+    options = {"reverse_edges": reverse_edges, "mutual_edges": mutual_edges}
+
+    read_a, dropped_a = read_adoptions(tmp / "a.csv", time_unit=unit)
+    read_f, dropped_f = read_follows(tmp / "f.csv", time_unit=unit)
+    assert (len(read_a), len(read_f), dropped_a, dropped_f) == (len(adoptions), len(follows), 0, 0)
+    built = {
+        "csv": tc.build_dataset(read_a, read_f, **options),
+        "rows": tc.build_dataset(adoptions, follows, time_unit=unit, **options),
+        "reference": build_dataset_reference(adoptions, follows, time_unit=unit, **options),
+    }
+    snapshots = {}
+    for name, ds in built.items():
+        _check_invariants(ds)
+        save_snapshot(ds, tmp / f"{name}.cscd")
+        snapshots[name] = (tmp / f"{name}.cscd").read_bytes()
+    assert snapshots["csv"] == snapshots["reference"]
+    assert snapshots["rows"] == snapshots["reference"]
+    assert built["csv"].warnings == built["rows"].warnings == built["reference"].warnings
 
 
 # ---------------------------------------------------------------------------
