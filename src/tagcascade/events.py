@@ -9,9 +9,11 @@ adjacency over user handles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -120,19 +122,23 @@ def build_follower_graph(
     n: int,
     since: np.ndarray | None = None,
 ) -> FollowerGraph:
-    """Build a CSR FollowerGraph from an (m, 2) handle-pair array.
-
-    Input pairs must already be deduplicated and free of self-loops.
+    """Build a CSR FollowerGraph from an (m, 2) array of (src, dst) handle
+    pairs, which must hold no self-loop. A pair given more than once is kept
+    once, with its earliest `since`.
     """
-    src = edges[:, 0].astype(np.int32, copy=False)
-    dst = edges[:, 1].astype(np.int32, copy=False)
-    order = np.lexsort((dst, src) if since is None else (dst, since, src))
-    return FollowerGraph(
-        n,
-        _csr_indptr(src, n),
-        np.ascontiguousarray(dst[order]),
-        None if since is None else np.ascontiguousarray(since[order].astype(np.int64)),
-    )
+    pair = edges[:, 0].astype(np.int64) * n + edges[:, 1]
+    order = np.argsort(pair)
+    pair = pair[order]
+    first = np.ones(pair.shape[0], dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    src, dst = np.divmod(pair[first], max(n, 1))
+    if since is None:
+        return FollowerGraph(n, _csr_indptr(src, n), dst.astype(np.int32), None)
+    since = np.minimum.reduceat(np.asarray(since, dtype=np.int64)[order], np.flatnonzero(first))
+    # Edges are in (src, dst) order and lexsort is stable: rows end up
+    # sorted by (since, dst).
+    order = np.lexsort((since, src))
+    return FollowerGraph(n, _csr_indptr(src, n), dst[order].astype(np.int32), since[order])
 
 
 @dataclass(frozen=True)
@@ -254,6 +260,27 @@ class Dataset:
         return zip(src, dst, [None if s == SINCE_ALWAYS else s for s in g.since.tolist()])
 
 
+@dataclass(frozen=True)
+class LogColumns:
+    """The rows of a parsed log held as columns, as `textio.read_adoptions`
+    and `textio.read_follows` return them. `first` and `second` are the two
+    labels of each row, `times` its time in epoch milliseconds (None for an
+    empty follows `since`), or None for a log of two-field rows. `len()` is
+    the row count; iterating yields the row tuples."""
+
+    first: list
+    second: list
+    times: list | None
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __iter__(self):
+        if self.times is None:
+            return zip(self.first, self.second)
+        return zip(self.first, self.second, self.times)
+
+
 def build_dataset(
     adoptions,
     follows,
@@ -262,12 +289,15 @@ def build_dataset(
     mutual_edges: bool = False,
     time_unit: str = "ms",
 ) -> Dataset:
-    """Construct an immutable Dataset from raw adoption and follow rows.
+    """Construct an immutable Dataset from adoption and follow rows.
 
     adoptions: iterable of (user, tag, time) where time is an int (per
         `time_unit`) or an ISO-8601 / numeric string.
     follows: iterable of (src, dst) or (src, dst, since); src observes dst
         unless `reverse_edges`. `mutual_edges` inserts both directions.
+    Either may instead be the LogColumns a reader returned, whose rows the
+    reader has already checked and whose times are already milliseconds;
+    `time_unit` applies to Python rows only.
 
     Raw rows may arrive unsorted and may repeat (user, tag) usages; the
     earliest usage of each pair is flagged as the first usage. Duplicate
@@ -277,86 +307,101 @@ def build_dataset(
     if time_unit not in _MS_PER_UNIT:
         raise ValueError(f"time_unit must be one of {sorted(_MS_PER_UNIT)}")
 
-    ad_users: list = []
-    ad_tags: list = []
-    ad_times: list = []
-    for rowno, row in enumerate(adoptions, start=1):
-        try:
-            user, tag, when = row[0], row[1], row[2]
-        except (IndexError, TypeError):
-            raise MalformedRowError(rowno, f"adoption row needs 3 fields, got {row!r}")
-        try:
-            t = parse_timestamp(when, unit=time_unit)
-        except ValueError as exc:
-            raise MalformedRowError(rowno, str(exc)) from None
-        ad_users.append(str(user))
-        ad_tags.append(str(tag))
-        ad_times.append(t)
-
-    follow_src: list = []
-    follow_dst: list = []
-    follow_since: list = []
-    self_loops = 0
-    has_since = False
-    for rowno, row in enumerate(follows, start=1):
-        if len(row) not in (2, 3):
-            raise MalformedRowError(rowno, f"follow row needs 2 or 3 fields, got {row!r}")
-        src, dst = str(row[0]), str(row[1])
-        since = SINCE_ALWAYS
-        if len(row) == 3 and row[2] not in (None, ""):
+    if not isinstance(adoptions, LogColumns):
+        users: list = []
+        tags: list = []
+        times: list = []
+        for rowno, row in enumerate(adoptions, start=1):
             try:
-                since = parse_timestamp(row[2], unit=time_unit)
+                user, tag, when = row[0], row[1], row[2]
+            except (IndexError, TypeError):
+                raise MalformedRowError(rowno, f"adoption row needs 3 fields, got {row!r}")
+            try:
+                times.append(parse_timestamp(when, unit=time_unit))
             except ValueError as exc:
                 raise MalformedRowError(rowno, str(exc)) from None
-            has_since = True
-        if reverse_edges:
-            src, dst = dst, src
-        if src == dst:
-            self_loops += 1
-            continue
-        follow_src.append(src)
-        follow_dst.append(dst)
-        follow_since.append(since)
-    if mutual_edges:
-        follow_src, follow_dst = follow_src + follow_dst, follow_dst + follow_src
-        follow_since += follow_since
+            users.append(str(user))
+            tags.append(str(tag))
+        adoptions = LogColumns(users, tags, times)
+
+    if not isinstance(follows, LogColumns):
+        srcs: list = []
+        dsts: list = []
+        sinces: list = []
+        for rowno, row in enumerate(follows, start=1):
+            if len(row) not in (2, 3):
+                raise MalformedRowError(rowno, f"follow row needs 2 or 3 fields, got {row!r}")
+            since = None
+            if len(row) == 3 and row[2] not in (None, ""):
+                try:
+                    since = parse_timestamp(row[2], unit=time_unit)
+                except ValueError as exc:
+                    raise MalformedRowError(rowno, str(exc)) from None
+            srcs.append(str(row[0]))
+            dsts.append(str(row[1]))
+            sinces.append(since)
+        follows = LogColumns(srcs, dsts, sinces)
+
+    return _dataset_from_columns(adoptions, follows, reverse_edges, mutual_edges)
+
+
+def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
+                          reverse_edges: bool, mutual_edges: bool) -> Dataset:
+    """The Dataset of checked adoption and follow columns: labels interned,
+    events sorted and first usages flagged, self-loops dropped and the
+    follower graph built."""
+    src, dst, since = follows.first, follows.second, follows.times
+    if reverse_edges:
+        src, dst = dst, src
+    # A graph is timed when any row has a since, a self-loop included.
+    timed = since is not None and since.count(None) < len(since)
+    # Self-loops go before interning: a user seen only in one gets no handle.
+    keep = list(map(operator.ne, src, dst))
+    self_loops = keep.count(False)
+    if self_loops:
+        src, dst = list(compress(src, keep)), list(compress(dst, keep))
+        if timed:
+            since = list(compress(since, keep))
 
     # Handles: lexicographic over the union of labels seen anywhere.
-    user_labels = tuple(sorted(set(ad_users).union(follow_src, follow_dst)))
-    tag_labels = tuple(sorted(set(ad_tags)))
+    user_labels = tuple(sorted(set(adoptions.first).union(src, dst)))
+    tag_labels = tuple(sorted(set(adoptions.second)))
     user_index = {lab: i for i, lab in enumerate(user_labels)}
     tag_index = {lab: i for i, lab in enumerate(tag_labels)}
 
-    n_events = len(ad_users)
-    ev_user = np.fromiter(map(user_index.__getitem__, ad_users), dtype=np.int32, count=n_events)
-    ev_tag = np.fromiter(map(tag_index.__getitem__, ad_tags), dtype=np.int32, count=n_events)
-    ev_time = np.asarray(ad_times, dtype=np.int64)
-
-    order = np.lexsort((ev_tag, ev_user, ev_time))
-    ev_user = np.ascontiguousarray(ev_user[order])
-    ev_tag = np.ascontiguousarray(ev_tag[order])
-    ev_time = np.ascontiguousarray(ev_time[order])
-
+    n_events = len(adoptions)
+    ev_user = np.fromiter(map(user_index.__getitem__, adoptions.first), dtype=np.int32,
+                          count=n_events)
+    ev_tag = np.fromiter(map(tag_index.__getitem__, adoptions.second), dtype=np.int32,
+                         count=n_events)
+    ev_time = np.array(adoptions.times, dtype=np.int64)
+    # One sort on (time rank, pair rank), both below n_events, so the key
+    # fits int64; equal keys are equal events, so the sort need not be stable.
+    _, time_rank = np.unique(ev_time, return_inverse=True)
+    pairs, pair_rank = np.unique(ev_user.astype(np.int64) * len(tag_labels) + ev_tag,
+                                 return_inverse=True)
+    order = np.argsort(time_rank * n_events + pair_rank)
+    ev_user, ev_tag, ev_time = ev_user[order], ev_tag[order], ev_time[order]
+    # The first usage of a (user, tag) pair is its first position in that order.
+    first_pos = np.full(pairs.shape[0], n_events)
+    np.minimum.at(first_pos, pair_rank[order], np.arange(n_events))
     ev_first = np.zeros(n_events, dtype=bool)
-    pair_key = ev_user.astype(np.int64) * len(tag_labels) + ev_tag
-    _, first_idx = np.unique(pair_key, return_index=True)
-    ev_first[first_idx] = True
+    ev_first[first_pos] = True
 
-    # Deduplicate edges: the first row of each (src, dst) in (src, dst, since)
-    # order holds the earliest since (SINCE_ALWAYS, for none, sorts first).
-    n_rows = len(follow_src)
-    src = np.fromiter(map(user_index.__getitem__, follow_src), dtype=np.int32, count=n_rows)
-    dst = np.fromiter(map(user_index.__getitem__, follow_dst), dtype=np.int32, count=n_rows)
-    since = np.asarray(follow_since, dtype=np.int64)
-    order = np.lexsort((since, dst, src))
-    src, dst, since = src[order], dst[order], since[order]
-    keep = np.ones(n_rows, dtype=bool)
-    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    graph = build_follower_graph(
-        np.column_stack((src[keep], dst[keep])),
-        len(user_labels),
-        since[keep] if has_since and n_rows else None,  # an empty graph is static
-    )
+    n_rows = len(src)
+    edges = np.empty((n_rows, 2), dtype=np.int32)
+    edges[:, 0] = np.fromiter(map(user_index.__getitem__, src), dtype=np.int32, count=n_rows)
+    edges[:, 1] = np.fromiter(map(user_index.__getitem__, dst), dtype=np.int32, count=n_rows)
+    if timed and n_rows:  # an empty graph is static
+        since = np.array([SINCE_ALWAYS if s is None else s for s in since], dtype=np.int64)
+    else:
+        since = None
+    if mutual_edges:
+        edges = np.concatenate((edges, edges[:, ::-1]))
+        n_rows *= 2
+        if since is not None:
+            since = np.concatenate((since, since))
+    graph = build_follower_graph(edges, len(user_labels), since)
 
     return Dataset(
         user_table=user_labels,

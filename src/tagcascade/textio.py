@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .errors import DataError, MalformedRowError
-from .events import parse_timestamp
+from .events import LogColumns, parse_timestamp
 
 ADOPTIONS_HEADER = ["user_id", "tag_id", "timestamp"]
 FOLLOWS_HEADER = ["src_id", "dst_id"]
@@ -50,12 +50,14 @@ def parse_duration_ms(text) -> int:
 
 
 def _read_log(path, headers, time_unit, on_bad):
-    """(rows, dropped) of a CSV log whose header is one of `headers`. The
-    header sets the row width. A third field is a timestamp; under the
-    follows `since` header it may be empty, which gives None. An error names
-    the physical line a bad row ends on, counting line breaks inside quoted
-    fields."""
-    rows = []
+    """(LogColumns, dropped) of a CSV log whose header is one of `headers`.
+    The header sets the row width. A third field is a timestamp, parsed here
+    once; under the follows `since` header it may be empty, which gives None.
+    A bad row adds to no column. An error names the physical line a bad row
+    ends on, counting line breaks inside quoted fields."""
+    first: list = []
+    second: list = []
+    times: list = []
     dropped = 0
     with _open_input(path) as fh:
         reader = csv.reader(fh)
@@ -71,25 +73,26 @@ def _read_log(path, headers, time_unit, on_bad):
             try:
                 if len(row) != width:
                     raise ValueError(f"expected {width} fields, got {len(row)}")
-                if width == 2:
-                    rows.append((row[0], row[1]))
-                elif may_be_empty and row[2] == "":
-                    rows.append((row[0], row[1], None))
-                else:
-                    rows.append((row[0], row[1], parse_timestamp(row[2], time_unit)))
+                if width == 3:
+                    cell = row[2]
+                    times.append(None if may_be_empty and cell == ""
+                                 else parse_timestamp(cell, time_unit))
             except ValueError as exc:
                 if on_bad == "drop":
                     dropped += 1
                     continue
                 raise MalformedRowError(reader.line_num, str(exc)) from None
-    return rows, dropped
+            first.append(row[0])
+            second.append(row[1])
+    return LogColumns(first, second, times if width == 3 else None), dropped
 
 
 def read_adoptions(path, *, time_unit: str = "ms", on_bad: str = "raise"):
     """Parse an adoptions CSV into (rows, dropped_count).
 
-    Rows come back as (user, tag, time_ms). With on_bad='drop', malformed
-    rows are counted instead of raising.
+    `rows` is a LogColumns of users, tags and times in ms; iterating it
+    yields (user, tag, time_ms). With on_bad='drop', malformed rows are
+    counted instead of raising.
     """
     return _read_log(path, (ADOPTIONS_HEADER,), time_unit, on_bad)
 
@@ -97,7 +100,9 @@ def read_adoptions(path, *, time_unit: str = "ms", on_bad: str = "raise"):
 def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
     """Parse a follows CSV into (rows, dropped_count).
 
-    Rows come back as (src, dst) or (src, dst, since_ms or None).
+    `rows` is a LogColumns of sources, destinations and, for a file with a
+    `since` column, since times in ms or None; iterating it yields (src, dst)
+    or (src, dst, since_ms or None).
     """
     return _read_log(path, (FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED), time_unit, on_bad)
 

@@ -51,12 +51,12 @@ def test_quoted_commas_in_labels_round_trip(tmp_path):
         w.writerow(["user,with,commas", "tag,too", 123])
     rows, dropped = read_adoptions(path)
     assert dropped == 0
-    assert rows == [("user,with,commas", "tag,too", 123)]
+    assert list(rows) == [("user,with,commas", "tag,too", 123)]
 
     out = tmp_path / "b.csv"
     write_adoptions_csv(out, rows)
     rows2, _ = read_adoptions(out)
-    assert rows2 == rows
+    assert list(rows2) == list(rows)
 
 
 def test_adoptions_header_enforced(tmp_path):
@@ -71,7 +71,7 @@ def test_follows_since_column_optional_per_row(tmp_path):
     path.write_text("src_id,dst_id,since\na,b,100\nc,d,\n")
     rows, dropped = read_follows(path)
     assert dropped == 0
-    assert rows == [("a", "b", 100), ("c", "d", None)]
+    assert list(rows) == [("a", "b", 100), ("c", "d", None)]
 
 
 def test_read_on_bad_drop_counts(tmp_path):
@@ -86,12 +86,12 @@ def test_read_on_bad_drop_counts(tmp_path):
     path.write_text("user_id,tag_id,timestamp\na,x,1\nb,y,99999999999999999999\n"
                     "c,z,-9223372036854775809\nd,w,9223372036854775807\n")
     rows, dropped = read_adoptions(path, on_bad="drop")
-    assert rows == [("a", "x", 1), ("d", "w", 2**63 - 1)] and dropped == 2
+    assert list(rows) == [("a", "x", 1), ("d", "w", 2**63 - 1)] and dropped == 2
     with pytest.raises(MalformedRowError, match="line 3"):
         read_adoptions(path, on_bad="raise")
     path.write_text("src_id,dst_id,since\na,b,1\nc,d,9223372036854776\ne,f,\n")
     rows, dropped = read_follows(path, time_unit="s", on_bad="drop")
-    assert rows == [("a", "b", 1000), ("e", "f", None)] and dropped == 1
+    assert list(rows) == [("a", "b", 1000), ("e", "f", None)] and dropped == 1
     with pytest.raises(MalformedRowError, match="line 3"):
         read_follows(path, time_unit="s", on_bad="raise")
 
@@ -120,12 +120,42 @@ _READER_CASES = [
 def test_readers_drop_and_raise_table(tmp_path, reader, text, rows, dropped, bad_line):
     path = tmp_path / "log.csv"
     path.write_text(text, encoding="utf-8")
-    assert reader(path, on_bad="drop") == (rows, dropped)
+    got, got_dropped = reader(path, on_bad="drop")
+    assert (list(got), got_dropped) == (rows, dropped)
     if bad_line is None:
-        assert reader(path, on_bad="raise") == (rows, 0)
+        got, got_dropped = reader(path, on_bad="raise")
+        assert (list(got), got_dropped) == (rows, 0)
     else:
         with pytest.raises(MalformedRowError, match=rf"^line {bad_line}: "):
             reader(path, on_bad="raise")
+
+
+# Bad rows of each kind, each with the message it raises, under
+# time_unit="s": 9223372036854776 s is past int64 once made milliseconds.
+_BAD_ROWS = {
+    "wrong width": ("q,r", "expected 3 fields, got 2"),
+    "unparsable": ("q,r,soon", "unparsable timestamp: 'soon'"),
+    "leaves int64": ("q,r,9223372036854776", "outside signed 64-bit milliseconds"),
+}
+
+
+@pytest.mark.parametrize("reader,header", [(read_adoptions, _A), (read_follows, _FT)])
+@pytest.mark.parametrize("first_bad", sorted(_BAD_ROWS))
+def test_bad_rows_leave_columns_aligned(tmp_path, reader, header, first_bad):
+    others = [row for kind, (row, _) in sorted(_BAD_ROWS.items()) if kind != first_bad]
+    lines = ["a,x,1", "b,y,2", _BAD_ROWS[first_bad][0], "c,z,1970-01-01T00:00:03Z",
+             others[0], "d,w, 4 ", others[1], "e,v,5"]
+    path = tmp_path / "log.csv"
+    path.write_text(header + "\n".join(lines) + "\n", encoding="utf-8")
+    rows, dropped = reader(path, time_unit="s", on_bad="drop")
+    assert dropped == 3 and len(rows) == 5
+    assert rows.first == ["a", "b", "c", "d", "e"]
+    assert rows.second == ["x", "y", "z", "w", "v"]
+    assert rows.times == [1000, 2000, 3000, 4000, 5000]
+    assert list(rows) == list(zip(rows.first, rows.second, rows.times))
+    # The first bad row is on physical line 4, after the header and two rows.
+    with pytest.raises(MalformedRowError, match=rf"^line 4: .*{_BAD_ROWS[first_bad][1]}"):
+        reader(path, time_unit="s", on_bad="raise")
 
 
 def test_follows_header_mismatch_message(tmp_path):
@@ -186,10 +216,12 @@ def test_writers_match_per_row_writerow(adoptions, follows):
         assert (tmp / "a.csv").read_bytes() == (tmp / "ra.csv").read_bytes()
         assert (tmp / "f.csv").read_bytes() == (tmp / "rf.csv").read_bytes()
 
-        assert read_adoptions(tmp / "a.csv") == (adoptions, 0)
+        rows, dropped = read_adoptions(tmp / "a.csv")
+        assert (list(rows), dropped) == (adoptions, 0)
         if timed:
             follows = [(r[0], r[1], r[2] if len(r) == 3 else None) for r in follows]
-        assert read_follows(tmp / "f.csv") == (follows, 0)
+        rows, dropped = read_follows(tmp / "f.csv")
+        assert (list(rows), dropped) == (follows, 0)
 
 
 # TSV columns: each is drawn as a short base and tiled to the row count, so
