@@ -321,7 +321,8 @@ def fit_power_law(
     """Fit a discrete power-law tail to positive integer samples.
 
     bootstrap: number of semi-parametric replicates behind gof_p
-        (0 disables the test and leaves gof_p = None).
+        (0 disables the test and leaves gof_p = None; a negative count
+        raises ValueError).
     seed: root seed for the bootstrap; per-replicate generators are derived
         from it, so any thread count gives identical results.
     max_xmin_candidates: evenly subsample the cutoff scan when the number
@@ -332,6 +333,8 @@ def fit_power_law(
         the scan from retreating into a remnant tail that fits anything.
         Set to 0 to scan every cutoff.
     """
+    if bootstrap < 0:
+        raise ValueError(f"bootstrap must be >= 0, got {bootstrap}")
     arr = np.asarray(samples)
     if arr.size < 2:
         raise DegenerateSampleError("need at least two samples")

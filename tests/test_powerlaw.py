@@ -100,6 +100,13 @@ def test_non_positive_samples_rejected():
         fit_power_law([1.5, 2.5, 3.5])
 
 
+def test_negative_bootstrap_rejected():
+    s = zeta_sample(2.2, 1, 500, np.random.Generator(np.random.PCG64(1)))
+    with pytest.raises(ValueError, match="bootstrap"):
+        fit_power_law(s, bootstrap=-3, seed=1)
+    assert fit_power_law(s, bootstrap=0, seed=1).gof_p is None
+
+
 def test_duplicating_sample_leaves_fit_unchanged():
     rng = np.random.Generator(np.random.PCG64(21))
     s = zeta_sample(2.2, 3, 5_000, rng)
