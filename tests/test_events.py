@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
@@ -325,6 +325,9 @@ def _check_invariants(ds):
     reverse_edges=st.booleans(),
     mutual_edges=st.booleans(),
 )
+# The only since is on a self-loop, which is dropped: the graph is still timed.
+@example(adoptions=[], follows=[("a", "a", 5), ("a", "b", None)], unit="ms",
+         reverse_edges=False, mutual_edges=False)
 def test_csv_and_python_rows_build_identical_datasets(
         adoptions, follows, unit, reverse_edges, mutual_edges, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ingest")
