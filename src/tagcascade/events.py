@@ -131,7 +131,7 @@ def build_follower_graph(
     pair = pair[order]
     first = np.ones(pair.shape[0], dtype=bool)
     first[1:] = pair[1:] != pair[:-1]
-    src, dst = np.divmod(pair[first], max(n, 1))
+    src, dst = np.divmod(pair[first], n)
     if since is None:
         return FollowerGraph(n, _csr_indptr(src, n), dst.astype(np.int32), None)
     since = np.minimum.reduceat(np.asarray(since, dtype=np.int64)[order], np.flatnonzero(first))
@@ -345,6 +345,10 @@ def build_dataset(
     return _dataset_from_columns(adoptions, follows, reverse_edges, mutual_edges)
 
 
+def _handles(index: dict, labels: list) -> np.ndarray:
+    return np.fromiter(map(index.__getitem__, labels), dtype=np.int32, count=len(labels))
+
+
 def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
                           reverse_edges: bool, mutual_edges: bool) -> Dataset:
     """The Dataset of checked adoption and follow columns: labels interned,
@@ -362,6 +366,10 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
         src, dst = list(compress(src, keep)), list(compress(dst, keep))
         if timed:
             since = list(compress(since, keep))
+    if mutual_edges:
+        src, dst = src + dst, dst + src
+        if timed:
+            since = since + since
 
     # Handles: lexicographic over the union of labels seen anywhere.
     user_labels = tuple(sorted(set(adoptions.first).union(src, dst)))
@@ -370,10 +378,8 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
     tag_index = {lab: i for i, lab in enumerate(tag_labels)}
 
     n_events = len(adoptions)
-    ev_user = np.fromiter(map(user_index.__getitem__, adoptions.first), dtype=np.int32,
-                          count=n_events)
-    ev_tag = np.fromiter(map(tag_index.__getitem__, adoptions.second), dtype=np.int32,
-                         count=n_events)
+    ev_user = _handles(user_index, adoptions.first)
+    ev_tag = _handles(tag_index, adoptions.second)
     ev_time = np.array(adoptions.times, dtype=np.int64)
     # One sort on (time rank, pair rank), both below n_events, so the key
     # fits int64; equal keys are equal events, so the sort need not be stable.
@@ -389,18 +395,11 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
     ev_first[first_pos] = True
 
     n_rows = len(src)
-    edges = np.empty((n_rows, 2), dtype=np.int32)
-    edges[:, 0] = np.fromiter(map(user_index.__getitem__, src), dtype=np.int32, count=n_rows)
-    edges[:, 1] = np.fromiter(map(user_index.__getitem__, dst), dtype=np.int32, count=n_rows)
+    edges = np.column_stack((_handles(user_index, src), _handles(user_index, dst)))
     if timed and n_rows:  # an empty graph is static
         since = np.array([SINCE_ALWAYS if s is None else s for s in since], dtype=np.int64)
     else:
         since = None
-    if mutual_edges:
-        edges = np.concatenate((edges, edges[:, ::-1]))
-        n_rows *= 2
-        if since is not None:
-            since = np.concatenate((since, since))
     graph = build_follower_graph(edges, len(user_labels), since)
 
     return Dataset(

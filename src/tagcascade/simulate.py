@@ -7,7 +7,7 @@ A fractional-threshold rule counts them as active alters, a social-learning
 variant also demands the threshold hold for a lag of consecutive steps, and
 an independent cascade keeps observers whose pre-drawn per-edge uniform is
 below p (so runs at different transmission probabilities are coupled).
-The graph must hold no duplicate edge, as `build_follower_graph` requires.
+The graph must hold no duplicate edge; `build_follower_graph` merges them.
 Every run is deterministic given its config, including the 64-bit seed.
 
 Step semantics: adoption at step k is triggered by the adoption state at
@@ -369,8 +369,8 @@ def _run_fractional(cfg: SimConfig, spec: ThresholdSpec, lag: int) -> SimRun:
 
     def rule(observers, _edge_slots, adopt_step):
         """Counts one active alter per edge: one per observer, because the
-        graph holds no duplicate edge (build_follower_graph requires that,
-        and build_dataset and both generators meet it)."""
+        graph holds no duplicate edge (build_follower_graph, which builds
+        every generated and ingested graph, merges them)."""
         nonlocal active_count, streak
         active_count += np.bincount(observers, minlength=n)
         exposure = np.divide(active_count, outdeg, out=np.zeros(n), where=can_adopt)
