@@ -56,8 +56,8 @@ def _record_calls(monkeypatch, names) -> dict:
             _results.append(result)
             return result
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.split(".")[0] != "tagcascade":
+        for loaded, module in list(sys.modules.items()):
+            if loaded.split(".")[0] != "tagcascade":
                 continue
             for attr, obj in list(vars(module).items()):
                 if obj is fn:
