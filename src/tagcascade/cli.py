@@ -323,8 +323,15 @@ def _resolve_seed_users(seeds_cfg: dict, source_ds) -> tuple | None:
     if not isinstance(users, list):
         raise UsageError(f"seeds: users must be a list, got {users!r}")
     if source_ds is not None:
-        return tuple(source_ds.user_handle(str(u)) for u in users)
+        return tuple(map(source_ds.user_handle, map(_seed_label, users)))
     return tuple(map(_seed_node, users))
+
+
+def _seed_label(user) -> str:
+    """A seed user of a dataset graph: a JSON string, looked up as it is."""
+    if not isinstance(user, str):
+        raise UsageError(f"seeds: users of a dataset graph must be labels, got {user!r}")
+    return user
 
 
 def _seed_node(user) -> int:

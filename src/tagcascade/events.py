@@ -287,26 +287,23 @@ def build_dataset(
     *,
     reverse_edges: bool = False,
     mutual_edges: bool = False,
-    time_unit: str = "ms",
 ) -> Dataset:
     """Construct an immutable Dataset from adoption and follow rows.
 
-    adoptions: iterable of (user, tag, time) where time is an int (per
-        `time_unit`) or an ISO-8601 / numeric string.
+    adoptions: iterable of (user, tag, time) where time is an int in
+        milliseconds or an ISO-8601 / numeric string.
     follows: iterable of (src, dst) or (src, dst, since); src observes dst
-        unless `reverse_edges`. `mutual_edges` inserts both directions.
+        unless `reverse_edges`. `mutual_edges` inserts both directions. A
+        `since` that is None, empty or SINCE_ALWAYS means "always"; the
+        graph is timed when any row has another `since`.
     Either may instead be the LogColumns a reader returned, whose rows the
-    reader has already checked and whose times are already milliseconds;
-    `time_unit` applies to Python rows only.
+    reader has already checked and whose times are already milliseconds.
 
     Raw rows may arrive unsorted and may repeat (user, tag) usages; the
     earliest usage of each pair is flagged as the first usage. Duplicate
     follow edges are deduplicated (earliest `since` wins); self-loops are
     dropped and counted in warnings.
     """
-    if time_unit not in _MS_PER_UNIT:
-        raise ValueError(f"time_unit must be one of {sorted(_MS_PER_UNIT)}")
-
     if not isinstance(adoptions, LogColumns):
         users: list = []
         tags: list = []
@@ -317,7 +314,7 @@ def build_dataset(
             except (IndexError, TypeError):
                 raise MalformedRowError(rowno, f"adoption row needs 3 fields, got {row!r}")
             try:
-                times.append(parse_timestamp(when, unit=time_unit))
+                times.append(parse_timestamp(when))
             except ValueError as exc:
                 raise MalformedRowError(rowno, str(exc)) from None
             users.append(str(user))
@@ -334,7 +331,7 @@ def build_dataset(
             since = None
             if len(row) == 3 and row[2] not in (None, ""):
                 try:
-                    since = parse_timestamp(row[2], unit=time_unit)
+                    since = parse_timestamp(row[2])
                 except ValueError as exc:
                     raise MalformedRowError(rowno, str(exc)) from None
             srcs.append(str(row[0]))
@@ -357,19 +354,23 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
     src, dst, since = follows.first, follows.second, follows.times
     if reverse_edges:
         src, dst = dst, src
-    # A graph is timed when any row has a since, a self-loop included.
-    timed = since is not None and since.count(None) < len(since)
+    if since is not None:
+        since = np.array([SINCE_ALWAYS if s is None else s for s in since], dtype=np.int64)
+        # A graph is timed when any row, a self-loop included, has a since
+        # other than SINCE_ALWAYS ("always", as None is).
+        if (since == SINCE_ALWAYS).all():
+            since = None
     # Self-loops go before interning: a user seen only in one gets no handle.
     keep = list(map(operator.ne, src, dst))
     self_loops = keep.count(False)
     if self_loops:
         src, dst = list(compress(src, keep)), list(compress(dst, keep))
-        if timed:
-            since = list(compress(since, keep))
+        if since is not None:
+            since = since[np.fromiter(keep, dtype=bool, count=len(keep))]
     if mutual_edges:
         src, dst = src + dst, dst + src
-        if timed:
-            since = since + since
+        if since is not None:
+            since = np.concatenate((since, since))
 
     # Handles: lexicographic over the union of labels seen anywhere.
     user_labels = tuple(sorted(set(adoptions.first).union(src, dst)))
@@ -396,9 +397,7 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
 
     n_rows = len(src)
     edges = np.column_stack((_handles(user_index, src), _handles(user_index, dst)))
-    if timed and n_rows:  # an empty graph is static
-        since = np.array([SINCE_ALWAYS if s is None else s for s in since], dtype=np.int64)
-    else:
+    if not n_rows:  # an empty graph is static
         since = None
     graph = build_follower_graph(edges, len(user_labels), since)
 

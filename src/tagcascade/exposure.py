@@ -69,9 +69,7 @@ class ExposureTable:
     def __len__(self) -> int:
         return int(self.user.shape[0])
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> ExposureRecord:
         return ExposureRecord(
             user=int(self.user[i]),
             tag=int(self.tag[i]),

@@ -189,7 +189,7 @@ def _ks_distances(alpha, first, stop, below, n_tail, vals, starts, ends) -> np.n
     return out
 
 
-def _scan_xmin(samples: list, max_candidates: int | None = None, min_tail: int = 2) -> list:
+def _scan_xmin(samples: list, min_tail: int = 2) -> list:
     """Try every candidate cutoff of every sorted sample, all in one batch.
 
     Returns, per sample, (alpha, xmin, D, n_tail) of the first cutoff with
@@ -212,11 +212,7 @@ def _scan_xmin(samples: list, max_candidates: int | None = None, min_tail: int =
             results[s] = DegenerateSampleError("need at least two distinct sample values")
             continue
         log_suffix = np.cumsum(np.log(sample[::-1]))[::-1]
-        candidates = np.arange(vals.shape[0] - 1)
-        if max_candidates is not None and candidates.shape[0] > max_candidates:
-            pick = np.linspace(0, candidates.shape[0] - 1, max_candidates).round().astype(int)
-            candidates = candidates[np.unique(pick)]
-        candidates = candidates[n - starts[candidates] >= max(2, min_tail)]
+        candidates = np.flatnonzero(n - starts[:-1] >= max(2, min_tail))
         if candidates.shape[0] == 0:
             results[s] = InsufficientTailError("no cutoff leaves at least two tail samples")
             continue
@@ -274,8 +270,7 @@ def _sample_fitted_tail(alpha: float, xmin: int, size: int, rng: np.random.Gener
     return out.astype(np.int64)
 
 
-def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, max_candidates, min_tail,
-                         threads) -> list:
+def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads) -> list:
     """Best-cutoff KS distance of each semi-parametric replicate: body
     values resampled below xmin, fitted-tail draws above it, each replicate
     from its own PCG64(seed). The replicates are scanned as one batch, or
@@ -300,7 +295,7 @@ def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, max_candidates, min
         # A degenerate replicate (e.g. single repeated value) fits nothing;
         # count it as at least as extreme as the observed distance.
         return [math.inf if isinstance(fit, Exception) else fit[2]
-                for fit in _scan_xmin(synth, max_candidates, min_tail)]
+                for fit in _scan_xmin(synth, min_tail)]
 
     chunks = [c for c in np.array_split(seeds, threads) if c.shape[0]]
     if len(chunks) > 1:
@@ -315,7 +310,6 @@ def fit_power_law(
     bootstrap: int = 100,
     seed: int | None = None,
     threads: int = 1,
-    max_xmin_candidates: int | None = None,
     min_tail_fraction: float = 0.01,
 ) -> PowerLawFit:
     """Fit a discrete power-law tail to positive integer samples.
@@ -325,8 +319,6 @@ def fit_power_law(
         raises ValueError).
     seed: root seed for the bootstrap; per-replicate generators are derived
         from it, so any thread count gives identical results.
-    max_xmin_candidates: evenly subsample the cutoff scan when the number
-        of distinct values is large (None = scan all).
     min_tail_fraction: cutoff candidates must keep at least this fraction
         of the sample in the tail (and never fewer than 2 points). The
         smallest sample value is always a valid cutoff, so this only stops
@@ -349,7 +341,7 @@ def fit_power_law(
     sorted_samples = np.sort(arr.astype(np.int64))
     n = sorted_samples.shape[0]
     min_tail = max(2, math.ceil(min_tail_fraction * n))
-    (fit,) = _scan_xmin([sorted_samples], max_xmin_candidates, min_tail)
+    (fit,) = _scan_xmin([sorted_samples], min_tail)
     if isinstance(fit, Exception):
         raise fit
     alpha, xmin, dist, n_tail = fit
@@ -357,8 +349,7 @@ def fit_power_law(
     gof_p = None
     if bootstrap > 0:
         seeds = np.random.SeedSequence(seed).generate_state(bootstrap, dtype=np.uint64)
-        dists = _bootstrap_distances(sorted_samples, alpha, xmin, seeds, max_xmin_candidates,
-                                     min_tail, threads)
+        dists = _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads)
         gof_p = float(np.mean([dr >= dist for dr in dists]))
 
     return PowerLawFit(

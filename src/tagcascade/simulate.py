@@ -272,20 +272,21 @@ class SimRun:
     def user_label(self, u: int) -> str:
         return self.user_labels[u]
 
-    def adoption_rows(self, tag: str = "sim"):
-        """Synthetic adoption log rows, directly re-ingestible."""
+    def adoption_rows(self):
+        """Synthetic adoption log rows of the tag "sim", directly
+        re-ingestible."""
         adopters = np.flatnonzero(self.adopt_step >= 0)
         users = adopters[np.lexsort((adopters, self.adopt_step[adopters]))]
         return zip(map(self.user_labels.__getitem__, users.tolist()),
-                   itertools.repeat(tag), self.adopt_step[users].tolist())
+                   itertools.repeat("sim"), self.adopt_step[users].tolist())
 
     def follow_rows(self):
         edges = self.graph.edge_list()
         return zip(map(self.user_labels.__getitem__, edges[:, 0].tolist()),
                    map(self.user_labels.__getitem__, edges[:, 1].tolist()))
 
-    def to_dataset(self, tag: str = "sim") -> Dataset:
-        return build_dataset(self.adoption_rows(tag), self.follow_rows())
+    def to_dataset(self) -> Dataset:
+        return build_dataset(self.adoption_rows(), self.follow_rows())
 
 
 # ---------------------------------------------------------------------------

@@ -107,12 +107,9 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def smooth_distribution(
-    values,
-    bandwidth: float | None = None,
-    grid_size: int = 512,
-) -> DensityCurve:
-    """Gaussian-kernel density on [0, 1] with boundary reflection.
+def smooth_distribution(values, bandwidth: float | None = None) -> DensityCurve:
+    """Gaussian-kernel density on [0, 1] with boundary reflection, sampled
+    on a 512-point grid.
 
     Mass leaking past 0 or 1 is folded back by reflecting each kernel at
     both boundaries, and the sampled curve is normalized to unit mass.
@@ -132,8 +129,8 @@ def smooth_distribution(
     elif bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
 
-    grid = np.linspace(0.0, 1.0, grid_size)
-    density = np.zeros(grid_size, dtype=np.float64)
+    grid = np.linspace(0.0, 1.0, 512)
+    density = np.zeros_like(grid)
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth * vals.shape[0])
     for start in range(0, vals.shape[0], 4096):
         chunk = vals[start:start + 4096]
@@ -165,33 +162,21 @@ class CorrelationReport:
     bins: tuple
 
 
-def _extract_pairs(records):
-    if isinstance(records, ExposureTable):
-        defined = records.defined_mask
-        return (
-            records.tag_popularity_at_adoption[defined].astype(np.float64),
-            records.exposure[defined],
-        )
-    pops, expos = [], []
-    for rec in records:
-        if rec.defined:
-            pops.append(rec.tag_popularity_at_adoption)
-            expos.append(rec.exposure)
-    return np.asarray(pops, dtype=np.float64), np.asarray(expos, dtype=np.float64)
-
-
 def popularity_threshold_correlation(
-    records,
+    table: ExposureTable,
     bins: int = 10,
     method: str = "spearman",
 ) -> CorrelationReport:
     """Rank correlation between tag popularity at adoption and exposure,
-    over defined records, with logarithmic popularity bins for the
-    binned-means view. `method='pearson'` switches to linear correlation.
+    over the defined records of `table`, with logarithmic popularity bins
+    for the binned-means view. `method='pearson'` switches to linear
+    correlation.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    pop, expo = _extract_pairs(records)
+    defined = table.defined_mask
+    pop = table.tag_popularity_at_adoption[defined].astype(np.float64)
+    expo = table.exposure[defined]
     n = pop.shape[0]
     if n < 3:
         raise UndefinedCorrelationError(f"need at least 3 defined records, got {n}")

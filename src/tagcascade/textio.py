@@ -36,16 +36,16 @@ def _open_input(path):
 
 
 def parse_duration_ms(text) -> int:
-    """Duration like '500ms', '10s', '5m', '2h', '1d', or bare integer ms."""
-    if isinstance(text, int):
-        value = text
-    else:
-        m = _DURATION_RE.match(str(text))
-        if not m:
-            raise DataError(f"unparsable duration: {text!r}")
-        value = int(m.group(1)) * _DURATION_MS[m.group(2) or "ms"]
+    """Duration like '500ms', '10s', '5m', '2h', '1d', or bare integer ms,
+    positive and below 2^63 ms."""
+    m = _DURATION_RE.match(str(text))
+    if not m:
+        raise DataError(f"unparsable duration: {text!r}")
+    value = int(m.group(1)) * _DURATION_MS[m.group(2) or "ms"]
     if value < 1:
         raise DataError("duration must be positive")
+    if value >= 2**63:
+        raise DataError(f"duration {text!r} is not below 2^63 ms")
     return value
 
 

@@ -218,7 +218,7 @@ def ks_distance(alpha: float, xmin: int, vals: np.ndarray, cum_counts: np.ndarra
     return float(np.maximum(np.abs(emp - fit_at), np.abs(emp_prev - fit_before)).max())
 
 
-def scan_xmin(sorted_samples: np.ndarray, max_candidates: int | None = None, min_tail: int = 2):
+def scan_xmin(sorted_samples: np.ndarray, min_tail: int = 2):
     """(alpha, xmin, D, n_tail) of the first cutoff with the smallest KS
     distance, one candidate at a time."""
     n = sorted_samples.shape[0]
@@ -227,13 +227,8 @@ def scan_xmin(sorted_samples: np.ndarray, max_candidates: int | None = None, min
         raise DegenerateSampleError("need at least two distinct sample values")
     log_suffix = np.cumsum(np.log(sorted_samples[::-1]))[::-1]
 
-    candidates = np.arange(vals.shape[0] - 1)
-    if max_candidates is not None and candidates.shape[0] > max_candidates:
-        pick = np.linspace(0, candidates.shape[0] - 1, max_candidates).round().astype(int)
-        candidates = candidates[np.unique(pick)]
-
     best = None
-    for ci in candidates:
+    for ci in range(vals.shape[0] - 1):
         pos = int(starts[ci])
         n_tail = n - pos
         if n_tail < max(2, min_tail):
@@ -472,7 +467,7 @@ def build_dataset_reference(adoptions, follows, *, reverse_edges=False, mutual_e
                 since = parse_timestamp(row[2], unit=time_unit)
             except ValueError as exc:
                 raise MalformedRowError(rowno, str(exc)) from None
-            has_since = True
+            has_since = has_since or since != SINCE_ALWAYS  # -2^63 means "always" too
         if reverse_edges:
             src, dst = dst, src
         if src == dst:

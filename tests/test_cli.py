@@ -234,6 +234,20 @@ def test_curve_unknown_tag_is_data_error(snapshot, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bucket,code", [
+    ("9223372036854775807", 0),
+    ("9223372036854775808", 2),
+    ("99999999999999999999d", 2),
+])
+def test_curve_bucket_below_2_63_ms(snapshot, capsys, bucket, code):
+    assert main(["curve", str(snapshot), "--tag", "tag0", "--bucket", bucket]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["result"]["bucket_ms"] == 2**63 - 1
+    else:
+        assert captured.err == f"data error: duration {bucket!r} is not below 2^63 ms\n"
+
+
 def test_correlate_output(snapshot, tmp_path, capsys):
     out = tmp_path / "corr.tsv"
     code, report = _run(capsys, "correlate", str(snapshot), "--bins", "6", "--out", str(out))
@@ -459,6 +473,63 @@ def test_simulate_learning_model_from_config(tmp_path, capsys):
     assert report["result"]["model"] == "learning"
 
 
+@pytest.mark.parametrize("users,code,message", [
+    (["user03", "user00"], 0, None),
+    ([True], 1, "usage error: seeds: users of a dataset graph must be labels, got True"),
+    ([3], 1, "usage error: seeds: users of a dataset graph must be labels, got 3"),
+    (["nobody"], 2, "data error: unknown user: 'nobody'"),
+], ids=["labels", "bool", "int", "unknown"])
+def test_dataset_graph_seed_users_are_labels(snapshot, tmp_path, capsys, users, code, message):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({
+        "graph": {"kind": "dataset", "snapshot": str(snapshot)}, "model": "threshold",
+        "params": {"thresholds": {"kind": "constant", "c": 0.5}}, "seeds": {"users": users},
+    }))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(path), "--seed", "1", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 0:  # handles of the snapshot, in node order
+        manifest = json.loads((out / "run_0000" / "manifest.json").read_text())
+        assert manifest["seed_users"] == ["u0000000", "u0000003"]
+    else:
+        assert err.splitlines() == [message]
+        assert not out.exists()
+
+
+_THRESHOLD = {"thresholds": {"kind": "constant", "c": 0.5}}
+_ER = {"kind": "erdos_renyi", "n": 20, "mean_out_degree": 2}
+
+
+@pytest.mark.parametrize("cfg,argv,code,message", [
+    ({"graph": _ER, "model": "threshold", "params": _THRESHOLD, "seeds": {"users": [0, "u3"]}},
+     (), 0, None),
+    ({"graph": _ER, "model": "threshold", "params": {"thresholds": {"kind": "beta"}}}, (), 1,
+     "unknown threshold distribution: 'beta'"),
+    ({"graph": _ER, "model": "contagion", "params": _THRESHOLD}, (), 1,
+     "unknown model: 'contagion'"),
+    ({"graph": {"kind": "lattice"}, "model": "threshold", "params": _THRESHOLD}, (), 1,
+     "unknown graph kind: 'lattice'"),
+    ({"graph": _ER, "model": "threshold", "params": _THRESHOLD, "seeds": {"users": "u3"}}, (), 1,
+     "seeds: users must be a list, got 'u3'"),
+    ({"graph": _ER, "params": _THRESHOLD}, (), 1, "no model given"),
+    ({"graph": _ER, "model": "threshold", "params": _THRESHOLD}, ("--runs", "0"), 1,
+     "--runs must be >= 1"),
+], ids=["int-and-label-seeds", "threshold-kind", "model", "graph-kind", "users-not-list",
+        "no-model", "zero-runs"])
+def test_simulate_config_table(tmp_path, capsys, cfg, argv, code, message):
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--config", str(path), "--seed", "1", "--out", str(out),
+                 *argv]) == code
+    err = capsys.readouterr().err
+    if code == 0:  # seed users as a node id and as a simulated label
+        manifest = json.loads((out / "run_0000" / "manifest.json").read_text())
+        assert manifest["seed_users"] == ["u0000000", "u0000003"]
+    else:
+        assert err.startswith("usage error: ") and message in err, err
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -575,6 +646,35 @@ def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, stage
         assert "stage 'ingest'" in err
+
+
+def test_stats_of_one_user_has_no_density(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text("user_id,tag_id,timestamp\nalice,x,1\n")
+    (tmp_path / "f.csv").write_text("src_id,dst_id\n")
+    snap = tmp_path / "one.cscd"
+    assert main(["ingest", str(tmp_path / "a.csv"), str(tmp_path / "f.csv"),
+                 "--out", str(snap)]) == 0
+    capsys.readouterr()
+    code, report = _run(capsys, "stats", str(snap))
+    assert code == 0
+    assert report["result"]["giant_component_users"] == 1
+    assert report["result"]["density_all"] is None
+    assert report["result"]["density_giant_component"] is None
+
+
+def test_recover_without_runs_is_data_error(tmp_path, capsys):
+    assert main(["recover", "--runs", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"data error: no run_* directories under {tmp_path}\n"
+
+
+def test_pipeline_stage_without_snapshot_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "pipe"),
+                                "stages": [{"stage": "thresholds"}]}))
+    assert main(["pipeline", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: stage 'thresholds' needs a snapshot"), err
+    assert not (tmp_path / "pipe").exists()
 
 
 def test_cascade_threads_env_does_not_change_results(snapshot, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -152,6 +153,34 @@ def test_population_thresholds_median():
 def test_population_thresholds_empty_when_all_isolated():
     ds = tc.build_dataset([("A", "t", 1), ("B", "t", 2)], [])
     assert tc.population_thresholds(ds) == []
+
+
+def test_summary_of_no_records_has_no_quartiles():
+    ds = tc.build_dataset([], [])
+    summary = tc.threshold_summary(tc.all_exposures(ds), [])
+    empty = {"count": 0, "median": None, "q1": None, "q3": None, "mean": None}
+    assert summary["per_adoption"] == summary["per_user"] == empty
+
+
+def _a_follows_b():
+    return tc.build_dataset([("A", "t", 1)], [("A", "B")])  # B adopts nothing
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: tc.all_exposures(_a_follows_b(), ties="loose"), ValueError,
+     "ties must be one of ('strict', 'inclusive')"),
+    (lambda: tc.all_exposures(_a_follows_b(), popularity="views"), ValueError,
+     "popularity must be one of ('adopters', 'usages')"),
+    (lambda: tc.exposure_at_adoption(_a_follows_b(), 2, 0), UnknownIdError,
+     "user handle out of range: 2"),
+    (lambda: tc.exposure_at_adoption(_a_follows_b(), 0, 1), UnknownIdError,
+     "tag handle out of range: 1"),
+    (lambda: tc.user_threshold(_a_follows_b(), 1), NoAdoptionError,
+     "user 'B' has no adoptions"),
+], ids=["ties", "popularity", "user-handle", "tag-handle", "no-adoptions"])
+def test_exposure_error_table(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_all_exposures_cardinality_and_order(micro_dataset):

@@ -100,6 +100,11 @@ def test_non_positive_samples_rejected():
         fit_power_law([1.5, 2.5, 3.5])
 
 
+def test_integral_float_samples_fit_as_integers():
+    s = zeta_sample(2.2, 1, 500, np.random.Generator(np.random.PCG64(1)))
+    assert fit_power_law(s.astype(np.float64), seed=1) == fit_power_law(s, seed=1)
+
+
 def test_negative_bootstrap_rejected():
     s = zeta_sample(2.2, 1, 500, np.random.Generator(np.random.PCG64(1)))
     with pytest.raises(ValueError, match="bootstrap"):
@@ -148,9 +153,9 @@ def test_ks_distance_is_true_sup_norm():
 # the batched cutoff scan against the scalar reference
 # ---------------------------------------------------------------------------
 
-def _reference(sample, max_candidates, min_tail):
+def _reference(sample, min_tail):
     try:
-        return scan_xmin(sample, max_candidates, min_tail)
+        return scan_xmin(sample, min_tail)
     except (DegenerateSampleError, InsufficientTailError) as exc:
         return type(exc)
 
@@ -176,10 +181,8 @@ def _scan_samples(rng, count):
     return out
 
 
-@pytest.mark.parametrize("max_candidates,min_tail_fraction", [
-    (None, 0.0), (None, 0.01), (25, 0.01), (None, 0.3), (7, 0.6),
-])
-def test_batched_scan_equals_scalar_reference(max_candidates, min_tail_fraction):
+@pytest.mark.parametrize("min_tail_fraction", [0.0, 0.01, 0.3, 0.6])
+def test_batched_scan_equals_scalar_reference(min_tail_fraction):
     rng = np.random.Generator(np.random.PCG64(2024 + int(100 * min_tail_fraction)))
     samples = _scan_samples(rng, 40)
     samples.append(np.full(30, 4, dtype=np.int64))         # degenerate
@@ -189,9 +192,9 @@ def test_batched_scan_equals_scalar_reference(max_candidates, min_tail_fraction)
     # one batch per tail floor, each sample compared bit for bit
     for min_tail in sorted(set(min_tails)):
         batch = [s for s, m in zip(samples, min_tails) if m == min_tail]
-        got = _scan_xmin(batch, max_candidates, min_tail)
+        got = _scan_xmin(batch, min_tail)
         for sample, fit in zip(batch, got):
-            want = _reference(sample, max_candidates, min_tail)
+            want = _reference(sample, min_tail)
             if isinstance(want, type):
                 assert isinstance(fit, want)
             else:
@@ -208,7 +211,7 @@ def test_bootstrap_distances_equal_scalar_replicates(case):
     sorted_samples = np.sort(sample.astype(np.int64))
     n = sorted_samples.shape[0]
     min_tail = max(2, math.ceil(0.01 * n))
-    alpha, xmin, _, _ = scan_xmin(sorted_samples, None, min_tail)
+    alpha, xmin, _, _ = scan_xmin(sorted_samples, min_tail)
     seeds = np.random.SeedSequence(5).generate_state(24, dtype=np.uint64)
 
     # each replicate drawn and scanned alone, as the scalar fit did
@@ -221,11 +224,11 @@ def test_bootstrap_distances_equal_scalar_replicates(case):
         parts = [body[r.integers(0, body.shape[0], n_body)]] if n_body else []
         if n - n_body:
             parts.append(_sample_fitted_tail(alpha, xmin, n - n_body, r, kmax))
-        fit = _reference(np.sort(np.concatenate(parts)), None, min_tail)
+        fit = _reference(np.sort(np.concatenate(parts)), min_tail)
         want.append(math.inf if isinstance(fit, type) else fit[2])
 
     for threads in (1, 3):
-        got = _bootstrap_distances(sorted_samples, alpha, xmin, seeds, None, min_tail, threads)
+        got = _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads)
         assert got == want, threads
     if case == "few-values":
         assert math.inf in want

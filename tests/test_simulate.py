@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,6 +447,32 @@ def test_config_validation():
         CascadeParams(1.5)
     with pytest.raises(UsageError):
         LearningParams(ThresholdSpec("constant", (0.5,)), -1)
+
+
+def _cfg(params):
+    return SimConfig(graph=_cycle_graph(), model="threshold", params=params)
+
+
+_CONSTANT = ThresholdParams(ThresholdSpec("constant", (0.5,)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: tc.gen_graph("lattice", 0, n=5), "unknown graph kind: 'lattice'"),
+    (lambda: ThresholdSpec("constant", (-0.1,)), "constant threshold must be >= 0"),
+    (lambda: ThresholdSpec("truncnorm", (0.5, 0.0)), "truncnorm sigma must be > 0"),
+    (lambda: ThresholdSpec("beta", (1, 2)), "unknown threshold distribution: 'beta'"),
+    (lambda: SimConfig(graph=_cycle_graph(), model="threshold", params=_CONSTANT, n_seeds=0),
+     "n_seeds must be in [1, n_users]"),
+    (lambda: run_threshold_model(_cfg(CascadeParams(0.5))),
+     "run_threshold_model needs ThresholdParams"),
+    (lambda: run_social_learning(_cfg(_CONSTANT)), "run_social_learning needs LearningParams"),
+    (lambda: run_independent_cascade(_cfg(_CONSTANT)),
+     "run_independent_cascade needs CascadeParams"),
+], ids=["graph-kind", "negative-constant", "zero-sigma", "threshold-kind", "no-seeds",
+        "threshold-params", "learning-params", "cascade-params"])
+def test_simulate_usage_error_table(call, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        call()
 
 
 def test_threshold_spec_draws_stay_in_unit_interval():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from tagcascade.errors import (
     UndefinedCorrelationError,
     UnknownIdError,
 )
-from tagcascade.exposure import ExposureRecord
+from tagcascade.exposure import ExposureTable
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +153,17 @@ def test_kde_mass_invariant_any_bandwidth():
 # popularity / exposure correlation
 # ---------------------------------------------------------------------------
 
-def _records(pairs):
-    return [
-        ExposureRecord(
-            user=i, tag=0, time=i, active_alters=1, neighborhood_size=2,
-            exposure=e, tag_popularity_at_adoption=p,
-        )
-        for i, (p, e) in enumerate(pairs)
-    ]
+# dtypes of the ExposureTable columns, in constructor order
+_COLUMN_DTYPES = (np.int32, np.int32, np.int64, np.int32, np.int32, np.float64, np.int64)
+
+
+def _records(pairs, undefined=()):
+    """An ExposureTable with one defined record (one active alter of two)
+    per (popularity, exposure) pair, then one undefined record (no alters,
+    exposure NaN) per popularity in `undefined`."""
+    rows = [(i, 0, i, 1, 2, e, p) for i, (p, e) in enumerate(pairs)]
+    rows += [(9 + j, 0, 9 + j, 0, 0, float("nan"), p) for j, p in enumerate(undefined)]
+    return ExposureTable(*(np.array(c, dtype=t) for c, t in zip(zip(*rows), _COLUMN_DTYPES)))
 
 
 def test_correlation_monotone_is_one():
@@ -212,11 +218,8 @@ def test_correlation_bins_partition_counts():
 
 
 def test_correlation_skips_undefined_records():
-    recs = _records([(1, 0.1), (2, 0.2), (3, 0.3)])
-    recs.append(
-        ExposureRecord(user=9, tag=0, time=9, active_alters=0, neighborhood_size=0,
-                       exposure=float("nan"), tag_popularity_at_adoption=50)
-    )
+    recs = _records([(1, 0.1), (2, 0.2), (3, 0.3)], undefined=[50])
+    assert recs.n_undefined == 1
     report = tc.popularity_threshold_correlation(recs)
     assert report.n_pairs == 3
     assert report.rho == pytest.approx(1.0)
@@ -239,6 +242,34 @@ def test_spearman_invariant_under_monotone_transform(pairs):
     squashed = [(p * p * 3 + 1, e) for p, e in pairs]  # strictly increasing on ints >= 0
     transformed = tc.popularity_threshold_correlation(_records(squashed), bins=3)
     assert transformed.rho == pytest.approx(base.rho, abs=1e-12)
+
+
+def _one_tag():
+    return tc.build_dataset([("a", "x", 1), ("b", "x", 2)], [])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: tc.popularity_samples(_one_tag(), "views"), ValueError,
+     "kind must be 'adopters' or 'usages', got 'views'"),
+    (lambda: tc.adoption_curve(_one_tag(), 0, 0), ValueError,
+     "bucket must be a positive duration"),
+    # a tag handle in range whose tag has no event
+    (lambda: tc.adoption_curve(dataclasses.replace(_one_tag(), tag_table=("x", "y"),
+                                                   _tag_index=None), 1, 10),
+     UnknownIdError, "tag 'y' has no events"),
+    (lambda: tc.smooth_distribution([0.5, 1.5]), ValueError, "values must lie in [0, 1]"),
+    (lambda: tc.smooth_distribution([0.2, 0.5], bandwidth=0), ValueError,
+     "bandwidth must be > 0"),
+    (lambda: tc.popularity_threshold_correlation(_records([(1, 0.2), (2, 0.2), (3, 0.2)])),
+     UndefinedCorrelationError, "all exposure values identical"),
+    (lambda: tc.popularity_threshold_correlation(_records([(1, 0.1), (2, 0.2), (3, 0.3)]),
+                                                 method="kendall"),
+     ValueError, "method must be 'spearman' or 'pearson', got 'kendall'"),
+], ids=["popularity-kind", "zero-bucket", "tag-without-events", "values-outside", "zero-bandwidth",
+        "constant-exposure", "method"])
+def test_stats_error_table(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_spearman_rho_undefined_is_none():

@@ -16,6 +16,7 @@ from tagcascade.textio import (
     ADOPTIONS_HEADER,
     FOLLOWS_HEADER,
     FOLLOWS_HEADER_TIMED,
+    file_digest,
     parse_duration_ms,
     read_adoptions,
     read_follows,
@@ -35,12 +36,19 @@ def test_parse_duration_units():
     assert parse_duration_ms("1d") == 86_400_000
     assert parse_duration_ms("750") == 750
     assert parse_duration_ms(42) == 42
+    assert parse_duration_ms("9223372036854775807") == 2**63 - 1
 
 
 def test_parse_duration_rejects_garbage():
-    for bad in ("", "fast", "-5s", "1.5h", 0):
+    for bad in ("", "fast", "-5s", "1.5h", 0, True, "9223372036854775808",
+                "99999999999999999999d"):
         with pytest.raises(DataError):
             parse_duration_ms(bad)
+
+
+def test_file_digest_of_missing_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read .*absent.csv"):
+        file_digest(tmp_path / "absent.csv")
 
 
 def test_quoted_commas_in_labels_round_trip(tmp_path):
