@@ -8,9 +8,10 @@ time with scipy's scalar brentq, the preferential-attachment generator
 draws each pick with its own `Generator.integers` call, the giant
 component comes from a union-find that merges one edge at a time, the
 diffusion models walk adopters and edges one Python step at a time, the
-version 1 snapshot writer encodes one label at a time, and the reference
-ingest checks and interns one row at a time. Tests compare library output
-against these, never the other way round.
+version 1 snapshot writer encodes one label at a time, the reference
+ingest checks and interns one row at a time, and the result references
+build per-user thresholds, curve buckets and correlation bins one row at a
+time. Tests compare library output against these, never the other way round.
 """
 
 from __future__ import annotations
@@ -524,3 +525,57 @@ def build_dataset_reference(adoptions, follows, *, reverse_edges=False, mutual_e
         warnings={"self_loops_dropped": self_loops,
                   "duplicate_edges_dropped": n_rows - int(keep.sum())},
     )
+
+
+# ---------------------------------------------------------------------------
+# per-row result builders
+# ---------------------------------------------------------------------------
+
+def user_thresholds_reference(table, n_users: int) -> list:
+    """(user, beta, defined_adoptions, undefined_adoptions) per user with a
+    defined record, in handle order, built one user at a time."""
+    defined = table.defined_mask
+    users_def = table.user[defined]
+    sums = np.bincount(users_def, weights=table.exposure[defined], minlength=n_users)
+    counts = np.bincount(users_def, minlength=n_users)
+    undef_counts = np.bincount(table.user[~defined], minlength=n_users)
+    return [(int(u), float(sums[u] / counts[u]), int(counts[u]), int(undef_counts[u]))
+            for u in np.flatnonzero(counts)]
+
+
+def adoption_curve_reference(d, x: int, bucket_ms: int) -> list:
+    """(time, new_first_usages, cumulative_first_usages, subsequent_usages,
+    saturation) per bucket of tag x, built one bucket at a time; `time` is a
+    Python int, exact below -2^63."""
+    mask = d.event_tag == x
+    times = d.event_time[mask]
+    firsts = d.event_first[mask]
+    buckets = times // bucket_ms
+    lo, hi = int(buckets.min()), int(buckets.max())
+    span = hi - lo + 1
+    new_first = np.bincount(buckets[firsts] - lo, minlength=span)
+    total = np.bincount(buckets - lo, minlength=span)
+    subsequent = total - new_first
+    cumulative = np.cumsum(new_first)
+    return [(int((lo + i) * bucket_ms), int(new_first[i]), int(cumulative[i]),
+             int(subsequent[i]), float(cumulative[i] / d.n_users))
+            for i in range(span)]
+
+
+def correlation_bins_reference(table, bins: int) -> list:
+    """(lo, hi, mean_exposure, count) per logarithmic popularity bin of the
+    defined records, built one bin at a time; an empty bin's mean is None."""
+    defined = table.defined_mask
+    pop = table.tag_popularity_at_adoption[defined].astype(np.float64)
+    expo = table.exposure[defined]
+    shifted = pop + 1.0
+    edges = np.logspace(0.0, math.log10(float(shifted.max())), bins + 1)
+    edges[0], edges[-1] = 1.0, float(shifted.max())
+    idx = np.clip(np.searchsorted(edges, shifted, side="right") - 1, 0, bins - 1)
+    rows = []
+    for b in range(bins):
+        sel = idx == b
+        count = int(np.count_nonzero(sel))
+        rows.append((float(edges[b] - 1.0), float(edges[b + 1] - 1.0),
+                     float(expo[sel].mean()) if count else None, count))
+    return rows
