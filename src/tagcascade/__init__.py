@@ -29,6 +29,7 @@ from .events import (
 from .exposure import (
     ExposureRecord,
     ExposureTable,
+    ThresholdTable,
     UserThreshold,
     all_exposures,
     exposure_at_adoption,

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -127,11 +126,6 @@ def _labels(table, handles: list) -> list:
     return list(map(table.__getitem__, handles))
 
 
-def _field_columns(items, names) -> list:
-    """One TSV column per attribute name, in the order of `items`."""
-    return [list(map(attrgetter(name), items)) for name in names]
-
-
 def stage_ingest(o) -> dict:
     out_path = Path(o.out)
     if out_path.exists() and not o.force:
@@ -184,9 +178,9 @@ def stage_thresholds(o) -> dict:
              table.exposure, table.tag_popularity_at_adoption],
         )
     if o.per_user is not None:
-        header = ["user", "beta", "defined_adoptions", "undefined_adoptions"]
-        users, *columns = _field_columns(thresholds, header)
-        write_tsv(o.per_user, header, [_labels(ds.user_labels, users), *columns])
+        write_tsv(o.per_user, ["user", "beta", "defined_adoptions", "undefined_adoptions"],
+                  [_labels(ds.user_labels, thresholds.user.tolist()), thresholds.beta,
+                   thresholds.defined_adoptions, thresholds.undefined_adoptions])
     return summary
 
 
@@ -217,13 +211,14 @@ def stage_curve(o) -> dict:
     ds = load_snapshot(o.snapshot)
     curve = adoption_curve(ds, ds.tag_handle(o.tag), o.bucket_ms)
     if o.out is not None:
-        header = ["time", "new_first_usages", "cumulative_first_usages",
-                  "subsequent_usages", "saturation"]
-        write_tsv(o.out, header, _field_columns(curve.points, header))
+        write_tsv(o.out, ["time", "new_first_usages", "cumulative_first_usages",
+                          "subsequent_usages", "saturation"],
+                  [curve.time, curve.new_first_usages, curve.cumulative_first_usages,
+                   curve.subsequent_usages, curve.saturation])
     return {
-        "tag": o.tag, "bucket_ms": o.bucket_ms, "points": len(curve.points),
+        "tag": o.tag, "bucket_ms": o.bucket_ms, "points": len(curve.time),
         "final_saturation": curve.final_saturation,
-        "distinct_adopters": curve.points[-1].cumulative_first_usages if curve.points else 0,
+        "distinct_adopters": int(curve.cumulative_first_usages[-1]),
     }
 
 
@@ -235,9 +230,9 @@ def stage_correlate(o) -> dict:
     report = popularity_threshold_correlation(table, bins=o.bins, method=o.method)
     if o.out is not None:
         write_tsv(o.out, ["popularity_lo", "popularity_hi", "mean_exposure", "count"],
-                  _field_columns(report.bins, ("lo", "hi", "mean_exposure", "count")))
+                  [report.lo, report.hi, report.mean_exposure, report.count])
     return {"method": report.method, "rho": report.rho, "n_pairs": report.n_pairs,
-            "bins": len(report.bins)}
+            "bins": len(report.count)}
 
 
 def _json_is(value, kind) -> bool:

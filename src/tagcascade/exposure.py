@@ -45,10 +45,26 @@ class ExposureRecord:
 
 @dataclass(frozen=True)
 class UserThreshold:
+    """One user's row of a ThresholdTable (the return of user_threshold)."""
+
     user: int
     beta: float
     defined_adoptions: int
     undefined_adoptions: int
+
+
+@dataclass(frozen=True, eq=False)
+class ThresholdTable:
+    """Per-user mean exposures as columns, one row per user with at least
+    one defined record, in user-handle order."""
+
+    user: np.ndarray
+    beta: np.ndarray
+    defined_adoptions: np.ndarray
+    undefined_adoptions: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.user.shape[0])
 
 
 class ExposureTable:
@@ -230,37 +246,33 @@ def user_threshold(d: Dataset, u: int, *, ties: str = "strict") -> UserThreshold
         raise NoAdoptionError(f"user {d.user_label(u)!r} has no adoptions")
     fidx = np.flatnonzero(d.event_first & np.isin(d.event_tag, tags))
     table = _measure(d, fidx, ties, "adopters")
-    for t in user_thresholds_from_table(table, d.n_users):
-        if t.user == u:
-            return t
-    raise UndefinedThresholdError(
-        f"user {d.user_label(u)!r} has no adoption with a defined exposure"
-    )
+    t = user_thresholds_from_table(table, d.n_users)
+    mine = np.flatnonzero(t.user == u)
+    if mine.shape[0] == 0:
+        raise UndefinedThresholdError(
+            f"user {d.user_label(u)!r} has no adoption with a defined exposure"
+        )
+    i = int(mine[0])
+    return UserThreshold(user=int(u), beta=float(t.beta[i]),
+                         defined_adoptions=int(t.defined_adoptions[i]),
+                         undefined_adoptions=int(t.undefined_adoptions[i]))
 
 
-def user_thresholds_from_table(table: ExposureTable, n_users: int) -> list[UserThreshold]:
+def user_thresholds_from_table(table: ExposureTable, n_users: int) -> ThresholdTable:
     """Per-user mean exposures aggregated from a record table.
 
-    Returns one UserThreshold per user with at least one defined record,
-    ordered by user handle. Accumulation runs in record (time) order, so a
-    user's beta is bit-identical whichever other records share the table.
+    One row per user with at least one defined record, ordered by user
+    handle. Accumulation runs in record (time) order, so a user's beta is
+    bit-identical whichever other records share the table.
     """
     defined = table.defined_mask
     users_def = table.user[defined]
     sums = np.bincount(users_def, weights=table.exposure[defined], minlength=n_users)
     counts = np.bincount(users_def, minlength=n_users)
     undef_counts = np.bincount(table.user[~defined], minlength=n_users)
-    out = []
-    for u in np.flatnonzero(counts):
-        out.append(
-            UserThreshold(
-                user=int(u),
-                beta=float(sums[u] / counts[u]),
-                defined_adoptions=int(counts[u]),
-                undefined_adoptions=int(undef_counts[u]),
-            )
-        )
-    return out
+    users = np.flatnonzero(counts)
+    return ThresholdTable(user=users, beta=sums[users] / counts[users],
+                          defined_adoptions=counts[users], undefined_adoptions=undef_counts[users])
 
 
 def population_thresholds(
@@ -268,7 +280,7 @@ def population_thresholds(
     *,
     ties: str = "strict",
     table: ExposureTable | None = None,
-) -> list[UserThreshold]:
+) -> ThresholdTable:
     """Thresholds for every user with at least one defined adoption."""
     if table is None:
         table = all_exposures(d, ties=ties)
@@ -287,16 +299,15 @@ def _quartile_stats(values: np.ndarray) -> dict:
     }
 
 
-def threshold_summary(table: ExposureTable, thresholds: list[UserThreshold]) -> dict:
+def threshold_summary(table: ExposureTable, thresholds: ThresholdTable) -> dict:
     """Population summary over both views: per-adoption raw exposures and
     per-user mean thresholds (the distinction the source data conflates)."""
     exposures = table.exposure[table.defined_mask]
-    betas = np.array([t.beta for t in thresholds], dtype=np.float64)
     return {
         "records_total": len(table),
         "records_defined": table.n_defined,
         "records_undefined": table.n_undefined,
         "users_with_threshold": len(thresholds),
         "per_adoption": _quartile_stats(exposures),
-        "per_user": _quartile_stats(betas),
+        "per_user": _quartile_stats(thresholds.beta),
     }

@@ -31,24 +31,23 @@ def popularity_samples(d: Dataset, kind: str = "adopters") -> np.ndarray:
     raise ValueError(f"kind must be 'adopters' or 'usages', got {kind!r}")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    time: int
-    new_first_usages: int
-    cumulative_first_usages: int
-    subsequent_usages: int
-    saturation: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdoptionCurve:
+    """A tag's curve as columns, one row per bucket from the tag's first to
+    its last. `time` is each bucket's start as an exact Python int (a range),
+    which may lie below -2^63 when the bucket is wide."""
+
     tag: int
     bucket_ms: int
-    points: tuple
+    time: range
+    new_first_usages: np.ndarray
+    cumulative_first_usages: np.ndarray
+    subsequent_usages: np.ndarray
+    saturation: np.ndarray
 
     @property
     def final_saturation(self) -> float:
-        return self.points[-1].saturation if self.points else 0.0
+        return float(self.saturation[-1])
 
 
 def adoption_curve(d: Dataset, x: int, bucket_ms: int) -> AdoptionCurve:
@@ -73,20 +72,12 @@ def adoption_curve(d: Dataset, x: int, bucket_ms: int) -> AdoptionCurve:
     span = hi - lo + 1
     new_first = np.bincount(buckets[firsts] - lo, minlength=span)
     total = np.bincount(buckets - lo, minlength=span)
-    subsequent = total - new_first
     cumulative = np.cumsum(new_first)
-
-    points = tuple(
-        CurvePoint(
-            time=int((lo + i) * bucket_ms),
-            new_first_usages=int(new_first[i]),
-            cumulative_first_usages=int(cumulative[i]),
-            subsequent_usages=int(subsequent[i]),
-            saturation=float(cumulative[i] / d.n_users),
-        )
-        for i in range(span)
+    return AdoptionCurve(
+        tag=x, bucket_ms=bucket_ms, time=range(lo * bucket_ms, (hi + 1) * bucket_ms, bucket_ms),
+        new_first_usages=new_first, cumulative_first_usages=cumulative,
+        subsequent_usages=total - new_first, saturation=cumulative / d.n_users,
     )
-    return AdoptionCurve(tag=x, bucket_ms=bucket_ms, points=points)
 
 
 @dataclass(frozen=True)
@@ -146,20 +137,19 @@ def smooth_distribution(values, bandwidth: float | None = None) -> DensityCurve:
     return DensityCurve(grid=grid, density=density, bandwidth=float(bandwidth))
 
 
-@dataclass(frozen=True)
-class PopularityBin:
-    lo: float
-    hi: float
-    mean_exposure: float | None
-    count: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationReport:
+    """The correlation and its popularity bins as columns: bin b spans
+    popularity lo[b] to hi[b] and holds count[b] defined records of mean
+    exposure mean_exposure[b] (None for an empty bin)."""
+
     method: str
     rho: float
     n_pairs: int
-    bins: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    mean_exposure: list
+    count: np.ndarray
 
 
 def popularity_threshold_correlation(
@@ -198,19 +188,10 @@ def popularity_threshold_correlation(
     edges = np.logspace(0.0, math.log10(float(shifted.max())), bins + 1)
     edges[0], edges[-1] = 1.0, float(shifted.max())
     idx = np.clip(np.searchsorted(edges, shifted, side="right") - 1, 0, bins - 1)
-    out_bins = []
-    for b in range(bins):
-        sel = idx == b
-        count = int(np.count_nonzero(sel))
-        out_bins.append(
-            PopularityBin(
-                lo=float(edges[b] - 1.0),
-                hi=float(edges[b + 1] - 1.0),
-                mean_exposure=float(expo[sel].mean()) if count else None,
-                count=count,
-            )
-        )
-    return CorrelationReport(method=method, rho=rho, n_pairs=n, bins=tuple(out_bins))
+    count = np.bincount(idx, minlength=bins)
+    means = [float(expo[idx == b].mean()) if count[b] else None for b in range(bins)]
+    return CorrelationReport(method=method, rho=rho, n_pairs=n, lo=edges[:-1] - 1.0,
+                             hi=edges[1:] - 1.0, mean_exposure=means, count=count)
 
 
 def spearman_rho(x, y) -> float | None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -16,6 +17,13 @@ from tagcascade.events import Dataset, build_follower_graph
 from tagcascade.errors import NoAdoptionError, UndefinedThresholdError, UnknownIdError
 
 from oracles import assert_table_matches_oracle, brute_force_exposures, random_micro_rows
+
+
+def _threshold_rows(thresholds) -> list:
+    """(user, beta, defined_adoptions, undefined_adoptions) per row of a
+    ThresholdTable, as Python values."""
+    return list(zip(thresholds.user.tolist(), thresholds.beta.tolist(),
+                    thresholds.defined_adoptions.tolist(), thresholds.undefined_adoptions.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +151,24 @@ def test_population_thresholds_median():
     ds = tc.build_dataset(adoptions, follows)
     table = tc.all_exposures(ds)
     thresholds = tc.population_thresholds(ds, table=table)
-    betas = {ds.user_label(t.user): t.beta for t in thresholds}
+    betas = {ds.user_label(u): beta for u, beta, *_ in _threshold_rows(thresholds)}
     assert betas["A"] == pytest.approx(0.2)
     assert betas["G"] == pytest.approx(0.4)
-    summary = tc.threshold_summary(table, [t for t in thresholds if ds.user_label(t.user) in "AG"])
+    ag = np.array([ds.user_label(u) in "AG" for u in thresholds.user.tolist()], dtype=bool)
+    summary = tc.threshold_summary(table, tc.ThresholdTable(
+        *(getattr(thresholds, f.name)[ag] for f in dataclasses.fields(thresholds))))
     assert summary["per_user"]["median"] == pytest.approx(0.3)
 
 
 def test_population_thresholds_empty_when_all_isolated():
     ds = tc.build_dataset([("A", "t", 1), ("B", "t", 2)], [])
-    assert tc.population_thresholds(ds) == []
+    assert len(tc.population_thresholds(ds)) == 0
 
 
 def test_summary_of_no_records_has_no_quartiles():
     ds = tc.build_dataset([], [])
-    summary = tc.threshold_summary(tc.all_exposures(ds), [])
+    table = tc.all_exposures(ds)
+    summary = tc.threshold_summary(table, tc.population_thresholds(ds, table=table))
     empty = {"count": 0, "median": None, "q1": None, "q3": None, "mean": None}
     assert summary["per_adoption"] == summary["per_user"] == empty
 
@@ -211,7 +222,8 @@ def test_user_threshold_matches_population_batch():
     rng = np.random.Generator(np.random.PCG64(11))
     adoptions, follows = random_micro_rows(rng)
     ds = tc.build_dataset(adoptions, follows)
-    by_user = {t.user: t for t in tc.population_thresholds(ds)}
+    by_user = {row[0]: tc.UserThreshold(*row)
+               for row in _threshold_rows(tc.population_thresholds(ds))}
     for u, want in by_user.items():
         got = tc.user_threshold(ds, u)
         assert got == want
@@ -369,8 +381,8 @@ def test_exposure_bounds_property(data):
     assert np.all(table.exposure[defined] <= 1.0)
     assert np.all(np.isnan(table.exposure[~defined]))
     assert np.all(table.active_alters <= table.neighborhood_size)
-    for t in tc.population_thresholds(ds, table=table):
-        assert 0.0 <= t.beta <= 1.0
+    for beta in tc.population_thresholds(ds, table=table).beta.tolist():
+        assert 0.0 <= beta <= 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,8 +418,9 @@ def test_increasing_time_map_leaves_exposures_unchanged(data):
                            "tag_popularity_at_adoption"):
                 x, y = getattr(a, column), getattr(b, column)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (ties, popularity, column)
-        betas = [(t.user, t.beta) for t in tc.population_thresholds(ds, ties=ties)]
-        assert [(t.user, t.beta) for t in tc.population_thresholds(mapped, ties=ties)] == betas
+        betas = [row[:2] for row in _threshold_rows(tc.population_thresholds(ds, ties=ties))]
+        assert [row[:2] for row in
+                _threshold_rows(tc.population_thresholds(mapped, ties=ties))] == betas
 
 
 def _relabelled_columns(ds, table, thresholds, relabel_user, relabel_tag):
@@ -425,8 +438,7 @@ def _relabelled_columns(ds, table, thresholds, relabel_user, relabel_tag):
     for column in ("time", "active_alters", "neighborhood_size", "exposure",
                    "tag_popularity_at_adoption"):
         columns[column] = getattr(table, column)[order]
-    per_user = sorted((int(user_of[t.user]), t.beta, t.defined_adoptions, t.undefined_adoptions)
-                      for t in thresholds)
+    per_user = sorted((int(user_of[u]), *rest) for u, *rest in _threshold_rows(thresholds))
     return columns, per_user
 
 
@@ -469,8 +481,7 @@ def test_relabelling_permutes_records_and_keeps_values(data):
                     y = getattr(b, column)
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (ties, popularity,
                                                                                column)
-                got_users = [(t.user, t.beta, t.defined_adoptions, t.undefined_adoptions)
-                             for t in tc.population_thresholds(mapped, ties=ties, table=b)]
+                got_users = _threshold_rows(tc.population_thresholds(mapped, ties=ties, table=b))
                 if preserve_order:
                     assert got_users == want_users
                 else:  # a user's tied records may now sum in another order

@@ -21,9 +21,11 @@ CURVE_COLUMNS = ("time", "new_first_usages", "cumulative_first_usages", "subsequ
 BIN_COLUMNS = ("lo", "hi", "mean_exposure", "count")
 
 
-def _columns(rows, names) -> list:
-    """One list of cell reprs per column name."""
-    return [[repr(getattr(row, name)) for row in rows] for name in names]
+def _columns(result, names) -> list:
+    """One list of cell reprs per column of `result`; numpy cells are taken
+    as the Python values write_tsv formats."""
+    columns = (getattr(result, name) for name in names)
+    return [list(map(repr, c.tolist() if isinstance(c, np.ndarray) else c)) for c in columns]
 
 
 def _reference_columns(rows, width) -> list:
@@ -59,11 +61,11 @@ def test_result_columns_equal_row_references(log, bucket_ms, bins):
             report = tc.popularity_threshold_correlation(table, bins=bins)
         except UndefinedCorrelationError:
             continue
-        assert _columns(report.bins, BIN_COLUMNS) == _reference_columns(
+        assert _columns(report, BIN_COLUMNS) == _reference_columns(
             correlation_bins_reference(table, bins), len(BIN_COLUMNS))
     for x in range(ds.n_tags):
         curve = tc.adoption_curve(ds, x, bucket_ms)
-        assert _columns(curve.points, CURVE_COLUMNS) == _reference_columns(
+        assert _columns(curve, CURVE_COLUMNS) == _reference_columns(
             adoption_curve_reference(ds, x, bucket_ms), len(CURVE_COLUMNS))
 
 
@@ -85,7 +87,7 @@ def test_correlation_bins_equal_row_reference(records, bins):
         report = tc.popularity_threshold_correlation(table, bins=bins)
     except UndefinedCorrelationError:
         return
-    assert _columns(report.bins, BIN_COLUMNS) == _reference_columns(
+    assert _columns(report, BIN_COLUMNS) == _reference_columns(
         correlation_bins_reference(table, bins), len(BIN_COLUMNS))
 
 
@@ -93,4 +95,4 @@ def test_curve_time_is_exact_below_int64():
     ds = tc.build_dataset([("u0", "x", -2**63)], [])
     curve = tc.adoption_curve(ds, 0, 2**62 + 1)
     assert [row[0] for row in adoption_curve_reference(ds, 0, 2**62 + 1)] == [-2**63 - 2]
-    assert _columns(curve.points, ("time",)) == [[repr(-2**63 - 2)]]
+    assert _columns(curve, ("time",)) == [[repr(-2**63 - 2)]]

@@ -58,25 +58,24 @@ def test_adoption_curve_hand_bucketing():
         [],
     )
     curve = tc.adoption_curve(ds, ds.tag_handle("t"), 1)
-    assert [p.cumulative_first_usages for p in curve.points] == [1, 2, 2, 3, 4]
-    assert [p.new_first_usages for p in curve.points] == [1, 1, 0, 1, 1]
+    assert curve.cumulative_first_usages.tolist() == [1, 2, 2, 3, 4]
+    assert curve.new_first_usages.tolist() == [1, 1, 0, 1, 1]
     assert curve.final_saturation == pytest.approx(1.0)
 
 
 def test_adoption_curve_single_usage():
     ds = tc.build_dataset([("a", "t", 10), ("b", "other", 0)], [])
     curve = tc.adoption_curve(ds, ds.tag_handle("t"), 1000)
-    assert len(curve.points) == 1
-    assert curve.points[0].saturation == pytest.approx(1 / ds.n_users)
+    assert len(curve.time) == 1
+    assert curve.saturation[0] == pytest.approx(1 / ds.n_users)
 
 
 def test_adoption_curve_empty_buckets_carry_cumulative():
     ds = tc.build_dataset([("a", "t", 0), ("b", "t", 5000)], [])
     curve = tc.adoption_curve(ds, ds.tag_handle("t"), 1000)
-    assert len(curve.points) == 6
-    mids = curve.points[1:-1]
-    assert all(p.new_first_usages == 0 for p in mids)
-    assert all(p.cumulative_first_usages == 1 for p in mids)
+    assert len(curve.time) == 6
+    assert all(n == 0 for n in curve.new_first_usages[1:-1])
+    assert all(c == 1 for c in curve.cumulative_first_usages[1:-1])
 
 
 def test_adoption_curve_counts_subsequent_usages():
@@ -85,8 +84,8 @@ def test_adoption_curve_counts_subsequent_usages():
         [],
     )
     curve = tc.adoption_curve(ds, ds.tag_handle("t"), 1)
-    assert [p.subsequent_usages for p in curve.points] == [0, 1, 1]
-    assert curve.points[-1].cumulative_first_usages == 2
+    assert curve.subsequent_usages.tolist() == [0, 1, 1]
+    assert curve.cumulative_first_usages[-1] == 2
 
 
 def test_adoption_curve_unknown_tag():
@@ -103,7 +102,7 @@ def test_adoption_curve_cumulative_nondecreasing_random():
     ]
     ds = tc.build_dataset(rows, [])
     curve = tc.adoption_curve(ds, ds.tag_handle("t"), 700)
-    cums = [p.cumulative_first_usages for p in curve.points]
+    cums = curve.cumulative_first_usages.tolist()
     assert cums == sorted(cums)
     assert cums[-1] == ds.n_first_usages
 
@@ -181,7 +180,7 @@ def test_correlation_hand_rank_value():
     report = tc.popularity_threshold_correlation(_records(pairs), bins=2)
     assert report.rho == pytest.approx(0.8)
     assert report.n_pairs == 4
-    assert sum(b.count for b in report.bins) == 4
+    assert sum(report.count) == 4
 
 
 def test_correlation_identical_popularity_errors():
@@ -213,8 +212,8 @@ def test_correlation_bins_partition_counts():
     rng = np.random.Generator(np.random.PCG64(6))
     pairs = [(int(p), float(e)) for p, e in zip(rng.integers(0, 500, 200), rng.random(200))]
     report = tc.popularity_threshold_correlation(_records(pairs), bins=8)
-    assert sum(b.count for b in report.bins) == report.n_pairs == 200
-    assert len(report.bins) == 8
+    assert sum(report.count) == report.n_pairs == 200
+    assert len(report.count) == 8
 
 
 def test_correlation_skips_undefined_records():
