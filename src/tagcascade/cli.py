@@ -10,6 +10,7 @@ runs are comparable byte-for-byte. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -731,6 +732,7 @@ def _add_option(parser: argparse.ArgumentParser, opt: Opt) -> None:
     parser.add_argument(opt.flag, **kwargs)
 
 
+@functools.cache  # one argparse tree per process, reused by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cascade", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tagcascade {__version__}")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tagcascade
-from tagcascade.cli import main
+from tagcascade.cli import build_parser, main
 from tagcascade.snapshot import load_snapshot
 
 
@@ -246,6 +246,12 @@ def test_curve_bucket_below_2_63_ms(snapshot, capsys, bucket, code):
         assert json.loads(captured.out)["result"]["bucket_ms"] == 2**63 - 1
     else:
         assert captured.err == f"data error: duration {bucket!r} is not below 2^63 ms\n"
+
+
+@pytest.mark.parametrize("bucket", ["\u0661\u0660s", "\uff11\uff10s", "1_0s"])
+def test_curve_bucket_takes_ascii_digits_only(snapshot, capsys, bucket):
+    assert main(["curve", str(snapshot), "--tag", "tag0", "--bucket", bucket]) == 2
+    assert capsys.readouterr().err == f"data error: unparsable duration: {bucket!r}\n"
 
 
 def test_correlate_output(snapshot, tmp_path, capsys):
@@ -760,6 +766,33 @@ def test_snapshot_roundtrip_equals_direct_build(snapshot, tmp_path, capsys):
     assert direct.user_labels == ds.user_labels
     np.testing.assert_array_equal(direct.event_time, ds.event_time)
     np.testing.assert_array_equal(direct.graph.dst, ds.graph.dst)
+
+
+def _outcome(capsys, argv) -> tuple:
+    """(exit code, stdout with a report's timing removed, stderr)."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if out.startswith("{"):
+        report = json.loads(out)
+        del report["timing"]
+        out = report
+    return code, out, err
+
+
+def test_one_parser_serves_a_sequence_of_commands(snapshot, capsys):
+    # The parser is built once per process; a usage error, a command and
+    # --version run in turn on it give what each gives on a fresh parser.
+    sequence = [["stats", str(snapshot), "--bogus"], ["stats", str(snapshot)], ["--version"]]
+    separate = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        separate.append(_outcome(capsys, argv))
+    parser = build_parser()
+    assert [_outcome(capsys, argv) for argv in sequence] == separate
+    assert build_parser() is parser
+    assert [code for code, _, _ in separate] == [1, 0, 0]
+    assert "usage error: unrecognized arguments: --bogus" in separate[0][2]
+    assert separate[2][1] == f"tagcascade {tagcascade.__version__}\n"
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_optimize():
