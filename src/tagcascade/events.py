@@ -38,9 +38,14 @@ def parse_timestamp(value, unit: str = "ms") -> int:
 
     Accepts integers (interpreted per `unit`, default milliseconds),
     numeric strings, and ISO-8601 strings (naive values are taken as UTC).
+    A numeric string is ASCII digits with an optional sign and surrounding
+    whitespace: text with '_' or any non-ASCII character is refused, so
+    neither '1_000' nor full-width or Arabic-Indic digits parse.
     A value whose milliseconds fall outside int64 raises ValueError.
     """
     if isinstance(value, str):  # tested first: CSV readers pass strings
+        if "_" in value or not value.isascii():
+            raise ValueError(f"unparsable timestamp: {value!r}")
         text = value.strip()
         try:
             ms = int(text) * _MS_PER_UNIT[unit]

@@ -24,7 +24,7 @@ ADOPTIONS_HEADER = ["user_id", "tag_id", "timestamp"]
 FOLLOWS_HEADER = ["src_id", "dst_id"]
 FOLLOWS_HEADER_TIMED = ["src_id", "dst_id", "since"]
 
-_DURATION_RE = re.compile(r"^\s*(\d+)\s*(ms|s|m|h|d)?\s*$")
+_DURATION_RE = re.compile(r"^\s*(\d+)\s*(ms|s|m|h|d)?\s*$", re.ASCII)  # digits 0-9 only
 _DURATION_MS = {"ms": 1, "s": 1000, "m": 60_000, "h": 3_600_000, "d": 86_400_000}
 
 
@@ -36,8 +36,8 @@ def _open_input(path):
 
 
 def parse_duration_ms(text) -> int:
-    """Duration like '500ms', '10s', '5m', '2h', '1d', or bare integer ms,
-    positive and below 2^63 ms."""
+    """Duration like '500ms', '10s', '5m', '2h', '1d', or bare integer ms in
+    ASCII digits, positive and below 2^63 ms."""
     m = _DURATION_RE.match(str(text))
     if not m:
         raise DataError(f"unparsable duration: {text!r}")

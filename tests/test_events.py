@@ -409,6 +409,25 @@ def test_csv_and_python_rows_build_identical_datasets(
 # timestamps
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("text", ["1_000", "\uff11\uff15", "\u0663", "1\u0660", "\u00a07",
+                                  "2020-01-01T00:00:0\uff11"])
+def test_timestamps_take_ascii_digits_only(text):
+    # int() reads the first five as 1000, 15, 3, 10 and 7 ms; a timestamp is
+    # ASCII text, and its digits are 0-9.
+    with pytest.raises(ValueError, match=re.escape(f"unparsable timestamp: {text!r}")):
+        tc.parse_timestamp(text)
+    with pytest.raises(MalformedRowError, match=re.escape(f"line 2: unparsable timestamp: {text!r}")):
+        tc.build_dataset([("a", "x", "1"), ("b", "x", text)], [])
+    with pytest.raises(MalformedRowError, match=re.escape(f"line 1: unparsable timestamp: {text!r}")):
+        tc.build_dataset([], [("a", "b", text)])
+
+
+def test_timestamps_keep_whitespace_and_sign():
+    assert [tc.parse_timestamp(t) for t in (" +7 ", "-12", "\t15\n", "+0")] == [7, -12, 15, 0]
+    ds = tc.build_dataset([("a", "x", " -3 ")], [("a", "b", "+4")])
+    assert ds.event_time.tolist() == [-3] and ds.graph.since.tolist() == [4]
+
+
 def test_parse_timestamp_accepts_iso8601_and_units():
     assert tc.parse_timestamp(1500) == 1500
     assert tc.parse_timestamp("1500") == 1500

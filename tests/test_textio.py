@@ -37,11 +37,12 @@ def test_parse_duration_units():
     assert parse_duration_ms("750") == 750
     assert parse_duration_ms(42) == 42
     assert parse_duration_ms("9223372036854775807") == 2**63 - 1
+    assert parse_duration_ms(" 3 s ") == 3000
 
 
 def test_parse_duration_rejects_garbage():
     for bad in ("", "fast", "-5s", "1.5h", 0, True, "9223372036854775808",
-                "99999999999999999999d"):
+                "99999999999999999999d", "1_000", "\u0661\u0660s", "\uff11\uff10s"):
         with pytest.raises(DataError):
             parse_duration_ms(bad)
 
@@ -121,6 +122,10 @@ _READER_CASES = [
     (read_follows, _FT + "\n\na,b,1\n\nc,d,x\n", [("a", "b", 1)], 1, 6),
     # a quoted line break: the bad row is on physical line 4, the third record
     (read_adoptions, _A + '"a\nb",x,1\nc,x,notatime\n', [("a\nb", "x", 1)], 1, 4),
+    # integer text is ASCII digits, a sign and whitespace: no '_', no other digits
+    (read_adoptions, _A + "a,x, +7 \nb,y,1_000\nc,z,\uff11\uff15\nd,w,\u0663\ne,v,-2\n",
+     [("a", "x", 7), ("e", "v", -2)], 3, 3),
+    (read_follows, _FT + "a,b,\u0661\u0660\nc,d,-12\n", [("c", "d", -12)], 1, 2),
 ]
 
 
