@@ -1,8 +1,8 @@
 """The benchmark's tracer finds its layers by name: every `module.function`
 that perfbench/spans.py traces or hooks must exist in tagcascade, so that
 renaming a traced entry point fails here and not only in a traced run. The
-CLI must also keep calling the ingest entry points, or their layers stay
-empty in a traced run."""
+CLI must also keep calling the ingest and result entry points, or their
+layers stay empty in a traced run."""
 
 from __future__ import annotations
 
@@ -97,4 +97,37 @@ def test_ingest_and_recover_call_the_traced_entries(tmp_path, monkeypatch, capsy
     assert [len(rows) for rows, _ in results["textio.read_follows"]] == [
         _data_rows(d / "follows.csv") for d in run_dirs]
     assert len(results["events.build_dataset"]) == len(results["events.build_follower_graph"]) == 2
+    capsys.readouterr()
+
+
+_RESULT_ENTRIES = ("exposure.population_thresholds", "exposure.threshold_summary",
+                   "stats.adoption_curve", "stats.popularity_threshold_correlation")
+
+
+def test_result_commands_call_the_traced_entries(tmp_path, monkeypatch, capsys):
+    adoptions, follows = tmp_path / "a.csv", tmp_path / "f.csv"
+    adoptions.write_text("user_id,tag_id,timestamp\n" + "".join(
+        f"{u},{x},{t}\n" for t, (u, x) in enumerate(
+            zip("abcdefabcdefab", "xxxxyyyyzzxyyz"))))
+    follows.write_text("src_id,dst_id\n" + "".join(
+        f"{u},{v}\n" for u in "abcdef" for v in "abcdef" if u != v and (ord(u) + ord(v)) % 3))
+    snap = str(tmp_path / "d.cscd")
+    assert main(["ingest", str(adoptions), str(follows), "--out", snap]) == 0
+
+    tsv = [str(tmp_path / f"{name}.tsv") for name in ("exposures", "per_user", "curve", "bins")]
+    commands = [
+        (["thresholds", snap, "--out", tsv[0], "--per-user", tsv[1]], tsv[:2],
+         ("exposure.population_thresholds", "exposure.threshold_summary")),
+        (["curve", snap, "--tag", "x", "--bucket", "2", "--out", tsv[2]], tsv[2:3],
+         ("stats.adoption_curve",)),
+        (["correlate", snap, "--bins", "3", "--out", tsv[3]], tsv[3:],
+         ("stats.popularity_threshold_correlation",)),
+    ]
+    for argv, outputs, called in commands:
+        results = _record_calls(monkeypatch, _RESULT_ENTRIES + ("textio.write_tsv",))
+        assert main(argv) == 0, argv
+        assert {name: len(results[name]) for name in _RESULT_ENTRIES} == {
+            name: int(name in called) for name in _RESULT_ENTRIES}
+        assert results["textio.write_tsv"] == [_data_rows(path) for path in outputs]
+        assert all(n > 0 for n in results["textio.write_tsv"])
     capsys.readouterr()
