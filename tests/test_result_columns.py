@@ -69,13 +69,20 @@ def test_result_columns_equal_row_references(log, bucket_ms, bins):
             adoption_curve_reference(ds, x, bucket_ms), len(CURVE_COLUMNS))
 
 
+# Active alters over neighbourhood size, as all_exposures divides them.
+_EXPOSURES = st.tuples(st.integers(0, 60), st.integers(1, 60)).map(lambda t: min(t) / t[1])
+
+
 @settings(max_examples=80, deadline=None)
-@given(records=st.lists(st.tuples(st.integers(0, 10**6), st.floats(0, 1) | st.none()),
-                        min_size=3, max_size=60),
+@given(records=st.lists(st.tuples(st.integers(0, 10**6), _EXPOSURES | st.none()),
+                        min_size=3, max_size=200),
        bins=st.integers(1, 12))
+@example(records=list(enumerate([1.0, 0.0, 1.0, 1.0, 1 / 6, 1.0, 1.0, 1.0, 0.0, 0.6, 1.0])),
+         bins=1)
 def test_correlation_bins_equal_row_reference(records, bins):
     # One record per (popularity, exposure); a None exposure is an undefined
-    # record (no alters), which the bins leave out.
+    # record (no alters), which the bins leave out. A bin's mean must sum as
+    # numpy's mean() does: a running sum rounds differently past 8 values.
     n = len(records)
     defined = np.array([e is not None for _, e in records])
     table = ExposureTable(
