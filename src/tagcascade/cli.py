@@ -79,6 +79,8 @@ def _resolve_seed(seed) -> int:
     """One root seed per invocation; a missing --seed draws a fresh one
     (reported, so the run stays reproducible after the fact)."""
     if seed is not None:
+        if seed < 0:
+            raise UsageError(f"seed must be >= 0, got {seed}")
         return int(seed)
     return int(np.random.SeedSequence().generate_state(1, dtype=np.uint64)[0] >> 1)
 
@@ -630,7 +632,7 @@ def _coerce(opt: Opt, value, where: str):
 
 def _cfg_path(cfg: dict, key: str, default=None):
     value = cfg.get(key, default)
-    if value is not None and not isinstance(value, str):
+    if key in cfg and not isinstance(value, str):
         raise UsageError(f"pipeline config: {key} must be a path string, got {value!r}")
     return value
 

@@ -171,13 +171,24 @@ def _sanitize(obj):
     return obj
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text} is out of range for a float")
+    return value
+
+
 def read_json_object(path, invalid) -> dict:
     """The JSON object in `path`. A file that cannot be read raises
-    DataError; text that is not JSON, or JSON that is not an object, raises
-    `invalid`."""
+    DataError; text that is not JSON, JSON that is not an object, or a
+    number no float holds (NaN, Infinity, 1e309) raises `invalid`."""
     with _open_input(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
         except ValueError as exc:
             raise invalid(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):

@@ -352,6 +352,7 @@ def test_recover_zero_violations(tmp_path, capsys):
     ("label", "alice"),
     ("n_users-bool", "n_users"),
     ("theta-bool", "theta"),
+    ("theta-nan", "NaN"),
 ])
 def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, named):
     cfg = _sim_config(tmp_path)
@@ -377,6 +378,8 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
             manifest["n_users"] = True
         elif damage == "theta-bool":
             manifest["theta"][0] = True
+        elif damage == "theta-nan":  # json.dumps writes NaN, which no JSON number is
+            manifest["theta"] = [float("nan")] * len(manifest["theta"])
         else:
             del manifest[damage]
         manifest_path.write_text(json.dumps(manifest))
@@ -683,12 +686,124 @@ def test_pipeline_stage_without_snapshot_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "pipe").exists()
 
 
+# ---------------------------------------------------------------------------
+# hostile config values
+# ---------------------------------------------------------------------------
+
+# JSON texts put in place of one config value each. 1e309 and NaN are no
+# number a float holds, and json.dumps cannot write 1e309, so every value
+# goes in as text.
+_HOSTILE = ("null", "true", "0", "-1", "3", "2.5", "1e309", "NaN", '"x"', '""', "[]", "{}",
+            "[1]", '{"a": 1}')
+_MARK = "\0hostile"
+
+
+def _key_paths(value, path=()):
+    """The path of every value inside `value`, a JSON object or list."""
+    for key, inner in (value.items() if isinstance(value, dict) else enumerate(value)):
+        yield path + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _key_paths(inner, path + (key,))
+
+
+def _hostile_configs(cfg):
+    """(label, JSON text) of `cfg` with each of its values in turn replaced
+    by each hostile value."""
+    for path in _key_paths(cfg):
+        for text in _HOSTILE:
+            copy = json.loads(json.dumps(cfg))
+            inner = copy
+            for key in path[:-1]:
+                inner = inner[key]
+            inner[path[-1]] = _MARK
+            yield f"{'.'.join(map(str, path))}={text}", json.dumps(copy).replace(
+                json.dumps(_MARK), text)
+
+
+def _check_exit(capsys, code, label):
+    """The exit code is 0, 1 or 2; a failure prints one line naming its kind."""
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (label, code, err)
+    if code:
+        prefix = "usage error: " if code == 1 else "data error: "
+        assert len(err.splitlines()) == 1 and err.startswith(prefix), (label, err)
+
+
+def test_hostile_simulation_config_values(snapshot, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    graph = {"kind": "erdos_renyi", "n": 20, "mean_out_degree": 2}
+    configs = {
+        "threshold": {"graph": graph, "model": "threshold", "max_steps": 10, "seeds": {"k": 2},
+                      "params": {"thresholds": {"kind": "truncnorm", "mu": 0.4, "sigma": 0.2}}},
+        "learning": {"graph": {"kind": "preferential_attachment", "n": 20, "m": 2},
+                     "model": "learning", "shared_graph": True, "seeds": {"users": [0, "u3"]},
+                     "params": {"thresholds": {"kind": "constant", "c": 0.3}, "lag": 1}},
+        "dataset": {"graph": {"kind": "dataset", "snapshot": str(snapshot)}, "model": "threshold",
+                    "seeds": {"users": ["user03"]},
+                    "params": {"thresholds": {"kind": "uniform", "a": 0.1, "b": 0.6}}},
+        "cascade": {"graph": graph, "model": "cascade", "seeds": {"k": 1}, "params": {"p": 0.5}},
+    }
+    case = 0
+    for name, cfg in configs.items():
+        for label, text in _hostile_configs(cfg):
+            case += 1
+            path, out = tmp_path / f"sim{case}.json", tmp_path / f"runs{case}"
+            path.write_text(text)
+            code = main(["simulate", "--config", str(path), "--runs", "2", "--seed", "1",
+                         "--out", str(out)])
+            _check_exit(capsys, code, f"{name}: {label}")
+            if code == 0 and name != "cascade":  # the planted thresholds hold
+                code = main(["recover", "--runs", str(out)])
+                assert code == 0, (name, label, capsys.readouterr().err)
+                capsys.readouterr()
+    assert case > 500
+
+
+def test_hostile_pipeline_config_values(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    adoptions, follows = _write_inputs(tmp_path)
+    cfg = {"seed": 5, "out_dir": "OUT", "stages": [
+        {"stage": "ingest", "adoptions": str(adoptions), "follows": str(follows),
+         "time_unit": "s", "strict": False},
+        {"stage": "thresholds", "ties": "inclusive", "popularity": "usages"},
+        {"stage": "fit", "bootstrap": 2},
+        {"stage": "correlate", "bins": 3, "method": "pearson"},
+        {"stage": "simulate", "model": "threshold", "runs": 1,
+         "graph": {"kind": "erdos_renyi", "n": 20, "mean_out_degree": 2},
+         "params": {"thresholds": {"kind": "constant", "c": 0.5}}},
+        {"stage": "recover", "ties": "strict"},
+    ]}
+    case = 0
+    for label, text in _hostile_configs(cfg):
+        case += 1
+        path = tmp_path / f"pipeline{case}.json"
+        path.write_text(text.replace('"OUT"', json.dumps(f"pipe{case}")))
+        _check_exit(capsys, main(["pipeline", "--config", str(path)]), label)
+    assert case > 200
+
+
 def test_cascade_threads_env_does_not_change_results(snapshot, capsys, monkeypatch):
     _, base = _run(capsys, "fit-powerlaw", str(snapshot), "--bootstrap", "20", "--seed", "3")
     monkeypatch.setenv("CASCADE_THREADS", "4")
     _, threaded = _run(capsys, "fit-powerlaw", str(snapshot), "--bootstrap", "20", "--seed", "3")
     assert threaded["result"] == base["result"]
     assert threaded["config"]["threads"] == 4
+
+
+@pytest.mark.parametrize("argv,seed", [
+    (["simulate", "--config", "sim.json", "--seed", "-1", "--out", "runs"], -1),
+    (["fit-powerlaw", "SNAPSHOT", "--seed", "-5"], -5),
+    (["pipeline", "--config", "pipeline.json"], -1),
+], ids=["simulate", "fit-powerlaw", "pipeline-key"])
+def test_negative_seed_is_usage_error(snapshot, tmp_path, capsys, monkeypatch, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    _sim_config(tmp_path)
+    (tmp_path / "pipeline.json").write_text(json.dumps(
+        {"seed": -1, "snapshot": str(snapshot), "stages": [{"stage": "fit"}]}))
+    argv = [str(snapshot) if arg == "SNAPSHOT" else arg for arg in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: seed must be >= 0, got {seed}"]
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "cascade_out").exists()
 
 
 def test_invalid_cascade_threads_is_usage_error(snapshot, capsys, monkeypatch):

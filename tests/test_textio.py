@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagcascade.errors import DataError, MalformedRowError
+from tagcascade.errors import DataError, MalformedRowError, UsageError
 from tagcascade.textio import (
     _TSV_BLOCK,
     ADOPTIONS_HEADER,
@@ -20,6 +20,7 @@ from tagcascade.textio import (
     parse_duration_ms,
     read_adoptions,
     read_follows,
+    read_json_object,
     write_adoptions_csv,
     write_follows_csv,
     write_tsv,
@@ -301,3 +302,21 @@ def test_write_tsv_matches_per_cell_reference(columns):
 def test_write_tsv_refuses_uneven_columns(tmp_path, header, columns):
     with pytest.raises(ValueError):
         write_tsv(tmp_path / "out.tsv", header, columns)
+
+
+@pytest.mark.parametrize("text,named", [
+    ("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+    ("1e309", "1e309"), ("-1e309", "-1e309"), ("[1.5, 2e400]", "2e400"),
+])
+def test_read_json_object_refuses_numbers_no_float_holds(tmp_path, text, named):
+    path = tmp_path / "c.json"
+    path.write_text('{"x": %s}' % text)
+    with pytest.raises(UsageError, match="not valid JSON") as info:
+        read_json_object(path, UsageError)
+    assert named in str(info.value)
+
+
+def test_read_json_object_keeps_finite_numbers(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"x": [1e308, -0.0, 2.5, 10e-400, %d]}' % 10**400)
+    assert read_json_object(path, UsageError) == {"x": [1e308, -0.0, 2.5, 0.0, 10**400]}
