@@ -31,7 +31,9 @@ from .exposure import (
 )
 from .powerlaw import fit_power_law, fitted_tail_ccdf
 from .simulate import (
+    GRAPH_PARAMS,
     MODELS,
+    THRESHOLD_PARAMS,
     CascadeParams,
     LearningParams,
     SimConfig,
@@ -247,67 +249,56 @@ def _json_is(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _cfg_value(cfg: dict, key: str, context: str, kind=None, default=None):
-    """cfg[key], taken only when `_json_is(value, kind)`; a float key comes
-    back as a float. A missing key takes `default`; it is a usage error when
-    there is none, as is a value of another type."""
-    value = cfg.get(key, default)
-    if value is None:
-        raise UsageError(f"{context} needs a {key!r} entry")
-    if kind is None:
-        return value
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+               list: "a list", dict: "an object"}
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def _cfg_value(cfg: dict, key: str, where: str, kind=str, default=_REQUIRED, choices=None):
+    """cfg[key] as JSON gives it: taken only when `_json_is(value, kind)`,
+    so never null, and then only when it is one of `choices` (if given)
+    and a float holds it (for a float key); never converted. A missing key
+    takes `default`; it is a usage error when there is none."""
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise UsageError(f"{where} needs a {key!r} entry")
+        return default
+    value = cfg[key]
     if not _json_is(value, kind):
-        raise UsageError(f"{context}: {key} must be {kind.__name__}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise UsageError(f"{context}: {key} is out of range for a float") from None
-
-
-def _cfg_object(cfg: dict, key: str, default=None) -> dict:
-    value = cfg.get(key, default)
-    if not isinstance(value, dict):
-        raise UsageError(f"simulation config needs a {key!r} object, got {value!r}")
+        raise UsageError(f"{where}: {key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise UsageError(f"{where}: {key} is out of range for a float")
+    if choices is not None and value not in choices:
+        raise UsageError(f"{where}: {key} must be one of {choices}, got {value!r}")
     return value
 
 
-_THRESHOLD_PARAMS = {"constant": ("c",), "uniform": ("a", "b"), "truncnorm": ("mu", "sigma")}
-_GRAPH_PARAMS = {"erdos_renyi": (("n", int), ("mean_out_degree", float)),
-                 "preferential_attachment": (("n", int), ("m", int))}
-
-
 def _threshold_spec_from_config(cfg: dict) -> ThresholdSpec:
-    kind = cfg.get("kind") if isinstance(cfg, dict) else None
-    if not isinstance(kind, str) or kind not in _THRESHOLD_PARAMS:
-        raise UsageError(f"unknown threshold distribution: {kind!r}")
-    values = (_cfg_value(cfg, key, f"{kind} threshold", float) for key in _THRESHOLD_PARAMS[kind])
+    kind = _cfg_value(cfg, "kind", "thresholds")
+    values = (float(_cfg_value(cfg, key, f"{kind} threshold", float))
+              for key in THRESHOLD_PARAMS.get(kind, ()))
     return ThresholdSpec(kind, tuple(values))
 
 
 def _params_from_config(model: str, params_cfg: dict):
-    if model == "threshold":
-        return ThresholdParams(
-            _threshold_spec_from_config(_cfg_value(params_cfg, "thresholds", "threshold model"))
-        )
     if model == "cascade":
-        return CascadeParams(_cfg_value(params_cfg, "p", "cascade model", float))
-    if model == "learning":
-        return LearningParams(
-            _threshold_spec_from_config(_cfg_value(params_cfg, "thresholds", "learning model")),
-            _cfg_value(params_cfg, "lag", "learning model", int, default=0),
-        )
-    raise UsageError(f"unknown model: {model!r}")
+        return CascadeParams(float(_cfg_value(params_cfg, "p", "cascade model", float)))
+    if model not in ("threshold", "learning"):
+        raise UsageError(f"unknown model: {model!r}")
+    where = f"{model} model"
+    spec = _threshold_spec_from_config(_cfg_value(params_cfg, "thresholds", where, dict))
+    if model == "threshold":
+        return ThresholdParams(spec)
+    return LearningParams(spec, _cfg_value(params_cfg, "lag", where, int, default=0))
 
 
-def _resolve_graph(graph_cfg: dict, seed: int):
-    kind = graph_cfg.get("kind")
+def _resolve_graph(graph_cfg: dict, kind: str, seed: int):
     if kind == "dataset":
-        ds = load_snapshot(_cfg_value(graph_cfg, "snapshot", "dataset graph", str))
-        return ds.graph, ds, {"kind": "dataset", "snapshot": str(graph_cfg["snapshot"])}
-    if not isinstance(kind, str) or kind not in _GRAPH_PARAMS:
-        raise UsageError(f"unknown graph kind: {kind!r}")
+        snapshot = _cfg_value(graph_cfg, "snapshot", "dataset graph")
+        ds = load_snapshot(snapshot)
+        return ds.graph, ds, {"kind": "dataset", "snapshot": snapshot}
     params = {key: _cfg_value(graph_cfg, key, f"{kind} graph", convert)
-              for key, convert in _GRAPH_PARAMS[kind]}
+              for key, convert in GRAPH_PARAMS.get(kind, ())}
     graph = gen_graph(kind, seed, **params)
     echo = dict(graph_cfg)
     echo["seed"] = seed
@@ -315,21 +306,17 @@ def _resolve_graph(graph_cfg: dict, seed: int):
 
 
 def _resolve_seed_users(seeds_cfg: dict, source_ds) -> tuple | None:
-    if "users" not in seeds_cfg:
+    users = _cfg_value(seeds_cfg, "users", "seeds", list, default=None)
+    if users is None:
         return None
-    users = seeds_cfg["users"]
-    if not isinstance(users, list):
-        raise UsageError(f"seeds: users must be a list, got {users!r}")
-    if source_ds is not None:
-        return tuple(map(source_ds.user_handle, map(_seed_label, users)))
-    return tuple(map(_seed_node, users))
-
-
-def _seed_label(user) -> str:
-    """A seed user of a dataset graph: a JSON string, looked up as it is."""
-    if not isinstance(user, str):
-        raise UsageError(f"seeds: users of a dataset graph must be labels, got {user!r}")
-    return user
+    if source_ds is None:
+        return tuple(map(_seed_node, users))
+    handles = []
+    for user in users:  # a label of the dataset, looked up as it is
+        if not _json_is(user, str):
+            raise UsageError(f"seeds: users of a dataset graph must be labels, got {user!r}")
+        handles.append(source_ds.user_handle(user))
+    return tuple(handles)
 
 
 def _seed_node(user) -> int:
@@ -348,26 +335,29 @@ def _seed_node(user) -> int:
 def stage_simulate(o) -> dict:
     """`o.config` is a config file path, or (in a pipeline) the config itself."""
     sim_cfg = o.config if isinstance(o.config, dict) else read_json_object(o.config, UsageError)
-    o.model = o.model or sim_cfg.get("model")
+    o.model = o.model or _cfg_value(sim_cfg, "model", "simulation config", default=None)
     if o.model is None:
         raise UsageError("no model given (use --model or put \"model\" in the config)")
     if o.runs < 1:
         raise UsageError("--runs must be >= 1")
     out_dir = Path(o.out)  # created with the first run's directory: a rejected config leaves none
 
-    graph_cfg = _cfg_object(sim_cfg, "graph")
-    seeds_cfg = _cfg_object(sim_cfg, "seeds", {"k": 1})
+    graph_cfg = _cfg_value(sim_cfg, "graph", "simulation config", dict)
+    seeds_cfg = _cfg_value(sim_cfg, "seeds", "simulation config", dict, default={})
     n_seeds = _cfg_value(seeds_cfg, "k", "seeds", int, default=1)
     max_steps = _cfg_value(sim_cfg, "max_steps", "simulation config", int, default=100)
-    params = _params_from_config(o.model, _cfg_object(sim_cfg, "params", {}))
+    params = _params_from_config(o.model, _cfg_value(sim_cfg, "params", "simulation config", dict,
+                                                     default={}))
 
+    kind = _cfg_value(graph_cfg, "kind", "graph")
     shared = None  # (graph, source dataset, graph echo), resolved once for all runs
     if (_cfg_value(sim_cfg, "shared_graph", "simulation config", bool, default=False)
-            or graph_cfg.get("kind") == "dataset"):
-        shared = _resolve_graph(graph_cfg, derive_seed(o.seed, 0))
+            or kind == "dataset"):
+        shared = _resolve_graph(graph_cfg, kind, derive_seed(o.seed, 0))
     run_summaries = []
     for r in range(o.runs):
-        graph, ds_source, g_echo = shared or _resolve_graph(graph_cfg, derive_seed(o.seed, 0, r))
+        graph, ds_source, g_echo = (shared
+                                    or _resolve_graph(graph_cfg, kind, derive_seed(o.seed, 0, r)))
         seed_users = _resolve_seed_users(seeds_cfg, ds_source)
         cfg = SimConfig(graph=graph, model=o.model, params=params,
                         n_seeds=n_seeds, seed_users=seed_users,
@@ -618,25 +608,6 @@ def _run_command(name: str, args) -> dict:
     )
 
 
-def _coerce(opt: Opt, value, where: str):
-    """A config value for `opt`, taken only when JSON already gives it the
-    option's type: str(), bool() and int() would turn a list into a path,
-    "false" into True and 2.7 into 2."""
-    kind = opt.type or str
-    if not _json_is(value, kind):
-        raise UsageError(f"{where}: {opt.dest} must be {kind.__name__}, got {value!r}")
-    if opt.choices is not None and value not in opt.choices:
-        raise UsageError(f"{where}: {opt.dest} must be one of {opt.choices}, got {value!r}")
-    return value
-
-
-def _cfg_path(cfg: dict, key: str, default=None):
-    value = cfg.get(key, default)
-    if key in cfg and not isinstance(value, str):
-        raise UsageError(f"pipeline config: {key} must be a path string, got {value!r}")
-    return value
-
-
 def _plan_stage(entry, out_dir: Path, seed: int, flow: dict):
     """(name, command, resolved options) of one pipeline stage entry. An
     option takes the value the pipeline fixes, else the entry's key (checked
@@ -644,9 +615,7 @@ def _plan_stage(entry, out_dir: Path, seed: int, flow: dict):
     the runs directory that earlier stages write."""
     if not isinstance(entry, dict):
         raise UsageError(f"pipeline stage {entry!r} is not a JSON object")
-    name = entry.get("stage")
-    if not isinstance(name, str) or name not in PIPELINE_STAGES:
-        raise UsageError(f"unknown pipeline stage: {name!r}")
+    name = _cfg_value(entry, "stage", "pipeline stage", choices=tuple(PIPELINE_STAGES))
     cmd = COMMANDS[PIPELINE_STAGES[name]]
     fixed = {dest: out_dir / file for dest, (_, file) in cmd.outputs.items()}
     if "snapshot" in _inputs(cmd):
@@ -671,12 +640,10 @@ def _plan_stage(entry, out_dir: Path, seed: int, flow: dict):
     for opt in cmd.opts:
         if opt.dest in fixed:
             value = fixed[opt.dest]
-        elif opt.dest in entry:
-            value = _coerce(opt, entry[opt.dest], f"stage '{name}'")
-        elif opt.required or not opt.flag.startswith("-"):
-            raise UsageError(f"stage '{name}' needs a {opt.dest!r} entry")
         else:
-            value = opt.default
+            required = opt.required or not opt.flag.startswith("-")
+            value = _cfg_value(entry, opt.dest, f"stage '{name}'", opt.type or str,
+                               _REQUIRED if required else opt.default, opt.choices)
         setattr(o, opt.dest, value)
     if name == "ingest":
         flow["snapshot"] = o.out
@@ -688,13 +655,14 @@ def _plan_stage(entry, out_dir: Path, seed: int, flow: dict):
 def _run_pipeline(args) -> dict:
     started = time.monotonic()
     cfg = read_json_object(args.config, UsageError)
-    stages = cfg.get("stages")
-    if not isinstance(stages, list) or not stages:
+    stages = _cfg_value(cfg, "stages", "pipeline config", list, default=[])
+    if not stages:
         raise UsageError("pipeline config must name at least one stage")
-    out_dir = Path(_cfg_path(cfg, "out_dir", "cascade_out"))
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    seed = _resolve_seed(None if seed is None else _coerce(SEED, seed, "pipeline config"))
-    flow = {"snapshot": _cfg_path(cfg, "snapshot"), "runs": None}
+    out_dir = Path(_cfg_value(cfg, "out_dir", "pipeline config", default="cascade_out"))
+    seed = _resolve_seed(args.seed if args.seed is not None
+                         else _cfg_value(cfg, "seed", "pipeline config", int, default=None))
+    flow = {"snapshot": _cfg_value(cfg, "snapshot", "pipeline config", default=None),
+            "runs": None}
     plan = [_plan_stage(entry, out_dir, seed, flow) for entry in stages]
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -136,18 +136,28 @@ def _draws_below(u32, bound: int):
             yield x >> 32
 
 
+# graph kind -> ((parameter, type), ...): the generator of that name and its
+# parameters in call order, before the seed
+GRAPH_PARAMS = {"erdos_renyi": (("n", int), ("mean_out_degree", float)),
+                "preferential_attachment": (("n", int), ("m", int))}
+
+
 def gen_graph(kind: str, seed: int, **params) -> FollowerGraph:
-    """Dispatcher for config-driven graph generation."""
-    if kind == "erdos_renyi":
-        return erdos_renyi(int(params["n"]), float(params["mean_out_degree"]), seed)
-    if kind == "preferential_attachment":
-        return preferential_attachment(int(params["n"]), int(params["m"]), seed)
-    raise UsageError(f"unknown graph kind: {kind!r}")
+    """Dispatcher for config-driven graph generation: the generator named
+    `kind`, called with its GRAPH_PARAMS, each converted to its type."""
+    if kind not in GRAPH_PARAMS:
+        raise UsageError(f"unknown graph kind: {kind!r}")
+    args = (convert(params[name]) for name, convert in GRAPH_PARAMS[kind])
+    return globals()[kind](*args, seed)
 
 
 # ---------------------------------------------------------------------------
 # parameters and config
 # ---------------------------------------------------------------------------
+
+# threshold distribution -> the names of its parameters, in ThresholdSpec order
+THRESHOLD_PARAMS = {"constant": ("c",), "uniform": ("a", "b"), "truncnorm": ("mu", "sigma")}
+
 
 @dataclass(frozen=True)
 class ThresholdSpec:
