@@ -255,10 +255,11 @@ _REQUIRED = object()  # the default of a key that must be given
 
 
 def _cfg_value(cfg: dict, key: str, where: str, kind=str, default=_REQUIRED, choices=None):
-    """cfg[key] as JSON gives it: taken only when `_json_is(value, kind)`,
-    so never null, and then only when it is one of `choices` (if given)
-    and a float holds it (for a float key); never converted. A missing key
-    takes `default`; it is a usage error when there is none."""
+    """cfg[key] as JSON gives it, never converted. It must be of the JSON
+    type `kind` (`_json_is`, so never null), within a float's range for a
+    float key, and one of `choices` when they are given; any other value is
+    a usage error. A missing key takes `default`, or is a usage error when
+    there is none."""
     if key not in cfg:
         if default is _REQUIRED:
             raise UsageError(f"{where} needs a {key!r} entry")
@@ -297,8 +298,8 @@ def _resolve_graph(graph_cfg: dict, kind: str, seed: int):
         snapshot = _cfg_value(graph_cfg, "snapshot", "dataset graph")
         ds = load_snapshot(snapshot)
         return ds.graph, ds, {"kind": "dataset", "snapshot": snapshot}
-    params = {key: _cfg_value(graph_cfg, key, f"{kind} graph", convert)
-              for key, convert in GRAPH_PARAMS.get(kind, ())}
+    params = {key: _cfg_value(graph_cfg, key, f"{kind} graph", json_type)
+              for key, json_type in GRAPH_PARAMS.get(kind, ())}
     graph = gen_graph(kind, seed, **params)
     echo = dict(graph_cfg)
     echo["seed"] = seed
