@@ -23,16 +23,13 @@ from .events import (
     density,
     directed_density,
     giant_component,
-    neighbors_at,
     parse_timestamp,
 )
 from .exposure import (
-    ExposureRecord,
     ExposureTable,
     ThresholdTable,
     UserThreshold,
     all_exposures,
-    exposure_at_adoption,
     population_thresholds,
     threshold_summary,
     user_threshold,
@@ -59,12 +56,9 @@ from .snapshot import load_snapshot, save_snapshot
 from .stats import (
     AdoptionCurve,
     CorrelationReport,
-    DensityCurve,
     adoption_curve,
     popularity_samples,
     popularity_threshold_correlation,
-    smooth_distribution,
-    tag_popularity,
 )
 
 __version__ = "0.1.0"

@@ -284,8 +284,6 @@ def _threshold_spec_from_config(cfg: dict) -> ThresholdSpec:
 def _params_from_config(model: str, params_cfg: dict):
     if model == "cascade":
         return CascadeParams(float(_cfg_value(params_cfg, "p", "cascade model", float)))
-    if model not in ("threshold", "learning"):
-        raise UsageError(f"unknown model: {model!r}")
     where = f"{model} model"
     spec = _threshold_spec_from_config(_cfg_value(params_cfg, "thresholds", where, dict))
     if model == "threshold":
@@ -336,7 +334,9 @@ def _seed_node(user) -> int:
 def stage_simulate(o) -> dict:
     """`o.config` is a config file path, or (in a pipeline) the config itself."""
     sim_cfg = o.config if isinstance(o.config, dict) else read_json_object(o.config, UsageError)
-    o.model = o.model or _cfg_value(sim_cfg, "model", "simulation config", default=None)
+    # read even when --model overrides it, so a bad value fails either way
+    cfg_model = _cfg_value(sim_cfg, "model", "simulation config", default=None, choices=MODELS)
+    o.model = o.model or cfg_model
     if o.model is None:
         raise UsageError("no model given (use --model or put \"model\" in the config)")
     if o.runs < 1:
@@ -660,8 +660,10 @@ def _run_pipeline(args) -> dict:
     if not stages:
         raise UsageError("pipeline config must name at least one stage")
     out_dir = Path(_cfg_value(cfg, "out_dir", "pipeline config", default="cascade_out"))
-    seed = _resolve_seed(args.seed if args.seed is not None
-                         else _cfg_value(cfg, "seed", "pipeline config", int, default=None))
+    seed = _cfg_value(cfg, "seed", "pipeline config", int, default=None)
+    if seed is not None:  # checked even when --seed overrides it
+        _resolve_seed(seed)
+    seed = _resolve_seed(args.seed if args.seed is not None else seed)
     flow = {"snapshot": _cfg_value(cfg, "snapshot", "pipeline config", default=None),
             "runs": None}
     plan = [_plan_stage(entry, out_dir, seed, flow) for entry in stages]

@@ -28,7 +28,7 @@ class UnknownIdError(DataError):
 
 
 class NoAdoptionError(DataError):
-    """Requested (user, tag) pair has no first usage in the dataset."""
+    """The requested user has no first usage in the dataset."""
 
 
 class UndefinedDensityError(DataError):

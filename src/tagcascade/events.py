@@ -92,19 +92,8 @@ class FollowerGraph:
     def n_edges(self) -> int:
         return int(self.dst.shape[0])
 
-    def out_degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighbors_at(self, u: int, t: int) -> np.ndarray:
-        """Alters of u whose edge exists at time t (read-only array view)."""
-        lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
-        if self.since is None:
-            return self.dst[lo:hi]
-        cut = lo + int(np.searchsorted(self.since[lo:hi], t, side="right"))
-        return self.dst[lo:cut]
 
     def edge_list(self) -> np.ndarray:
         """(m, 2) array of (src, dst) handle pairs."""
@@ -421,16 +410,6 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
         _user_index=user_index,
         _tag_index=tag_index,
     )
-
-
-def neighbors_at(d: Dataset, u: int, t) -> set:
-    """Out-neighbors of u whose edge exists at time t.
-
-    With untimestamped edges this is the static out-neighborhood.
-    """
-    if not 0 <= u < d.n_users:
-        raise UnknownIdError(f"user handle out of range: {u}")
-    return set(int(v) for v in d.graph.neighbors_at(u, parse_timestamp(t)))
 
 
 def _component_roots(graph: FollowerGraph) -> np.ndarray:

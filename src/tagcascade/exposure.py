@@ -22,28 +22,6 @@ _BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
-class ExposureRecord:
-    """Exposure measured at one first usage.
-
-    `exposure` is NaN when the ego observed nobody at adoption time
-    (neighborhood_size == 0); such records are "undefined" and excluded
-    from threshold means.
-    """
-
-    user: int
-    tag: int
-    time: int
-    active_alters: int
-    neighborhood_size: int
-    exposure: float
-    tag_popularity_at_adoption: int
-
-    @property
-    def defined(self) -> bool:
-        return self.neighborhood_size > 0
-
-
-@dataclass(frozen=True)
 class UserThreshold:
     """One user's row of a ThresholdTable (the return of user_threshold)."""
 
@@ -68,8 +46,12 @@ class ThresholdTable:
 
 
 class ExposureTable:
-    """Column-oriented sequence of ExposureRecord, one per first usage,
-    in (time, user, tag) order. Columns are read-only numpy arrays."""
+    """Exposure records as columns, one row per first usage, in (time,
+    user, tag) order: the ego `user`, `tag`, `time`, `active_alters`,
+    `neighborhood_size`, `exposure` and `tag_popularity_at_adoption`.
+    `exposure` is NaN where the ego observed nobody at adoption time
+    (neighborhood_size == 0); such rows are "undefined" and excluded from
+    threshold means. Columns are read-only numpy arrays."""
 
     def __init__(self, user, tag, time, active_alters, neighborhood_size, exposure, popularity):
         self.user = user
@@ -84,21 +66,6 @@ class ExposureTable:
 
     def __len__(self) -> int:
         return int(self.user.shape[0])
-
-    def __getitem__(self, i: int) -> ExposureRecord:
-        return ExposureRecord(
-            user=int(self.user[i]),
-            tag=int(self.tag[i]),
-            time=int(self.time[i]),
-            active_alters=int(self.active_alters[i]),
-            neighborhood_size=int(self.neighborhood_size[i]),
-            exposure=float(self.exposure[i]),
-            tag_popularity_at_adoption=int(self.tag_popularity_at_adoption[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def defined_mask(self) -> np.ndarray:
@@ -205,30 +172,6 @@ def all_exposures(
     """
     _check_rules(ties, popularity)
     return _measure(d, np.flatnonzero(d.event_first), ties, popularity)
-
-
-def exposure_at_adoption(
-    d: Dataset,
-    u: int,
-    x: int,
-    *,
-    ties: str = "strict",
-    popularity: str = "adopters",
-) -> ExposureRecord:
-    """Exposure record for one (user, tag) first usage: the user's row of
-    the tag's measurement, so it costs as much as measuring all of tag x.
-    Nothing in the package calls it; the commands use all_exposures.
-    """
-    _check_rules(ties, popularity)
-    if not 0 <= u < d.n_users:
-        raise UnknownIdError(f"user handle out of range: {u}")
-    if not 0 <= x < d.n_tags:
-        raise UnknownIdError(f"tag handle out of range: {x}")
-    table = _measure(d, np.flatnonzero(d.event_first & (d.event_tag == x)), ties, popularity)
-    mine = np.flatnonzero(table.user == u)
-    if mine.shape[0] == 0:
-        raise NoAdoptionError(f"user {d.user_label(u)!r} never adopted tag {d.tag_label(x)!r}")
-    return table[int(mine[0])]
 
 
 def user_threshold(d: Dataset, u: int, *, ties: str = "strict") -> UserThreshold:

@@ -20,10 +20,9 @@ Layout (all integers little-endian):
                           u32 key length + key UTF-8 + i64 value
     trailer:              u32 zlib.crc32 of every byte before it
 
-Version 1 files still load, with the same checks: they have no trailer, and
-each label table is, per label, a u32 byte length + UTF-8 bytes (the
-encoding warning keys keep in both versions). A version 1 table is decoded,
-and so checked for order, on load.
+Any other version is refused: a version 1 file (per-label length-prefixed
+label tables, no trailer, written before the packed tables) must be
+re-ingested from its CSV logs.
 
 Loading reproduces the in-memory Dataset bit-for-bit. It refuses a checksum
 mismatch, trailing bytes and arrays that break the layout the exposure
@@ -136,19 +135,16 @@ class _Reader:
         raw = self.take(dt.itemsize * count)
         return np.frombuffer(raw, dtype=dt).copy()
 
-    def labels(self, count: int) -> tuple:
-        """A version 1 label table, or `count` warning keys."""
-        out = []
+    def key(self) -> str:
+        """A warning key: a u32 byte length + UTF-8 bytes."""
+        (ln,) = self.unpack("<I")
         try:
-            for _ in range(count):
-                (ln,) = self.unpack("<I")
-                out.append(self.take(ln).decode("utf-8"))
+            return self.take(ln).decode("utf-8")
         except UnicodeDecodeError:
             raise SnapshotFormatError(_NOT_UTF8) from None
-        return tuple(out)
 
     def packed_labels(self, count: int) -> PackedLabels:
-        """A version 2 label table, checked as one block."""
+        """A label table, checked as one block."""
         offsets = self.array("<u8", count + 1)
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise SnapshotFormatError("label offsets must start at 0 and never decrease")
@@ -197,16 +193,12 @@ def load_snapshot(path) -> Dataset:
     if r.take(4) != MAGIC:
         raise SnapshotFormatError("bad magic: not a CSCD snapshot")
     version, flags = r.unpack("<II")
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
     n_users, n_tags, n_events, n_edges = r.unpack("<QQQQ")
 
-    if version == 1:  # decoded here, so checked here
-        user_table = _sorted_unique(r.labels(n_users), "user")
-        tag_table = _sorted_unique(r.labels(n_tags), "tag")
-    else:
-        user_table = r.packed_labels(n_users)
-        tag_table = r.packed_labels(n_tags)
+    user_table = r.packed_labels(n_users)
+    tag_table = r.packed_labels(n_tags)
     ev_time = r.array("<i8", n_events)
     ev_user = r.array("<i4", n_events)
     ev_tag = r.array("<i4", n_events)
@@ -218,15 +210,15 @@ def load_snapshot(path) -> Dataset:
     (n_warn,) = r.unpack("<I")
     warnings = {}
     for _ in range(n_warn):
-        (key,) = r.labels(1)
+        key = r.key()
         (val,) = r.unpack("<q")
         warnings[key] = val
-    body = len(data) - (4 if version > 1 else 0)  # v2 ends with its CRC
+    body = len(data) - 4  # the CRC trailer
     if r.pos > body:
         raise SnapshotFormatError("snapshot truncated")
     if r.pos < body:
         raise SnapshotFormatError(f"{body - r.pos} trailing bytes after the snapshot")
-    if version > 1 and r.unpack("<I")[0] != zlib.crc32(memoryview(data)[:body]):
+    if r.unpack("<I")[0] != zlib.crc32(memoryview(data)[:body]):
         raise SnapshotFormatError("snapshot checksum mismatch")
 
     _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since)

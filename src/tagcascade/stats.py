@@ -1,6 +1,6 @@
-"""Population statistics over adoption logs and exposure records:
-tag popularity, adoption/saturation curves, smoothed threshold
-distributions, and the popularity-vs-exposure correlation.
+"""Population statistics over adoption logs and exposure tables: tag
+popularity samples, adoption/saturation curves, and the
+popularity-vs-exposure rank correlation.
 """
 
 from __future__ import annotations
@@ -10,16 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, UndefinedCorrelationError, UnknownIdError
+from .errors import UndefinedCorrelationError, UnknownIdError
 from .events import Dataset
 from .exposure import ExposureTable
-
-
-def tag_popularity(d: Dataset) -> dict:
-    """Per-tag (distinct_adopters, total_usages), keyed by tag handle."""
-    adopters = popularity_samples(d, "adopters")
-    usages = popularity_samples(d, "usages")
-    return {x: (int(adopters[x]), int(usages[x])) for x in range(d.n_tags)}
 
 
 def popularity_samples(d: Dataset, kind: str = "adopters") -> np.ndarray:
@@ -78,63 +71,6 @@ def adoption_curve(d: Dataset, x: int, bucket_ms: int) -> AdoptionCurve:
         new_first_usages=new_first, cumulative_first_usages=cumulative,
         subsequent_usages=total - new_first, saturation=cumulative / d.n_users,
     )
-
-
-@dataclass(frozen=True)
-class DensityCurve:
-    grid: np.ndarray
-    density: np.ndarray
-    bandwidth: float
-
-    def mass(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
-
-
-def silverman_bandwidth(values: np.ndarray) -> float:
-    n = values.shape[0]
-    std = float(values.std(ddof=1))
-    iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
-    spread = min(std, iqr / 1.34) if iqr > 0 else std
-    return 0.9 * spread * n ** (-0.2)
-
-
-def smooth_distribution(values, bandwidth: float | None = None) -> DensityCurve:
-    """Gaussian-kernel density on [0, 1] with boundary reflection, sampled
-    on a 512-point grid.
-
-    Mass leaking past 0 or 1 is folded back by reflecting each kernel at
-    both boundaries, and the sampled curve is normalized to unit mass.
-    Bandwidth defaults to Silverman's rule.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape[0] < 2:
-        raise DegenerateSampleError("need at least two values for a density estimate")
-    if vals.min() < 0.0 or vals.max() > 1.0:
-        raise ValueError("values must lie in [0, 1]")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(vals)
-        if bandwidth < 1e-12:  # all-equal samples leave only rounding noise
-            raise DegenerateSampleError(
-                "sample has no spread; pass an explicit bandwidth > 0"
-            )
-    elif bandwidth <= 0:
-        raise ValueError("bandwidth must be > 0")
-
-    grid = np.linspace(0.0, 1.0, 512)
-    density = np.zeros_like(grid)
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth * vals.shape[0])
-    for start in range(0, vals.shape[0], 4096):
-        chunk = vals[start:start + 4096]
-        # direct kernel + reflections at 0 and at 1
-        for centers in (chunk, -chunk, 2.0 - chunk):
-            z = (grid[:, None] - centers[None, :]) / bandwidth
-            density += np.exp(-0.5 * z * z).sum(axis=1)
-    density *= norm
-    mass = np.trapezoid(density, grid)
-    if mass <= 0:
-        raise ValueError("bandwidth too small to resolve on the 512-point grid")
-    density /= mass
-    return DensityCurve(grid=grid, density=density, bandwidth=float(bandwidth))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,8 +8,7 @@ time with scipy's scalar brentq, the preferential-attachment generator
 draws each pick with its own `Generator.integers` call, the giant
 component comes from a union-find that merges one edge at a time, the
 diffusion models walk adopters and edges one Python step at a time, the
-version 1 snapshot writer encodes one label at a time, the reference
-ingest checks and interns one row at a time, and the result references
+reference ingest checks and interns one row at a time, and the result references
 build per-user thresholds, curve buckets and correlation bins one row at a
 time. Tests compare library output against these, never the other way round.
 """
@@ -17,7 +16,6 @@ time. Tests compare library output against these, never the other way round.
 from __future__ import annotations
 
 import math
-import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -87,19 +85,24 @@ def brute_force_exposures(adoption_rows, follow_rows, *, ties="strict", populari
 
 
 def assert_table_matches_oracle(ds, table, oracle):
+    """Each row of the ExposureTable `table`, read from its columns, equals
+    the oracle's record of its (user, tag)."""
     __tracebackhide__ = True
     assert len(table) == len(oracle)
-    for rec in table:
-        key = (ds.user_label(rec.user), ds.tag_label(rec.tag))
+    for user, tag, time, active, nbh, expo, pop in zip(
+            table.user.tolist(), table.tag.tolist(), table.time.tolist(),
+            table.active_alters.tolist(), table.neighborhood_size.tolist(),
+            table.exposure.tolist(), table.tag_popularity_at_adoption.tolist()):
+        key = (ds.user_label(user), ds.tag_label(tag))
         want = oracle[key]
-        assert rec.time == want["time"], key
-        assert rec.active_alters == want["active"], key
-        assert rec.neighborhood_size == want["neighborhood"], key
-        assert rec.tag_popularity_at_adoption == want["popularity"], key
+        assert time == want["time"], key
+        assert active == want["active"], key
+        assert nbh == want["neighborhood"], key
+        assert pop == want["popularity"], key
         if want["exposure"] is None:
-            assert math.isnan(rec.exposure), key
+            assert math.isnan(expo), key
         else:
-            assert abs(rec.exposure - float(want["exposure"])) < 1e-12, key
+            assert abs(expo - float(want["exposure"])) < 1e-12, key
 
 
 # ---------------------------------------------------------------------------
@@ -370,40 +373,6 @@ def simulate_reference(cfg):
             for v, _ in observers[u]:
                 active_count[v] += 1
     return adopt_step, np.asarray(step_counts, dtype=np.int64), theta
-
-
-# ---------------------------------------------------------------------------
-# version 1 snapshot writer
-# ---------------------------------------------------------------------------
-
-def save_snapshot_v1(d, path) -> None:
-    """Write `d` as a version 1 snapshot: per label a u32 byte length and the
-    UTF-8 bytes, and no checksum trailer; otherwise the version 2 layout."""
-    buf = bytearray(b"CSCD")
-    flags = 1 if d.graph.since is not None else 0
-    buf += struct.pack("<II", 1, flags)
-    buf += struct.pack("<QQQQ", d.n_users, d.n_tags, d.n_events, d.n_edges)
-    for table in (d.user_labels, d.tag_labels):
-        for label in table:
-            raw = label.encode("utf-8")
-            buf += struct.pack("<I", len(raw))
-            buf += raw
-    buf += d.event_time.astype("<i8").tobytes()
-    buf += d.event_user.astype("<i4").tobytes()
-    buf += d.event_tag.astype("<i4").tobytes()
-    buf += d.event_first.astype("<u1").tobytes()
-    buf += d.graph.indptr.astype("<i8").tobytes()
-    buf += d.graph.dst.astype("<i4").tobytes()
-    if d.graph.since is not None:
-        buf += d.graph.since.astype("<i8").tobytes()
-    buf += struct.pack("<I", len(d.warnings))
-    for key in sorted(d.warnings):
-        raw = key.encode("utf-8")
-        buf += struct.pack("<I", len(raw))
-        buf += raw
-        buf += struct.pack("<q", int(d.warnings[key]))
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
 
 
 # ---------------------------------------------------------------------------

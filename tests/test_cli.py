@@ -515,7 +515,7 @@ _ER = {"kind": "erdos_renyi", "n": 20, "mean_out_degree": 2}
     ({"graph": _ER, "model": "threshold", "params": {"thresholds": {"kind": "beta"}}}, (), 1,
      "unknown threshold distribution: 'beta'"),
     ({"graph": _ER, "model": "contagion", "params": _THRESHOLD}, (), 1,
-     "unknown model: 'contagion'"),
+     "model must be one of ('threshold', 'cascade', 'learning'), got 'contagion'"),
     ({"graph": {"kind": "lattice"}, "model": "threshold", "params": _THRESHOLD}, (), 1,
      "unknown graph kind: 'lattice'"),
     ({"graph": _ER, "model": "threshold", "params": _THRESHOLD, "seeds": {"users": "u3"}}, (), 1,
@@ -749,9 +749,14 @@ def test_hostile_simulation_config_values(snapshot, tmp_path, capsys, monkeypatc
             case += 1
             path, out = tmp_path / f"sim{case}.json", tmp_path / f"runs{case}"
             path.write_text(text)
-            code = main(["simulate", "--config", str(path), "--runs", "2", "--seed", "1",
-                         "--out", str(out)])
+            argv = ["simulate", "--config", str(path), "--runs", "2", "--seed", "1",
+                    "--out", str(out)]
+            code = main(argv)
             _check_exit(capsys, code, f"{name}: {label}")
+            if label.startswith("model="):  # checked alike when --model overrides it
+                flagged = main(argv + ["--model", cfg["model"]])
+                _check_exit(capsys, flagged, f"{name}: --model, {label}")
+                assert code == flagged == 1, (name, label)
             if code == 0 and name != "cascade":  # the planted thresholds hold
                 code = main(["recover", "--runs", str(out)])
                 assert code == 0, (name, label, capsys.readouterr().err)
@@ -778,7 +783,12 @@ def test_hostile_pipeline_config_values(tmp_path, capsys, monkeypatch):
         case += 1
         path = tmp_path / f"pipeline{case}.json"
         path.write_text(text.replace('"OUT"', json.dumps(f"pipe{case}")))
-        _check_exit(capsys, main(["pipeline", "--config", str(path)]), label)
+        code = main(["pipeline", "--config", str(path)])
+        _check_exit(capsys, code, label)
+        if label.startswith("seed="):  # checked alike when --seed overrides it
+            flagged = main(["pipeline", "--config", str(path), "--seed", "3"])
+            _check_exit(capsys, flagged, f"--seed, {label}")
+            assert code == flagged, label
     assert case > 200
 
 
@@ -844,8 +854,9 @@ def test_ingest_reverse_and_mutual_flags(tmp_path, capsys):
                    "--out", str(snap_rev), "--reverse-edges")
     assert code == 0
     ds = load_snapshot(snap_rev)
-    assert ds.graph.out_degree(ds.user_handle("bob")) == 1
-    assert ds.graph.out_degree(ds.user_handle("alice")) == 0
+    degree = ds.graph.out_degrees()
+    assert degree[ds.user_handle("bob")] == 1
+    assert degree[ds.user_handle("alice")] == 0
 
     snap_mut = tmp_path / "mut.cscd"
     code, report = _run(capsys, "ingest", str(adoptions), str(follows),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tagcascade as tc
 from oracles import build_dataset_reference, giant_component_reference
-from tagcascade.errors import MalformedRowError, UndefinedDensityError, UnknownIdError
+from tagcascade.errors import MalformedRowError, UndefinedDensityError
 from tagcascade.snapshot import save_snapshot
 from tagcascade.textio import (
     ADOPTIONS_HEADER,
@@ -150,22 +150,18 @@ def test_duplicate_edges_deduplicated_earliest_since_wins():
     ds = tc.build_dataset([], [("a", "b", 9), ("a", "b", 4), ("a", "c", 1)])
     assert ds.n_edges == 2
     assert ds.warnings["duplicate_edges_dropped"] == 1
-    u = ds.user_handle("a")
-    assert tc.neighbors_at(ds, u, 4) == {ds.user_handle("b"), ds.user_handle("c")}
-    assert tc.neighbors_at(ds, u, 3) == {ds.user_handle("c")}
+    assert sorted(ds.follow_rows()) == [("a", "b", 4), ("a", "c", 1)]
 
 
 def test_reverse_edges_flips_observation():
     ds = tc.build_dataset([], [("a", "b")], reverse_edges=True)
-    assert tc.neighbors_at(ds, ds.user_handle("b"), 0) == {ds.user_handle("a")}
-    assert tc.neighbors_at(ds, ds.user_handle("a"), 0) == set()
+    assert list(ds.follow_rows()) == [("b", "a")]
 
 
 def test_mutual_edges_adds_both_directions():
     ds = tc.build_dataset([], [("a", "b")], mutual_edges=True)
     assert ds.n_edges == 2
-    assert tc.neighbors_at(ds, ds.user_handle("a"), 0) == {ds.user_handle("b")}
-    assert tc.neighbors_at(ds, ds.user_handle("b"), 0) == {ds.user_handle("a")}
+    assert list(ds.follow_rows()) == [("a", "b"), ("b", "a")]
 
 
 def test_malformed_adoption_row_reports_row_number():
@@ -194,11 +190,10 @@ def _pair():
      "line 1: adoption row needs 3 fields, got 7"),
     (lambda: tc.build_dataset([], [("a", "b"), ("a",)]), MalformedRowError,
      "line 2: follow row needs 2 or 3 fields, got ('a',)"),
-    (lambda: tc.neighbors_at(_pair(), 2, 0), UnknownIdError, "user handle out of range: 2"),
     (lambda: tc.density(_pair(), "giant"), ValueError,
      "scope must be 'all' or 'giant_component', got 'giant'"),
 ], ids=["float-time", "bool-time", "short-adoption", "non-row-adoption", "short-follow",
-        "user-handle", "scope"])
+        "scope"])
 def test_events_error_table(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
@@ -439,26 +434,32 @@ def test_parse_timestamp_accepts_iso8601_and_units():
 
 
 # ---------------------------------------------------------------------------
-# neighbors_at
+# neighbours at a time: the neighbourhood the exposure kernel measures at
+# each adoption holds the edges whose `since` is at or before it
 # ---------------------------------------------------------------------------
 
+def _neighborhood_sizes(follows, t) -> dict:
+    """User label -> number of alters present at time `t`, measured by
+    letting every user of `follows` adopt one tag at `t`."""
+    users = sorted({label for row in follows for label in row[:2]})
+    ds = tc.build_dataset([(u, "probe", t) for u in users], follows)
+    table = tc.all_exposures(ds)
+    return dict(zip(map(ds.user_label, table.user.tolist()), table.neighborhood_size.tolist()))
+
+
 def test_neighbors_at_no_out_edges_is_empty(micro_dataset):
-    assert tc.neighbors_at(micro_dataset, micro_dataset.user_handle("B"), 100) == set()
+    assert _neighborhood_sizes(list(micro_dataset.follow_rows()), 100) == {
+        "A": 3, "B": 0, "C": 0, "D": 0}
 
 
 def test_neighbors_at_filters_by_edge_since():
-    ds = tc.build_dataset([], [("A", "B", 2), ("A", "C", 7)])
-    a = ds.user_handle("A")
-    assert tc.neighbors_at(ds, a, 5) == {ds.user_handle("B")}
-    assert tc.neighbors_at(ds, a, 7) == {ds.user_handle("B"), ds.user_handle("C")}
-    assert tc.neighbors_at(ds, a, 1) == set()
+    follows = [("A", "B", 2), ("A", "C", 7)]
+    assert [_neighborhood_sizes(follows, t)["A"] for t in (1, 5, 7)] == [0, 1, 2]
 
 
 def test_neighbors_at_static_fallback():
-    ds = tc.build_dataset([], [("A", "B"), ("A", "C")])
-    a = ds.user_handle("A")
     for t in (-(10**15), 0, 10**15):
-        assert tc.neighbors_at(ds, a, t) == {ds.user_handle("B"), ds.user_handle("C")}
+        assert _neighborhood_sizes([("A", "B"), ("A", "C")], t)["A"] == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,11 +473,10 @@ def test_neighbors_at_static_fallback():
 )
 def test_neighbors_at_monotone_in_time(edges, t1, dt):
     rows = [(f"u{a}", f"u{b}", s) for a, b, s in edges if a != b]
-    ds = tc.build_dataset([], rows)
-    for u in range(ds.n_users):
-        early = tc.neighbors_at(ds, u, t1)
-        late = tc.neighbors_at(ds, u, t1 + dt)
-        assert early <= late
+    early = _neighborhood_sizes(rows, t1)
+    late = _neighborhood_sizes(rows, t1 + dt)
+    assert early.keys() == late.keys()
+    assert all(early[u] <= late[u] for u in early)
 
 
 # ---------------------------------------------------------------------------

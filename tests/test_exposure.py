@@ -19,6 +19,16 @@ from tagcascade.errors import NoAdoptionError, UndefinedThresholdError, UnknownI
 from oracles import assert_table_matches_oracle, brute_force_exposures, random_micro_rows
 
 
+def _record(ds, user: str, tag: str, **rules) -> dict:
+    """The row of `all_exposures(ds, **rules)` for the first usage of `tag`
+    by `user`, as column -> Python value."""
+    table = tc.all_exposures(ds, **rules)
+    (i,) = np.flatnonzero((table.user == ds.user_handle(user)) & (table.tag == ds.tag_handle(tag)))
+    return {column: getattr(table, column)[i].item()
+            for column in ("time", "active_alters", "neighborhood_size", "exposure",
+                           "tag_popularity_at_adoption")}
+
+
 def _threshold_rows(thresholds) -> list:
     """(user, beta, defined_adoptions, undefined_adoptions) per row of a
     ThresholdTable, as Python values."""
@@ -31,13 +41,11 @@ def _threshold_rows(thresholds) -> list:
 # ---------------------------------------------------------------------------
 
 def test_exposure_worked_example(micro_dataset):
-    ds = micro_dataset
-    rec = tc.exposure_at_adoption(ds, ds.user_handle("A"), ds.tag_handle("t"))
-    assert rec.active_alters == 2
-    assert rec.neighborhood_size == 3
-    assert rec.exposure == pytest.approx(2 / 3, abs=1e-15)
-    assert rec.tag_popularity_at_adoption == 2
-    assert rec.defined
+    rec = _record(micro_dataset, "A", "t")
+    assert rec["active_alters"] == 2
+    assert rec["neighborhood_size"] == 3
+    assert rec["exposure"] == pytest.approx(2 / 3, abs=1e-15)
+    assert rec["tag_popularity_at_adoption"] == 2
 
 
 def test_exposure_zero_when_ego_adopts_first():
@@ -45,9 +53,9 @@ def test_exposure_zero_when_ego_adopts_first():
         [("A", "t", 1), ("B", "t", 5)],
         [("A", "B")],
     )
-    rec = tc.exposure_at_adoption(ds, ds.user_handle("A"), ds.tag_handle("t"))
-    assert rec.exposure == 0.0
-    assert rec.defined
+    rec = _record(ds, "A", "t")
+    assert rec["exposure"] == 0.0
+    assert rec["neighborhood_size"] == 1
 
 
 def test_exposure_one_when_all_alters_adopted_before():
@@ -55,26 +63,14 @@ def test_exposure_one_when_all_alters_adopted_before():
         [("A", "t", 9), ("B", "t", 1), ("C", "t", 2)],
         [("A", "B"), ("A", "C")],
     )
-    rec = tc.exposure_at_adoption(ds, ds.user_handle("A"), ds.tag_handle("t"))
-    assert rec.exposure == 1.0
-
-
-def test_exposure_no_adoption_error(micro_dataset):
-    ds = micro_dataset
-    ds2 = tc.build_dataset(
-        [("A", "t", 4), ("B", "u", 1)],
-        [("A", "B")],
-    )
-    with pytest.raises(NoAdoptionError):
-        tc.exposure_at_adoption(ds2, ds2.user_handle("B"), ds2.tag_handle("t"))
+    assert _record(ds, "A", "t")["exposure"] == 1.0
 
 
 def test_zero_neighborhood_marked_undefined_not_error(micro_dataset):
-    rec = tc.exposure_at_adoption(micro_dataset, micro_dataset.user_handle("B"),
-                                  micro_dataset.tag_handle("t"))
-    assert rec.neighborhood_size == 0
-    assert not rec.defined
-    assert math.isnan(rec.exposure)
+    rec = _record(micro_dataset, "B", "t")
+    assert rec["neighborhood_size"] == 0
+    assert math.isnan(rec["exposure"])
+    assert tc.all_exposures(micro_dataset).n_undefined == 3  # B, C and D observe nobody
 
 
 def test_strict_ties_exclude_simultaneous_adopters():
@@ -82,12 +78,8 @@ def test_strict_ties_exclude_simultaneous_adopters():
         [("A", "t", 5), ("B", "t", 5), ("C", "t", 1)],
         [("A", "B"), ("A", "C")],
     )
-    a = ds.user_handle("A")
-    x = ds.tag_handle("t")
-    strict = tc.exposure_at_adoption(ds, a, x)
-    assert strict.active_alters == 1  # only C
-    inclusive = tc.exposure_at_adoption(ds, a, x, ties="inclusive")
-    assert inclusive.active_alters == 2  # B's tie now counts
+    assert _record(ds, "A", "t")["active_alters"] == 1  # only C
+    assert _record(ds, "A", "t", ties="inclusive")["active_alters"] == 2  # B's tie now counts
 
 
 def test_popularity_usages_mode_counts_repeats():
@@ -95,10 +87,8 @@ def test_popularity_usages_mode_counts_repeats():
         [("B", "t", 1), ("B", "t", 2), ("B", "t", 3), ("A", "t", 4)],
         [("A", "B")],
     )
-    a = ds.user_handle("A")
-    x = ds.tag_handle("t")
-    assert tc.exposure_at_adoption(ds, a, x).tag_popularity_at_adoption == 1
-    assert tc.exposure_at_adoption(ds, a, x, popularity="usages").tag_popularity_at_adoption == 3
+    assert _record(ds, "A", "t")["tag_popularity_at_adoption"] == 1
+    assert _record(ds, "A", "t", popularity="usages")["tag_popularity_at_adoption"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +172,11 @@ def _a_follows_b():
      "ties must be one of ('strict', 'inclusive')"),
     (lambda: tc.all_exposures(_a_follows_b(), popularity="views"), ValueError,
      "popularity must be one of ('adopters', 'usages')"),
-    (lambda: tc.exposure_at_adoption(_a_follows_b(), 2, 0), UnknownIdError,
+    (lambda: tc.user_threshold(_a_follows_b(), 2), UnknownIdError,
      "user handle out of range: 2"),
-    (lambda: tc.exposure_at_adoption(_a_follows_b(), 0, 1), UnknownIdError,
-     "tag handle out of range: 1"),
     (lambda: tc.user_threshold(_a_follows_b(), 1), NoAdoptionError,
      "user 'B' has no adoptions"),
-], ids=["ties", "popularity", "user-handle", "tag-handle", "no-adoptions"])
+], ids=["ties", "popularity", "user-handle", "no-adoptions"])
 def test_exposure_error_table(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
@@ -197,25 +185,8 @@ def test_exposure_error_table(call, error, message):
 def test_all_exposures_cardinality_and_order(micro_dataset):
     table = tc.all_exposures(micro_dataset)
     assert len(table) == 4
-    times = [rec.time for rec in table]
+    times = table.time.tolist()
     assert times == sorted(times)
-
-
-def test_batch_matches_single_record_bit_exactly():
-    rng = np.random.Generator(np.random.PCG64(7))
-    adoptions, follows = random_micro_rows(rng)
-    ds = tc.build_dataset(adoptions, follows)
-    for ties in ("strict", "inclusive"):
-        for pop in ("adopters", "usages"):
-            table = tc.all_exposures(ds, ties=ties, popularity=pop)
-            for rec in table:
-                single = tc.exposure_at_adoption(ds, rec.user, rec.tag, ties=ties, popularity=pop)
-                assert single == rec or (
-                    math.isnan(single.exposure) and math.isnan(rec.exposure)
-                    and single.active_alters == rec.active_alters
-                    and single.neighborhood_size == rec.neighborhood_size
-                    and single.tag_popularity_at_adoption == rec.tag_popularity_at_adoption
-                )
 
 
 def test_user_threshold_matches_population_batch():
@@ -243,9 +214,6 @@ def test_oracle_equivalence_sampled(ties, popularity):
         table = tc.all_exposures(ds, ties=ties, popularity=popularity)
         oracle = brute_force_exposures(adoptions, follows, ties=ties, popularity=popularity)
         assert_table_matches_oracle(ds, table, oracle)
-        singles = [tc.exposure_at_adoption(ds, rec.user, rec.tag, ties=ties, popularity=popularity)
-                   for rec in table]
-        assert_table_matches_oracle(ds, singles, oracle)
         for u in sorted(set(table.user.tolist())):
             label = ds.user_label(u)
             mine = [rec["exposure"] for (v, _), rec in oracle.items() if v == label]
@@ -351,9 +319,7 @@ def test_tie_perturbation_never_increases_active_alters():
     follows = [("A", "B"), ("A", "C")]
     d1 = tc.build_dataset(base, follows)
     d2 = tc.build_dataset(tied, follows)
-    a1 = tc.exposure_at_adoption(d1, d1.user_handle("A"), d1.tag_handle("t")).active_alters
-    a2 = tc.exposure_at_adoption(d2, d2.user_handle("A"), d2.tag_handle("t")).active_alters
-    assert a2 <= a1
+    assert _record(d2, "A", "t")["active_alters"] <= _record(d1, "A", "t")["active_alters"]
 
 
 @settings(max_examples=50, deadline=None)

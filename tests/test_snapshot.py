@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import struct
 import zlib
 
@@ -15,10 +14,10 @@ from tagcascade.cli import main
 from tagcascade.errors import SnapshotFormatError
 from tagcascade.snapshot import MAGIC, PackedLabels, load_snapshot, save_snapshot
 
-from oracles import random_micro_rows, save_snapshot_v1
+from oracles import random_micro_rows
 
-# Every round trip and corruption runs on files of both versions.
-WRITERS = {1: save_snapshot_v1, 2: save_snapshot}
+# Every round trip and corruption runs on files of each version that loads.
+WRITERS = {2: save_snapshot}
 
 
 def _assert_datasets_identical(a, b):
@@ -74,7 +73,7 @@ def test_snapshot_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_magic_bytes_and_version_checked(tmp_path):
+def test_magic_bytes_and_version_checked(tmp_path, capsys):
     path = tmp_path / "bad.cscd"
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(SnapshotFormatError, match="magic"):
@@ -85,11 +84,16 @@ def test_magic_bytes_and_version_checked(tmp_path):
     save_snapshot(ds, good)
     raw = bytearray(good.read_bytes())
     assert raw[:4] == MAGIC
-    raw[4] = 99  # version field
-    bad_version = tmp_path / "v99.cscd"
-    bad_version.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError, match="version"):
-        load_snapshot(bad_version)
+    for version in (1, 99):  # a version 1 file is refused too, and must be re-ingested
+        raw[4] = version  # version field
+        bad_version = tmp_path / f"v{version}.cscd"
+        bad_version.write_bytes(bytes(raw))
+        message = f"unsupported snapshot version {version}"
+        with pytest.raises(SnapshotFormatError, match=message):
+            load_snapshot(bad_version)
+        capsys.readouterr()
+        assert main(["stats", str(bad_version)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 def test_truncated_snapshot_detected(tmp_path):
@@ -114,19 +118,15 @@ def test_missing_file_is_data_error(tmp_path):
 # structurally corrupt snapshots
 # ---------------------------------------------------------------------------
 
-def _sections(ds, version: int) -> dict:
+def _sections(ds) -> dict:
     """(byte offset, dtype, count) of each section of `ds`'s snapshot.
 
-    `label0` is the UTF-8 bytes of the first user label, in either version.
+    `label0` is the UTF-8 bytes of the first user label.
     """
     encoded = [[lab.encode() for lab in table] for table in (ds.user_labels, ds.tag_labels)]
-    if version == 1:
-        tables = [(f"{kind}_labels", "<u1", sum(4 + len(raw) for raw in table))
-                  for kind, table in zip(("user", "tag"), encoded)]
-    else:
-        tables = [(name, dtype, count) for kind, table in zip(("user", "tag"), encoded)
-                  for name, dtype, count in ((f"{kind}_offsets", "<u8", len(table) + 1),
-                                             (f"{kind}_blob", "<u1", sum(map(len, table))))]
+    tables = [(name, dtype, count) for kind, table in zip(("user", "tag"), encoded)
+              for name, dtype, count in ((f"{kind}_offsets", "<u8", len(table) + 1),
+                                         (f"{kind}_blob", "<u1", sum(map(len, table))))]
     pos = 4 + 8 + 32
     out = {}
     for name, dtype, count in tables + [
@@ -136,25 +136,22 @@ def _sections(ds, version: int) -> dict:
             ("since", "<i8", ds.n_edges)]:
         out[name] = (pos, np.dtype(dtype), count)
         pos += np.dtype(dtype).itemsize * count
-    first_label = out["user_labels"][0] + 4 if version == 1 else out["user_blob"][0]
-    out["label0"] = (first_label, np.dtype("<u1"), len(encoded[0][0]))
+    out["label0"] = (out["user_blob"][0], np.dtype("<u1"), len(encoded[0][0]))
     return out
 
 
-def _corrupt_and_write(path, version: int, corrupt) -> None:
-    """Apply `corrupt` to the file's bytes (without the version 2 checksum
-    trailer, which is then recomputed), so only the other checks can see it."""
-    raw = bytearray(path.read_bytes())
-    body = raw[:-4] if version == 2 else raw
+def _corrupt_and_write(path, corrupt) -> None:
+    """Apply `corrupt` to the file's bytes (without the checksum trailer,
+    which is then recomputed), so only the other checks can see it."""
+    body = bytearray(path.read_bytes())[:-4]
     corrupt(body)
-    if version == 2:
-        body += struct.pack("<I", zlib.crc32(body))
+    body += struct.pack("<I", zlib.crc32(body))
     path.write_bytes(bytes(body))
 
 
-def _in_section(ds, version, section, corrupt):
+def _in_section(ds, section, corrupt):
     def apply(raw):
-        offset, dtype, count = _sections(ds, version)[section]
+        offset, dtype, count = _sections(ds)[section]
         corrupt(np.frombuffer(raw, dtype=dtype, count=count, offset=offset))
     return apply
 
@@ -203,13 +200,13 @@ def test_structurally_corrupt_snapshot_exits_two(tmp_path, capsys, corruption):
         write(ds, path)
         assert main(["thresholds", str(path)]) == 0
         if section is None:
-            _corrupt_and_write(path, version, lambda raw: raw.extend(b"junk"))
+            _corrupt_and_write(path, lambda raw: raw.extend(b"junk"))
         else:
-            _corrupt_and_write(path, version, _in_section(ds, version, section, corrupt))
+            _corrupt_and_write(path, _in_section(ds, section, corrupt))
         assert message in _thresholds_error(path, capsys), version
 
 
-# Version 2 label tables: A, B and "Cé" (é is two UTF-8 bytes), offsets 0 1 2 5.
+# Label tables: A, B and "Cé" (é is two UTF-8 bytes), offsets 0 1 2 5.
 LABEL_TABLE_CORRUPTIONS = {
     "offsets_start": (lambda a: a.__setitem__(0, 1), "start at 0"),
     "offsets_order": (lambda a: _swap(a, 1, 2), "never decrease"),
@@ -223,7 +220,7 @@ def test_corrupt_label_offsets_exit_two(tmp_path, capsys, corruption):
     path = tmp_path / "snap.cscd"
     save_snapshot(ds, path)
     corrupt, message = LABEL_TABLE_CORRUPTIONS[corruption]
-    _corrupt_and_write(path, 2, _in_section(ds, 2, "user_offsets", corrupt))
+    _corrupt_and_write(path, _in_section(ds, "user_offsets", corrupt))
     assert message in _thresholds_error(path, capsys)
 
 
@@ -234,7 +231,7 @@ def test_checksum_catches_a_cleared_first_flag(tmp_path, capsys):
     path = tmp_path / "snap.cscd"
     save_snapshot(ds, path)
     raw = bytearray(path.read_bytes())
-    offset = _sections(ds, 2)["first"][0]
+    offset = _sections(ds)["first"][0]
     assert raw[offset] == 1
     raw[offset] = 0
     path.write_bytes(bytes(raw))
@@ -246,29 +243,12 @@ def test_duplicate_labels_exit_two(tmp_path, capsys, version):
     ds = tc.build_dataset([("A", "a", 1), ("B", "b", 2)], [("A", "B")])
     path = tmp_path / "snap.cscd"
     WRITERS[version](ds, path)
-    blob = "tag_labels" if version == 1 else "tag_blob"
-    # the second tag, "b", becomes a second "a"; version 2 gets a valid checksum
-    _corrupt_and_write(path, version, _in_section(ds, version, blob,
-                                                  lambda a: a.__setitem__(-1, ord("a"))))
+    # the second tag, "b", becomes a second "a", under a valid checksum
+    _corrupt_and_write(path, _in_section(ds, "tag_blob", lambda a: a.__setitem__(-1, ord("a"))))
     capsys.readouterr()
     assert main(["curve", str(path), "--tag", "a", "--bucket", "1"]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "tag label" in err
-
-
-@pytest.mark.parametrize("table,labels", [("tag_table", ("a", "a")),
-                                          ("user_table", ("B", "A"))])
-def test_v1_labels_out_of_order_exit_two(tmp_path, capsys, table, labels):
-    ds = tc.build_dataset([("A", "a", 1), ("B", "b", 2)], [("A", "B")])
-    path, out = tmp_path / "snap.cscd", tmp_path / "e.tsv"
-    save_snapshot_v1(ds, path)
-    assert main(["thresholds", str(path), "--out", str(out)]) == 0  # a valid v1 file loads
-    save_snapshot_v1(dataclasses.replace(ds, **{table: labels}), path)
-    with pytest.raises(SnapshotFormatError, match="not sorted and unique"):
-        load_snapshot(path)
-    capsys.readouterr()
-    assert main(["thresholds", str(path), "--out", str(out)]) == 2
-    assert "not sorted and unique" in capsys.readouterr().err
 
 
 _FUZZ_DATASET = tc.build_dataset([("A", "x", 5), ("Bé", "y", 1), ("C", "x", 3)],

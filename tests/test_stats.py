@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
-from tagcascade.errors import (
-    DegenerateSampleError,
-    UndefinedCorrelationError,
-    UnknownIdError,
-)
+from tagcascade.errors import UndefinedCorrelationError, UnknownIdError
 from tagcascade.exposure import ExposureTable
 
 
@@ -27,13 +23,15 @@ def test_tag_popularity_hand_count():
         [("B", "t", 1), ("C", "t", 2), ("A", "t", 4), ("D", "t", 5), ("B", "t", 7)],
         [],
     )
-    pop = tc.tag_popularity(ds)
-    assert pop[ds.tag_handle("t")] == (4, 5)
+    t = ds.tag_handle("t")
+    assert tc.popularity_samples(ds, "adopters")[t] == 4
+    assert tc.popularity_samples(ds, "usages")[t] == 5
 
 
 def test_tag_popularity_single_use():
     ds = tc.build_dataset([("A", "t", 1)], [])
-    assert tc.tag_popularity(ds)[0] == (1, 1)
+    assert tc.popularity_samples(ds, "adopters").tolist() == [1]
+    assert tc.popularity_samples(ds, "usages").tolist() == [1]
 
 
 def test_popularity_samples_sum_to_totals():
@@ -105,47 +103,6 @@ def test_adoption_curve_cumulative_nondecreasing_random():
     cums = curve.cumulative_first_usages.tolist()
     assert cums == sorted(cums)
     assert cums[-1] == ds.n_first_usages
-
-
-# ---------------------------------------------------------------------------
-# smoothed distribution
-# ---------------------------------------------------------------------------
-
-def test_kde_integrates_to_one():
-    rng = np.random.Generator(np.random.PCG64(4))
-    curve = tc.smooth_distribution(rng.random(500))
-    assert curve.mass() == pytest.approx(1.0, abs=1e-3)
-    assert curve.grid.shape == (512,)
-
-
-def test_kde_uniform_sample_is_flat():
-    rng = np.random.Generator(np.random.PCG64(12))
-    curve = tc.smooth_distribution(rng.random(10_000))
-    inner = (curve.grid >= 0.1) & (curve.grid <= 0.9)
-    assert np.abs(curve.density[inner] - 1.0).max() < 0.1
-
-
-def test_kde_degenerate_sample_errors_without_bandwidth():
-    with pytest.raises(DegenerateSampleError):
-        tc.smooth_distribution([0.4] * 50)
-
-
-def test_kde_forced_bandwidth_gives_peak_at_value():
-    curve = tc.smooth_distribution([0.4] * 50, bandwidth=0.01)
-    assert curve.grid[np.argmax(curve.density)] == pytest.approx(0.4, abs=0.01)
-    assert curve.mass() == pytest.approx(1.0, abs=1e-3)
-
-
-def test_kde_needs_two_values():
-    with pytest.raises(DegenerateSampleError):
-        tc.smooth_distribution([0.5])
-
-
-def test_kde_mass_invariant_any_bandwidth():
-    rng = np.random.Generator(np.random.PCG64(3))
-    vals = rng.random(200)
-    for bw in (0.001, 0.05, 0.4, 2.0):
-        assert tc.smooth_distribution(vals, bandwidth=bw).mass() == pytest.approx(1.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +213,12 @@ def _one_tag():
     (lambda: tc.adoption_curve(dataclasses.replace(_one_tag(), tag_table=("x", "y"),
                                                    _tag_index=None), 1, 10),
      UnknownIdError, "tag 'y' has no events"),
-    (lambda: tc.smooth_distribution([0.5, 1.5]), ValueError, "values must lie in [0, 1]"),
-    (lambda: tc.smooth_distribution([0.2, 0.5], bandwidth=0), ValueError,
-     "bandwidth must be > 0"),
     (lambda: tc.popularity_threshold_correlation(_records([(1, 0.2), (2, 0.2), (3, 0.2)])),
      UndefinedCorrelationError, "all exposure values identical"),
     (lambda: tc.popularity_threshold_correlation(_records([(1, 0.1), (2, 0.2), (3, 0.3)]),
                                                  method="kendall"),
      ValueError, "method must be 'spearman' or 'pearson', got 'kendall'"),
-], ids=["popularity-kind", "zero-bucket", "tag-without-events", "values-outside", "zero-bandwidth",
-        "constant-exposure", "method"])
+], ids=["popularity-kind", "zero-bucket", "tag-without-events", "constant-exposure", "method"])
 def test_stats_error_table(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
