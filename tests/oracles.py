@@ -10,11 +10,13 @@ component comes from a union-find that merges one edge at a time, the
 diffusion models walk adopters and edges one Python step at a time, the
 reference ingest checks and interns one row at a time, and the result references
 build per-user thresholds, curve buckets and correlation bins one row at a
-time. Tests compare library output against these, never the other way round.
+time, and the JSON text comes from the standard library's own encoder. Tests
+compare library output against these, never the other way round.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -376,7 +378,7 @@ def simulate_reference(cfg):
 
 
 # ---------------------------------------------------------------------------
-# per-row TSV writer
+# per-row TSV writer and the stock JSON encoder
 # ---------------------------------------------------------------------------
 
 def format_cell(value) -> str:
@@ -398,6 +400,23 @@ def write_tsv_reference(path, header, rows) -> int:
             fh.write("\t".join(format_cell(v) for v in row) + "\n")
             n += 1
     return n
+
+
+def _sanitize(obj):
+    """Replace NaN/inf (invalid in strict JSON) with None, recursively."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    return obj
+
+
+def dump_json_reference(obj) -> str:
+    """The canonical JSON text of `obj` from the standard library's own
+    indent=2 encoder, non-finite floats written as null."""
+    return json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

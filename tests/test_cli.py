@@ -11,8 +11,12 @@ import numpy as np
 import pytest
 
 import tagcascade
+import tagcascade.cli
 from tagcascade.cli import build_parser, main
-from tagcascade.snapshot import load_snapshot
+from tagcascade.events import build_dataset
+from tagcascade.simulate import run_model
+from tagcascade.snapshot import load_snapshot, save_snapshot
+from tagcascade.textio import read_adoptions, read_follows
 
 
 def _write_inputs(tmp_path, bad_timestamp_row=False):
@@ -313,6 +317,32 @@ def test_simulate_writes_reingestible_runs(tmp_path, capsys):
     assert header == "user_id,tag_id,timestamp"
 
 
+@pytest.mark.parametrize("graph", [
+    {"kind": "preferential_attachment", "n": 300, "m": 3},
+    {"kind": "erdos_renyi", "n": 300, "mean_out_degree": 4},
+], ids=["pa", "er"])
+def test_in_memory_and_on_disk_round_trips_agree(tmp_path, capsys, monkeypatch, graph):
+    runs = []  # the SimRun of each run the command writes
+
+    def kept_run(cfg):
+        runs.append(run_model(cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(tagcascade.cli, "run_model", kept_run)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"graph": graph, "seeds": {"k": 4},
+                               "params": {"thresholds": {"kind": "uniform", "a": 0.0, "b": 0.5}}}))
+    out = tmp_path / "runs"
+    code, _ = _run(capsys, "simulate", "--model", "threshold", "--config", str(cfg),
+                   "--runs", "1", "--seed", "5", "--out", str(out))
+    assert code == 0 and len(runs) == 1 and runs[0].n_adopters > 4
+    save_snapshot(runs[0].to_dataset(), tmp_path / "memory.cscd")
+    adoptions, _ = read_adoptions(out / "run_0000" / "adoptions.csv")
+    follows, _ = read_follows(out / "run_0000" / "follows.csv")
+    save_snapshot(build_dataset(adoptions, follows), tmp_path / "disk.cscd")
+    assert (tmp_path / "memory.cscd").read_bytes() == (tmp_path / "disk.cscd").read_bytes()
+
+
 def test_simulate_deterministic_output_bytes(tmp_path, capsys):
     cfg = _sim_config(tmp_path)
     outs = []
@@ -340,6 +370,9 @@ def test_recover_zero_violations(tmp_path, capsys):
     assert doc["runs"] == 3
 
 
+_THETA_OVERFLOW = "2" + "0" * 308 + ".0"  # 2e308 with no exponent: past the largest float
+
+
 @pytest.mark.parametrize("damage,named", [
     ("delete", "manifest.json"),
     ("not-json", "manifest.json"),
@@ -353,6 +386,7 @@ def test_recover_zero_violations(tmp_path, capsys):
     ("n_users-bool", "n_users"),
     ("theta-bool", "theta"),
     ("theta-nan", "NaN"),
+    ("theta-overflow", _THETA_OVERFLOW),
 ])
 def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, named):
     cfg = _sim_config(tmp_path)
@@ -380,9 +414,11 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
             manifest["theta"][0] = True
         elif damage == "theta-nan":  # json.dumps writes NaN, which no JSON number is
             manifest["theta"] = [float("nan")] * len(manifest["theta"])
+        elif damage == "theta-overflow":  # json.dumps cannot write it: put in as text
+            manifest["theta"][3] = _MARK
         else:
             del manifest[damage]
-        manifest_path.write_text(json.dumps(manifest))
+        manifest_path.write_text(json.dumps(manifest).replace(json.dumps(_MARK), _THETA_OVERFLOW))
     code = main(["recover", "--runs", str(out)])
     err = capsys.readouterr().err
     assert code == 2
@@ -690,10 +726,12 @@ def test_pipeline_stage_without_snapshot_is_usage_error(tmp_path, capsys):
 # hostile config values
 # ---------------------------------------------------------------------------
 
-# JSON texts put in place of one config value each. 1e309 and NaN are no
-# number a float holds, and json.dumps cannot write 1e309, so every value
-# goes in as text.
-_HOSTILE = ("null", "true", "0", "-1", "3", "2.5", "1e309", "NaN", '"x"', '""', "[]", "{}",
+# JSON texts put in place of one config value each. 1e309, 1e349 written
+# out with a 2-digit exponent, and NaN are no number a float holds, so the
+# config is refused as a whole (exit 1). json.dumps cannot write 1e309, so
+# every value goes in as text.
+_NO_FLOAT = ("1e309", "1" + "0" * 250 + "e99", "NaN")
+_HOSTILE = ("null", "true", "0", "-1", "3", "2.5", *_NO_FLOAT, '"x"', '""', "[]", "{}",
             "[1]", '{"a": 1}')
 _MARK = "\0hostile"
 
@@ -721,9 +759,12 @@ def _hostile_configs(cfg):
 
 
 def _check_exit(capsys, code, label):
-    """The exit code is 0, 1 or 2; a failure prints one line naming its kind."""
+    """The exit code is 0, 1 or 2, and 1 for a number no float holds; a
+    failure prints one line naming its kind."""
     err = capsys.readouterr().err
     assert code in (0, 1, 2), (label, code, err)
+    if label.endswith(_NO_FLOAT):
+        assert code == 1, (label, code, err)
     if code:
         prefix = "usage error: " if code == 1 else "data error: "
         assert len(err.splitlines()) == 1 and err.startswith(prefix), (label, err)
@@ -922,9 +963,10 @@ def test_one_parser_serves_a_sequence_of_commands(snapshot, capsys):
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_optimize():
-    # both take about a second to import; the command line needs neither
-    probe = ("import sys, tagcascade.cli; "
-             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+    # each takes from a third of a second to a second to import; only
+    # fit-powerlaw needs scipy.special, and it imports it on first use
+    probe = ("import sys, tagcascade.cli; print([m for m in "
+             "('scipy.stats', 'scipy.optimize', 'scipy.special') if m in sys.modules])")
     src = Path(tagcascade.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagcascade.errors import DataError, MalformedRowError, UsageError
+from tagcascade.events import LogColumns
 from tagcascade.textio import (
     _TSV_BLOCK,
     ADOPTIONS_HEADER,
     FOLLOWS_HEADER,
     FOLLOWS_HEADER_TIMED,
+    dump_json,
     file_digest,
     parse_duration_ms,
     read_adoptions,
@@ -26,7 +28,7 @@ from tagcascade.textio import (
     write_tsv,
 )
 
-from oracles import write_tsv_reference
+from oracles import dump_json_reference, write_tsv_reference
 
 
 def test_parse_duration_units():
@@ -198,32 +200,49 @@ def _writerow_reference(path, header, rows):
 
 
 # Labels that need quoting (separators, quotes, line breaks), spaces,
-# non-ASCII and empty strings, mixed with plain ones.
+# non-ASCII and empty strings, mixed with plain ones; and simulated node
+# labels alone, which never need quoting.
 _LABELS = st.text(
     st.sampled_from([",", '"', "\r", "\n", " ", "a", "b", "é", "標", "😀"])
     | st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
     max_size=6,
 ) | st.just("u0000007")
+_PLAIN_LABELS = st.integers(0, 10**7 - 1).map("u%07d".__mod__)
 _TIMES = st.integers(0, 2**62)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    adoptions=st.lists(st.tuples(_LABELS, _LABELS, _TIMES), max_size=30),
-    follows=st.lists(
-        st.one_of(st.tuples(_LABELS, _LABELS),
-                  st.tuples(_LABELS, _LABELS, st.one_of(st.none(), _TIMES))),
+@st.composite
+def _logs(draw):
+    """(adoption rows, follow rows), every label from one label strategy."""
+    labels = draw(st.sampled_from([_LABELS, _PLAIN_LABELS]))
+    adoptions = draw(st.lists(st.tuples(labels, labels, _TIMES), max_size=30))
+    follows = draw(st.lists(
+        st.one_of(st.tuples(labels, labels),
+                  st.tuples(labels, labels, st.one_of(st.none(), _TIMES))),
         max_size=30,
-    ),
-)
-def test_writers_match_per_row_writerow(adoptions, follows):
+    ))
+    return adoptions, follows
+
+
+@settings(max_examples=100, deadline=None)
+@given(logs=_logs(), as_columns=st.booleans())
+def test_writers_match_per_row_writerow(logs, as_columns):
+    adoptions, follows = logs
     timed = any(len(r) == 3 for r in follows)
     expect_follows = [(r[0], r[1], r[2] if len(r) == 3 and r[2] is not None else "")
                       if timed else r for r in follows]
+    if as_columns:  # the LogColumns a reader or a SimRun hands over
+        adoptions_in = LogColumns(*map(list, zip(*adoptions))) if adoptions else \
+            LogColumns([], [], [])
+        follows_in = LogColumns([r[0] for r in follows], [r[1] for r in follows],
+                                [r[2] if len(r) == 3 else None for r in follows]
+                                if timed else None)
+    else:
+        adoptions_in, follows_in = iter(adoptions), iter(follows)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        assert write_adoptions_csv(tmp / "a.csv", iter(adoptions)) == len(adoptions)
-        assert write_follows_csv(tmp / "f.csv", iter(follows)) == len(follows)
+        assert write_adoptions_csv(tmp / "a.csv", adoptions_in) == len(adoptions)
+        assert write_follows_csv(tmp / "f.csv", follows_in) == len(follows)
         _writerow_reference(tmp / "ra.csv", ADOPTIONS_HEADER, adoptions)
         _writerow_reference(tmp / "rf.csv", FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER,
                             expect_follows)
@@ -307,6 +326,9 @@ def test_write_tsv_refuses_uneven_columns(tmp_path, header, columns):
 @pytest.mark.parametrize("text,named", [
     ("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
     ("1e309", "1e309"), ("-1e309", "-1e309"), ("[1.5, 2e400]", "2e400"),
+    # past the largest float without a 3-digit exponent
+    pytest.param("1" + "0" * 250 + "e99", "1" + "0" * 250 + "e99", id="1e349"),
+    pytest.param("2" + "0" * 308 + ".0", "2" + "0" * 308 + ".0", id="2e308"),
 ])
 def test_read_json_object_refuses_numbers_no_float_holds(tmp_path, text, named):
     path = tmp_path / "c.json"
@@ -320,3 +342,41 @@ def test_read_json_object_keeps_finite_numbers(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"x": [1e308, -0.0, 2.5, 10e-400, %d]}' % 10**400)
     assert read_json_object(path, UsageError) == {"x": [1e308, -0.0, 2.5, 0.0, 10**400]}
+
+
+# JSON values for the encoder: every float oddity in plain and numpy form,
+# ints past 64 bits, and strings (as values and keys) that need escaping or
+# are not ASCII.
+_JSON_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_JSON_FLOAT_ITEMS = _JSON_FLOATS | _JSON_FLOATS.map(np.float64)
+_JSON_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "標",
+                                      "😀", "a", " "]) | st.characters(), max_size=6)
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | _JSON_FLOAT_ITEMS
+                 | _JSON_TEXT)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)
+                   | st.lists(_JSON_FLOAT_ITEMS, max_size=8)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_dump_json_matches_stock_indented_encoder(obj):
+    assert dump_json(obj) == dump_json_reference(obj)
+
+
+def test_dump_json_writes_what_it_returns(tmp_path):
+    obj = {
+        "theta": [0.25, -0.0, 5e-324, 1e16, math.nan, np.float64(0.1), np.float64(math.inf)],
+        "ints": [2**63, -(2**70), 0], "flags": [True, False, None], "empty": [[], {}, ()],
+        "text \u00e9\n\"": "\u6a19\U0001f600\\\t", "nested": {"b": [{"a": [1.5]}], "a": {}},
+    }
+    text = dump_json(obj, tmp_path / "m.json")
+    assert text == dump_json_reference(obj)
+    assert (tmp_path / "m.json").read_text(encoding="utf-8") == text
+    assert dump_json([]) == "[]\n" and dump_json({}) == "{}\n" and dump_json(1.5) == "1.5\n"
+    with pytest.raises(TypeError):
+        dump_json({"x": [1, {2, 3}]})
