@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, UnsupportedModelError, UsageError
-from .events import (Dataset, FollowerGraph, _csr_indptr, _csr_sources, build_dataset,
-                     build_follower_graph)
+from .events import (Dataset, FollowerGraph, LogColumns, _csr_indptr, _csr_sources,
+                     build_dataset, build_follower_graph)
 from .exposure import all_exposures
 from .stats import spearman_rho
 
@@ -67,9 +67,13 @@ def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
 
     Each pick is an index into a pool that holds every node once at birth
     and once per incoming edge. The picks replay, bit for bit, the stream
-    of scalar `Generator.integers(0, len(pool))` calls on a fresh `PCG64`
-    (see `_draws_below`), but take the raw words from the bit generator in
-    blocks instead of one call per draw. The graph for a seed therefore
+    of scalar `Generator.integers(0, len(pool))` calls on a fresh `PCG64`,
+    but take the raw words from the bit generator in blocks instead of one
+    call per draw. A draw below a bound of 2 or more is Lemire's multiply
+    and reject, as numpy's `buffered_bounded_lemire_uint32`: a 32-bit word
+    times the bound, rejected while its low 32 bits fall below
+    (2**32 - bound) % bound, gives the high 32 bits. A bound of 1 (the
+    first pool when m is 1) takes no word. The graph for a seed therefore
     depends on numpy keeping that stream; tests compare the generator with
     a per-call reference, which catches a numpy release that changes it.
     """
@@ -82,10 +86,18 @@ def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
     pool = list(range(m))  # each node appears once at birth, once per incoming edge
     dst_list = []
     for i in range(m, n):
-        draws = _draws_below(u32, len(pool))
-        picks: set = set()
-        while len(picks) < m:
-            picks.add(pool[next(draws)])
+        bound = len(pool)
+        if bound == 1:
+            picks = {pool[0]}
+        else:
+            reject_below = (2**32 - bound) % bound
+            picks = set()
+            for x in u32:  # stops right after the m-th distinct pick: no word is wasted
+                x *= bound
+                if x & 0xFFFFFFFF >= reject_below:
+                    picks.add(pool[x >> 32])
+                    if len(picks) == m:
+                        break
         targets = sorted(picks)
         dst_list.extend(targets)
         pool.extend(targets)
@@ -118,22 +130,6 @@ def _uint32_stream(bitgen: np.random.PCG64):
             size = min(2 * size, _RAW_BLOCK)
 
     return itertools.chain.from_iterable(blocks())
-
-
-def _draws_below(u32, bound: int):
-    """The values successive `Generator.integers(0, bound)` calls return,
-    for 1 <= bound < 2**32, taking their 32-bit draws from the iterator
-    `u32`: Lemire's multiply and reject, as numpy's
-    `buffered_bounded_lemire_uint32`. A bound of 1 consumes no draw, and no
-    draw is taken before the next value is asked for."""
-    if bound == 1:
-        while True:
-            yield 0
-    reject_below = (2**32 - bound) % bound
-    for x in u32:
-        x *= bound
-        if x & 0xFFFFFFFF >= reject_below:
-            yield x >> 32
 
 
 # graph kind -> ((parameter, type), ...): the generator of that name and its
@@ -282,18 +278,20 @@ class SimRun:
     def user_label(self, u: int) -> str:
         return self.user_labels[u]
 
-    def adoption_rows(self):
-        """Synthetic adoption log rows of the tag "sim", directly
-        re-ingestible."""
+    def adoption_rows(self) -> LogColumns:
+        """Synthetic adoption log of the tag "sim", by step then node,
+        directly re-ingestible: columns of user labels, tags and steps."""
         adopters = np.flatnonzero(self.adopt_step >= 0)
         users = adopters[np.lexsort((adopters, self.adopt_step[adopters]))]
-        return zip(map(self.user_labels.__getitem__, users.tolist()),
-                   itertools.repeat("sim"), self.adopt_step[users].tolist())
+        return LogColumns(list(map(self.user_labels.__getitem__, users.tolist())),
+                          ["sim"] * users.shape[0], self.adopt_step[users].tolist())
 
-    def follow_rows(self):
-        edges = self.graph.edge_list()
-        return zip(map(self.user_labels.__getitem__, edges[:, 0].tolist()),
-                   map(self.user_labels.__getitem__, edges[:, 1].tolist()))
+    def follow_rows(self) -> LogColumns:
+        """The graph's edges as columns of source and destination labels."""
+        g = self.graph
+        return LogColumns(list(map(self.user_labels.__getitem__,
+                                   _csr_sources(g.indptr, g.n).tolist())),
+                          list(map(self.user_labels.__getitem__, g.dst.tolist())), None)
 
     def to_dataset(self) -> Dataset:
         return build_dataset(self.adoption_rows(), self.follow_rows())

@@ -107,38 +107,68 @@ def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
     return _read_log(path, (FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED), time_unit, on_bad)
 
 
-def _write_log(path, header, rows: list) -> int:
+def _csv_quote(cell: str) -> str:
+    """A cell as csv.writer's QUOTE_MINIMAL writes it: quoted, with its
+    quotes doubled, when it holds a separator, a quote or a line break."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_column(column) -> list:
+    """The CSV cells of a column: its cells as text by the TSV cell rule
+    (which is csv.writer's), each passed through `_csv_quote` only if the
+    column's joined text holds a character that needs quoting."""
+    try:
+        text = "".join(column)  # labels arrive as str: used as they are
+    except TypeError:
+        column = _cells(column)
+        text = "".join(column)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return list(map(_csv_quote, column))
+    return column
+
+
+def _write_log(path, header, log: LogColumns) -> int:
+    """Write a log's columns under `header` in csv.writer's dialect (comma
+    separated, CRLF line ends, minimal quoting); returns the row count."""
+    columns = [_csv_column(c) for c in (log.first, log.second, log.times) if c is not None]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return len(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(log), _BLOCK):
+            block = zip(*[column[start:start + _BLOCK] for column in columns])
+            fh.write("\r\n".join(map(",".join, block)) + "\r\n")
+    return len(log)
 
 
 def write_adoptions_csv(path, rows) -> int:
-    """Write (user, tag, time_ms) rows in the ingestion format; returns the
-    row count."""
-    return _write_log(path, ADOPTIONS_HEADER, list(rows))
+    """Write (user, tag, time_ms) rows, or their LogColumns, in the
+    ingestion format; returns the row count."""
+    if not isinstance(rows, LogColumns):
+        rows = list(rows)
+        rows = LogColumns([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+    return _write_log(path, ADOPTIONS_HEADER, rows)
 
 
 def write_follows_csv(path, rows) -> int:
-    """Write (src, dst[, since]) rows in the ingestion format; returns the
-    row count. If any row has a `since`, every row gets the column, empty
-    where it is missing or None."""
-    rows = list(rows)
-    timed = 3 in map(len, rows)
-    if timed:
-        # csv.writer writes None as an empty field
-        rows = [r if len(r) == 3 else (r[0], r[1], None) for r in rows]
-    return _write_log(path, FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER, rows)
+    """Write (src, dst[, since]) rows, or their LogColumns, in the ingestion
+    format; returns the row count. If any row has a `since`, every row gets
+    the column, empty where it is missing or None."""
+    if not isinstance(rows, LogColumns):
+        rows = list(rows)
+        since = None
+        if 3 in map(len, rows):
+            since = [r[2] if len(r) == 3 else None for r in rows]
+        rows = LogColumns([r[0] for r in rows], [r[1] for r in rows], since)
+    return _write_log(path, FOLLOWS_HEADER if rows.times is None else FOLLOWS_HEADER_TIMED, rows)
 
 
-_TSV_BLOCK = 4096  # rows rendered per write: write_tsv's memory stays bounded
+_BLOCK = 4096  # rows rendered per write: the text writers' memory stays bounded
 
 
 def _cells(block) -> list:
-    """The TSV cells of one block of a column: None is an empty cell, a float
-    its shortest round-trip repr, anything else str()."""
+    """The text cells of one block of a column: None is an empty cell, a
+    float its shortest round-trip repr, anything else str()."""
     if isinstance(block, np.ndarray) and block.dtype.kind in "biuf":
         return list(map(repr if block.dtype.kind == "f" else str, block.tolist()))
     return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in block]
@@ -154,21 +184,10 @@ def write_tsv(path, header: list[str], columns) -> int:
         raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
-        for start in range(0, n, _TSV_BLOCK):
-            cells = [_cells(column[start:start + _TSV_BLOCK]) for column in columns]
+        for start in range(0, n, _BLOCK):
+            cells = [_cells(column[start:start + _BLOCK]) for column in columns]
             fh.write("\n".join(map("\t".join, zip(*cells))) + "\n")
     return n
-
-
-def _sanitize(obj):
-    """Replace NaN/inf (invalid in strict JSON) with None, recursively."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
 
 
 def _refuse_constant(name: str):
@@ -182,13 +201,32 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _holds_inf(value) -> bool:
+    """Whether a parsed JSON value holds an infinite float anywhere."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, list):
+        return isinstance(value, float) and math.isinf(value)
+    if math.inf in value or -math.inf in value:
+        return True
+    kinds = set(map(type, value))
+    return (dict in kinds or list in kinds) and any(map(_holds_inf, value))
+
+
 def read_json_object(path, invalid) -> dict:
     """The JSON object in `path`. A file that cannot be read raises
     DataError; text that is not JSON, JSON that is not an object, or a
-    number no float holds (NaN, Infinity, 1e309) raises `invalid`."""
+    number no float holds (NaN, Infinity, 1e309) raises `invalid`.
+
+    Floats go through the C parser. With NaN and Infinity refused, an
+    infinite float can only come from a literal past the largest float, so
+    only a result holding one is parsed again, with a hook that names it."""
     with _open_input(path) as fh:
         try:
-            obj = json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
+            text = fh.read()
+            obj = json.loads(text, parse_constant=_refuse_constant)
+            if _holds_inf(obj):
+                obj = json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
         except ValueError as exc:
             raise invalid(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -196,8 +234,49 @@ def read_json_object(path, invalid) -> dict:
     return obj
 
 
+def _json(obj, indent: str) -> str:
+    """`obj` as json.dumps(obj, indent=2, sort_keys=True) lays it out, at
+    the nesting whose line break and indentation is `indent`, with NaN and
+    infinities written as null. Scalars other than floats go through
+    json.dumps itself; a float is written as json writes it, by
+    float.__repr__ (repr of a numpy float names its type)."""
+    if isinstance(obj, float):
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            json.dumps(_json_key(key)) + ": " + _json(value, inner)
+            for key, value in sorted(obj.items())) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        try:  # a list of floats in one join; "nan" and "inf" hold an n
+            body = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:
+            body = "n"
+        if "n" in body:
+            body = ("," + inner).join([_json(value, inner) for value in obj])
+        return "[" + inner + body + indent + "]"
+    return json.dumps(obj)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as it is, an int, float, bool or
+    None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key, allow_nan=False)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def dump_json(obj, path=None) -> str:
-    text = json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The canonical JSON text of `obj` (2-space indent, sorted keys, NaN
+    and infinities as null), written to `path` if given."""
+    text = _json(obj, "\n") + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -5,7 +5,8 @@ the exposure oracle rescans raw event rows per first usage, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
 on the survival function, the cutoff scan fits one candidate at a
 time with scipy's scalar brentq, the preferential-attachment generator
-draws each pick with its own `Generator.integers` call, the giant
+draws each pick with its own `Generator.integers` call (and the bounded-draw
+rule it replays is written out as a generator of its own), the giant
 component comes from a union-find that merges one edge at a time, the
 diffusion models walk adopters and edges one Python step at a time, the
 reference ingest checks and interns one row at a time, and the result references
@@ -274,6 +275,23 @@ def preferential_attachment_reference(n: int, m: int, seed: int):
         pool.append(i)
         indptr.append(len(dst))
     return np.asarray(indptr, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
+def draws_below(u32, bound: int):
+    """The values successive `Generator.integers(0, bound)` calls return,
+    for 1 <= bound < 2**32, taking their 32-bit draws from the iterator
+    `u32`: Lemire's multiply and reject, as numpy's
+    `buffered_bounded_lemire_uint32`. A bound of 1 consumes no draw, and no
+    draw is taken before the next value is asked for. This is the rule
+    `simulate.preferential_attachment` applies inline to each pool."""
+    if bound == 1:
+        while True:
+            yield 0
+    reject_below = (2**32 - bound) % bound
+    for x in u32:
+        x *= bound
+        if x & 0xFFFFFFFF >= reject_below:
+            yield x >> 32
 
 
 # ---------------------------------------------------------------------------

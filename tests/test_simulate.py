@@ -16,7 +16,6 @@ from tagcascade.simulate import (
     SimConfig,
     ThresholdParams,
     ThresholdSpec,
-    _draws_below,
     _uint32_stream,
     erdos_renyi,
     preferential_attachment,
@@ -27,7 +26,7 @@ from tagcascade.simulate import (
     run_threshold_model,
 )
 
-from oracles import preferential_attachment_reference, simulate_reference
+from oracles import draws_below, preferential_attachment_reference, simulate_reference
 
 
 def _cycle_graph():
@@ -113,7 +112,7 @@ def test_bounded_draw_replay_equals_generator_integers():
     for seed, bound in enumerate(bounds):
         taken = []  # every 32-bit draw the replay takes
         u32 = _uint32_stream(np.random.PCG64(seed))
-        draws = _draws_below((taken.append(x) or x for x in u32), bound)
+        draws = draws_below((taken.append(x) or x for x in u32), bound)
         gen = np.random.Generator(np.random.PCG64(seed))
         for _ in range(3000):
             assert next(draws) == gen.integers(0, bound), (seed, bound)
@@ -126,7 +125,7 @@ def test_bounded_draw_replay_equals_generator_integers():
     seq = rng.choice(bounds, 5000).tolist()
     u32 = _uint32_stream(np.random.PCG64(99))
     gen = np.random.Generator(np.random.PCG64(99))
-    assert [next(_draws_below(u32, b)) for b in seq] == [int(gen.integers(0, b)) for b in seq]
+    assert [next(draws_below(u32, b)) for b in seq] == [int(gen.integers(0, b)) for b in seq]
 
 
 def test_preferential_attachment_refuses_a_pool_of_2_to_the_32():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tagcascade.errors import DataError, MalformedRowError, UsageError
 from tagcascade.events import LogColumns
 from tagcascade.textio import (
-    _TSV_BLOCK,
+    _BLOCK,
     ADOPTIONS_HEADER,
     FOLLOWS_HEADER,
     FOLLOWS_HEADER_TIMED,
@@ -291,7 +291,7 @@ def _tiled(base, n):
 @st.composite
 def _tsv_columns(draw):
     n = draw(st.integers(0, 12) | st.sampled_from(
-        [_TSV_BLOCK - 1, _TSV_BLOCK, _TSV_BLOCK + 1, 2 * _TSV_BLOCK + 3]))
+        [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
     kinds = draw(st.lists(st.sampled_from(sorted(_TSV_COLUMNS)), min_size=1, max_size=5))
     return [_tiled(draw(_TSV_COLUMNS[kind](min(n, 12))), n) for kind in kinds]
 
