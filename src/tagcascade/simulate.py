@@ -92,7 +92,7 @@ def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
         else:
             reject_below = (2**32 - bound) % bound
             picks = set()
-            for x in u32:  # stops right after the m-th distinct pick: no word is wasted
+            for x in u32:  # left at the m-th distinct pick: the next node draws on from there
                 x *= bound
                 if x & 0xFFFFFFFF >= reject_below:
                     picks.add(pool[x >> 32])

@@ -107,26 +107,35 @@ def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
     return _read_log(path, (FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED), time_unit, on_bad)
 
 
-def _csv_quote(cell: str) -> str:
-    """A cell as csv.writer's QUOTE_MINIMAL writes it: quoted, with its
-    quotes doubled, when it holds a separator, a quote or a line break."""
-    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.writer's QUOTE_MINIMAL quotes a cell holding `text`: a
+    separator, a quote or a line break."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 def _csv_column(column) -> list:
     """The CSV cells of a column: its cells as text by the TSV cell rule
-    (which is csv.writer's), each passed through `_csv_quote` only if the
-    column's joined text holds a character that needs quoting."""
+    (which is csv.writer's). Only if the column's joined text holds a
+    character that needs quoting is each cell that holds one quoted, with
+    its quotes doubled."""
     try:
         text = "".join(column)  # labels arrive as str: used as they are
     except TypeError:
         column = _cells(column)
         text = "".join(column)
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return list(map(_csv_quote, column))
+    if _needs_quotes(text):
+        return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in column]
     return column
+
+
+def _log_columns(rows) -> LogColumns:
+    """Rows, or their LogColumns, as LogColumns: a third column when any row
+    has a third field, holding None where a row has none."""
+    if isinstance(rows, LogColumns):
+        return rows
+    rows = list(rows)
+    third = [r[2] if len(r) == 3 else None for r in rows] if 3 in map(len, rows) else None
+    return LogColumns([r[0] for r in rows], [r[1] for r in rows], third)
 
 
 def _write_log(path, header, log: LogColumns) -> int:
@@ -144,23 +153,15 @@ def _write_log(path, header, log: LogColumns) -> int:
 def write_adoptions_csv(path, rows) -> int:
     """Write (user, tag, time_ms) rows, or their LogColumns, in the
     ingestion format; returns the row count."""
-    if not isinstance(rows, LogColumns):
-        rows = list(rows)
-        rows = LogColumns([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
-    return _write_log(path, ADOPTIONS_HEADER, rows)
+    return _write_log(path, ADOPTIONS_HEADER, _log_columns(rows))
 
 
 def write_follows_csv(path, rows) -> int:
     """Write (src, dst[, since]) rows, or their LogColumns, in the ingestion
     format; returns the row count. If any row has a `since`, every row gets
     the column, empty where it is missing or None."""
-    if not isinstance(rows, LogColumns):
-        rows = list(rows)
-        since = None
-        if 3 in map(len, rows):
-            since = [r[2] if len(r) == 3 else None for r in rows]
-        rows = LogColumns([r[0] for r in rows], [r[1] for r in rows], since)
-    return _write_log(path, FOLLOWS_HEADER if rows.times is None else FOLLOWS_HEADER_TIMED, rows)
+    log = _log_columns(rows)
+    return _write_log(path, FOLLOWS_HEADER if log.times is None else FOLLOWS_HEADER_TIMED, log)
 
 
 _BLOCK = 4096  # rows rendered per write: the text writers' memory stays bounded
