@@ -232,8 +232,8 @@ def test_writers_match_per_row_writerow(logs, as_columns):
     expect_follows = [(r[0], r[1], r[2] if len(r) == 3 and r[2] is not None else "")
                       if timed else r for r in follows]
     if as_columns:  # the LogColumns a reader or a SimRun hands over
-        adoptions_in = LogColumns(*map(list, zip(*adoptions))) if adoptions else \
-            LogColumns([], [], [])
+        adoptions_in = LogColumns([r[0] for r in adoptions], [r[1] for r in adoptions],
+                                  [r[2] for r in adoptions])
         follows_in = LogColumns([r[0] for r in follows], [r[1] for r in follows],
                                 [r[2] if len(r) == 3 else None for r in follows]
                                 if timed else None)
