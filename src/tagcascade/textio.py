@@ -113,19 +113,19 @@ def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
-def _csv_column(column) -> list:
-    """The CSV cells of a column: its cells as text by the TSV cell rule
-    (which is csv.writer's). Only if the column's joined text holds a
-    character that needs quoting is each cell that holds one quoted, with
+def _csv_cells(block) -> list:
+    """The CSV cells of one block of a column: its cells as text by the TSV
+    cell rule (which is csv.writer's). Only if the block's joined text holds
+    a character that needs quoting is each cell that holds one quoted, with
     its quotes doubled."""
     try:
-        text = "".join(column)  # labels arrive as str: used as they are
+        text = "".join(block)  # labels arrive as str: used as they are
     except TypeError:
-        column = _cells(column)
-        text = "".join(column)
+        block = _cells(block)
+        text = "".join(block)
     if _needs_quotes(text):
-        return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in column]
-    return column
+        return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in block]
+    return block
 
 
 def _log_columns(rows) -> LogColumns:
@@ -141,12 +141,12 @@ def _log_columns(rows) -> LogColumns:
 def _write_log(path, header, log: LogColumns) -> int:
     """Write a log's columns under `header` in csv.writer's dialect (comma
     separated, CRLF line ends, minimal quoting); returns the row count."""
-    columns = [_csv_column(c) for c in (log.first, log.second, log.times) if c is not None]
+    columns = [c for c in (log.first, log.second, log.times) if c is not None]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(log), _BLOCK):
-            block = zip(*[column[start:start + _BLOCK] for column in columns])
-            fh.write("\r\n".join(map(",".join, block)) + "\r\n")
+            cells = [_csv_cells(column[start:start + _BLOCK]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     return len(log)
 
 

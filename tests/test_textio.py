@@ -213,7 +213,8 @@ _TIMES = st.integers(0, 2**62)
 
 @st.composite
 def _logs(draw):
-    """(adoption rows, follow rows), every label from one label strategy."""
+    """(adoption rows, follow rows), every label from one label strategy.
+    Some examples tile their rows past the writers' block boundaries."""
     labels = draw(st.sampled_from([_LABELS, _PLAIN_LABELS]))
     adoptions = draw(st.lists(st.tuples(labels, labels, _TIMES), max_size=30))
     follows = draw(st.lists(
@@ -221,6 +222,9 @@ def _logs(draw):
                   st.tuples(labels, labels, st.one_of(st.none(), _TIMES))),
         max_size=30,
     ))
+    n = draw(st.none() | st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    if n is not None:
+        adoptions, follows = _tiled(adoptions, n), _tiled(follows, n)
     return adoptions, follows
 
 
