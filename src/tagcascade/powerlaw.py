@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import zeta
 
 from .errors import DegenerateSampleError, InsufficientTailError
 
@@ -46,8 +47,6 @@ def _log_zeta(alpha: np.ndarray, q: np.ndarray) -> np.ndarray:
     element at a time: np.log can differ from it in the last bit, and the
     fitted exponent must not depend on the vector path. The root bracket
     keeps alpha > 1, off the pole of zeta."""
-    from scipy.special import zeta  # imported here: only a fit needs it, and it is slow to load
-
     z = zeta(alpha, q)
     out = np.full_like(z, np.inf)  # an infinite zeta stays infinite
     ok = (z > 0) & np.isfinite(z)
@@ -163,8 +162,6 @@ def _ks_distances(alpha, first, stop, below, n_tail, vals, starts, ends) -> np.n
     the next one. The lanes' tails, laid end to end, form a triangle per
     sample; it is evaluated in blocks of about _KS_BLOCK elements.
     """
-    from scipy.special import zeta
-
     sizes = stop - first
     lane_end = np.cumsum(sizes)
     out = np.empty(alpha.shape[0])
@@ -251,8 +248,6 @@ def _scan_xmin(samples: list, min_tail: int = 2) -> list:
 def _sample_fitted_tail(alpha: float, xmin: int, size: int, rng: np.random.Generator, kmax: int) -> np.ndarray:
     """Draw from the fitted discrete power law via an inverse-CDF table,
     falling back to bisection on the survival function for the far tail."""
-    from scipy.special import zeta
-
     ks = np.arange(xmin, kmax + 1, dtype=np.float64)
     z_norm = zeta(alpha, float(xmin))
     cdf = np.cumsum(np.power(ks, -alpha) / z_norm)
@@ -369,7 +364,5 @@ def fit_power_law(
 
 def fitted_tail_ccdf(fit: PowerLawFit, values: np.ndarray) -> np.ndarray:
     """Model CCDF P(X >= v) at integer values >= xmin, for plotting/export."""
-    from scipy.special import zeta
-
     vals = np.asarray(values, dtype=np.float64)
     return zeta(fit.alpha, vals) / zeta(fit.alpha, float(fit.xmin))

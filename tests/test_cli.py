@@ -963,10 +963,9 @@ def test_one_parser_serves_a_sequence_of_commands(snapshot, capsys):
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_optimize():
-    # each takes from a third of a second to a second to import; only
-    # fit-powerlaw needs scipy.special, and it imports it on first use
-    probe = ("import sys, tagcascade.cli; print([m for m in "
-             "('scipy.stats', 'scipy.optimize', 'scipy.special') if m in sys.modules])")
+    # both take about a second to import; the command line needs neither
+    probe = ("import sys, tagcascade.cli; "
+             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
     src = Path(tagcascade.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
