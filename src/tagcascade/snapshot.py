@@ -24,17 +24,21 @@ Any other version is refused: a version 1 file (per-label length-prefixed
 label tables, no trailer, written before the packed tables) must be
 re-ingested from its CSV logs.
 
-Loading reproduces the in-memory Dataset bit-for-bit. It refuses a checksum
-mismatch, trailing bytes and arrays that break the layout the exposure
-kernel relies on. A label table is checked as one block: offsets that start
-at 0, never decrease and stay in the file, a blob that is valid UTF-8 and no
-offset inside a UTF-8 character. Splitting it into labels waits for their
-first use (`PackedLabels`).
+Loading reproduces the in-memory Dataset bit-for-bit. It reads each section
+straight into the array it becomes, so no copy of the file is held beside
+the arrays. It refuses a checksum mismatch, trailing bytes and arrays that
+break the layout the exposure kernel relies on. A label table is checked as
+one block: offsets that start at 0, never decrease and stay in the file, a
+blob that is valid UTF-8 and no offset inside a UTF-8 character. Splitting
+it into labels waits for their first use (`PackedLabels`).
 """
 
 from __future__ import annotations
 
+import io
 import operator
+import os
+import stat
 import struct
 import zlib
 
@@ -116,15 +120,30 @@ def save_snapshot(d: Dataset, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    """Reads a snapshot of `size` bytes from `fh` front to back, each array
+    straight into its own buffer, and keeps the CRC of every byte read. A
+    section is checked against `size` before its buffer is made."""
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def __init__(self, fh, size: int):
+        self.fh = fh
+        self.size = size
+        self.pos = 0
+        self.crc = 0
+
+    def _room(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise SnapshotFormatError("snapshot truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
+
+    def _fill(self, buf) -> None:
+        if self.fh.readinto(buf) != len(buf):
+            raise SnapshotFormatError("snapshot truncated")
+        self.crc = zlib.crc32(buf, self.crc)
+        self.pos += len(buf)
+
+    def take(self, n: int) -> bytearray:
+        self._room(n)
+        out = bytearray(n)
+        self._fill(out)
         return out
 
     def unpack(self, fmt: str):
@@ -132,8 +151,10 @@ class _Reader:
 
     def array(self, dtype: str, count: int) -> np.ndarray:
         dt = np.dtype(dtype)
-        raw = self.take(dt.itemsize * count)
-        return np.frombuffer(raw, dtype=dt).copy()
+        self._room(dt.itemsize * count)
+        out = np.empty(count, dtype=dt)
+        self._fill(out.view(np.uint8))
+        return out
 
     def key(self) -> str:
         """A warning key: a u32 byte length + UTF-8 bytes."""
@@ -184,12 +205,22 @@ def _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, sin
 
 
 def load_snapshot(path) -> Dataset:
+    """The Dataset in the snapshot at `path`. A regular file is read section
+    by section into the arrays it returns; anything else (a pipe) is read
+    whole first."""
     try:
         with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode):
+                return _load(fh, st.st_size)
             data = fh.read()
+        return _load(io.BytesIO(data), len(data))
     except OSError as exc:
         raise SnapshotFormatError(f"cannot read snapshot: {exc}") from None
-    r = _Reader(data)
+
+
+def _load(fh, size: int) -> Dataset:
+    r = _Reader(fh, size)
     if r.take(4) != MAGIC:
         raise SnapshotFormatError("bad magic: not a CSCD snapshot")
     version, flags = r.unpack("<II")
@@ -213,12 +244,13 @@ def load_snapshot(path) -> Dataset:
         key = r.key()
         (val,) = r.unpack("<q")
         warnings[key] = val
-    body = len(data) - 4  # the CRC trailer
+    body = size - 4  # the CRC trailer
     if r.pos > body:
         raise SnapshotFormatError("snapshot truncated")
     if r.pos < body:
         raise SnapshotFormatError(f"{body - r.pos} trailing bytes after the snapshot")
-    if r.unpack("<I")[0] != zlib.crc32(memoryview(data)[:body]):
+    crc = r.crc
+    if r.unpack("<I")[0] != crc:
         raise SnapshotFormatError("snapshot checksum mismatch")
 
     _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since)

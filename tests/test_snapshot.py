@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -107,6 +109,34 @@ def test_truncated_snapshot_detected(tmp_path):
             cut.write_bytes(raw[:keep])
             with pytest.raises(SnapshotFormatError, match="truncated"):
                 load_snapshot(cut)
+
+
+@pytest.mark.parametrize("field", ["n_users", "n_events", "n_edges"])
+def test_count_past_the_file_is_truncated_before_allocating(tmp_path, field):
+    # a count no file holds is refused by the size check, not by np.empty
+    path = tmp_path / "big.cscd"
+    save_snapshot(tc.build_dataset([("a", "x", 1)], [("a", "a")]), path)
+    raw = bytearray(path.read_bytes())
+    offset = 12 + 8 * ("n_users", "n_tags", "n_events", "n_edges").index(field)
+    raw[offset:offset + 8] = struct.pack("<Q", 2**62)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="truncated"):
+        load_snapshot(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_snapshot_loads_from_a_pipe(tmp_path):
+    ds = _abc_dataset()
+    path = tmp_path / "snap.cscd"
+    save_snapshot(ds, path)
+    fifo = tmp_path / "snap.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        _assert_datasets_identical(ds, load_snapshot(fifo))
+    finally:
+        writer.join()
 
 
 def test_missing_file_is_data_error(tmp_path):
