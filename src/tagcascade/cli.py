@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CascadeError, DataError, UsageError
-from .events import _MS_PER_UNIT, build_dataset, density, giant_component
+from .events import _MS_PER_UNIT, _component_density, build_dataset, density, giant_component
 from .exposure import (
     POPULARITY_MODES,
     TIE_RULES,
@@ -157,7 +157,7 @@ def stage_stats(o) -> dict:
         result["giant_component_users"] = len(members)
         result["density_all"] = density(ds, "all")
         result["density_giant_component"] = (
-            density(ds, "giant_component") if len(members) >= 2 else None
+            _component_density(ds, members) if len(members) >= 2 else None
         )
     else:
         result["giant_component_users"] = ds.n_users

@@ -419,21 +419,28 @@ def _component_roots(graph: FollowerGraph) -> np.ndarray:
     3, 1982): each round hooks both endpoint roots of every edge to the
     smaller of the two, then jumps pointers until each user points at a root.
     Pointers only ever decrease, so a root is its component's smallest handle.
+    Handles are int32, and every round reuses the same buffers: `take` with
+    mode="clip" (every handle is in range, so nothing is clipped) writes
+    into them directly, where mode="raise" would fill a temporary first.
     """
     src = _csr_sources(graph.indptr, graph.n)
-    roots = np.arange(graph.n, dtype=np.int64)
+    roots = np.arange(graph.n, dtype=np.int32)
+    spare = np.empty_like(roots)
+    a, b, low = (np.empty(graph.n_edges, dtype=np.int32) for _ in range(3))
     while True:
-        a, b = roots[src], roots[graph.dst]
-        low = np.minimum(a, b)
-        hooked = roots.copy()
-        np.minimum.at(hooked, a, low)
-        np.minimum.at(hooked, b, low)
-        if np.array_equal(hooked, roots):
+        np.take(roots, src, out=a, mode="clip")
+        np.take(roots, graph.dst, out=b, mode="clip")
+        np.minimum(a, b, out=low)
+        np.copyto(spare, roots)
+        np.minimum.at(spare, a, low)
+        np.minimum.at(spare, b, low)
+        if np.array_equal(spare, roots):
             return roots
-        roots = hooked
-        jumped = roots[roots]
-        while not np.array_equal(jumped, roots):
-            roots, jumped = jumped, jumped[jumped]
+        roots, spare = spare, roots
+        np.take(roots, roots, out=spare, mode="clip")
+        while not np.array_equal(spare, roots):
+            roots, spare = spare, roots
+            np.take(roots, roots, out=spare, mode="clip")
 
 
 def giant_component(d: Dataset) -> set:
@@ -450,6 +457,14 @@ def giant_component(d: Dataset) -> set:
     return set(np.flatnonzero(roots == winner).tolist())
 
 
+def _component_density(d: Dataset, members: set) -> float:
+    """Directed edge density within `members`, a weakly-connected component
+    such as `giant_component(d)`. No edge leaves a component, so its edges
+    are the out-edges of its members."""
+    handles = np.fromiter(members, dtype=np.int64, count=len(members))
+    return directed_density(len(members), int(d.graph.out_degrees()[handles].sum()))
+
+
 def directed_density(n_nodes: int, n_edges: int) -> float:
     """|edges| / (n * (n - 1)) for a directed simple graph."""
     if n_nodes < 2:
@@ -462,10 +477,5 @@ def density(d: Dataset, scope: str = "all") -> float:
     if scope == "all":
         return directed_density(d.n_users, d.n_edges)
     if scope == "giant_component":
-        members = giant_component(d)
-        mask = np.zeros(d.n_users, dtype=bool)
-        mask[list(members)] = True
-        edges = d.graph.edge_list()
-        inside = int(np.count_nonzero(mask[edges[:, 0]] & mask[edges[:, 1]]))
-        return directed_density(len(members), inside)
+        return _component_density(d, giant_component(d))
     raise ValueError(f"scope must be 'all' or 'giant_component', got {scope!r}")

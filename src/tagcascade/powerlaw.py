@@ -10,11 +10,9 @@ per-replicate generators, so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import DegenerateSampleError, InsufficientTailError
 
@@ -47,6 +45,8 @@ def _log_zeta(alpha: np.ndarray, q: np.ndarray) -> np.ndarray:
     element at a time: np.log can differ from it in the last bit, and the
     fitted exponent must not depend on the vector path. The root bracket
     keeps alpha > 1, off the pole of zeta."""
+    from scipy.special import zeta  # imported here, as by every zeta user: it is slow to load
+
     z = zeta(alpha, q)
     out = np.full_like(z, np.inf)  # an infinite zeta stays infinite
     ok = (z > 0) & np.isfinite(z)
@@ -162,6 +162,8 @@ def _ks_distances(alpha, first, stop, below, n_tail, vals, starts, ends) -> np.n
     the next one. The lanes' tails, laid end to end, form a triangle per
     sample; it is evaluated in blocks of about _KS_BLOCK elements.
     """
+    from scipy.special import zeta
+
     sizes = stop - first
     lane_end = np.cumsum(sizes)
     out = np.empty(alpha.shape[0])
@@ -245,18 +247,32 @@ def _scan_xmin(samples: list, min_tail: int = 2) -> list:
     return results
 
 
-def _sample_fitted_tail(alpha: float, xmin: int, size: int, rng: np.random.Generator, kmax: int) -> np.ndarray:
-    """Draw from the fitted discrete power law via an inverse-CDF table,
-    falling back to bisection on the survival function for the far tail."""
+def _tail_cdf(alpha: float, xmin: int, kmax: int) -> np.ndarray:
+    """Inverse-CDF table of the fitted discrete power law: P(X <= k) for
+    k = xmin..kmax."""
+    from scipy.special import zeta
+
     ks = np.arange(xmin, kmax + 1, dtype=np.float64)
-    z_norm = zeta(alpha, float(xmin))
-    cdf = np.cumsum(np.power(ks, -alpha) / z_norm)
+    return np.cumsum(np.power(ks, -alpha) / zeta(alpha, float(xmin)))
+
+
+def _sample_fitted_tail(alpha: float, xmin: int, size: int, rng: np.random.Generator, kmax: int,
+                        cdf: np.ndarray | None = None) -> np.ndarray:
+    """Draw from the fitted discrete power law via an inverse-CDF table,
+    falling back to bisection on the survival function for the far tail.
+    `cdf`, when given, is `_tail_cdf(alpha, xmin, kmax)`, built once for
+    many draws."""
+    from scipy.special import zeta
+
+    if cdf is None:
+        cdf = _tail_cdf(alpha, xmin, kmax)
     u = rng.random(size)
     idx = np.searchsorted(cdf, u, side="left")
     out = xmin + idx
     overflow = idx >= cdf.shape[0]
     for i in np.flatnonzero(overflow):
-        target = (1.0 - u[i]) * z_norm  # find smallest k with zeta(a, k+1) <= target
+        # find the smallest k with zeta(a, k+1) <= target
+        target = (1.0 - u[i]) * zeta(alpha, float(xmin))
         lo, hi = kmax, 2 * kmax
         while zeta(alpha, hi + 1.0) > target and hi < 2**62:
             lo, hi = hi, hi * 2
@@ -280,6 +296,7 @@ def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads) 
     body = sorted_samples[sorted_samples < xmin]
     p_body = body.shape[0] / n
     kmax = max(2 * int(sorted_samples[-1]), xmin + 1000)
+    cdf = _tail_cdf(alpha, xmin, kmax)  # every replicate draws from the same table
 
     def draw_and_scan(chunk) -> list:
         synth = []
@@ -290,7 +307,7 @@ def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads) 
             if n_body:
                 parts.append(body[rng.integers(0, body.shape[0], n_body)])
             if n - n_body:
-                parts.append(_sample_fitted_tail(alpha, xmin, n - n_body, rng, kmax))
+                parts.append(_sample_fitted_tail(alpha, xmin, n - n_body, rng, kmax, cdf))
             synth.append(np.sort(np.concatenate(parts)))
         # A degenerate replicate (e.g. single repeated value) fits nothing;
         # count it as at least as extreme as the observed distance.
@@ -299,6 +316,8 @@ def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads) 
 
     chunks = [c for c in np.array_split(seeds, threads) if c.shape[0]]
     if len(chunks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             return [d for part in pool.map(draw_and_scan, chunks) for d in part]
     return draw_and_scan(seeds)
@@ -364,5 +383,7 @@ def fit_power_law(
 
 def fitted_tail_ccdf(fit: PowerLawFit, values: np.ndarray) -> np.ndarray:
     """Model CCDF P(X >= v) at integer values >= xmin, for plotting/export."""
+    from scipy.special import zeta
+
     vals = np.asarray(values, dtype=np.float64)
     return zeta(fit.alpha, vals) / zeta(fit.alpha, float(fit.xmin))

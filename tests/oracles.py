@@ -298,10 +298,9 @@ def draws_below(u32, bound: int):
 # largest weakly-connected component, union-find one edge at a time
 # ---------------------------------------------------------------------------
 
-def giant_component_reference(n: int, edges) -> set:
-    """Members of the largest weakly-connected component of the graph on
-    users 0..n-1 with (src, dst) `edges`. Users with no edges are singleton
-    components; ties go to the component holding the smallest user."""
+def component_roots_reference(n: int, edges) -> list:
+    """Smallest user in each user's weakly-connected component of the graph
+    on users 0..n-1 with (src, dst) `edges`."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -316,7 +315,14 @@ def giant_component_reference(n: int, edges) -> set:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(u) for u in range(n)]
+    return [find(u) for u in range(n)]
+
+
+def giant_component_reference(n: int, edges) -> set:
+    """Members of the largest weakly-connected component of the graph on
+    users 0..n-1 with (src, dst) `edges`. Users with no edges are singleton
+    components; ties go to the component holding the smallest user."""
+    roots = component_roots_reference(n, edges)
     sizes = Counter(roots)
     if not sizes:
         return set()

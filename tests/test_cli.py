@@ -17,6 +17,7 @@ from tagcascade.events import build_dataset
 from tagcascade.simulate import run_model
 from tagcascade.snapshot import load_snapshot, save_snapshot
 from tagcascade.textio import read_adoptions, read_follows
+from oracles import giant_component_reference
 
 
 def _write_inputs(tmp_path, bad_timestamp_row=False):
@@ -962,12 +963,79 @@ def test_one_parser_serves_a_sequence_of_commands(snapshot, capsys):
     assert separate[2][1] == f"tagcascade {tagcascade.__version__}\n"
 
 
-def test_cli_import_loads_neither_scipy_stats_nor_optimize():
-    # both take about a second to import; the command line needs neither
-    probe = ("import sys, tagcascade.cli; "
-             "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+def _fresh_env() -> dict:
     src = Path(tagcascade.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def test_cli_import_loads_neither_scipy_nor_concurrent_futures():
+    # scipy.stats and scipy.optimize take about a second to import and
+    # scipy.special about 0.2 s; only fit-powerlaw needs scipy.special, and
+    # only threaded bootstraps a thread pool, so each loads on first use
+    probe = ("import sys, tagcascade.cli; print([m for m in ('scipy', 'scipy.special', "
+             "'scipy.stats', 'scipy.optimize', 'concurrent.futures') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(), capture_output=True,
+                         text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fit_powerlaw_in_a_fresh_process_equals_in_process(snapshot, tmp_path, capsys,
+                                                           monkeypatch):
+    # The fresh process loads scipy.special inside the fit, where this one
+    # has it loaded already; both give the same report and files.
+    argv = ["fit-powerlaw", str(snapshot), "--bootstrap", "20", "--seed", "5",
+            "--out", "fit.tsv", "--summary", "fit.json"]
+    probe = ("import sys, tagcascade.cli; assert 'scipy.special' not in sys.modules; "
+             "sys.exit(tagcascade.cli.main(sys.argv[1:]))")
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=fresh, env=_fresh_env(),
+                         capture_output=True, text=True, check=True)
+    monkeypatch.chdir(here)
+    code, report = _run(capsys, *argv)
+    assert code == 0
+    fresh_report = json.loads(out.stdout)
+    del fresh_report["timing"], report["timing"]
+    assert fresh_report == report
+    for name in ("fit.tsv", "fit.json"):
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
+
+
+_STATS_GRAPHS = {
+    # two components of two users each: the one holding handle 0 wins
+    "tie": ("a,x,1\nb,x,2\nc,x,3\nd,x,4\n", "src_id,dst_id\na,d\nb,c\nc,b\n"),
+    # users that only adopt sit outside every edge
+    "isolated": ("e,x,1\nf,y,2\na,x,3\n",
+                 "src_id,dst_id\na,b\nb,c\nc,a\nc,d\nd,d\n"),
+    "no-edges": ("a,x,1\nb,x,2\nc,y,3\n", "src_id,dst_id\n"),
+    "one-user": ("alice,x,1\n", "src_id,dst_id\n"),
+    # repeated edges with other times are dropped; a missing time is "always"
+    "timed": ("p,x,5\nq,x,6\nr,y,7\ns,y,8\nt,x,9\n",
+              "src_id,dst_id,since\np,q,3\nq,p,1\np,q,1\nr,s,\ns,t,2\nt,r,4\nr,s,8\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STATS_GRAPHS))
+def test_stats_giant_component_matches_union_find_reference(tmp_path, capsys, case):
+    adoptions, follows = _STATS_GRAPHS[case]
+    (tmp_path / "a.csv").write_text("user_id,tag_id,timestamp\n" + adoptions)
+    (tmp_path / "f.csv").write_text(follows)
+    snap = tmp_path / "d.cscd"
+    assert main(["ingest", str(tmp_path / "a.csv"), str(tmp_path / "f.csv"),
+                 "--out", str(snap)]) == 0
+    capsys.readouterr()
+    code, report = _run(capsys, "stats", str(snap))
+    assert code == 0
+
+    ds = load_snapshot(snap)
+    pairs = {(ds.user_handle(a), ds.user_handle(b))
+             for a, b, *_ in (line.split(",") for line in follows.splitlines()[1:]) if a != b}
+    members = giant_component_reference(ds.n_users, sorted(pairs))
+    k = len(members)
+    inside = sum(a in members and b in members for a, b in pairs)
+    r = report["result"]
+    assert r["giant_component_users"] == k
+    assert r["density_giant_component"] == (inside / (k * (k - 1)) if k >= 2 else None)
+    if k >= 2:
+        assert tagcascade.density(ds, "giant_component") == r["density_giant_component"]

@@ -10,8 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
-from oracles import build_dataset_reference, giant_component_reference
+from oracles import build_dataset_reference, component_roots_reference, giant_component_reference
 from tagcascade.errors import MalformedRowError, UndefinedDensityError
+from tagcascade.events import _component_roots
 from tagcascade.snapshot import save_snapshot
 from tagcascade.textio import (
     ADOPTIONS_HEADER,
@@ -562,8 +563,11 @@ def test_giant_component_matches_union_find_reference(k, edges, mirrored, isolat
     labels = [f"u{p:03d}" for p in perm]
     ds = tc.build_dataset([(lab, "x", 0) for lab in labels],
                           [(labels[a], labels[b]) for a, b in edges])
-    assert tc.giant_component(ds) == giant_component_reference(
-        n, [(perm[a], perm[b]) for a, b in edges])
+    handle_edges = [(perm[a], perm[b]) for a, b in edges]
+    assert tc.giant_component(ds) == giant_component_reference(n, handle_edges)
+    roots = _component_roots(ds.graph)
+    assert roots.dtype == np.int32
+    assert roots.tolist() == component_roots_reference(n, handle_edges)
 
 
 @pytest.mark.parametrize("seed", range(5))
