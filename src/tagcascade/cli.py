@@ -115,16 +115,30 @@ def _report(command: str, config: dict, inputs: dict, outputs: dict, result: dic
     }
 
 
-def _input_entry(path) -> dict:
-    if Path(path).is_dir():  # a directory of runs is named, not digested
-        return {"path": str(path)}
-    return {"path": str(path), "sha256": file_digest(path)}
+def _input_entry(path, sha256=None) -> dict:
+    """An input's path and the SHA-256 of the bytes the command read from it:
+    `sha256` when the command hashed them as it read, else a regular file's
+    digest. A directory of runs is named only, and so is a pipe, whose bytes
+    are gone once read."""
+    if sha256 is None:
+        if not Path(path).is_file():
+            return {"path": str(path)}
+        sha256 = file_digest(path)
+    return {"path": str(path), "sha256": sha256}
 
 
 # ---------------------------------------------------------------------------
 # stage bodies (shared by subcommands and the pipeline); each takes the
 # resolved options of its command and returns the result summary
 # ---------------------------------------------------------------------------
+
+def _load(o):
+    """The Dataset in `o.snapshot`. The digest of the bytes loaded goes on
+    `o.snapshot_sha256`, for the report."""
+    ds = load_snapshot(o.snapshot)
+    o.snapshot_sha256 = ds.sha256
+    return ds
+
 
 def _labels(table, handles: list) -> list:
     """The labels of `handles`, a TSV column."""
@@ -150,7 +164,7 @@ def stage_ingest(o) -> dict:
 
 
 def stage_stats(o) -> dict:
-    ds = load_snapshot(o.snapshot)
+    ds = _load(o)
     result = ds.summary()
     if ds.n_users >= 2:
         members = giant_component(ds)
@@ -167,7 +181,7 @@ def stage_stats(o) -> dict:
 
 
 def stage_thresholds(o) -> dict:
-    ds = load_snapshot(o.snapshot)
+    ds = _load(o)
     table = all_exposures(ds, ties=o.ties, popularity=o.popularity)
     thresholds = population_thresholds(ds, ties=o.ties, table=table)
     summary = threshold_summary(table, thresholds)
@@ -192,7 +206,7 @@ def stage_thresholds(o) -> dict:
 def stage_fit(o) -> dict:
     if o.bootstrap < 0:
         raise UsageError("--bootstrap must be >= 0")
-    ds = load_snapshot(o.snapshot)
+    ds = _load(o)
     samples = popularity_samples(ds, o.popularity)
     samples = samples[samples >= 1]
     o.threads = _threads()
@@ -213,7 +227,7 @@ def stage_fit(o) -> dict:
 
 def stage_curve(o) -> dict:
     o.bucket_ms = parse_duration_ms(o.bucket)
-    ds = load_snapshot(o.snapshot)
+    ds = _load(o)
     curve = adoption_curve(ds, ds.tag_handle(o.tag), o.bucket_ms)
     if o.out is not None:
         write_tsv(o.out, ["time", "new_first_usages", "cumulative_first_usages",
@@ -230,7 +244,7 @@ def stage_curve(o) -> dict:
 def stage_correlate(o) -> dict:
     if o.bins < 1:
         raise UsageError("--bins must be >= 1")
-    ds = load_snapshot(o.snapshot)
+    ds = _load(o)
     table = all_exposures(ds, ties=o.ties, popularity=o.popularity)
     report = popularity_threshold_correlation(table, bins=o.bins, method=o.method)
     if o.out is not None:
@@ -602,7 +616,8 @@ def _run_command(name: str, args) -> dict:
     return _report(
         name,
         {key: getattr(args, key) for key in cmd.config},
-        {key: _input_entry(getattr(args, dest)) for dest, key in _inputs(cmd).items()},
+        {key: _input_entry(getattr(args, dest), getattr(args, f"{dest}_sha256", None))
+         for dest, key in _inputs(cmd).items()},
         {key: str(path) for key, path in outputs.items() if path},
         result,
         started,

@@ -147,6 +147,9 @@ class Dataset:
     one. `user_labels`/`tag_labels` are those tuples, made on first access,
     and the label -> handle dicts are built on the first `user_handle`/
     `tag_handle` call, so a command that prints no label decodes none.
+
+    `sha256` is the hex SHA-256 of the snapshot file a Dataset was loaded
+    from, computed while loading it, and None for one built in memory.
     """
 
     user_table: tuple | PackedLabels
@@ -157,6 +160,7 @@ class Dataset:
     event_first: np.ndarray
     graph: FollowerGraph
     warnings: dict = field(default_factory=dict)
+    sha256: str | None = None
     _user_index: dict | None = field(repr=False, default=None)
     _tag_index: dict | None = field(repr=False, default=None)
 

@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     bytes 0-3   magic "CSCD"
-    u32         version (currently 2)
+    u32         version (currently 3)
     u32         flags: bit 0 = follow edges carry `since` timestamps
     u64 x 4     n_users, n_tags, n_events, n_edges
     label table (users):  offsets u64[n_users + 1], then the labels' UTF-8
@@ -18,16 +18,19 @@ Layout (all integers little-endian):
                           since  i64[n_edges]     (only when flag bit 0)
     warnings:             u32 count, then per entry
                           u32 key length + key UTF-8 + i64 value
-    trailer:              u32 zlib.crc32 of every byte before it
+    trailer:              32-byte SHA-256 of every byte before it
 
-Any other version is refused: a version 1 file (per-label length-prefixed
-label tables, no trailer, written before the packed tables) must be
-re-ingested from its CSV logs.
+Any other version is refused and must be re-ingested from its CSV logs: a
+version 2 file ends in a u32 CRC-32 in place of the SHA-256, and a version 1
+file has per-label length-prefixed label tables and no trailer.
 
 Loading reproduces the in-memory Dataset bit-for-bit. It reads each section
 straight into the array it becomes, so no copy of the file is held beside
-the arrays. It refuses a checksum mismatch, trailing bytes and arrays that
-break the layout the exposure kernel relies on. A label table is checked as
+the arrays, and feeds it to one SHA-256 as it goes. That hash checks the
+file against its trailer and, continued over the trailer, is the digest of
+the whole file (`Dataset.sha256`), so a command that reports the digest
+reads the file once. A load refuses a checksum mismatch, trailing bytes and
+arrays that break the layout the exposure kernel relies on. A label table is checked as
 one block: offsets that start at 0, never decrease and stay in the file, a
 blob that is valid UTF-8 and no offset inside a UTF-8 character. Splitting
 it into labels waits for their first use (`PackedLabels`).
@@ -35,12 +38,12 @@ it into labels waits for their first use (`PackedLabels`).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import operator
 import os
 import stat
 import struct
-import zlib
 
 import numpy as np
 
@@ -48,8 +51,9 @@ from .errors import SnapshotFormatError
 from .events import Dataset, FollowerGraph
 
 MAGIC = b"CSCD"
-VERSION = 2
+VERSION = 3
 _FLAG_EDGE_TIMES = 1
+_TRAILER = hashlib.sha256().digest_size
 _NOT_UTF8 = "a label or warning key is not valid UTF-8"
 
 
@@ -114,21 +118,21 @@ def save_snapshot(d: Dataset, path) -> None:
         buf += struct.pack("<I", len(raw))
         buf += raw
         buf += struct.pack("<q", int(d.warnings[key]))
-    buf += struct.pack("<I", zlib.crc32(buf))
+    buf += hashlib.sha256(buf).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
 
 
 class _Reader:
     """Reads a snapshot of `size` bytes from `fh` front to back, each array
-    straight into its own buffer, and keeps the CRC of every byte read. A
-    section is checked against `size` before its buffer is made."""
+    straight into its own buffer, and feeds every byte read to one SHA-256.
+    A section is checked against `size` before its buffer is made."""
 
     def __init__(self, fh, size: int):
         self.fh = fh
         self.size = size
         self.pos = 0
-        self.crc = 0
+        self.sha = hashlib.sha256()
 
     def _room(self, n: int) -> None:
         if self.pos + n > self.size:
@@ -137,7 +141,7 @@ class _Reader:
     def _fill(self, buf) -> None:
         if self.fh.readinto(buf) != len(buf):
             raise SnapshotFormatError("snapshot truncated")
-        self.crc = zlib.crc32(buf, self.crc)
+        self.sha.update(buf)
         self.pos += len(buf)
 
     def take(self, n: int) -> bytearray:
@@ -244,13 +248,13 @@ def _load(fh, size: int) -> Dataset:
         key = r.key()
         (val,) = r.unpack("<q")
         warnings[key] = val
-    body = size - 4  # the CRC trailer
+    body = size - _TRAILER
     if r.pos > body:
         raise SnapshotFormatError("snapshot truncated")
     if r.pos < body:
         raise SnapshotFormatError(f"{body - r.pos} trailing bytes after the snapshot")
-    crc = r.crc
-    if r.unpack("<I")[0] != crc:
+    expected = r.sha.digest()
+    if r.take(_TRAILER) != expected:  # the hash now covers the whole file
         raise SnapshotFormatError("snapshot checksum mismatch")
 
     _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since)
@@ -264,4 +268,5 @@ def _load(fh, size: int) -> Dataset:
         event_first=ev_first,
         graph=graph,
         warnings=warnings,
+        sha256=r.sha.hexdigest(),
     )

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +163,85 @@ def test_stats_reports_density_and_giant_component(snapshot, capsys):
     assert r["users"] == 25
     assert r["giant_component_users"] >= 2
     assert 0 < r["density_all"] < 1
+
+
+# ---------------------------------------------------------------------------
+# input digests
+# ---------------------------------------------------------------------------
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _fill(fd: int, data: bytes) -> None:
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
+
+
+@pytest.fixture
+def pipe():
+    """Makes the /dev/fd path of a pipe that a thread fills with the given
+    bytes, as a shell's `<(cat file)` does."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    ends, writers = [], []
+
+    def make(data: bytes) -> str:
+        read_end, write_end = os.pipe()
+        ends.append(read_end)
+        writers.append(threading.Thread(target=_fill, args=(write_end, data)))
+        writers[-1].start()
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for fd in ends:
+        os.close(fd)
+    for writer in writers:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def test_snapshot_commands_report_the_digest_of_the_snapshot(snapshot, capsys):
+    for argv in (["stats"], ["thresholds"], ["fit-powerlaw", "--bootstrap", "0", "--seed", "1"],
+                 ["curve", "--tag", "tag0", "--bucket", "100"], ["correlate"]):
+        code, report = _run(capsys, argv[0], str(snapshot), *argv[1:])
+        assert code == 0, argv
+        assert report["inputs"]["snapshot"] == {"path": str(snapshot), "sha256": _sha256(snapshot)}
+
+
+def test_piped_inputs_report_no_digest_of_bytes_not_read(tmp_path, capsys, snapshot, pipe):
+    adoptions, follows = _write_inputs(tmp_path)
+    code, report = _run(capsys, "ingest", pipe(adoptions.read_bytes()),
+                        pipe(follows.read_bytes()), "--out", str(tmp_path / "piped.cscd"))
+    assert code == 0
+    assert (tmp_path / "piped.cscd").read_bytes() == snapshot.read_bytes()
+    assert [sorted(entry) for entry in report["inputs"].values()] == [["path"], ["path"]]
+
+    code, report = _run(capsys, "stats", pipe(snapshot.read_bytes()))
+    assert code == 0
+    assert report["inputs"]["snapshot"]["sha256"] == _sha256(snapshot)
+
+    code, report = _run(capsys, "simulate", "--config", pipe(_sim_config(tmp_path).read_bytes()),
+                        "--seed", "1", "--out", str(tmp_path / "runs"))
+    assert code == 0
+    assert sorted(report["inputs"]["config"]) == ["path"]
+
+
+def test_snapshot_replaced_after_load_reports_the_bytes_loaded(snapshot, tmp_path, capsys,
+                                                               monkeypatch):
+    loaded = _sha256(snapshot)
+    other = tmp_path / "other.cscd"
+    save_snapshot(build_dataset([("a", "x", 1)], []), other)
+
+    def load_then_replace(path):
+        ds = load_snapshot(path)
+        os.replace(other, path)
+        return ds
+
+    monkeypatch.setattr(tagcascade.cli, "load_snapshot", load_then_replace)
+    code, report = _run(capsys, "stats", str(snapshot))
+    assert code == 0
+    assert report["inputs"]["snapshot"]["sha256"] == loaded != _sha256(snapshot)
 
 
 # ---------------------------------------------------------------------------

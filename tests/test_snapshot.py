@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import threading
@@ -19,7 +20,7 @@ from tagcascade.snapshot import MAGIC, PackedLabels, load_snapshot, save_snapsho
 from oracles import random_micro_rows
 
 # Every round trip and corruption runs on files of each version that loads.
-WRITERS = {2: save_snapshot}
+WRITERS = {3: save_snapshot}
 
 
 def _assert_datasets_identical(a, b):
@@ -73,6 +74,30 @@ def test_snapshot_is_byte_stable(tmp_path):
     save_snapshot(tc.build_dataset(adoptions, follows), p1)
     save_snapshot(tc.build_dataset(list(reversed(adoptions)), follows), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_trailer_is_the_sha256_of_the_body_and_load_gives_the_file_digest(tmp_path):
+    path = tmp_path / "snap.cscd"
+    save_snapshot(_abc_dataset(), path)
+    raw = path.read_bytes()
+    assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+    assert load_snapshot(path).sha256 == hashlib.sha256(raw).hexdigest()
+    assert _abc_dataset().sha256 is None
+
+
+def test_version_2_snapshot_must_be_reingested(tmp_path, capsys):
+    # version 2 had the same sections, then a u32 CRC-32 in place of the SHA-256
+    path = tmp_path / "v2.cscd"
+    save_snapshot(_abc_dataset(), path)
+    body = bytearray(path.read_bytes()[:-32])
+    body[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    message = "unsupported snapshot version 2"
+    with pytest.raises(SnapshotFormatError, match=message):
+        load_snapshot(path)
+    capsys.readouterr()
+    assert main(["stats", str(path)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 def test_magic_bytes_and_version_checked(tmp_path, capsys):
@@ -134,9 +159,11 @@ def test_snapshot_loads_from_a_pipe(tmp_path):
     writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
     writer.start()
     try:
-        _assert_datasets_identical(ds, load_snapshot(fifo))
+        loaded = load_snapshot(fifo)
     finally:
         writer.join()
+    _assert_datasets_identical(ds, loaded)
+    assert loaded.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_missing_file_is_data_error(tmp_path):
@@ -171,11 +198,11 @@ def _sections(ds) -> dict:
 
 
 def _corrupt_and_write(path, corrupt) -> None:
-    """Apply `corrupt` to the file's bytes (without the checksum trailer,
+    """Apply `corrupt` to the file's bytes (without the SHA-256 trailer,
     which is then recomputed), so only the other checks can see it."""
-    body = bytearray(path.read_bytes())[:-4]
+    body = bytearray(path.read_bytes())[:-32]
     corrupt(body)
-    body += struct.pack("<I", zlib.crc32(body))
+    body += hashlib.sha256(body).digest()
     path.write_bytes(bytes(body))
 
 
