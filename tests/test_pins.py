@@ -348,76 +348,76 @@ PINS = {
     "ingest_stats": {
         "ingest.report": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
         "ingest.report_file": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
-        "ingest.snapshot": "0e11850f534f68bfef2f6ecd41fda83b9a4c58147fc4167c9cd89d1153073c52",
+        "ingest.snapshot": "b98ae3cec53c10997f30b3bfaa4666a0886559a6c3b832db018dd0e0611ea36d",
         "ingest_mutual.report": "e6e1241cd3cb07a54db99ff7a20eb08c748b6614c637a7d6d76485e4e8f30122",
-        "ingest_mutual.snapshot": "cd7710894cb018aecd44498672c15e6141e4a70faa3cbdd12dd3f2f6ab8719d4",
-        "stats.report": "89f50bb5b0db0d6713fcca973a5b371567d5e4358181732ee24ce1a71894f7d3",
+        "ingest_mutual.snapshot": "146f01264b937fc3a94605c21fca04db223a8f6db654856a82c15633ffe40fc4",
+        "stats.report": "9c913516991822a92b6d0c28df55f8dee34cc1496ef664069ad4d865413b96da",
     },
     "thresholds-strict-adopters": {
-        "report": "92a72c14e48953770c9e54bf0ed85496558a7ce3a2d01008e7d83d662455203e",
+        "report": "4a76b6d7e2ff7b3d4a9789e06c23d7e73d03eeb73cf2205b3920fc4046e3fa06",
         "exposures": "b27256118cadf02630905f3150f7fbf7e8c5a584ebb0e857a90f7a72acd593a9",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-strict-usages": {
-        "report": "047db4f9edc63b05751de159adb4154cfe81b6a7fb00cd8f70422c88645a7543",
+        "report": "94371349301b14c65367c0619ed74eb875f70c06c0f7cdcccf93380f18b0bcfe",
         "exposures": "b401d67f6847bdefa99505d10a2fde05858b4e34f33f8cec39453011bf437d4b",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-inclusive-adopters": {
-        "report": "88b744db9e803e5f9b7196af01f26719088c0a59e92ab3de4b31476c9519ab14",
+        "report": "953289d518bed14b68f9fef2e2eb6c56f9aacaacb35bfcdbcd333b3afa7737b2",
         "exposures": "ac62098925616052092ef6aef974ef9102650b8942c9e9a8b497c53cb746083b",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-inclusive-usages": {
-        "report": "37920f1b22cac24ac9b1cfa49b5e35ce7c6534afc254fb4c8b2ee68a5e215b69",
+        "report": "e6dfc9c8c124fbfda4d2611a35ab922852d6b1ec313415f9807355d33e04a01d",
         "exposures": "cc2289a0e71f508ec675ad5b9ab5088edd579220e864b659234ecd7bc09bfbea",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-timed-strict-adopters": {
-        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
-        "report": "05b908c5b685ac0a27c86f0fc5a5b62476a40cb9020f26740c2faa15bed4a08f",
+        "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
+        "report": "eb3b16be301e7464b905eb8c6a5efa204325c3e6803cd8d15b8f95863042f3e8",
         "exposures": "71c6564146ca2c31ad08f55ba105f174d413e92af3bfbef8c3a037c15f045ce6",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-strict-usages": {
-        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
-        "report": "fc6bf0b755dc20a1460f50c1a262e0a13faaa5c035fc4ee564c47e476709adb7",
+        "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
+        "report": "c3a0ff84e2cfcd706131e27d813d6d9f7a7a9e1bc4fec56761b6d9266d76f4a6",
         "exposures": "60dd905e9504a375d76bd5d17f6ed40e5b8aa71f5b588517e2ba53741ece75a2",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-inclusive-adopters": {
-        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
-        "report": "c9236f2e9d1d2dd571d778b3e456b23eb9c6e44796af2e0039164c632f9294ab",
+        "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
+        "report": "cf50926e9a68ecd99cc9708cbff0a7a40705eed87432318b979123d193babd40",
         "exposures": "753d60bf644951e4339178c0ab94e75d5850ee04d9e3dfe3405a4eccc555000c",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "thresholds-timed-inclusive-usages": {
-        "snapshot": "486c03f76244c7a7857660948b67656735576d2ce29ff26bd2c3f289fd9240c8",
-        "report": "4e80b65782bfcce8267dd274725b6fe63032da215db286fefa1693926cc6a130",
+        "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
+        "report": "548ebb8430052a673ec25464d983fcdba410317da9ebe23bd3857b9a62535e1f",
         "exposures": "d97b1889dc8399af64ad19e091810b4a38c42b513ce9f20e5f63fb38c6a169e2",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "fit_curve_correlate": {
-        "fit.report": "8915d6af4f492102a4a88568ad022a9a31c8aa3ed2a195bc5f1bc6ff496113c8",
+        "fit.report": "396a6a4b76fb7e75c03212e4ea1d68da0d20891f2fe1cbe56eb79f26f4e5b1ee",
         "fit.tsv": "a40e399af13faa8dc11cb377ddacde4f6abfe6f88ff1b29023f40886fac67475",
         "fit.json": "5c83b6fbecc806456a6553067f01163841ea49057183f8e6e13fe5208e204f40",
-        "fit.report_file": "8915d6af4f492102a4a88568ad022a9a31c8aa3ed2a195bc5f1bc6ff496113c8",
-        "fit_usages.report": "6601b8a6697d59874ce4a1ca44785bfdc82f8ba8863c74ddf5c5fe92cfcd0ab7",
-        "curve.report": "0c4bbd049d7f5038f8410553ead06aa58393019f78ad14c818aa97edb356e66e",
+        "fit.report_file": "396a6a4b76fb7e75c03212e4ea1d68da0d20891f2fe1cbe56eb79f26f4e5b1ee",
+        "fit_usages.report": "285baba21fad05c7b40d97fc8072550fc66bc300ca8f96d3b0517dc9cd9981a3",
+        "curve.report": "caf5174df4cba78f88ee9890a3036fd29e1f36524a606e7ae0e8bee7b47f7996",
         "curve.tsv": "ebf56dfaac1edee103a248a7de6d80b4a3bba85c57d9ac8f43407bb181271cd8",
         "curve.json": "46622f8df490510d5763d692f8135291135cbdd49628b29368e097604f53cded",
-        "spearman.report": "4dd50b7e9a50651495b3f65ffc9ca1a2fd11773d3f53e09a4993bcce5ea25f6e",
+        "spearman.report": "23d7cce461a4d564e738873662d016ee2c9dbab93fbe49d2f380ad265159f6ca",
         "spearman.tsv": "9a1b947bc5f9081a5bcb66bf60fb07cae7417c6e52bc3dbedf5d12a41b0a9ff0",
         "spearman.json": "b73264e72fd4efb15938eb210ce19debc1fc9bef8de674af41173a67fefa3d94",
-        "pearson.report": "a87fb376175b38aa098bb097454134766c63f5fcab364a88e95bdde059b3fcfa",
+        "pearson.report": "e5accf3232e4e01a63a873e882400aac24e1d27c2a1366fa005a46b88820ead7",
         "pearson.tsv": "97345bac971e40249a01efe8d09ab0c310ddda903f2a7e48240bf4804f483c8f",
         "pearson.json": "483727e7a54a82d16ef8affaa58163ad7c53326d48f6c3282dd66165175496ae",
     },
@@ -465,7 +465,7 @@ PINS = {
     },
     "pipeline_full": {
         "report": "798456f086ec6ed0ce4c3335c545465d9e561a0b8119c729faaa1a7fb035662f",
-        "out_dir": "7b1b9aac4a3663b09311b267534f0ada6a6241f219fa7e20067beb3bd25ea98f",
+        "out_dir": "7f516455d3db9fe4f5ecc6a3989d49149b9e3a88f5afef9d1467658a2625060c",
     },
     "pipeline_options": {
         "report": "6a4d618866d7d415c0d1bc1565e370cc4fe944e15934b590e7be9894a6c85c3f",
