@@ -30,10 +30,11 @@ the arrays, and feeds it to one SHA-256 as it goes. That hash checks the
 file against its trailer and, continued over the trailer, is the digest of
 the whole file (`Dataset.sha256`), so a command that reports the digest
 reads the file once. A load refuses a checksum mismatch, trailing bytes and
-arrays that break the layout the exposure kernel relies on. A label table is checked as
-one block: offsets that start at 0, never decrease and stay in the file, a
-blob that is valid UTF-8 and no offset inside a UTF-8 character. Splitting
-it into labels waits for their first use (`PackedLabels`).
+arrays that break the layout the exposure kernel relies on. A label table is
+checked as one block: offsets that start at 0, never decrease and stay in
+the file, a blob that is valid UTF-8 and no offset inside a UTF-8
+character. Splitting it into labels waits for their first use
+(`PackedLabels`).
 """
 
 from __future__ import annotations
@@ -209,9 +210,9 @@ def _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, sin
 
 
 def load_snapshot(path) -> Dataset:
-    """The Dataset in the snapshot at `path`. A regular file is read section
-    by section into the arrays it returns; anything else (a pipe) is read
-    whole first."""
+    """The Dataset in the snapshot at `path`, whose `sha256` is the digest of
+    the bytes read. A regular file is read section by section into the
+    arrays it returns; anything else (a pipe) is read whole first."""
     try:
         with open(path, "rb") as fh:
             st = os.fstat(fh.fileno())
