@@ -9,14 +9,16 @@ draws each pick with its own `Generator.integers` call (and the bounded-draw
 rule it replays is written out as a generator of its own), the giant
 component comes from a union-find that merges one edge at a time, the
 diffusion models walk adopters and edges one Python step at a time, the
-reference ingest checks and interns one row at a time, and the result references
+reference ingest checks and interns one row at a time, the result references
 build per-user thresholds, curve buckets and correlation bins one row at a
-time, and the JSON text comes from the standard library's own encoder. Tests
+time, the JSON text comes from the standard library's own encoder, and the
+reference CSV reader takes one csv.reader row at a time. Tests
 compare library output against these, never the other way round.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from collections import Counter
@@ -591,3 +593,46 @@ def correlation_bins_reference(table, bins: int) -> list:
         rows.append((float(edges[b] - 1.0), float(edges[b + 1] - 1.0),
                      float(expo[sel].mean()) if count else None, count))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# csv.reader row loop
+# ---------------------------------------------------------------------------
+
+def read_log_reference(path, headers, time_unit="ms", on_bad="raise"):
+    """(first, second, times, dropped) of a CSV log whose header is one of
+    `headers`, parsed one csv.reader row at a time: the row width comes from
+    the header, a third field is a timestamp (None when empty under the
+    follows `since` header), `times` is None for two-field rows, and a bad
+    row raises MalformedRowError on the physical line it ends on or, with
+    on_bad="drop", is counted and left out."""
+    first: list = []
+    second: list = []
+    times: list = []
+    dropped = 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header not in headers:
+            expected = " or ".join(map(str, headers))
+            raise MalformedRowError(1, f"expected header {expected}, got {header}")
+        width = len(header)
+        may_be_empty = header == ["src_id", "dst_id", "since"]
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                if width == 3:
+                    cell = row[2]
+                    times.append(None if may_be_empty and cell == ""
+                                 else parse_timestamp(cell, time_unit))
+            except ValueError as exc:
+                if on_bad == "drop":
+                    dropped += 1
+                    continue
+                raise MalformedRowError(reader.line_num, str(exc)) from None
+            first.append(row[0])
+            second.append(row[1])
+    return first, second, times if width == 3 else None, dropped

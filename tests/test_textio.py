@@ -4,12 +4,14 @@ import csv
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagcascade import textio
 from tagcascade.errors import DataError, MalformedRowError, UsageError
 from tagcascade.events import LogColumns
 from tagcascade.textio import (
@@ -28,7 +30,7 @@ from tagcascade.textio import (
     write_tsv,
 )
 
-from oracles import dump_json_reference, write_tsv_reference
+from oracles import dump_json_reference, read_log_reference, write_tsv_reference
 
 
 def test_parse_duration_units():
@@ -188,6 +190,105 @@ def test_follows_header_mismatch_message(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         read_adoptions(tmp_path / "absent.csv")
+
+
+# Reader files for the reference comparison: lines of plain cells, with
+# bad cells and dirty lines (quotes, raw separators, a lone CR, NUL, blank
+# lines, wrong widths) mixed in. Time cells cover every integer-text rule:
+# signs, spaces, leading zeros, full-width and non-ASCII digits, '_', 18-,
+# 19- and 20-digit values, the int64 edges in milliseconds and in seconds,
+# empty cells and ISO text.
+_TIME_CELLS = st.integers(0, 10**18).map(str) | st.sampled_from([
+    "0", "7", "007", "+7", " 7", "7 ", "-5", "\uff11\uff15", "\u0663", "1_000", "", "soon",
+    "1970-01-01T00:00:03Z", "999999999999999999", "1000000000000000000",
+    "9223372036854775807", "9223372036854775808", "99999999999999999999",
+    "9223372036854775", "9223372036854776", "\x00",
+])
+_PLAIN_CELLS = st.text(st.sampled_from(["a", "b", "1", "é", "標", " "]), min_size=1, max_size=4)
+_DIRTY_CELLS = st.text(st.sampled_from(["a", ",", '"', "\r", "\n", "\x00", "\ufeff", " "]),
+                       max_size=4)
+_HEADERS = {"adoptions": (ADOPTIONS_HEADER,), "follows": (FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED)}
+
+
+@st.composite
+def _raw_logs(draw):
+    """(reader kind, file bytes) of a generated CSV log."""
+    kind = draw(st.sampled_from(sorted(_HEADERS)))
+    header = draw(st.sampled_from(_HEADERS[kind]))
+    width = len(header)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    head = draw(st.sampled_from([",".join(header), ",".join(header), '"' + header[0] + '",'
+                                 + ",".join(header[1:]), "\ufeff" + ",".join(header),
+                                 "user_id,tag_id", ""]))
+    plain = st.tuples(_PLAIN_CELLS, _PLAIN_CELLS, _TIME_CELLS).map(lambda r: ",".join(r[:width]))
+    dirty = st.one_of(
+        st.just(""),
+        st.lists(_DIRTY_CELLS, min_size=1, max_size=4).map(",".join),
+        st.tuples(_PLAIN_CELLS, _PLAIN_CELLS).map(lambda r: '"' + r[0] + '",' + r[1]
+                                                  + ",1" * (width - 2)),
+        st.lists(_PLAIN_CELLS, min_size=1, max_size=4).map(",".join),
+    )
+    # Some files open with many rows of digit times, so that with a small
+    # read size their bad lines come only in a later block.
+    clean = st.tuples(_PLAIN_CELLS, _PLAIN_CELLS, st.integers(0, 10**18).map(str))
+    lines = (draw(st.lists(clean.map(lambda r: ",".join(r[:width])), max_size=3))
+             * draw(st.sampled_from([1, 1, 40]))
+             + draw(st.lists(st.one_of(plain, plain, plain, dirty), max_size=12)))
+    ends = draw(st.lists(st.sampled_from([eol, eol, eol, "\r", "\n", "\r\n"]),
+                         min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = "".join(line + end for line, end in zip([head] + lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return kind, text.encode("utf-8")
+
+
+def _reader_outcome(read, path, **options):
+    """(columns, dropped) of a read, or the text of its MalformedRowError."""
+    try:
+        result = read(path, **options)
+    except MalformedRowError as exc:
+        return str(exc)
+    if isinstance(result[0], LogColumns):
+        rows, dropped = result
+        result = rows.first, rows.second, rows.times, dropped
+    assert all(type(t) is int for t in result[2] or [] if t is not None)
+    return result
+
+
+_READERS = {"adoptions": read_adoptions, "follows": read_follows}
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=_raw_logs(), block=st.sampled_from([None, 16, 64]),
+       time_unit=st.sampled_from(["ms", "s"]), on_bad=st.sampled_from(["drop", "raise"]))
+def test_readers_match_the_row_loop_reference(log, block, time_unit, on_bad):
+    kind, data = log
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(textio, "_READ_BYTES", block or 1 << 20, create=True):
+        path = Path(tmp) / "log.csv"
+        path.write_bytes(data)
+        got = _reader_outcome(_READERS[kind], path, time_unit=time_unit, on_bad=on_bad)
+        expected = _reader_outcome(read_log_reference, path, headers=_HEADERS[kind],
+                                   time_unit=time_unit, on_bad=on_bad)
+    assert got == expected
+
+
+@pytest.mark.parametrize("kind,header,row", [
+    ("adoptions", "user_id,tag_id,timestamp", "u{0:07d},t{1},{2}"),
+    ("follows", "src_id,dst_id,since", "u{0:07d},u{1:07d},{3}"),
+])
+def test_a_bad_row_past_the_first_megabyte_reads_as_the_reference(tmp_path, kind, header, row):
+    lines = [row.format(i, i % 97, i * 1000, i * 1000 if i % 5 else "") for i in range(60_000)]
+    lines[50_000] = '"u,1",t1,5'  # about 1.2 MB in: quoted, a time of 7 ms, a bad time
+    lines[55_000] = "u2,t2,+7"
+    lines[58_000] = "u3,t3,soon"
+    path = tmp_path / "log.csv"
+    path.write_bytes(("\r\n".join([header] + lines) + "\r\n").encode("utf-8"))
+    for on_bad in ("drop", "raise"):
+        got = _reader_outcome(_READERS[kind], path, on_bad=on_bad)
+        assert got == _reader_outcome(read_log_reference, path, headers=_HEADERS[kind],
+                                      on_bad=on_bad)
+    assert got == "line 58002: unparsable timestamp: 'soon'"
 
 
 def _writerow_reference(path, header, rows):
