@@ -117,9 +117,9 @@ def _report(command: str, config: dict, inputs: dict, outputs: dict, result: dic
 
 def _input_entry(path, sha256=None) -> dict:
     """An input's path and the SHA-256 of the bytes the command read from it:
-    `sha256` when the command hashed them as it read, else a regular file's
-    digest. A directory of runs is named only, and so is a pipe, whose bytes
-    are gone once read."""
+    `sha256` when the command hashed them as it read (a snapshot or a CSV
+    log), else a regular file's digest. A directory of runs is named only,
+    and so is a piped config, whose bytes are gone once read."""
     if sha256 is None:
         if not Path(path).is_file():
             return {"path": str(path)}
@@ -152,6 +152,7 @@ def stage_ingest(o) -> dict:
     on_bad = "raise" if o.strict else "drop"
     adoptions, dropped_a = read_adoptions(o.adoptions, time_unit=o.time_unit, on_bad=on_bad)
     follows, dropped_f = read_follows(o.follows, time_unit=o.time_unit, on_bad=on_bad)
+    o.adoptions_sha256, o.follows_sha256 = adoptions.sha256, follows.sha256
     ds = build_dataset(adoptions, follows,
                        reverse_edges=o.reverse_edges, mutual_edges=o.mutual_edges)
     out_path.parent.mkdir(parents=True, exist_ok=True)

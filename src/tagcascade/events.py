@@ -263,12 +263,15 @@ class LogColumns:
     """The rows of a parsed log held as columns, as `textio.read_adoptions`
     and `textio.read_follows` return them. `first` and `second` are the two
     labels of each row, `times` its time in epoch milliseconds (None for an
-    empty follows `since`), or None for a log of two-field rows. `len()` is
-    the row count; iterating yields the row tuples."""
+    empty follows `since`), or None for a log of two-field rows. `sha256` is
+    the hex SHA-256 of the bytes a reader parsed them from (None for columns
+    built in memory). `len()` is the row count; iterating yields the row
+    tuples."""
 
     first: list
     second: list
     times: list | None
+    sha256: str | None = None
 
     def __len__(self) -> int:
         return len(self.first)

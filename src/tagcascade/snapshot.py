@@ -29,7 +29,9 @@ straight into the array it becomes, so no copy of the file is held beside
 the arrays, and feeds it to one SHA-256 as it goes. That hash checks the
 file against its trailer and, continued over the trailer, is the digest of
 the whole file (`Dataset.sha256`), so a command that reports the digest
-reads the file once. A load refuses a checksum mismatch, trailing bytes and
+reads the file once. The trailer detects damage, not forgery: a file
+rewritten with a recomputed trailer loads, but its digest differs from the
+honest file's. A load refuses a checksum mismatch, trailing bytes and
 arrays that break the layout the exposure kernel relies on. A label table is
 checked as one block: offsets that start at 0, never decrease and stay in
 the file, a blob that is valid UTF-8 and no offset inside a UTF-8

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 import re
@@ -18,7 +20,7 @@ import re
 import numpy as np
 
 from .errors import DataError, MalformedRowError
-from .events import LogColumns, parse_timestamp
+from .events import _MS_PER_UNIT, LogColumns, parse_timestamp
 
 ADOPTIONS_HEADER = ["user_id", "tag_id", "timestamp"]
 FOLLOWS_HEADER = ["src_id", "dst_id"]
@@ -49,22 +51,134 @@ def parse_duration_ms(text) -> int:
     return value
 
 
-def _read_log(path, headers, time_unit, on_bad):
-    """(LogColumns, dropped) of a CSV log whose header is one of `headers`.
-    The header sets the row width. A third field is a timestamp, parsed here
-    once; under the follows `since` header it may be empty, which gives None.
-    A bad row adds to no column. An error names the physical line a bad row
-    ends on, counting line breaks inside quoted fields."""
-    first: list = []
-    second: list = []
-    times: list = []
+_READ_BYTES = 1 << 20  # bytes per read of a CSV log: a block's temporaries stay bounded
+_MAX_DIGITS = 18  # a time cell of at most this many digits is below 2^63 ms as it is
+
+
+def _blocks(fh, sha):
+    """The bytes of `fh` in blocks of whole lines, each read of _READ_BYTES
+    added to `sha` as it is read. A block ends after the last line feed of a
+    read, or, in a read without one, after the last carriage return that
+    another byte follows, so no block splits a CRLF; the rest of the read
+    opens the next block. The last block may end without a line break."""
+    parts: list = []
+    while chunk := fh.read(_READ_BYTES):
+        sha.update(chunk)
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, -1) + 1
+        if cut:
+            parts.append(memoryview(chunk)[:cut])
+            yield b"".join(parts)
+            parts = [chunk[cut:]]
+        else:
+            parts.append(chunk)
+    tail = b"".join(parts)
+    if tail:
+        yield tail
+
+
+def _line_breaks(data: bytes) -> int:
+    """How many lines csv.reader counts as ended in `data`: a CRLF, a lone
+    CR or a lone LF each end one."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _clean_header(block: bytes):
+    """The header in the first line of `block` when that line is plain
+    UTF-8 text ended by a line feed, with no quote, NUL or other carriage
+    return; else None."""
+    end = block.find(b"\n")
+    if end < 0:
+        return None
+    head = block[:end].removesuffix(b"\r")
+    if b'"' in head or b"\r" in head or b"\0" in head:
+        return None
+    try:
+        return head.decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+
+
+def _clean_rows(block: bytes, width: int, may_be_empty: bool, scale: int, limit: int):
+    """(first, second, times, line count) of a block of whole lines that is
+    clean, else None; `times` is empty for two-field rows. A clean block is UTF-8 with no quote, no NUL and no
+    carriage return outside a CRLF; each of its lines has exactly width - 1
+    commas (so none is empty) and at most `limit` bytes; and each time cell
+    is 1 to 18 ASCII digits (or empty, under the `since` header) whose
+    milliseconds stay below 2^63. csv.reader reads such a block as these
+    rows, and parse_timestamp reads its times as int() does."""
+    if b'"' in block or b"\0" in block:
+        return None
+    if b"\r" in block:
+        if block.count(b"\r") != block.count(b"\r\n"):
+            return None
+        block = block.replace(b"\r\n", b"\n")
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    data = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    commas = np.flatnonzero(data == ord(","))
+    n, seps = len(ends), width - 1
+    last = commas[seps - 1::seps]  # each line's last comma, once each line has `seps`
+    if (len(commas) != seps * n or (last > ends).any() or (commas[seps::seps] < ends[:-1]).any()
+            or np.diff(ends, prepend=-1).max() > limit + 1):
+        return None
+    try:
+        cells = block.decode("utf-8").replace("\n", ",").split(",")
+    except UnicodeDecodeError:
+        return None
+    if width == 2:
+        return cells[0:-1:2], cells[1::2], [], n
+    sizes = ends - last - 1
+    text = cells[2::3]
+    # bytes.isdigit holds for b"0"-b"9" alone, so a non-ASCII digit fails it
+    if (sizes.max() > _MAX_DIGITS or not "".join(text).encode().isdigit()
+            or not may_be_empty and sizes.min() == 0):
+        return None
+    values = list(map(int, filter(None, text)))
+    if scale != 1:
+        if max(values) > (2**63 - 1) // scale:
+            return None
+        values = list(map(scale.__mul__, values))
+    if len(values) < n:  # empty `since` cells give None
+        times = np.full(n, None, dtype=object)
+        times[sizes > 0] = values
+        values = times.tolist()
+    return cells[0:-1:3], cells[1::3], values, n
+
+
+def _texts(blocks, line: int):
+    """csv.reader's input for `blocks`, one text stream per block, split
+    into lines as a file opened with newline="" is. `line` is the number
+    of lines before the first block. At a byte that is not UTF-8 the lines
+    before its line are given, and then MalformedRowError names that line."""
+    for block in blocks:
+        try:
+            block.decode("utf-8")  # checked here, where its line is known
+        except UnicodeDecodeError as exc:
+            head = block[:exc.start]
+            head = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
+            yield io.TextIOWrapper(io.BytesIO(head), encoding="utf-8", newline="")
+            raise MalformedRowError(line + _line_breaks(head) + 1,
+                                    f"byte 0x{block[exc.start]:02x} is not UTF-8 text "
+                                    f"({exc.reason})") from None
+        yield io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
+        line += _line_breaks(block)
+
+
+def _read_rows(columns, blocks, line: int, headers, header, time_unit, on_bad):
+    """Parse `blocks` with csv.reader into `columns` (first, second, times);
+    returns (header, dropped). `line` is the number of lines before the
+    first block, and `header` the header those lines held, or None when the
+    blocks open with it."""
+    reader = csv.reader(itertools.chain.from_iterable(_texts(blocks, line)))
+    first, second, times = columns
     dropped = 0
-    with _open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in headers:
-            expected = " or ".join(map(str, headers))
-            raise MalformedRowError(1, f"expected header {expected}, got {header}")
+    try:
+        if header is None:
+            header = next(reader, None)
+            if header not in headers:
+                expected = " or ".join(map(str, headers))
+                raise MalformedRowError(1, f"expected header {expected}, got {header}")
         width = len(header)
         may_be_empty = header == FOLLOWS_HEADER_TIMED
         for row in reader:
@@ -81,10 +195,58 @@ def _read_log(path, headers, time_unit, on_bad):
                 if on_bad == "drop":
                     dropped += 1
                     continue
-                raise MalformedRowError(reader.line_num, str(exc)) from None
+                raise MalformedRowError(line + reader.line_num, str(exc)) from None
             first.append(row[0])
             second.append(row[1])
-    return LogColumns(first, second, times if width == 3 else None), dropped
+    except csv.Error as exc:
+        raise MalformedRowError(line + reader.line_num, str(exc)) from None
+    return header, dropped
+
+
+def _read_log(path, headers, time_unit, on_bad):
+    """(LogColumns, dropped) of a CSV log whose header is one of `headers`.
+    The header sets the row width. A third field is a timestamp, parsed here
+    once; under the follows `since` header it may be empty, which gives None.
+    A bad row adds to no column. An error names the physical line a bad row
+    ends on, counting line breaks inside quoted fields. A byte that is not
+    UTF-8, or a field longer than csv.field_size_limit(), fails the read on
+    its line whatever `on_bad` says.
+
+    The file is read once, in blocks of whole lines, and every byte read
+    goes to one SHA-256, whose digest the LogColumns carries. Blocks that
+    are clean (see _clean_rows) are split whole. From the first block that
+    is not, csv.reader parses the rest of the file row by row, so that
+    block and every later one give the row loop's own results."""
+    sha = hashlib.sha256()
+    columns = ([], [], [])
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        blocks = _blocks(fh, sha)
+        block = next(blocks, b"")
+        header = _clean_header(block)
+        if header in headers:
+            width, may_be_empty = len(header), header == FOLLOWS_HEADER_TIMED
+            scale, limit = _MS_PER_UNIT[time_unit], csv.field_size_limit()
+            line, block = 1, block[block.index(b"\n") + 1:]
+            for block in itertools.chain([block], blocks):
+                rows = _clean_rows(block, width, may_be_empty, scale, limit)
+                if rows is None:
+                    break
+                for column, cells in zip(columns, rows):
+                    column.extend(cells)
+                line += rows[3]
+            else:
+                block = b""
+        else:
+            line, header = 0, None
+        header, dropped = _read_rows(columns, itertools.chain([block], blocks), line, headers,
+                                     header, time_unit, on_bad)
+    first, second, times = columns
+    return LogColumns(first, second, times if len(header) == 3 else None,
+                      sha256=sha.hexdigest()), dropped
 
 
 def read_adoptions(path, *, time_unit: str = "ms", on_bad: str = "raise"):

@@ -211,13 +211,26 @@ def test_snapshot_commands_take_the_digest_from_the_load(snapshot, capsys, monke
         assert report["inputs"]["snapshot"] == {"path": str(snapshot), "sha256": _sha256(snapshot)}
 
 
+def test_ingest_takes_the_digests_from_the_read(tmp_path, capsys, monkeypatch):
+    # the report's digests come from the one pass that parses each CSV
+    monkeypatch.setattr(tagcascade.cli, "file_digest", None)
+    adoptions, follows = _write_inputs(tmp_path)
+    code, report = _run(capsys, "ingest", str(adoptions), str(follows),
+                        "--out", str(tmp_path / "d.cscd"))
+    assert code == 0
+    assert report["inputs"] == {
+        "adoptions": {"path": str(adoptions), "sha256": _sha256(adoptions)},
+        "follows": {"path": str(follows), "sha256": _sha256(follows)}}
+
+
 def test_piped_inputs_report_no_digest_of_bytes_not_read(tmp_path, capsys, snapshot, pipe):
     adoptions, follows = _write_inputs(tmp_path)
     code, report = _run(capsys, "ingest", pipe(adoptions.read_bytes()),
                         pipe(follows.read_bytes()), "--out", str(tmp_path / "piped.cscd"))
     assert code == 0
     assert (tmp_path / "piped.cscd").read_bytes() == snapshot.read_bytes()
-    assert [sorted(entry) for entry in report["inputs"].values()] == [["path"], ["path"]]
+    assert [entry["sha256"] for entry in report["inputs"].values()] == [
+        _sha256(adoptions), _sha256(follows)]
 
     code, report = _run(capsys, "stats", pipe(snapshot.read_bytes()))
     assert code == 0
@@ -244,6 +257,25 @@ def test_snapshot_replaced_after_load_reports_the_bytes_loaded(snapshot, tmp_pat
     code, report = _run(capsys, "stats", str(snapshot))
     assert code == 0
     assert report["inputs"]["snapshot"]["sha256"] == loaded != _sha256(snapshot)
+
+
+def test_csv_replaced_after_read_reports_the_bytes_parsed(tmp_path, capsys, monkeypatch):
+    adoptions, follows = _write_inputs(tmp_path)
+    parsed = _sha256(adoptions)
+    other = tmp_path / "other.csv"
+    other.write_text("user_id,tag_id,timestamp\na,x,1\n")
+
+    def read_then_replace(path, **options):
+        result = read_adoptions(path, **options)
+        os.replace(other, path)
+        return result
+
+    monkeypatch.setattr(tagcascade.cli, "read_adoptions", read_then_replace)
+    code, report = _run(capsys, "ingest", str(adoptions), str(follows),
+                        "--out", str(tmp_path / "d.cscd"))
+    assert code == 0
+    assert report["result"]["total_usages"] == 300
+    assert report["inputs"]["adoptions"]["sha256"] == parsed != _sha256(adoptions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -112,7 +113,9 @@ def test_read_on_bad_drop_counts(tmp_path):
 
 # (reader, file text, rows and dropped count under on_bad="drop", line of the
 # first bad row under on_bad="raise" or None). A blank line is skipped, not
-# counted, but it still takes a line number.
+# counted, but it still takes a line number. Rows of None: the read fails on
+# that line whatever on_bad says. A lone surrogate in the text is written as
+# the byte it escapes, so "\udcff" is a byte 0xff, which is not UTF-8.
 _A, _F, _FT = ("user_id,tag_id,timestamp\n", "src_id,dst_id\n", "src_id,dst_id,since\n")
 _READER_CASES = [
     (read_follows, _F + "a,b\nc,d\n", [("a", "b"), ("c", "d")], 0, None),
@@ -131,13 +134,27 @@ _READER_CASES = [
     (read_adoptions, _A + "a,x, +7 \nb,y,1_000\nc,z,\uff11\uff15\nd,w,\u0663\ne,v,-2\n",
      [("a", "x", 7), ("e", "v", -2)], 3, 3),
     (read_follows, _FT + "a,b,\u0661\u0660\nc,d,-12\n", [("c", "d", -12)], 1, 2),
+    # bytes that are not UTF-8: in a plain file, after a quoted line break and
+    # a lone CR, and in the header
+    (read_adoptions, _A + "a,x,1\nb,y,2\nc\udcff,z,3\nd,w,4\n", None, None, 4),
+    (read_follows, _F + '"a\nb",c\rd,e\r\nf,\udcff\n', None, None, 5),
+    (read_adoptions, "\udcff" + _A + "a,x,1\n", None, None, 1),
 ]
 
 
+@pytest.mark.parametrize("read_bytes", [None, 8])
 @pytest.mark.parametrize("reader,text,rows,dropped,bad_line", _READER_CASES)
-def test_readers_drop_and_raise_table(tmp_path, reader, text, rows, dropped, bad_line):
+def test_readers_drop_and_raise_table(tmp_path, monkeypatch, reader, text, rows, dropped,
+                                      bad_line, read_bytes):
+    if read_bytes:  # many blocks, most of them whole lines
+        monkeypatch.setattr(textio, "_READ_BYTES", read_bytes)
     path = tmp_path / "log.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    if rows is None:
+        for on_bad in ("drop", "raise"):
+            with pytest.raises(MalformedRowError, match=rf"^line {bad_line}: byte 0xff is not UTF-8"):
+                reader(path, on_bad=on_bad)
+        return
     got, got_dropped = reader(path, on_bad="drop")
     assert (list(got), got_dropped) == (rows, dropped)
     if bad_line is None:
@@ -174,6 +191,26 @@ def test_bad_rows_leave_columns_aligned(tmp_path, reader, header, first_bad):
     # The first bad row is on physical line 4, after the header and two rows.
     with pytest.raises(MalformedRowError, match=rf"^line 4: .*{_BAD_ROWS[first_bad][1]}"):
         reader(path, time_unit="s", on_bad="raise")
+
+
+def test_a_field_past_the_csv_field_limit_fails_the_read(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text(_A + "a,x,1\n" + "u" * 131_073 + ",y,2\n")
+    for on_bad in ("drop", "raise"):
+        with pytest.raises(MalformedRowError,
+                           match=r"^line 3: field larger than field limit \(131072\)$"):
+            read_adoptions(path, on_bad=on_bad)
+    # Lines past the limit whose fields are within it read as csv.reader
+    # reads them, up to the field that is not.
+    limit = csv.field_size_limit(8)
+    try:
+        path.write_text(_A + "abcd,wxyz,12\nab,cd,123456789\n")
+        with pytest.raises(MalformedRowError, match=r"^line 3: field larger than field limit"):
+            read_adoptions(path)
+        path.write_text(_A + "abcd,wxyz,12\n")
+        assert list(read_adoptions(path)[0]) == [("abcd", "wxyz", 12)]
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_follows_header_mismatch_message(tmp_path):
@@ -243,14 +280,17 @@ def _raw_logs(draw):
 
 
 def _reader_outcome(read, path, **options):
-    """(columns, dropped) of a read, or the text of its MalformedRowError."""
+    """(columns, dropped, digest) of a read, or the text of its
+    MalformedRowError. The reference's digest is that of the file."""
     try:
         result = read(path, **options)
     except MalformedRowError as exc:
         return str(exc)
     if isinstance(result[0], LogColumns):
         rows, dropped = result
-        result = rows.first, rows.second, rows.times, dropped
+        result = rows.first, rows.second, rows.times, dropped, rows.sha256
+    else:
+        result += (hashlib.sha256(Path(path).read_bytes()).hexdigest(),)
     assert all(type(t) is int for t in result[2] or [] if t is not None)
     return result
 
@@ -264,7 +304,7 @@ _READERS = {"adoptions": read_adoptions, "follows": read_follows}
 def test_readers_match_the_row_loop_reference(log, block, time_unit, on_bad):
     kind, data = log
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(textio, "_READ_BYTES", block or 1 << 20, create=True):
+            mock.patch.object(textio, "_READ_BYTES", block or textio._READ_BYTES):
         path = Path(tmp) / "log.csv"
         path.write_bytes(data)
         got = _reader_outcome(_READERS[kind], path, time_unit=time_unit, on_bad=on_bad)

@@ -80,14 +80,19 @@ def test_ingest_and_recover_call_the_traced_entries(tmp_path, monkeypatch, capsy
         "seeds": {"k": 3}, "max_steps": 20,
     }))
     runs = tmp_path / "runs"
+    # A config's digest still comes from file_digest, a traced entry of the
+    # textio.report layer; the CSV readers hash what they parse.
+    results = _record_calls(monkeypatch, ("textio.file_digest",))
     assert main(["simulate", "--model", "threshold", "--config", str(sim), "--runs", "2",
                  "--seed", "3", "--out", str(runs)]) == 0
+    assert len(results["textio.file_digest"]) == 1
 
-    results = _record_calls(monkeypatch, _INGEST_ENTRIES)
+    results = _record_calls(monkeypatch, _INGEST_ENTRIES + ("textio.file_digest",))
     assert main(["ingest", str(adoptions), str(follows), "--out", str(tmp_path / "d.cscd")]) == 0
     assert [len(rows) for rows, _ in results["textio.read_adoptions"]] == [4]
     assert [len(rows) for rows, _ in results["textio.read_follows"]] == [3]
     assert len(results["events.build_dataset"]) == len(results["events.build_follower_graph"]) == 1
+    assert results["textio.file_digest"] == []
 
     results = _record_calls(monkeypatch, _INGEST_ENTRIES)
     assert main(["recover", "--runs", str(runs)]) == 0
