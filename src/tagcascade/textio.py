@@ -100,12 +100,13 @@ def _clean_header(block: bytes):
 
 def _clean_rows(block: bytes, width: int, may_be_empty: bool, scale: int, limit: int):
     """(first, second, times, line count) of a block of whole lines that is
-    clean, else None; `times` is empty for two-field rows. A clean block is UTF-8 with no quote, no NUL and no
-    carriage return outside a CRLF; each of its lines has exactly width - 1
-    commas (so none is empty) and at most `limit` bytes; and each time cell
-    is 1 to 18 ASCII digits (or empty, under the `since` header) whose
-    milliseconds stay below 2^63. csv.reader reads such a block as these
-    rows, and parse_timestamp reads its times as int() does."""
+    clean, else None; `times` is empty for two-field rows. A clean block is
+    UTF-8 with no quote, no NUL and no carriage return outside a CRLF; each
+    of its lines has exactly width - 1 commas (so none is empty) and at most
+    `limit` bytes; and each time cell is 1 to 18 ASCII digits (or empty,
+    under the `since` header) whose milliseconds stay below 2^63. csv.reader
+    reads such a block as these rows, and parse_timestamp reads its times as
+    int() does."""
     if b'"' in block or b"\0" in block:
         return None
     if b"\r" in block:

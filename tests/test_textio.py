@@ -152,7 +152,7 @@ def test_readers_drop_and_raise_table(tmp_path, monkeypatch, reader, text, rows,
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
     if rows is None:
         for on_bad in ("drop", "raise"):
-            with pytest.raises(MalformedRowError, match=rf"^line {bad_line}: byte 0xff is not UTF-8"):
+            with pytest.raises(MalformedRowError, match=rf"^line {bad_line}: byte 0xff is not"):
                 reader(path, on_bad=on_bad)
         return
     got, got_dropped = reader(path, on_bad="drop")
