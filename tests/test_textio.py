@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from tagcascade import textio
 from tagcascade.errors import DataError, MalformedRowError, UsageError
-from tagcascade.events import LogColumns
+from tagcascade.events import LogColumns, build_dataset
+from tagcascade.snapshot import save_snapshot
 from tagcascade.textio import (
     _BLOCK,
     ADOPTIONS_HEADER,
@@ -31,7 +32,12 @@ from tagcascade.textio import (
     write_tsv,
 )
 
-from oracles import dump_json_reference, read_log_reference, write_tsv_reference
+from oracles import (
+    build_dataset_reference,
+    dump_json_reference,
+    read_log_reference,
+    write_tsv_reference,
+)
 
 
 def test_parse_duration_units():
@@ -329,6 +335,92 @@ def test_a_bad_row_past_the_first_megabyte_reads_as_the_reference(tmp_path, kind
         assert got == _reader_outcome(read_log_reference, path, headers=_HEADERS[kind],
                                       on_bad=on_bad)
     assert got == "line 58002: unparsable timestamp: 'soon'"
+
+
+# Labels for the read-and-build comparison. Labels of 0-8 UTF-8 bytes sit
+# beside labels of 9-12 bytes in one column; some share their first 8 bytes,
+# some are prefixes of others, some are digits only, and one is empty.
+_INGEST_LABELS = st.sampled_from([
+    "", "a", "ab", "b", "ba", "7", "07", "70", "sim", "12345678", "123456789", "u0000001",
+    "u0000002", "u00000010", "abcdefgh", "abcdefgi", "abcdefghi", "abcdefghij", "abcdefghijkl",
+    "é", "éa", "日本", "日本é", "日本語", "abcdefé", "abcdefgé",
+]) | st.text(st.sampled_from(["a", "b", "0", "é", "日"]), max_size=5)
+_INGEST_TIMES = st.integers(0, 10**18).map(str) | st.sampled_from(["0", "007", "86400000"])
+# Lines no clean block holds: a quoted label, a signed time, a wrong width,
+# a blank line, an empty or unparsable time.
+_INGEST_DIRTY = st.sampled_from(['"é,1",b,5', "a,b,+7", "a,b,c,d", "", "a", "a,b,", "a,b,soon"])
+
+
+@st.composite
+def _ingest_log(draw, header):
+    """The bytes of a CSV log under `header` whose label columns mix short
+    and long labels, its later lines sometimes dirty."""
+    width = len(header)
+    times = _INGEST_TIMES | st.just("") if header == FOLLOWS_HEADER_TIMED else _INGEST_TIMES
+    row = st.tuples(_INGEST_LABELS, _INGEST_LABELS, times).map(lambda r: ",".join(r[:width]))
+    lines = (draw(st.lists(row, max_size=10)) * draw(st.sampled_from([1, 1, 6]))
+             + draw(st.lists(st.one_of(row, row, row, row, _INGEST_DIRTY), max_size=8)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join([",".join(header)] + lines) + draw(st.sampled_from([eol, ""]))
+    return text.encode("utf-8")
+
+
+def _dataset_fields(ds, path):
+    """Every field of a Dataset, array dtypes and warning types included,
+    and the bytes of its snapshot."""
+    save_snapshot(ds, path)
+    g = ds.graph
+    arrays = [ds.event_time, ds.event_user, ds.event_tag, ds.event_first, g.indptr, g.dst,
+              g.since]
+    return (ds.user_labels, ds.tag_labels, ds.sha256, g.n,
+            {key: (type(value), value) for key, value in ds.warnings.items()},
+            [None if a is None else (a.dtype.str, a.tolist()) for a in arrays],
+            path.read_bytes())
+
+
+def _ingest_outcome(tmp, reference, time_unit, on_bad, **options):
+    """(dropped counts, digests, row counts, Dataset fields) of reading the
+    two logs in `tmp` and building their Dataset, or the text of the
+    MalformedRowError a read raised."""
+    paths = tmp / "a.csv", tmp / "f.csv"
+    try:
+        if reference:
+            logs = [read_log_reference(path, _HEADERS[kind], time_unit, on_bad)
+                    for path, kind in zip(paths, ("adoptions", "follows"))]
+            (users, tags, times, dropped_a), (src, dst, since, dropped_f) = logs
+            follow_rows = list(zip(src, dst) if since is None else zip(src, dst, since))
+            ds = build_dataset_reference(list(zip(users, tags, times)), follow_rows, **options)
+            digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in paths]
+            counts = len(users), len(src)
+        else:
+            adoptions, dropped_a = read_adoptions(paths[0], time_unit=time_unit, on_bad=on_bad)
+            follows, dropped_f = read_follows(paths[1], time_unit=time_unit, on_bad=on_bad)
+            ds = build_dataset(adoptions, follows, **options)
+            digests = [adoptions.sha256, follows.sha256]
+            counts = len(adoptions), len(follows)
+    except MalformedRowError as exc:
+        return str(exc)
+    return dropped_a, dropped_f, digests, counts, _dataset_fields(ds, tmp / f"{reference}.cscd")
+
+
+@settings(max_examples=200, deadline=None)
+@given(adoptions=_ingest_log(ADOPTIONS_HEADER),
+       follows=st.sampled_from([FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED]).flatmap(_ingest_log),
+       block=st.sampled_from([None, 8, 16, 64]), time_unit=st.sampled_from(["ms", "s"]),
+       on_bad=st.sampled_from(["drop", "raise"]), reverse_edges=st.booleans(),
+       mutual_edges=st.booleans())
+def test_read_and_build_match_the_row_loop_references(adoptions, follows, block, time_unit, on_bad,
+                                                      reverse_edges, mutual_edges):
+    options = {"time_unit": time_unit, "on_bad": on_bad, "reverse_edges": reverse_edges,
+               "mutual_edges": mutual_edges}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(textio, "_READ_BYTES", block or textio._READ_BYTES):
+        tmp = Path(tmp)
+        (tmp / "a.csv").write_bytes(adoptions)
+        (tmp / "f.csv").write_bytes(follows)
+        got = _ingest_outcome(tmp, False, **options)
+        expected = _ingest_outcome(tmp, True, **options)
+    assert got == expected
 
 
 def _writerow_reference(path, header, rows):
