@@ -258,28 +258,75 @@ class Dataset:
         return zip(src, dst, [None if s == SINCE_ALWAYS else s for s in g.since.tolist()])
 
 
-@dataclass(frozen=True)
 class LogColumns:
     """The rows of a parsed log held as columns, as `textio.read_adoptions`
     and `textio.read_follows` return them. `first` and `second` are the two
     labels of each row, `times` its time in epoch milliseconds (None for an
-    empty follows `since`), or None for a log of two-field rows. `sha256` is
-    the hex SHA-256 of the bytes a reader parsed them from (None for columns
-    built in memory). `len()` is the row count; iterating yields the row
-    tuples."""
+    empty follows `since`), or None for a log of two-field rows; each is a
+    list. `sha256` is the hex SHA-256 of the bytes a reader parsed them from
+    (None for columns built in memory). `len()` is the row count; iterating
+    yields the row tuples.
 
-    first: list
-    second: list
-    times: list | None
-    sha256: str | None = None
+    `columns` holds the three columns as they were handed over: lists, or
+    numpy arrays that `build_dataset` takes with no Python object per cell.
+    An array label column holds label words, a times column int64 times
+    with SINCE_ALWAYS for an empty `since`. A label word is a label of at
+    most 8 UTF-8 bytes and no NUL, zero-padded to 8 bytes and read as a
+    big-endian uint64: distinct labels have distinct words, and words sort
+    as their labels do (UTF-8 byte order is code point order, and a label
+    sorts before the longer labels it begins). `first`, `second` and
+    `times` make their lists on first access."""
+
+    def __init__(self, first, second, times, sha256: str | None = None):
+        self.columns = (first, second, times)
+        self.sha256 = sha256
+
+    @cached_property
+    def first(self) -> list:
+        return _column_list(self.columns[0])
+
+    @cached_property
+    def second(self) -> list:
+        return _column_list(self.columns[1])
+
+    @cached_property
+    def times(self) -> list | None:
+        return _column_list(self.columns[2])
 
     def __len__(self) -> int:
-        return len(self.first)
+        return len(self.columns[0])
 
     def __iter__(self):
         if self.times is None:
             return zip(self.first, self.second)
         return zip(self.first, self.second, self.times)
+
+
+def _is_words(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.uint64
+
+
+def _word_labels(words: np.ndarray) -> list:
+    """The labels of label words, as str: one decode of their bytes, each
+    word's padding dropped and a line feed (which no label holds) after it."""
+    rows = np.zeros((len(words), 9), dtype=np.uint8)
+    rows[:, :8] = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    rows[:, 8] = ord("\n")
+    return rows.tobytes().replace(b"\0", b"").decode("utf-8").split("\n")[:-1]
+
+
+def _column_list(column):
+    """A LogColumns column as a list: label words decoded once per distinct
+    word, int64 times as ints with None for SINCE_ALWAYS."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if _is_words(column):
+        words, inverse = np.unique(column, return_inverse=True)
+        return list(map(_word_labels(words).__getitem__, inverse.tolist()))
+    values = column.tolist()
+    if (column == SINCE_ALWAYS).any():
+        values = [None if t == SINCE_ALWAYS else t for t in values]
+    return values
 
 
 def build_dataset(
@@ -343,8 +390,22 @@ def build_dataset(
     return _dataset_from_columns(adoptions, follows, reverse_edges, mutual_edges)
 
 
-def _handles(index: dict, labels: list) -> np.ndarray:
-    return np.fromiter(map(index.__getitem__, labels), dtype=np.int32, count=len(labels))
+def _intern(columns: tuple) -> tuple:
+    """(labels, handles, index) of label columns: their distinct labels in
+    sorted order, each column's handles into them as int32, and the label ->
+    handle dict, or None where none was built. Columns of label words take
+    one np.unique and decode only the distinct words; any other column makes
+    the lists of all of them interned through a set, a sort and a dict."""
+    if all(map(_is_words, columns)):
+        words, inverse = np.unique(np.concatenate(columns), return_inverse=True)
+        inverse = inverse.astype(np.int32)
+        return (tuple(_word_labels(words)),
+                np.split(inverse, np.cumsum(list(map(len, columns)))[:-1]), None)
+    columns = list(map(_column_list, columns))
+    labels = tuple(sorted(set().union(*columns)))
+    index = {lab: i for i, lab in enumerate(labels)}
+    return labels, [np.fromiter(map(index.__getitem__, column), dtype=np.int32,
+                                count=len(column)) for column in columns], index
 
 
 def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
@@ -352,37 +413,46 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
     """The Dataset of checked adoption and follow columns: labels interned,
     events sorted and first usages flagged, self-loops dropped and the
     follower graph built."""
-    src, dst, since = follows.first, follows.second, follows.times
+    src, dst, since = follows.columns
     if reverse_edges:
         src, dst = dst, src
     if since is not None:
-        since = np.array([SINCE_ALWAYS if s is None else s for s in since], dtype=np.int64)
+        if not isinstance(since, np.ndarray):
+            since = np.array([SINCE_ALWAYS if s is None else s for s in since], dtype=np.int64)
         # A graph is timed when any row, a self-loop included, has a since
         # other than SINCE_ALWAYS ("always", as None is).
         if (since == SINCE_ALWAYS).all():
             since = None
     # Self-loops go before interning: a user seen only in one gets no handle.
-    keep = list(map(operator.ne, src, dst))
-    self_loops = keep.count(False)
-    if self_loops:
-        src, dst = list(compress(src, keep)), list(compress(dst, keep))
-        if since is not None:
-            since = since[np.fromiter(keep, dtype=bool, count=len(keep))]
+    if _is_words(src) and _is_words(dst):
+        keep = src != dst
+        self_loops = len(keep) - int(np.count_nonzero(keep))
+        if self_loops:
+            src, dst = src[keep], dst[keep]
+    else:
+        src, dst = _column_list(src), _column_list(dst)
+        keep = list(map(operator.ne, src, dst))
+        self_loops = keep.count(False)
+        if self_loops:
+            src, dst = list(compress(src, keep)), list(compress(dst, keep))
+            keep = np.fromiter(keep, dtype=bool, count=len(keep))
+    if self_loops and since is not None:
+        since = since[keep]
     if mutual_edges:
-        src, dst = src + dst, dst + src
+        if isinstance(src, np.ndarray):
+            src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+        else:
+            src, dst = src + dst, dst + src
         if since is not None:
             since = np.concatenate((since, since))
 
     # Handles: lexicographic over the union of labels seen anywhere.
-    user_labels = tuple(sorted(set(adoptions.first).union(src, dst)))
-    tag_labels = tuple(sorted(set(adoptions.second)))
-    user_index = {lab: i for i, lab in enumerate(user_labels)}
-    tag_index = {lab: i for i, lab in enumerate(tag_labels)}
+    users, times = adoptions.columns[0], adoptions.columns[2]
+    user_labels, (ev_user, src, dst), user_index = _intern((users, src, dst))
+    tag_labels, (ev_tag,), tag_index = _intern((adoptions.columns[1],))
 
-    n_events = len(adoptions)
-    ev_user = _handles(user_index, adoptions.first)
-    ev_tag = _handles(tag_index, adoptions.second)
-    ev_time = np.array(adoptions.times, dtype=np.int64)
+    n_events = len(ev_user)
+    ev_time = np.asarray(times, dtype=np.int64)
     # One sort on (time rank, pair rank), both below n_events, so the key
     # fits int64; equal keys are equal events, so the sort need not be stable.
     _, time_rank = np.unique(ev_time, return_inverse=True)
@@ -397,10 +467,9 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
     ev_first[first_pos] = True
 
     n_rows = len(src)
-    edges = np.column_stack((_handles(user_index, src), _handles(user_index, dst)))
     if not n_rows:  # an empty graph is static
         since = None
-    graph = build_follower_graph(edges, len(user_labels), since)
+    graph = build_follower_graph(np.column_stack((src, dst)), len(user_labels), since)
 
     return Dataset(
         user_table=user_labels,

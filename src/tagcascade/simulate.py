@@ -278,11 +278,15 @@ class SimRun:
     def user_label(self, u: int) -> str:
         return self.user_labels[u]
 
+    def _adopters(self) -> np.ndarray:
+        """The nodes that adopted, by step then node."""
+        adopters = np.flatnonzero(self.adopt_step >= 0)
+        return adopters[np.lexsort((adopters, self.adopt_step[adopters]))]
+
     def adoption_rows(self) -> LogColumns:
         """Synthetic adoption log of the tag "sim", by step then node,
         directly re-ingestible: columns of user labels, tags and steps."""
-        adopters = np.flatnonzero(self.adopt_step >= 0)
-        users = adopters[np.lexsort((adopters, self.adopt_step[adopters]))]
+        users = self._adopters()
         return LogColumns(list(map(self.user_labels.__getitem__, users.tolist())),
                           ["sim"] * users.shape[0], self.adopt_step[users].tolist())
 
@@ -294,7 +298,33 @@ class SimRun:
                           list(map(self.user_labels.__getitem__, g.dst.tolist())), None)
 
     def to_dataset(self) -> Dataset:
-        return build_dataset(self.adoption_rows(), self.follow_rows())
+        """The Dataset of adoption_rows and follow_rows. Up to 10^7 nodes,
+        every `u%07d` label is 8 bytes, so the columns are label words (see
+        events.LogColumns) taken from one word per node, and no label is
+        formatted."""
+        g = self.graph
+        if g.n > 10**7:
+            return build_dataset(self.adoption_rows(), self.follow_rows())
+        words = _node_words(g.n)
+        users = self._adopters()
+        return build_dataset(
+            LogColumns(words[users], np.full(users.shape[0], _SIM_WORD, dtype=np.uint64),
+                       self.adopt_step[users].astype(np.int64)),
+            LogColumns(words[_csr_sources(g.indptr, g.n)], words[g.dst], None))
+
+
+_SIM_WORD = int.from_bytes(b"sim".ljust(8, b"\0"), "big")  # the label word of the tag "sim"
+
+
+def _node_words(n: int) -> np.ndarray:
+    """The label word of `u%07d` for each node id below n <= 10^7: b"u",
+    then the id's seven digits, most significant first."""
+    ids = np.arange(n, dtype=np.uint64)
+    words = np.full(n, ord("u"), dtype=np.uint64)
+    for power in (10**6, 10**5, 10**4, 10**3, 100, 10, 1):
+        words <<= 8
+        words |= ids // power % 10 + ord("0")
+    return words
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import re
 import numpy as np
 
 from .errors import DataError, MalformedRowError
-from .events import _MS_PER_UNIT, LogColumns, parse_timestamp
+from .events import _MS_PER_UNIT, SINCE_ALWAYS, LogColumns, _column_list, parse_timestamp
 
 ADOPTIONS_HEADER = ["user_id", "tag_id", "timestamp"]
 FOLLOWS_HEADER = ["src_id", "dst_id"]
@@ -76,12 +76,6 @@ def _blocks(fh, sha):
         yield tail
 
 
-def _line_breaks(data: bytes) -> int:
-    """How many lines csv.reader counts as ended in `data`: a CRLF, a lone
-    CR or a lone LF each end one."""
-    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-
-
 def _clean_header(block: bytes):
     """The header in the first line of `block` when that line is plain
     UTF-8 text ended by a line feed, with no quote, NUL or other carriage
@@ -98,15 +92,62 @@ def _clean_header(block: bytes):
         return None
 
 
+# A block is parsed from a zero-padded copy of its bytes: _PAD zero bytes
+# before it, room for the three 8-byte words that end with an 18-digit time
+# cell, and 8 after it, room for the word of its last byte.
+_PAD = 24
+_HEAD_BYTES = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], dtype=np.uint64)
+_TAIL_BYTES = np.array([2**(8 * k) - 1 for k in range(9)], dtype=np.uint64)
+_ZEROS = 0x3030303030303030  # b"00000000" as a word
+_HIGH_NIBBLES = 0xF0F0F0F0F0F0F0F0
+
+
+def _label_words(words, starts, stops):
+    """The label words (see events.LogColumns) of the cells from `starts` to
+    `stops` of a padded block, whose `words[i]` is the big-endian word of its
+    bytes from i - _PAD on; None if a cell is longer than 8 bytes."""
+    sizes = stops - starts
+    if sizes.max() > 8:
+        return None
+    return words[starts + _PAD].astype(np.uint64) & _HEAD_BYTES[sizes]
+
+
+def _time_values(words, stops, sizes):
+    """The int64 values of the time cells of at most 18 bytes that end at
+    `stops` of a padded block (as for _label_words), an empty one 0; None if
+    a byte of one is not an ASCII digit. Each 8-byte word of a cell, read
+    from its end, has the bytes before the cell set to b"0", is checked to
+    hold only b"0"-b"9", and is summed pairwise to its 8-digit value."""
+    values = np.zeros(len(stops), dtype=np.int64)
+    for k in range(-(-int(sizes.max()) // 8)):
+        kept = _TAIL_BYTES[np.clip(sizes - 8 * k, 0, 8)]
+        word = words[stops + (_PAD - 8 * k - 8)].astype(np.uint64) & kept | _ZEROS & ~kept
+        # a byte is a digit when its high nibble is 3 and adding 6 keeps it so
+        if ((word & _HIGH_NIBBLES != _ZEROS).any()
+                or ((word + 0x0606060606060606) & _HIGH_NIBBLES != _ZEROS).any()):
+            return None
+        word -= _ZEROS
+        word = (word & 0x00FF00FF00FF00FF) + (word >> 8 & 0x00FF00FF00FF00FF) * 10
+        word = (word & 0x0000FFFF0000FFFF) + (word >> 16 & 0x0000FFFF0000FFFF) * 100
+        word = (word & 0xFFFFFFFF) + (word >> 32) * 10000
+        values += word.astype(np.int64) * 10**(8 * k)
+    return values
+
+
 def _clean_rows(block: bytes, width: int, may_be_empty: bool, scale: int, limit: int):
     """(first, second, times, line count) of a block of whole lines that is
-    clean, else None; `times` is empty for two-field rows. A clean block is
+    clean, else None; `times` is None for two-field rows. A clean block is
     UTF-8 with no quote, no NUL and no carriage return outside a CRLF; each
     of its lines has exactly width - 1 commas (so none is empty) and at most
     `limit` bytes; and each time cell is 1 to 18 ASCII digits (or empty,
     under the `since` header) whose milliseconds stay below 2^63. csv.reader
     reads such a block as these rows, and parse_timestamp reads its times as
-    int() does."""
+    int() does.
+
+    No cell becomes a str unless its column has a label longer than 8
+    bytes: a label column is label words read off the block's bytes (see
+    events.LogColumns), or else the list of its cells; times are an int64
+    array parsed from their digits, SINCE_ALWAYS for an empty `since`."""
     if b'"' in block or b"\0" in block:
         return None
     if b"\r" in block:
@@ -115,7 +156,14 @@ def _clean_rows(block: bytes, width: int, may_be_empty: bool, scale: int, limit:
         block = block.replace(b"\r\n", b"\n")
     if not block.endswith(b"\n"):
         block += b"\n"
-    data = np.frombuffer(block, np.uint8)
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    padded = np.zeros(_PAD + len(block) + 8, dtype=np.uint8)
+    data = padded[_PAD:-8]
+    data[:] = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
     commas = np.flatnonzero(data == ord(","))
     n, seps = len(ends), width - 1
@@ -123,55 +171,64 @@ def _clean_rows(block: bytes, width: int, may_be_empty: bool, scale: int, limit:
     if (len(commas) != seps * n or (last > ends).any() or (commas[seps::seps] < ends[:-1]).any()
             or np.diff(ends, prepend=-1).max() > limit + 1):
         return None
-    try:
-        cells = block.decode("utf-8").replace("\n", ",").split(",")
-    except UnicodeDecodeError:
-        return None
-    if width == 2:
-        return cells[0:-1:2], cells[1::2], [], n
-    sizes = ends - last - 1
-    text = cells[2::3]
-    # bytes.isdigit holds for b"0"-b"9" alone, so a non-ASCII digit fails it
-    if (sizes.max() > _MAX_DIGITS or not "".join(text).encode().isdigit()
-            or not may_be_empty and sizes.min() == 0):
-        return None
-    values = list(map(int, filter(None, text)))
-    if scale != 1:
-        if max(values) > (2**63 - 1) // scale:
+    words = np.ndarray((len(padded) - 7,), ">u8", padded, 0, (1,))
+    times = None
+    if width == 3:
+        sizes = ends - last - 1
+        if sizes.max() > _MAX_DIGITS or not may_be_empty and sizes.min() == 0:
             return None
-        values = list(map(scale.__mul__, values))
-    if len(values) < n:  # empty `since` cells give None
-        times = np.full(n, None, dtype=object)
-        times[sizes > 0] = values
-        values = times.tolist()
-    return cells[0:-1:3], cells[1::3], values, n
+        times = _time_values(words, ends, sizes)
+        if times is None:
+            return None
+        if scale != 1:
+            if times.max() > (2**63 - 1) // scale:
+                return None
+            times *= scale
+        if may_be_empty:
+            times[sizes == 0] = SINCE_ALWAYS
+    firsts = commas[::seps]  # each line's first comma
+    labels = [_label_words(words, np.concatenate(([0], ends[:-1] + 1)), firsts),
+              _label_words(words, firsts + 1, last if width == 3 else ends)]
+    if any(column is None for column in labels):
+        cells = block.decode("utf-8").replace("\n", ",").split(",")
+        labels = [cells[i:-1:width] if column is None else column
+                  for i, column in enumerate(labels)]
+    return labels[0], labels[1], times, n
 
 
-def _texts(blocks, line: int):
+def _joined(parts: list):
+    """One column of a log from the parts of it its blocks gave: one array
+    when every part is an array, else one list (see events.LogColumns)."""
+    if len(parts) == 1:
+        return parts[0]
+    if parts and all(isinstance(part, np.ndarray) for part in parts):
+        return np.concatenate(parts)
+    return list(itertools.chain.from_iterable(map(_column_list, parts)))
+
+
+def _texts(blocks):
     """csv.reader's input for `blocks`, one text stream per block, split
-    into lines as a file opened with newline="" is. `line` is the number
-    of lines before the first block. At a byte that is not UTF-8 the lines
-    before its line are given, and then MalformedRowError names that line."""
+    into lines as a file opened with newline="" is. Each block is decoded
+    once. At a byte that is not UTF-8 the lines before its line are given,
+    and then its UnicodeDecodeError is raised."""
     for block in blocks:
         try:
-            block.decode("utf-8")  # checked here, where its line is known
+            text = block.decode("utf-8")
         except UnicodeDecodeError as exc:
             head = block[:exc.start]
             head = head[:max(head.rfind(b"\n"), head.rfind(b"\r")) + 1]
-            yield io.TextIOWrapper(io.BytesIO(head), encoding="utf-8", newline="")
-            raise MalformedRowError(line + _line_breaks(head) + 1,
-                                    f"byte 0x{block[exc.start]:02x} is not UTF-8 text "
-                                    f"({exc.reason})") from None
-        yield io.TextIOWrapper(io.BytesIO(block), encoding="utf-8", newline="")
-        line += _line_breaks(block)
+            yield io.StringIO(head.decode("utf-8"), newline="")
+            raise
+        yield io.StringIO(text, newline="")
 
 
 def _read_rows(columns, blocks, line: int, headers, header, time_unit, on_bad):
     """Parse `blocks` with csv.reader into `columns` (first, second, times);
     returns (header, dropped). `line` is the number of lines before the
     first block, and `header` the header those lines held, or None when the
-    blocks open with it."""
-    reader = csv.reader(itertools.chain.from_iterable(_texts(blocks, line)))
+    blocks open with it. A byte that is not UTF-8 is named on the line
+    after the last one csv.reader took, which holds it."""
+    reader = csv.reader(itertools.chain.from_iterable(_texts(blocks)))
     first, second, times = columns
     dropped = 0
     try:
@@ -201,6 +258,10 @@ def _read_rows(columns, blocks, line: int, headers, header, time_unit, on_bad):
             second.append(row[1])
     except csv.Error as exc:
         raise MalformedRowError(line + reader.line_num, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise MalformedRowError(line + reader.line_num + 1,
+                                f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 text "
+                                f"({exc.reason})") from None
     return header, dropped
 
 
@@ -215,11 +276,12 @@ def _read_log(path, headers, time_unit, on_bad):
 
     The file is read once, in blocks of whole lines, and every byte read
     goes to one SHA-256, whose digest the LogColumns carries. Blocks that
-    are clean (see _clean_rows) are split whole. From the first block that
-    is not, csv.reader parses the rest of the file row by row, so that
-    block and every later one give the row loop's own results."""
+    are clean (see _clean_rows) are parsed whole from their bytes. From the
+    first block that is not, csv.reader parses the rest of the file row by
+    row, so that block and every later one give the row loop's own results.
+    A column whose every part is an array stays one; else it is a list."""
     sha = hashlib.sha256()
-    columns = ([], [], [])
+    parts = ([], [], [])  # per column, the part each clean block gave
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -236,17 +298,21 @@ def _read_log(path, headers, time_unit, on_bad):
                 rows = _clean_rows(block, width, may_be_empty, scale, limit)
                 if rows is None:
                     break
-                for column, cells in zip(columns, rows):
-                    column.extend(cells)
+                for part, cells in zip(parts, rows):
+                    part.append(cells)
                 line += rows[3]
             else:
                 block = b""
         else:
             line, header = 0, None
-        header, dropped = _read_rows(columns, itertools.chain([block], blocks), line, headers,
+        rest = ([], [], [])
+        header, dropped = _read_rows(rest, itertools.chain([block], blocks), line, headers,
                                      header, time_unit, on_bad)
-    first, second, times = columns
-    return LogColumns(first, second, times if len(header) == 3 else None,
+    for part, cells in zip(parts, rest):
+        if cells:
+            part.append(cells)
+    first, second, times = parts
+    return LogColumns(_joined(first), _joined(second), _joined(times) if len(header) == 3 else None,
                       sha256=sha.hexdigest()), dropped
 
 

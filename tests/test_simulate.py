@@ -17,6 +17,7 @@ from tagcascade.simulate import (
     ThresholdParams,
     ThresholdSpec,
     _uint32_stream,
+    _node_words,
     erdos_renyi,
     preferential_attachment,
     recover_thresholds,
@@ -422,6 +423,28 @@ def test_simrun_roundtrips_through_adoption_rows():
     for user, _tag, t in ds.adoption_rows():
         node = int(user[1:])
         assert run.adopt_step[node] == t
+
+
+def test_to_dataset_equals_the_dataset_of_the_label_rows(tmp_path):
+    g = preferential_attachment(300, 3, seed=8)
+    cfg = SimConfig(
+        graph=g, model="threshold",
+        params=ThresholdParams(ThresholdSpec("uniform", (0.0, 0.5))),
+        n_seeds=5, max_steps=40, seed=2,
+    )
+    run = run_threshold_model(cfg)
+    assert 0 < run.n_adopters < g.n  # some nodes appear in no adoption row
+    words, rows = run.to_dataset(), tc.build_dataset(run.adoption_rows(), run.follow_rows())
+    assert words.user_labels == rows.user_labels and words.warnings == rows.warnings
+    for name, ds in (("words", words), ("rows", rows)):
+        tc.save_snapshot(ds, tmp_path / f"{name}.cscd")
+    assert (tmp_path / "words.cscd").read_bytes() == (tmp_path / "rows.cscd").read_bytes()
+
+
+def test_node_words_are_the_words_of_the_node_labels():
+    ids = [0, 1, 9, 10, 4_321_987, 10**7 - 1]
+    words = _node_words(10**7)[ids]
+    assert words.tolist() == [int.from_bytes(b"u%07d" % i, "big") for i in ids]
 
 
 def test_config_validation():

@@ -347,8 +347,11 @@ _INGEST_LABELS = st.sampled_from([
 ]) | st.text(st.sampled_from(["a", "b", "0", "é", "日"]), max_size=5)
 _INGEST_TIMES = st.integers(0, 10**18).map(str) | st.sampled_from(["0", "007", "86400000"])
 # Lines no clean block holds: a quoted label, a signed time, a wrong width,
-# a blank line, an empty or unparsable time.
-_INGEST_DIRTY = st.sampled_from(['"é,1",b,5', "a,b,+7", "a,b,c,d", "", "a", "a,b,", "a,b,soon"])
+# a blank line, an empty or unparsable time, and times holding a byte
+# between b"0" and b"?" that is not a digit, or one of the bytes next to
+# that range.
+_INGEST_DIRTY = st.sampled_from(['"é,1",b,5', "a,b,+7", "a,b,c,d", "", "a", "a,b,", "a,b,soon",
+                                 "a,b,1:0", "a,b,12345678;", "a,b,?", "a,b,/1", "a,b,1@"])
 
 
 @st.composite
@@ -421,6 +424,21 @@ def test_read_and_build_match_the_row_loop_references(adoptions, follows, block,
         got = _ingest_outcome(tmp, False, **options)
         expected = _ingest_outcome(tmp, True, **options)
     assert got == expected
+
+
+def test_a_clean_log_of_short_labels_takes_the_word_path(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes("user_id,tag_id,timestamp\r\nu0000001,sim,5\r\n日本,é,0070\r\n,x,1\r\n"
+                     .encode("utf-8"))
+    rows, dropped = read_adoptions(path)
+    users, tags, times = rows.columns
+    assert (users.dtype, tags.dtype, times.dtype) == (np.uint64, np.uint64, np.int64)
+    assert users[0] == int.from_bytes(b"u0000001", "big")
+    assert (list(rows), dropped) == ([("u0000001", "sim", 5), ("日本", "é", 70), ("", "x", 1)], 0)
+    (tmp_path / "f.csv").write_bytes(b"src_id,dst_id\nu0000001,u0000002\n")
+    follows, _ = read_follows(tmp_path / "f.csv")
+    ds = build_dataset(rows, follows)
+    assert ds.user_labels == ("", "u0000001", "u0000002", "日本") and ds._user_index is None
 
 
 def _writerow_reference(path, header, rows):
