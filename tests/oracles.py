@@ -404,7 +404,7 @@ def simulate_reference(cfg):
 
 
 # ---------------------------------------------------------------------------
-# per-row TSV writer and the stock JSON encoder
+# per-row TSV and CSV writers and the stock JSON encoder
 # ---------------------------------------------------------------------------
 
 def format_cell(value) -> str:
@@ -426,6 +426,15 @@ def write_tsv_reference(path, header, rows) -> int:
             fh.write("\t".join(format_cell(v) for v in row) + "\n")
             n += 1
     return n
+
+
+def writerow_reference(path, header, rows) -> None:
+    """Write a CSV log with one csv.writer.writerow call per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
 
 
 def _sanitize(obj):

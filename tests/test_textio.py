@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tagcascade import textio
 from tagcascade.errors import DataError, MalformedRowError, UsageError
-from tagcascade.events import LogColumns, build_dataset
+from tagcascade.events import SINCE_ALWAYS, LogColumns, build_dataset
 from tagcascade.snapshot import save_snapshot
 from tagcascade.textio import (
     _BLOCK,
@@ -37,6 +37,7 @@ from oracles import (
     dump_json_reference,
     read_log_reference,
     write_tsv_reference,
+    writerow_reference,
 )
 
 
@@ -441,15 +442,6 @@ def test_a_clean_log_of_short_labels_takes_the_word_path(tmp_path):
     assert ds.user_labels == ("", "u0000001", "u0000002", "日本") and ds._user_index is None
 
 
-def _writerow_reference(path, header, rows):
-    """One csv.writer.writerow call per row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 # Labels that need quoting (separators, quotes, line breaks), spaces,
 # non-ASCII and empty strings, mixed with plain ones; and simulated node
 # labels alone, which never need quoting.
@@ -498,8 +490,8 @@ def test_writers_match_per_row_writerow(logs, as_columns):
         tmp = Path(tmp)
         assert write_adoptions_csv(tmp / "a.csv", adoptions_in) == len(adoptions)
         assert write_follows_csv(tmp / "f.csv", follows_in) == len(follows)
-        _writerow_reference(tmp / "ra.csv", ADOPTIONS_HEADER, adoptions)
-        _writerow_reference(tmp / "rf.csv", FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER,
+        writerow_reference(tmp / "ra.csv", ADOPTIONS_HEADER, adoptions)
+        writerow_reference(tmp / "rf.csv", FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER,
                             expect_follows)
         assert (tmp / "a.csv").read_bytes() == (tmp / "ra.csv").read_bytes()
         assert (tmp / "f.csv").read_bytes() == (tmp / "rf.csv").read_bytes()
@@ -512,32 +504,142 @@ def test_writers_match_per_row_writerow(logs, as_columns):
         assert (list(rows), dropped) == (follows, 0)
 
 
+# Labels that fit a label word (at most 8 UTF-8 bytes, no NUL), with
+# separators, quotes and line breaks among them.
+_WORD_LABELS = st.text(
+    st.sampled_from([",", '"', "\r", " ", "a", "b", "é", "標", "😀"])
+    | st.characters(exclude_categories=("Cs",), exclude_characters="\x00\n"),
+    max_size=8,
+).filter(lambda label: len(label.encode("utf-8")) <= 8) | _PLAIN_LABELS
+_WORD_TIMES = st.integers(-2**63 + 1, 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1])
+
+
+def _words(labels: list) -> np.ndarray:
+    """The label words (see events.LogColumns) of `labels`."""
+    return np.array([int.from_bytes(label.encode("utf-8").ljust(8, b"\0"), "big")
+                     for label in labels], dtype=np.uint64)
+
+
+@st.composite
+def _word_logs(draw):
+    """(adoption rows, follow rows) whose labels fit label words; every
+    follow row has a `since`, None or a time, when `timed`."""
+    labels = draw(st.sampled_from([_WORD_LABELS, _PLAIN_LABELS]))
+    adoptions = draw(st.lists(st.tuples(labels, labels, _WORD_TIMES), max_size=30))
+    timed = draw(st.booleans())
+    follow = (st.tuples(labels, labels, st.none() | _WORD_TIMES) if timed
+              else st.tuples(labels, labels))
+    follows = draw(st.lists(follow, max_size=30))
+    n = draw(st.none() | st.sampled_from([_BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 3]))
+    if n is not None:
+        adoptions, follows = _tiled(adoptions, n), _tiled(follows, n)
+    return adoptions, follows, timed
+
+
+@settings(max_examples=100, deadline=None)
+@given(logs=_word_logs(), form=st.sampled_from(["words", "lists"]))
+def test_csv_writers_match_writerow_on_word_and_str_columns(logs, form):
+    adoptions, follows, timed = logs
+    columns = list(zip(*adoptions)) or [(), (), ()]
+    edges = list(zip(*follows)) or [(), (), ()][:2 + timed]
+    if form == "words":  # as a clean read or a SimRun hands them over
+        times = np.array(columns[2], dtype=np.int64)
+        since = (np.array([SINCE_ALWAYS if t is None else t for t in edges[2]], dtype=np.int64)
+                 if timed else None)
+        adoptions_in = LogColumns(_words(columns[0]), _words(columns[1]), times)
+        follows_in = LogColumns(_words(edges[0]), _words(edges[1]), since)
+    else:
+        adoptions_in = LogColumns(*map(list, columns))
+        follows_in = LogColumns(*map(list, edges[:2]), list(edges[2]) if timed else None)
+    expect_follows = [(a, b, "" if t is None else t) for a, b, t in follows] if timed else follows
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert write_adoptions_csv(tmp / "a.csv", adoptions_in) == len(adoptions)
+        assert write_follows_csv(tmp / "f.csv", follows_in) == len(follows)
+        writerow_reference(tmp / "ra.csv", ADOPTIONS_HEADER, adoptions)
+        writerow_reference(tmp / "rf.csv", FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER,
+                           expect_follows)
+        assert (tmp / "a.csv").read_bytes() == (tmp / "ra.csv").read_bytes()
+        assert (tmp / "f.csv").read_bytes() == (tmp / "rf.csv").read_bytes()
+
+
 # TSV columns: each is drawn as a short base and tiled to the row count, so
-# some examples cross the writer's block boundaries.
-_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e16, 1e-7]
+# some examples cross the writer's block boundaries. Special floats hold
+# -0.0 next to 0.0, NaN and the infinities, subnormals, and both sides of
+# the points where repr switches to exponent form (1e16 and 1e-4).
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310,
+                   2.225073858507201e-308, 2.2250738585072014e-308, 0.1, 1e-7,
+                   1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+                   1e-4, 1e-5, 0.00010000000000000002, 9.999999999999999e-05,
+                   1.7976931348623157e308, 123456789.0, -1.5]
 _TSV_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
 _TSV_LABELS = st.text(st.sampled_from(["a", "é", "標", "😀", " ", ",", "\t"])
                       | st.characters(exclude_categories=("Cs",)), max_size=6)
+# Labels of a label table, which hold no tab or line break: empty,
+# non-ASCII and plain ones.
+_TABLE_LABELS = st.text(st.sampled_from(["a", "b", "é", "標", "😀", " ", ",", '"'])
+                        | st.characters(exclude_categories=("Cs",),
+                                        exclude_characters="\t\r\n"), max_size=6)
 
 
 def _int_array(dtype):
     info = np.iinfo(dtype)
-    return lambda k: st.lists(st.integers(int(info.min), int(info.max)), min_size=k,
-                              max_size=k).map(lambda v: np.array(v, dtype=dtype))
+    edges = sorted({int(info.min), int(info.max), 0, 1, int(info.min) + 1, int(info.max) - 1})
+    values = st.integers(int(info.min), int(info.max)) | st.sampled_from(edges)
+    return lambda k: st.lists(values, min_size=k, max_size=k).map(
+        lambda v: np.array(v, dtype=dtype))
+
+
+class _Labels:
+    """A column of labels as handles into a sorted table of distinct labels."""
+
+    def __init__(self, table: tuple, handles: np.ndarray):
+        self.table, self.handles = table, handles
+
+    def __len__(self) -> int:
+        return len(self.handles)
+
+    def labels(self) -> list:
+        return [self.table[h] for h in self.handles.tolist()]
+
+    def column(self):
+        """The column as write_tsv takes a label column."""
+        return self.labels()
+
+
+@st.composite
+def _label_column(draw, k):
+    table = tuple(sorted(set(draw(st.lists(_TABLE_LABELS, min_size=1, max_size=8)))))
+    handles = draw(st.lists(st.integers(0, len(table) - 1), min_size=k, max_size=k))
+    return _Labels(table, np.array(handles, dtype=np.int32))
 
 
 _TSV_COLUMNS = {
     "int32": _int_array(np.int32),
     "int64": _int_array(np.int64),
+    "uint8": _int_array(np.uint8),
+    "uint64": _int_array(np.uint64),
+    "bool": lambda k: st.lists(st.booleans(), min_size=k, max_size=k).map(
+        lambda v: np.array(v, dtype=bool)),
     "float64": lambda k: st.lists(_TSV_FLOATS, min_size=k, max_size=k).map(
         lambda v: np.array(v, dtype=np.float64)),
+    "special_floats": lambda k: st.lists(st.sampled_from(_SPECIAL_FLOATS), min_size=k,
+                                         max_size=k).map(lambda v: np.array(v, dtype=np.float64)),
     "ints": lambda k: st.lists(st.integers(-2**70, 2**70), min_size=k, max_size=k),
     "floats_or_none": lambda k: st.lists(_TSV_FLOATS | st.none(), min_size=k, max_size=k),
+    "objects_or_none": lambda k: st.lists(_TSV_FLOATS | st.none(), min_size=k, max_size=k).map(
+        lambda v: np.array(v, dtype=object)),
+    "mixed": lambda k: st.lists(st.sampled_from([0, 0.0, -0.0, False, True, 1, 1.0, None, "1",
+                                                 "", -1, -1.0, math.nan]),
+                                min_size=k, max_size=k),
     "labels": lambda k: st.lists(_TSV_LABELS, min_size=k, max_size=k),
+    "label_handles": _label_column,
 }
 
 
 def _tiled(base, n):
+    if isinstance(base, _Labels):
+        return _Labels(base.table, np.resize(base.handles, n))
     if isinstance(base, np.ndarray):
         return np.resize(base, n)
     return (base * (n // max(len(base), 1) + 1))[:n]
@@ -552,19 +654,32 @@ def _tsv_columns(draw):
 
 
 def _python_rows(columns):
-    return zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+    return zip(*[c.tolist() if isinstance(c, np.ndarray) else
+                 c.labels() if isinstance(c, _Labels) else c for c in columns])
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(columns=_tsv_columns())
 def test_write_tsv_matches_per_cell_reference(columns):
     header = [f"c{i}" for i in range(len(columns))]
     n = len(columns[0])
+    given_columns = [c.column() if isinstance(c, _Labels) else c for c in columns]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        assert write_tsv(tmp / "out.tsv", header, columns) == n
+        assert write_tsv(tmp / "out.tsv", header, given_columns) == n
         assert write_tsv_reference(tmp / "ref.tsv", header, _python_rows(columns)) == n
         assert (tmp / "out.tsv").read_bytes() == (tmp / "ref.tsv").read_bytes()
+
+
+def test_write_tsv_keeps_negative_zero_apart_from_zero(tmp_path):
+    columns = [np.array([0.0, -0.0, 0.0]), [-0.0, 0.0, -0.0], np.array([0.0, -0.0, 1], dtype=object)]
+    write_tsv(tmp_path / "out.tsv", ["a", "b", "c"], columns)
+    assert (tmp_path / "out.tsv").read_text() == "a\tb\tc\n0.0\t-0.0\t0.0\n-0.0\t0.0\t-0.0\n0.0\t-0.0\t1\n"
+
+
+def test_write_tsv_of_zero_rows_is_its_header(tmp_path):
+    assert write_tsv(tmp_path / "out.tsv", ["a", "b"], [np.zeros(0, dtype=np.int64), []]) == 0
+    assert (tmp_path / "out.tsv").read_bytes() == b"a\tb\n"
 
 
 @pytest.mark.parametrize("header,columns", [
