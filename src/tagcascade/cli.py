@@ -52,6 +52,7 @@ from .stats import (
     spearman_rho,
 )
 from .textio import (
+    LabelTable,
     dump_json,
     file_digest,
     parse_duration_ms,
@@ -140,11 +141,6 @@ def _load(o):
     return ds
 
 
-def _labels(table, handles: list) -> list:
-    """The labels of `handles`, a TSV column."""
-    return list(map(table.__getitem__, handles))
-
-
 def stage_ingest(o) -> dict:
     out_path = Path(o.out)
     if out_path.exists() and not o.force:
@@ -187,19 +183,21 @@ def stage_thresholds(o) -> dict:
     thresholds = population_thresholds(ds, ties=o.ties, table=table)
     summary = threshold_summary(table, thresholds)
 
+    if o.out is None and o.per_user is None:
+        return summary
+    users = LabelTable(ds.user_labels, "user")
     if o.out is not None:
-        users = _labels(ds.user_labels, table.user.tolist())
-        tags = _labels(ds.tag_labels, table.tag.tolist())
         write_tsv(
             o.out,
             ["user", "tag", "time", "active_alters", "neighborhood_size",
              "exposure", "tag_popularity_at_adoption"],
-            [users, tags, table.time, table.active_alters, table.neighborhood_size,
-             table.exposure, table.tag_popularity_at_adoption],
+            [users.column(table.user), LabelTable(ds.tag_labels, "tag").column(table.tag),
+             table.time, table.active_alters, table.neighborhood_size, table.exposure,
+             table.tag_popularity_at_adoption],
         )
     if o.per_user is not None:
         write_tsv(o.per_user, ["user", "beta", "defined_adoptions", "undefined_adoptions"],
-                  [_labels(ds.user_labels, thresholds.user.tolist()), thresholds.beta,
+                  [users.column(thresholds.user), thresholds.beta,
                    thresholds.defined_adoptions, thresholds.undefined_adoptions])
     return summary
 

@@ -129,9 +129,12 @@ def build_follower_graph(
     if since is None:
         return FollowerGraph(n, _csr_indptr(src, n), dst.astype(np.int32), None)
     since = np.minimum.reduceat(np.asarray(since, dtype=np.int64)[order], np.flatnonzero(first))
-    # Edges are in (src, dst) order and lexsort is stable: rows end up
-    # sorted by (since, dst).
-    order = np.lexsort((since, src))
+    # Edges are in (src, dst) order, and a stable sort by (src, rank of
+    # since) keeps that order among equal keys: rows end up sorted by
+    # (since, dst), as np.lexsort((since, src)) sorts them, for a third of
+    # its time.
+    times, rank = np.unique(since, return_inverse=True)
+    order = np.argsort(src * len(times) + rank, kind="stable")
     return FollowerGraph(n, _csr_indptr(src, n), dst[order].astype(np.int32), since[order])
 
 
@@ -308,9 +311,12 @@ def _is_words(column) -> bool:
 
 def _word_labels(words: np.ndarray) -> list:
     """The labels of label words, as str: one decode of their bytes, each
-    word's padding dropped and a line feed (which no label holds) after it."""
+    word's padding dropped and a line feed after it; words that hold a line
+    feed themselves are decoded one by one."""
     rows = np.zeros((len(words), 9), dtype=np.uint8)
     rows[:, :8] = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    if (rows == ord("\n")).any():
+        return [row.tobytes().rstrip(b"\0").decode("utf-8") for row in rows[:, :8]]
     rows[:, 8] = ord("\n")
     return rows.tobytes().replace(b"\0", b"").decode("utf-8").split("\n")[:-1]
 

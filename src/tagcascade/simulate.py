@@ -270,47 +270,41 @@ class SimRun:
     def final_saturation(self) -> float:
         return self.n_adopters / self.graph.n
 
-    @cached_property
-    def user_labels(self) -> list:
-        """The `u%07d` label of every node, by node id."""
-        return ["u%07d" % u for u in range(self.graph.n)]
-
     def user_label(self, u: int) -> str:
-        return self.user_labels[u]
+        return "u%07d" % u
 
     def _adopters(self) -> np.ndarray:
         """The nodes that adopted, by step then node."""
         adopters = np.flatnonzero(self.adopt_step >= 0)
         return adopters[np.lexsort((adopters, self.adopt_step[adopters]))]
 
+    def _labels(self, nodes: np.ndarray):
+        """The label column of `nodes`: up to 10^7 nodes, where every
+        `u%07d` label is 8 bytes, label words (see events.LogColumns) taken
+        from one word per node, so no label is formatted; else the labels."""
+        if self.graph.n > 10**7:
+            return ["u%07d" % u for u in nodes.tolist()]
+        return self._node_words[nodes]
+
+    @cached_property
+    def _node_words(self) -> np.ndarray:
+        return _node_words(self.graph.n)
+
     def adoption_rows(self) -> LogColumns:
         """Synthetic adoption log of the tag "sim", by step then node,
         directly re-ingestible: columns of user labels, tags and steps."""
         users = self._adopters()
-        return LogColumns(list(map(self.user_labels.__getitem__, users.tolist())),
-                          ["sim"] * users.shape[0], self.adopt_step[users].tolist())
+        return LogColumns(self._labels(users), np.full(users.shape[0], _SIM_WORD, dtype=np.uint64),
+                          self.adopt_step[users].astype(np.int64))
 
     def follow_rows(self) -> LogColumns:
         """The graph's edges as columns of source and destination labels."""
         g = self.graph
-        return LogColumns(list(map(self.user_labels.__getitem__,
-                                   _csr_sources(g.indptr, g.n).tolist())),
-                          list(map(self.user_labels.__getitem__, g.dst.tolist())), None)
+        return LogColumns(self._labels(_csr_sources(g.indptr, g.n)), self._labels(g.dst), None)
 
     def to_dataset(self) -> Dataset:
-        """The Dataset of adoption_rows and follow_rows. Up to 10^7 nodes,
-        every `u%07d` label is 8 bytes, so the columns are label words (see
-        events.LogColumns) taken from one word per node, and no label is
-        formatted."""
-        g = self.graph
-        if g.n > 10**7:
-            return build_dataset(self.adoption_rows(), self.follow_rows())
-        words = _node_words(g.n)
-        users = self._adopters()
-        return build_dataset(
-            LogColumns(words[users], np.full(users.shape[0], _SIM_WORD, dtype=np.uint64),
-                       self.adopt_step[users].astype(np.int64)),
-            LogColumns(words[_csr_sources(g.indptr, g.n)], words[g.dst], None))
+        """The Dataset of adoption_rows and follow_rows."""
+        return build_dataset(self.adoption_rows(), self.follow_rows())
 
 
 _SIM_WORD = int.from_bytes(b"sim".ljust(8, b"\0"), "big")  # the label word of the tag "sim"

@@ -4,7 +4,10 @@ opened here; each format has one reader and one writer.
 
 TSV and JSON emission is canonical (fixed column order, sorted keys,
 shortest-round-trip floats), so byte-identical inputs and seeds produce
-byte-identical outputs.
+byte-identical outputs. The TSV and CSV writers share one renderer: each
+block of rows is one uint8 matrix of cell bytes and a mask of the bytes
+written (`_column_cells`, `_block_bytes`); they differ only in separator,
+line end and CSV quoting.
 """
 
 from __future__ import annotations
@@ -15,12 +18,21 @@ import io
 import itertools
 import json
 import math
+import functools
 import re
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, MalformedRowError
-from .events import _MS_PER_UNIT, SINCE_ALWAYS, LogColumns, _column_list, parse_timestamp
+from .events import (
+    _MS_PER_UNIT,
+    SINCE_ALWAYS,
+    LogColumns,
+    _column_list,
+    _is_words,
+    parse_timestamp,
+)
 
 ADOPTIONS_HEADER = ["user_id", "tag_id", "timestamp"]
 FOLLOWS_HEADER = ["src_id", "dst_id"]
@@ -336,25 +348,230 @@ def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
     return _read_log(path, (FOLLOWS_HEADER, FOLLOWS_HEADER_TIMED), time_unit, on_bad)
 
 
+_BLOCK = 4096  # rows rendered per write: the text writers' memory stays bounded
+
+
+class LabelTable:
+    """A table of labels in handle order, such as a Dataset's `user_labels`,
+    as the writers take it: encoded to bytes once, on first use, however
+    many columns and files render it. `kind` names its labels in errors."""
+
+    def __init__(self, labels, kind: str = "label"):
+        self.labels = labels
+        self.kind = kind
+
+    def column(self, handles) -> LabelColumn:
+        """The column of the labels of `handles`."""
+        return LabelColumn(self, np.asarray(handles))
+
+    @cached_property
+    def cells(self) -> tuple:
+        """(cells, valid) of the labels: see _text_cells."""
+        return _text_cells(self.labels)
+
+    @cached_property
+    def breaks(self) -> np.ndarray:
+        """Whether each label holds a tab or a line break (CR or LF)."""
+        return np.isin(self.cells[0], _BREAKS).any(axis=1)
+
+
+class LabelColumn:
+    """A column of labels given as handles into a LabelTable."""
+
+    __slots__ = ("table", "handles")
+
+    def __init__(self, table: LabelTable, handles: np.ndarray):
+        self.table = table
+        self.handles = handles
+
+    def __len__(self) -> int:
+        return len(self.handles)
+
+
+_DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), dtype=np.uint32)
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_PLAIN_TYPES = (str, int, float, type(None), np.integer, np.floating)
+_BREAKS = np.frombuffer(b"\t\r\n", dtype=np.uint8)
+
+
+def _text_cells(texts: list) -> tuple:
+    """(cells, valid) of a list of str: row i of the uint8 matrix `cells`
+    holds the UTF-8 bytes of texts[i], left-aligned, where `valid` is True."""
+    blob = "".join(texts)
+    if texts and blob.isascii() and "\0" not in blob:  # numpy pads "S" cells with NULs
+        cells = np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+        return cells, cells != 0
+    blob = blob.encode("utf-8")
+    sizes = np.fromiter(map(len, (t.encode("utf-8") for t in texts)), dtype=np.int64,
+                        count=len(texts))
+    valid = np.arange(int(sizes.max(initial=0))) < sizes[:, None]
+    cells = np.zeros(valid.shape, dtype=np.uint8)
+    cells[valid] = np.frombuffer(blob, dtype=np.uint8)
+    return cells, valid
+
+
+def _int_cells(values: np.ndarray, empty=None) -> tuple:
+    """(cells, valid) of an integer array: each value in decimal, as str()
+    writes it, right-aligned; a value equal to `empty` is an empty cell.
+    Digits come four at a time from the magnitude as uint64, so int64 min
+    and uint64 max are exact."""
+    mag = values.astype(np.uint64)  # a negative value wraps to 2^64 + value
+    neg = values < 0
+    signed = neg.any()
+    if signed:
+        np.negative(mag, out=mag, where=neg)
+    digits = len(str(int(mag.max(initial=0))))
+    sizes = np.searchsorted(_POW10[:digits - 1], mag, "right") + 1
+    if signed:
+        sizes += neg
+    if empty is not None:
+        sizes[values == empty] = 0
+    width = int(sizes.max(initial=0))
+    groups = -(-width // 4)
+    quads = np.empty((len(mag), groups), dtype=np.intp)
+    for g in range(groups - 1, -1, -1):
+        high = mag // 10_000  # floor_divide by a scalar is far faster than divmod
+        quads[:, g] = mag - high * 10_000
+        mag = high
+    cells = np.take(_DIGITS4, quads).view(np.uint8)[:, 4 * groups - width:]
+    if signed:
+        rows = np.flatnonzero(neg & (sizes > 0))
+        cells[rows, width - sizes[rows]] = ord("-")
+    return cells, None if sizes.min() == width else np.take(_right_aligned(width), sizes, axis=0)
+
+
+@functools.cache
+def _right_aligned(width: int) -> np.ndarray:
+    """Row s: the valid bytes of a cell of s bytes right-aligned in `width`."""
+    return np.arange(width) >= width - np.arange(width + 1)[:, None]
+
+
+def _distinct(values: list, kinds: set) -> tuple:
+    """(distinct values, each value's index into them) of a list whose
+    values have the types `kinds`. Values of str, int, float, None and
+    numpy number types are the same when their types and values are, and a
+    zero float is apart from one of the other sign; a list holding any
+    other type has every value apart."""
+    if not all(issubclass(kind, _PLAIN_TYPES) for kind in kinds):
+        return values, np.arange(len(values))
+    keys = values if len(kinds) < 2 else list(zip(map(type, values), values))
+    index = dict(zip(dict.fromkeys(keys), itertools.count()))
+    codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    distinct = list(index) if keys is values else [value for _, value in index]
+    if not any(issubclass(kind, (float, np.floating)) for kind in kinds):
+        return distinct, codes
+    for code, value in enumerate(distinct[:]):  # 0.0 == -0.0: split a zero by sign
+        if isinstance(value, (float, np.floating)) and value == 0:
+            rows = np.flatnonzero(codes == code)
+            flip = rows[np.signbit([values[i] for i in rows.tolist()]) != np.signbit(value)]
+            if len(flip):
+                codes[flip] = len(distinct)
+                distinct.append(-value)
+    return distinct, codes
+
+
+def _text(value) -> str:
+    """A cell's text: None is empty, a float its shortest round-trip repr,
+    anything else str()."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _needs_quotes(text: str) -> bool:
     """Whether csv.writer's QUOTE_MINIMAL quotes a cell holding `text`: a
     separator, a quote or a line break."""
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
-def _csv_cells(block) -> list:
-    """The CSV cells of one block of a column: its cells as text by the TSV
-    cell rule (which is csv.writer's). Only if the block's joined text holds
-    a character that needs quoting is each cell that holds one quoted, with
-    its quotes doubled."""
-    try:
-        text = "".join(block)  # labels arrive as str: used as they are
-    except TypeError:
-        block = _cells(block)
-        text = "".join(block)
-    if _needs_quotes(text):
-        return ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in block]
-    return block
+def _quoted(texts: list) -> list:
+    """Cell texts as csv.writer writes them: a text holding a separator, a
+    quote or a line break quoted, its quotes doubled."""
+    if not _needs_quotes("".join(texts)):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if _needs_quotes(t) else t for t in texts]
+
+
+def _column_cells(column, quote: bool, words: bool = False, empty=None):
+    """A function of (start, stop) that gives the (cells, valid) of those
+    rows of a column. Integer arrays are written by _int_cells, a value
+    equal to `empty` as an empty cell. A LabelColumn gathers its table's
+    cells. Label words (when `words`, for CSV) are their own bytes unless
+    one needs quotes, when they are taken as their labels. Anything else is
+    rendered once per distinct value, by _text, then gathered: a float
+    array of up to 64 bits by bit pattern (so -0.0 stays apart from 0.0),
+    other sequences by _distinct. With `quote`, texts are quoted as
+    csv.writer quotes them."""
+    if words:
+        raw = column.astype(">u8").view(np.uint8).reshape(-1, 8)
+        data = raw.tobytes()
+        if not any(char in data for char in (b",", b'"', b"\r", b"\n")):
+            return lambda start, stop: (raw[start:stop], _unless_all(raw[start:stop] != 0))
+        column = _column_list(column)  # labels that need quotes
+    if isinstance(column, LabelColumn):
+        (cells, valid), codes = column.table.cells, column.handles
+    elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return lambda start, stop: _int_cells(column[start:stop], empty)
+    elif isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8:
+        bits, codes = np.unique(column.astype(np.float64).view(np.uint64), return_inverse=True)
+        cells, valid = _text_cells(list(map(float.__repr__, bits.view(np.float64).tolist())))
+    else:
+        values = (column.tolist() if isinstance(column, np.ndarray) and column.dtype.kind == "b"
+                  else list(column))
+        kinds = set(map(type, values))
+        if kinds == {int}:  # Python ints that fit int64 are written as an int64 array
+            try:
+                return _column_cells(np.array(values, dtype=np.int64), quote)
+            except OverflowError:
+                pass
+        distinct, codes = _distinct(values, kinds)
+        texts = distinct if kinds <= {str} else list(map(_text, distinct))
+        cells, valid = _text_cells(_quoted(texts) if quote else texts)
+    if valid.all():  # labels of one length
+        return lambda start, stop: (cells.take(codes[start:stop], axis=0), None)
+    return lambda start, stop: (cells.take(codes[start:stop], axis=0),
+                                valid.take(codes[start:stop], axis=0))
+
+
+def _unless_all(valid: np.ndarray):
+    """`valid`, or None when all of it is True."""
+    return None if valid.all() else valid
+
+
+def _block_bytes(parts: list, sep: bytes, end: bytes) -> np.ndarray:
+    """The bytes of rows whose cells are `parts`, (cells, valid) per column
+    (valid None when every byte is): one uint8 matrix of the rows' cells,
+    separators and line ends, and a mask of the bytes written, whose masked
+    bytes are the text in order; with no mask, the whole matrix."""
+    width = sum(cells.shape[1] for cells, _ in parts) + len(sep) * (len(parts) - 1) + len(end)
+    text = np.empty((len(parts[0][0]), width), dtype=np.uint8)
+    masked = any(valid is not None for _, valid in parts)
+    mask = np.ones(text.shape, dtype=bool) if masked else None
+    at = 0
+    for i, (cells, valid) in enumerate(parts):
+        text[:, at:at + cells.shape[1]] = cells
+        if valid is not None:
+            mask[:, at:at + cells.shape[1]] = valid
+        at += cells.shape[1]
+        tail = end if i == len(parts) - 1 else sep
+        text[:, at:at + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        at += len(tail)
+    if not masked:
+        return text.ravel()
+    return np.compress(mask.ravel(), text.ravel())  # faster than text[mask]
+
+
+def _write_rows(path, header: list[str], n: int, columns: list, sep: str, end: str) -> int:
+    """Write `header` and the n rows of `columns`, each a function of
+    (start, stop) as _column_cells makes them, with `sep` between cells and
+    `end` after each line; returns n. Rows are rendered _BLOCK at a time."""
+    sep_bytes, end_bytes = sep.encode(), end.encode()
+    with open(path, "wb") as fh:
+        fh.write((sep.join(header) + end).encode("utf-8"))
+        for start in range(0, n, _BLOCK):
+            parts = [column(start, start + _BLOCK) for column in columns]
+            fh.write(_block_bytes(parts, sep_bytes, end_bytes))
+    return n
 
 
 def _log_columns(rows) -> LogColumns:
@@ -369,14 +586,13 @@ def _log_columns(rows) -> LogColumns:
 
 def _write_log(path, header, log: LogColumns) -> int:
     """Write a log's columns under `header` in csv.writer's dialect (comma
-    separated, CRLF line ends, minimal quoting); returns the row count."""
-    columns = [c for c in (log.first, log.second, log.times) if c is not None]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(log), _BLOCK):
-            cells = [_csv_cells(column[start:start + _BLOCK]) for column in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
-    return len(log)
+    separated, CRLF line ends, minimal quoting); returns the row count.
+    Label words are written from their bytes, and an int64 time column's
+    SINCE_ALWAYS as an empty cell."""
+    columns = [_column_cells(labels, True, words=_is_words(labels)) for labels in log.columns[:2]]
+    if log.columns[2] is not None:
+        columns.append(_column_cells(log.columns[2], True, empty=SINCE_ALWAYS))
+    return _write_rows(path, header, len(log), columns, ",", "\r\n")
 
 
 def write_adoptions_csv(path, rows) -> int:
@@ -390,34 +606,31 @@ def write_follows_csv(path, rows) -> int:
     format; returns the row count. If any row has a `since`, every row gets
     the column, empty where it is missing or None."""
     log = _log_columns(rows)
-    return _write_log(path, FOLLOWS_HEADER if log.times is None else FOLLOWS_HEADER_TIMED, log)
-
-
-_BLOCK = 4096  # rows rendered per write: the text writers' memory stays bounded
-
-
-def _cells(block) -> list:
-    """The text cells of one block of a column: None is an empty cell, a
-    float its shortest round-trip repr, anything else str()."""
-    if isinstance(block, np.ndarray) and block.dtype.kind in "biuf":
-        return list(map(repr if block.dtype.kind == "f" else str, block.tolist()))
-    return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in block]
+    timed = log.columns[2] is not None
+    return _write_log(path, FOLLOWS_HEADER_TIMED if timed else FOLLOWS_HEADER, log)
 
 
 def write_tsv(path, header: list[str], columns) -> int:
-    """Write equal-length columns (numpy arrays or lists) under `header` as
-    canonical TSV; returns the row count."""
+    """Write equal-length columns under `header` as canonical TSV; returns
+    the row count. A column is a numpy array, a sequence (list, tuple,
+    range) or a LabelColumn. Cells are written as _text writes them: an
+    integer as str(), a float as its shortest round-trip repr, None as an
+    empty cell. A LabelColumn with a label that holds a tab, CR or LF, which
+    no TSV cell can hold, raises DataError before the file is opened."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for start in range(0, n, _BLOCK):
-            cells = [_cells(column[start:start + _BLOCK]) for column in columns]
-            fh.write("\n".join(map("\t".join, zip(*cells))) + "\n")
-    return n
+    for column in columns:
+        if isinstance(column, LabelColumn):
+            breaks = column.table.breaks[column.handles]
+            if breaks.any():
+                table = column.table
+                label = table.labels[column.handles[breaks.argmax()]]
+                raise DataError(f"{table.kind} label {label!r} holds a tab or a line break, "
+                                f"which a TSV cell cannot hold")
+    return _write_rows(path, header, n, [_column_cells(c, False) for c in columns], "\t", "\n")
 
 
 def _refuse_constant(name: str):

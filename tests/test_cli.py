@@ -1039,6 +1039,42 @@ def test_quoted_labels_survive_cli_round_trip(tmp_path, capsys):
     assert "tag,comma" in ds.tag_labels
 
 
+def _ingest_rows(tmp_path, capsys, adoptions, follows):
+    """The snapshot of adoption and follow rows written with csv.writer."""
+    paths = []
+    for name, header, rows in (("a.csv", ["user_id", "tag_id", "timestamp"], adoptions),
+                               ("f.csv", ["src_id", "dst_id"], follows)):
+        paths.append(tmp_path / name)
+        with open(paths[-1], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+    snap = tmp_path / "d.cscd"
+    code, _ = _run(capsys, "ingest", *map(str, paths), "--out", str(snap))
+    assert code == 0
+    return snap
+
+
+def test_thresholds_refuses_labels_no_tsv_cell_can_hold(tmp_path, capsys):
+    # A tab would add a field and a line break would split a row, so the
+    # exposures TSV is refused, naming the label, before it is opened.
+    snap = _ingest_rows(tmp_path, capsys, [["a\tb", "d\ne", 5], ["plain", "d\ne", 9]],
+                        [["a\tb", "plain"]])
+    out = tmp_path / "exp.tsv"
+    assert main(["thresholds", str(snap), "--out", str(out)]) == 2
+    assert "data error: user label 'a\\tb' holds a tab or a line break" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_line_break_in_a_label_not_written_is_no_error(tmp_path, capsys):
+    snap = _ingest_rows(tmp_path, capsys, [["u1", "d\re", 5], ["u2", "t", 9]],
+                        [["u1", "u2"], ["u2", "x\ny"]])
+    per_user, out = tmp_path / "per_user.tsv", tmp_path / "exp.tsv"
+    code, _ = _run(capsys, "thresholds", str(snap), "--per-user", str(per_user))
+    assert code == 0
+    assert per_user.read_text().splitlines()[1:] == ["u1\t0.0\t1\t0", "u2\t0.0\t1\t0"]
+    assert main(["thresholds", str(snap), "--out", str(out)]) == 2
+    assert "data error: tag label 'd\\re' holds a tab or a line break" in capsys.readouterr().err
+
+
 def test_snapshot_roundtrip_equals_direct_build(snapshot, tmp_path, capsys):
     import tagcascade as tc
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import tagcascade as tc
 from oracles import build_dataset_reference, component_roots_reference, giant_component_reference
 from tagcascade.errors import MalformedRowError, UndefinedDensityError
-from tagcascade.events import _component_roots
+from tagcascade.events import SINCE_ALWAYS, _component_roots, build_follower_graph
 from tagcascade.snapshot import save_snapshot
 from tagcascade.textio import (
     ADOPTIONS_HEADER,
@@ -478,6 +478,40 @@ def test_neighbors_at_monotone_in_time(edges, t1, dt):
     late = _neighborhood_sizes(rows, t1 + dt)
     assert early.keys() == late.keys()
     assert all(early[u] <= late[u] for u in early)
+
+
+def _follower_graph_by_lexsort(edges: list, n: int, since: list):
+    """(indptr, dst, since) of the CSR graph of (src, dst) edges: each pair
+    once with its earliest since, every row sorted by np.lexsort on
+    (since, src) from (src, dst) order, so by (since, dst) within it."""
+    earliest: dict = {}
+    for pair, t in zip(edges, since):
+        earliest[pair] = min(earliest.get(pair, t), t)
+    pairs = sorted(earliest)
+    src = np.array([p[0] for p in pairs], dtype=np.int64)
+    times = np.array([earliest[p] for p in pairs], dtype=np.int64)
+    order = np.lexsort((times, src))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return indptr, np.array([pairs[i][1] for i in order.tolist()], dtype=np.int64), times[order]
+
+
+_SINCE = st.integers(-3, 3) | st.just(SINCE_ALWAYS) | st.integers(-2**62, 2**62)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 7), data=st.data())
+def test_timed_follower_graph_rows_match_the_lexsort_order(n, data):
+    # Small since ranges give ties within a row; repeated pairs are merged.
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda e: e[0] != e[1]), max_size=40))
+    edges = edges + data.draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else edges
+    since = data.draw(st.lists(_SINCE, min_size=len(edges), max_size=len(edges)))
+    g = build_follower_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n,
+                             np.array(since, dtype=np.int64))
+    indptr, dst, times = _follower_graph_by_lexsort(edges, n, since)
+    assert g.indptr.tolist() == indptr.tolist()
+    assert g.dst.tolist() == dst.tolist()
+    assert g.since.tolist() == times.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import tagcascade as tc
 from tagcascade.errors import UnsupportedModelError, UsageError
 from tagcascade.events import build_follower_graph
+from tagcascade.textio import write_adoptions_csv, write_follows_csv
 from tagcascade.simulate import (
     CascadeParams,
     LearningParams,
@@ -439,6 +440,31 @@ def test_to_dataset_equals_the_dataset_of_the_label_rows(tmp_path):
     for name, ds in (("words", words), ("rows", rows)):
         tc.save_snapshot(ds, tmp_path / f"{name}.cscd")
     assert (tmp_path / "words.cscd").read_bytes() == (tmp_path / "rows.cscd").read_bytes()
+
+
+def test_run_logs_are_the_logs_of_the_node_labels(tmp_path):
+    # adoption_rows/follow_rows hand over node words; the CSV files and the
+    # Dataset they give are those of the u%07d label rows.
+    g = preferential_attachment(300, 3, seed=8)
+    cfg = SimConfig(
+        graph=g, model="threshold",
+        params=ThresholdParams(ThresholdSpec("uniform", (0.0, 0.5))),
+        n_seeds=5, max_steps=40, seed=2,
+    )
+    run = run_threshold_model(cfg)
+    adopters = [u for u in np.lexsort((np.arange(g.n), run.adopt_step)).tolist()
+                if run.adopt_step[u] >= 0]
+    adoptions = [("u%07d" % u, "sim", int(run.adopt_step[u])) for u in adopters]
+    follows = [("u%07d" % a, "u%07d" % b) for a, b in g.edge_list().tolist()]
+    assert run.user_label(7) == "u0000007"
+    for name, rows in (("run", (run.adoption_rows(), run.follow_rows())),
+                       ("labels", (adoptions, follows))):
+        write_adoptions_csv(tmp_path / f"{name}_a.csv", rows[0])
+        write_follows_csv(tmp_path / f"{name}_f.csv", rows[1])
+        tc.save_snapshot(tc.build_dataset(*rows), tmp_path / f"{name}.cscd")
+    for suffix in ("_a.csv", "_f.csv", ".cscd"):
+        assert ((tmp_path / f"run{suffix}").read_bytes()
+                == (tmp_path / f"labels{suffix}").read_bytes())
 
 
 def test_node_words_are_the_words_of_the_node_labels():
