@@ -398,15 +398,14 @@ def _text_cells(texts: list) -> tuple:
     """(cells, valid) of a list of str: row i of the uint8 matrix `cells`
     holds the UTF-8 bytes of texts[i], left-aligned, where `valid` is True."""
     blob = "".join(texts)
-    if texts and blob.isascii() and "\0" not in blob:  # numpy pads "S" cells with NULs
-        cells = np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
-        return cells, cells != 0
-    blob = blob.encode("utf-8")
-    sizes = np.fromiter(map(len, (t.encode("utf-8") for t in texts)), dtype=np.int64,
-                        count=len(texts))
+    if blob.isascii():
+        sizes = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    else:
+        sizes = np.fromiter((len(t.encode("utf-8")) for t in texts), dtype=np.intp,
+                            count=len(texts))
     valid = np.arange(int(sizes.max(initial=0))) < sizes[:, None]
     cells = np.zeros(valid.shape, dtype=np.uint8)
-    cells[valid] = np.frombuffer(blob, dtype=np.uint8)
+    cells[valid] = np.frombuffer(blob.encode("utf-8"), dtype=np.uint8)
     return cells, valid
 
 
@@ -417,6 +416,10 @@ def _int_cells(values: np.ndarray, empty=None) -> tuple:
     and uint64 max are exact."""
     mag = values.astype(np.uint64)  # a negative value wraps to 2^64 + value
     neg = values < 0
+    if empty is not None:
+        blank = values == empty
+        mag[blank] = 0
+        neg &= ~blank
     signed = neg.any()
     if signed:
         np.negative(mag, out=mag, where=neg)
@@ -425,14 +428,15 @@ def _int_cells(values: np.ndarray, empty=None) -> tuple:
     if signed:
         sizes += neg
     if empty is not None:
-        sizes[values == empty] = 0
+        sizes[blank] = 0
     width = int(sizes.max(initial=0))
-    groups = -(-width // 4)
+    groups = -(-width // 4) or 1
     quads = np.empty((len(mag), groups), dtype=np.intp)
-    for g in range(groups - 1, -1, -1):
+    for g in range(groups - 1, 0, -1):
         high = mag // 10_000  # floor_divide by a scalar is far faster than divmod
         quads[:, g] = mag - high * 10_000
         mag = high
+    quads[:, 0] = mag  # below 10^4: `groups` quads hold every digit
     cells = np.take(_DIGITS4, quads).view(np.uint8)[:, 4 * groups - width:]
     if signed:
         rows = np.flatnonzero(neg & (sizes > 0))
@@ -513,7 +517,8 @@ def _column_cells(column, quote: bool, words: bool = False, empty=None):
     elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
         return lambda start, stop: _int_cells(column[start:stop], empty)
     elif isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8:
-        bits, codes = np.unique(column.astype(np.float64).view(np.uint64), return_inverse=True)
+        bits, codes = np.unique(np.asarray(column, dtype=np.float64).view(np.uint64),
+                                return_inverse=True)
         cells, valid = _text_cells(list(map(float.__repr__, bits.view(np.float64).tolist())))
     else:
         values = (column.tolist() if isinstance(column, np.ndarray) and column.dtype.kind == "b"
@@ -538,7 +543,7 @@ def _unless_all(valid: np.ndarray):
     return None if valid.all() else valid
 
 
-def _block_bytes(parts: list, sep: bytes, end: bytes) -> np.ndarray:
+def _block_bytes(parts: list, sep: np.ndarray, end: np.ndarray) -> np.ndarray:
     """The bytes of rows whose cells are `parts`, (cells, valid) per column
     (valid None when every byte is): one uint8 matrix of the rows' cells,
     separators and line ends, and a mask of the bytes written, whose masked
@@ -554,7 +559,7 @@ def _block_bytes(parts: list, sep: bytes, end: bytes) -> np.ndarray:
             mask[:, at:at + cells.shape[1]] = valid
         at += cells.shape[1]
         tail = end if i == len(parts) - 1 else sep
-        text[:, at:at + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        text[:, at:at + len(tail)] = tail
         at += len(tail)
     if not masked:
         return text.ravel()
@@ -565,7 +570,7 @@ def _write_rows(path, header: list[str], n: int, columns: list, sep: str, end: s
     """Write `header` and the n rows of `columns`, each a function of
     (start, stop) as _column_cells makes them, with `sep` between cells and
     `end` after each line; returns n. Rows are rendered _BLOCK at a time."""
-    sep_bytes, end_bytes = sep.encode(), end.encode()
+    sep_bytes, end_bytes = np.frombuffer(sep.encode(), np.uint8), np.frombuffer(end.encode(), np.uint8)
     with open(path, "wb") as fh:
         fh.write((sep.join(header) + end).encode("utf-8"))
         for start in range(0, n, _BLOCK):
