@@ -282,20 +282,20 @@ class SimRun:
         """The label column of `nodes`: up to 10^7 nodes, where every
         `u%07d` label is 8 bytes, label words (see events.LogColumns) taken
         from one word per node, so no label is formatted; else the labels."""
-        if self.graph.n > 10**7:
+        if self.graph.n > _WORD_NODES:
             return ["u%07d" % u for u in nodes.tolist()]
-        return self._node_words[nodes]
+        return self._words[nodes]
 
     @cached_property
-    def _node_words(self) -> np.ndarray:
+    def _words(self) -> np.ndarray:
         return _node_words(self.graph.n)
 
     def adoption_rows(self) -> LogColumns:
         """Synthetic adoption log of the tag "sim", by step then node,
         directly re-ingestible: columns of user labels, tags and steps."""
         users = self._adopters()
-        return LogColumns(self._labels(users), np.full(users.shape[0], _SIM_WORD, dtype=np.uint64),
-                          self.adopt_step[users].astype(np.int64))
+        tags = np.full(users.shape[0], _SIM_WORD, dtype=np.uint64)
+        return LogColumns(self._labels(users), tags, self.adopt_step[users].astype(np.int64))
 
     def follow_rows(self) -> LogColumns:
         """The graph's edges as columns of source and destination labels."""
@@ -307,6 +307,7 @@ class SimRun:
         return build_dataset(self.adoption_rows(), self.follow_rows())
 
 
+_WORD_NODES = 10**7  # the u%07d label of every node id below it is 8 bytes
 _SIM_WORD = int.from_bytes(b"sim".ljust(8, b"\0"), "big")  # the label word of the tag "sim"
 
 

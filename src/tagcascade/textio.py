@@ -18,9 +18,8 @@ import io
 import itertools
 import json
 import math
-import functools
 import re
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -388,9 +387,9 @@ class LabelColumn:
         return len(self.handles)
 
 
-_DIGITS4 = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), dtype=np.uint32)
+_DIGITS4 = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(
+    np.uint32).ravel()  # the four ASCII digits of 0..9999 as one word each
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
-_PLAIN_TYPES = (str, int, float, type(None), np.integer, np.floating)
 _BREAKS = np.frombuffer(b"\t\r\n", dtype=np.uint8)
 
 
@@ -444,34 +443,10 @@ def _int_cells(values: np.ndarray, empty=None) -> tuple:
     return cells, None if sizes.min() == width else np.take(_right_aligned(width), sizes, axis=0)
 
 
-@functools.cache
+@cache
 def _right_aligned(width: int) -> np.ndarray:
     """Row s: the valid bytes of a cell of s bytes right-aligned in `width`."""
     return np.arange(width) >= width - np.arange(width + 1)[:, None]
-
-
-def _distinct(values: list, kinds: set) -> tuple:
-    """(distinct values, each value's index into them) of a list whose
-    values have the types `kinds`. Values of str, int, float, None and
-    numpy number types are the same when their types and values are, and a
-    zero float is apart from one of the other sign; a list holding any
-    other type has every value apart."""
-    if not all(issubclass(kind, _PLAIN_TYPES) for kind in kinds):
-        return values, np.arange(len(values))
-    keys = values if len(kinds) < 2 else list(zip(map(type, values), values))
-    index = dict(zip(dict.fromkeys(keys), itertools.count()))
-    codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-    distinct = list(index) if keys is values else [value for _, value in index]
-    if not any(issubclass(kind, (float, np.floating)) for kind in kinds):
-        return distinct, codes
-    for code, value in enumerate(distinct[:]):  # 0.0 == -0.0: split a zero by sign
-        if isinstance(value, (float, np.floating)) and value == 0:
-            rows = np.flatnonzero(codes == code)
-            flip = rows[np.signbit([values[i] for i in rows.tolist()]) != np.signbit(value)]
-            if len(flip):
-                codes[flip] = len(distinct)
-                distinct.append(-value)
-    return distinct, codes
 
 
 def _text(value) -> str:
@@ -501,11 +476,11 @@ def _column_cells(column, quote: bool, words: bool = False, empty=None):
     rows of a column. Integer arrays are written by _int_cells, a value
     equal to `empty` as an empty cell. A LabelColumn gathers its table's
     cells. Label words (when `words`, for CSV) are their own bytes unless
-    one needs quotes, when they are taken as their labels. Anything else is
-    rendered once per distinct value, by _text, then gathered: a float
-    array of up to 64 bits by bit pattern (so -0.0 stays apart from 0.0),
-    other sequences by _distinct. With `quote`, texts are quoted as
-    csv.writer quotes them."""
+    one needs quotes, when they are taken as their labels. A float array of
+    up to 64 bits is rendered once per distinct bit pattern (so -0.0 stays
+    apart from 0.0), by repr, then gathered. Any other sequence is rendered
+    cell by cell, by _text; Python ints that fit int64 as an int64 array.
+    With `quote`, texts are quoted as csv.writer quotes them."""
     if words:
         raw = column.astype(">u8").view(np.uint8).reshape(-1, 8)
         data = raw.tobytes()
@@ -529,9 +504,9 @@ def _column_cells(column, quote: bool, words: bool = False, empty=None):
                 return _column_cells(np.array(values, dtype=np.int64), quote)
             except OverflowError:
                 pass
-        distinct, codes = _distinct(values, kinds)
-        texts = distinct if kinds <= {str} else list(map(_text, distinct))
+        texts = values if kinds <= {str} else list(map(_text, values))
         cells, valid = _text_cells(_quoted(texts) if quote else texts)
+        codes = np.arange(len(values))
     if valid.all():  # labels of one length
         return lambda start, stop: (cells.take(codes[start:stop], axis=0), None)
     return lambda start, stop: (cells.take(codes[start:stop], axis=0),
@@ -570,7 +545,7 @@ def _write_rows(path, header: list[str], n: int, columns: list, sep: str, end: s
     """Write `header` and the n rows of `columns`, each a function of
     (start, stop) as _column_cells makes them, with `sep` between cells and
     `end` after each line; returns n. Rows are rendered _BLOCK at a time."""
-    sep_bytes, end_bytes = np.frombuffer(sep.encode(), np.uint8), np.frombuffer(end.encode(), np.uint8)
+    sep_bytes, end_bytes = (np.frombuffer(text.encode(), dtype=np.uint8) for text in (sep, end))
     with open(path, "wb") as fh:
         fh.write((sep.join(header) + end).encode("utf-8"))
         for start in range(0, n, _BLOCK):

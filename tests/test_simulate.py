@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
+from tagcascade import simulate
 from tagcascade.errors import UnsupportedModelError, UsageError
 from tagcascade.events import build_follower_graph
-from tagcascade.textio import write_adoptions_csv, write_follows_csv
 from tagcascade.simulate import (
     CascadeParams,
     LearningParams,
@@ -27,6 +28,7 @@ from tagcascade.simulate import (
     run_social_learning,
     run_threshold_model,
 )
+from tagcascade.textio import write_adoptions_csv, write_follows_csv
 
 from oracles import draws_below, preferential_attachment_reference, simulate_reference
 
@@ -457,14 +459,18 @@ def test_run_logs_are_the_logs_of_the_node_labels(tmp_path):
     adoptions = [("u%07d" % u, "sim", int(run.adopt_step[u])) for u in adopters]
     follows = [("u%07d" % a, "u%07d" % b) for a, b in g.edge_list().tolist()]
     assert run.user_label(7) == "u0000007"
+    with mock.patch.object(simulate, "_WORD_NODES", g.n - 1):  # as past 10^7 nodes
+        str_rows = run.adoption_rows(), run.follow_rows()
+    assert isinstance(str_rows[0].columns[0], list)
     for name, rows in (("run", (run.adoption_rows(), run.follow_rows())),
-                       ("labels", (adoptions, follows))):
+                       ("labels", (adoptions, follows)), ("str", str_rows)):
         write_adoptions_csv(tmp_path / f"{name}_a.csv", rows[0])
         write_follows_csv(tmp_path / f"{name}_f.csv", rows[1])
         tc.save_snapshot(tc.build_dataset(*rows), tmp_path / f"{name}.cscd")
     for suffix in ("_a.csv", "_f.csv", ".cscd"):
         assert ((tmp_path / f"run{suffix}").read_bytes()
-                == (tmp_path / f"labels{suffix}").read_bytes())
+                == (tmp_path / f"labels{suffix}").read_bytes()
+                == (tmp_path / f"str{suffix}").read_bytes())
 
 
 def test_node_words_are_the_words_of_the_node_labels():
