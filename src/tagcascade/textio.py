@@ -507,7 +507,7 @@ def _column_cells(column, quote: bool, words: bool = False, empty=None):
         texts = values if kinds <= {str} else list(map(_text, values))
         cells, valid = _text_cells(_quoted(texts) if quote else texts)
         codes = np.arange(len(values))
-    if valid.all():  # labels of one length
+    if valid.all():  # cells of one length
         return lambda start, stop: (cells.take(codes[start:stop], axis=0), None)
     return lambda start, stop: (cells.take(codes[start:stop], axis=0),
                                 valid.take(codes[start:stop], axis=0))
