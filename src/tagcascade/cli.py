@@ -52,7 +52,7 @@ from .stats import (
     spearman_rho,
 )
 from .textio import (
-    LabelTable,
+    LabelColumn,
     dump_json,
     file_digest,
     parse_duration_ms,
@@ -183,21 +183,18 @@ def stage_thresholds(o) -> dict:
     thresholds = population_thresholds(ds, ties=o.ties, table=table)
     summary = threshold_summary(table, thresholds)
 
-    if o.out is None and o.per_user is None:
-        return summary
-    users = LabelTable(ds.user_labels, "user")
     if o.out is not None:
         write_tsv(
             o.out,
             ["user", "tag", "time", "active_alters", "neighborhood_size",
              "exposure", "tag_popularity_at_adoption"],
-            [users.column(table.user), LabelTable(ds.tag_labels, "tag").column(table.tag),
+            [LabelColumn(ds.user_table, table.user), LabelColumn(ds.tag_table, table.tag),
              table.time, table.active_alters, table.neighborhood_size, table.exposure,
              table.tag_popularity_at_adoption],
         )
     if o.per_user is not None:
         write_tsv(o.per_user, ["user", "beta", "defined_adoptions", "undefined_adoptions"],
-                  [users.column(thresholds.user), thresholds.beta,
+                  [LabelColumn(ds.user_table, thresholds.user), thresholds.beta,
                    thresholds.defined_adoptions, thresholds.undefined_adoptions])
     return summary
 

@@ -14,18 +14,15 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (
     MalformedRowError,
+    SnapshotFormatError,
     UndefinedDensityError,
     UnknownIdError,
 )
-
-if TYPE_CHECKING:
-    from .snapshot import PackedLabels
 
 # Sentinel `since` for edges that are present for all t (static graph).
 SINCE_ALWAYS = np.iinfo(np.int64).min
@@ -138,6 +135,112 @@ def build_follower_graph(
     return FollowerGraph(n, _csr_indptr(src, n), dst[order].astype(np.int32), since[order])
 
 
+class Labels:
+    """A table of labels in handle order as a snapshot stores it: their
+    UTF-8 bytes back to back (`blob`) and uint64 byte `offsets`, label h
+    being blob[offsets[h]:offsets[h + 1]]. `kind` ("user" or "tag") names
+    them in errors. `labels` is their tuple of str: given to a table built
+    from labels, which interning sorts; split from a snapshot's blob on
+    first use and refused unless strictly increasing. `handle` builds the
+    label -> handle dict on its first call. `cells`, the padded bytes the
+    text writers render, follows the `labels` check, so a forged table
+    fails before any label is written."""
+
+    def __init__(self, blob: bytes, offsets: np.ndarray, kind: str, labels: tuple | None = None):
+        self.blob = blob
+        self.offsets = offsets
+        self.kind = kind
+        if labels is not None:
+            self.labels = labels  # fills the cached property
+
+    @classmethod
+    def from_text(cls, labels: tuple, kind: str) -> Labels:
+        """The table of `labels`, sorted and distinct str."""
+        return cls(*_encoded(labels), kind, labels)
+
+    @classmethod
+    def from_words(cls, words: np.ndarray, kind: str) -> Labels:
+        """The table of sorted, distinct label words (see LogColumns): their
+        bytes less the zero padding, and their labels from one decode of
+        those bytes with a line feed after each word; words that hold a line
+        feed themselves are split by their offsets."""
+        raw = words.astype(">u8")
+        blob = raw.tobytes().replace(b"\0", b"")
+        # A word's size is its count of nonzero bytes: their 0/1 flags, read
+        # as one uint64, summed into its top byte by one multiply.
+        flags = (raw.view(np.uint8) != 0).view(np.uint64)
+        offsets = _offsets(flags * np.uint64(0x0101010101010101) >> np.uint64(56))
+        if b"\n" in blob:
+            return cls(blob, offsets, kind, _split(blob, offsets))
+        rows = np.zeros((len(words), 9), dtype=np.uint8)
+        rows[:, :8] = raw.view(np.uint8).reshape(-1, 8)
+        rows[:, 8] = ord("\n")
+        text = rows.tobytes().replace(b"\0", b"").decode("utf-8")
+        return cls(blob, offsets, kind, tuple(text.split("\n")[:-1]))
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    @cached_property
+    def labels(self) -> tuple:
+        labels = _split(self.blob, self.offsets)
+        if not all(map(operator.lt, labels[:-1], labels[1:])):
+            raise SnapshotFormatError(f"the {self.kind} labels are not sorted and unique")
+        return labels
+
+    @cached_property
+    def _index(self) -> dict:
+        return {label: h for h, label in enumerate(self.labels)}
+
+    def handle(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except KeyError:
+            raise UnknownIdError(f"unknown {self.kind}: {label!r}") from None
+
+    @cached_property
+    def cells(self) -> tuple:
+        """(cells, valid) of the labels (see _padded), made after the `labels` check."""
+        self.labels
+        return _padded(self.blob, self.offsets)
+
+
+def _encoded(texts) -> tuple:
+    """(blob, offsets) of str `texts`: their UTF-8 bytes back to back, and uint64 offsets."""
+    joined = "".join(texts)
+    sizes = map(len, texts) if joined.isascii() else (len(t.encode("utf-8")) for t in texts)
+    return joined.encode("utf-8"), _offsets(np.fromiter(sizes, dtype=np.uint64, count=len(texts)))
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """The uint64 offsets of items of `sizes` bytes laid back to back."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.uint64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _split(blob, offsets: np.ndarray) -> tuple:
+    """The str items of UTF-8 `blob` at byte `offsets`: one decode, sliced at
+    the code points the offsets fall on."""
+    text = blob.decode("utf-8")
+    if len(text) != len(blob):  # not ASCII: byte offsets -> code point offsets
+        chars = np.zeros(len(blob) + 1, dtype=np.int64)
+        np.cumsum((np.frombuffer(blob, dtype=np.uint8) & 0xC0) != 0x80, out=chars[1:])
+        offsets = chars[offsets]
+    bounds = offsets.tolist()
+    return tuple([text[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+def _padded(blob, offsets: np.ndarray) -> tuple:
+    """(cells, valid) of the items of `blob` at byte `offsets`: row i of the
+    uint8 matrix `cells` holds item i, left-aligned, where `valid` is True."""
+    sizes = np.diff(offsets).astype(np.intp)
+    valid = np.arange(int(sizes.max(initial=0))) < sizes[:, None]
+    cells = np.zeros(valid.shape, dtype=np.uint8)
+    cells[valid] = np.frombuffer(blob, dtype=np.uint8)
+    return cells, valid
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable adoption log + follower graph.
@@ -145,18 +248,18 @@ class Dataset:
     Events are sorted by (time, user, tag); `event_first` flags the earliest
     usage of each (user, tag) pair. All arrays are read-only after build.
 
-    `user_table` and `tag_table` hold the labels in handle order, either as a
-    tuple or, from a snapshot, as a `snapshot.PackedLabels` that `decode`s to
-    one. `user_labels`/`tag_labels` are those tuples, made on first access,
-    and the label -> handle dicts are built on the first `user_handle`/
-    `tag_handle` call, so a command that prints no label decodes none.
+    `user_table` and `tag_table` are the `Labels` tables of the labels in
+    handle order; `user_labels`/`tag_labels` are their tuples of str. A
+    table loaded from a snapshot is split into str on first use, and every
+    label -> handle dict is built on the first `user_handle`/`tag_handle`
+    call, so a command that prints no label decodes none.
 
     `sha256` is the hex SHA-256 of the snapshot file a Dataset was loaded
     from, computed while loading it, and None for one built in memory.
     """
 
-    user_table: tuple | PackedLabels
-    tag_table: tuple | PackedLabels
+    user_table: Labels
+    tag_table: Labels
     event_time: np.ndarray
     event_user: np.ndarray
     event_tag: np.ndarray
@@ -164,22 +267,18 @@ class Dataset:
     graph: FollowerGraph
     warnings: dict = field(default_factory=dict)
     sha256: str | None = None
-    _user_index: dict | None = field(repr=False, default=None)
-    _tag_index: dict | None = field(repr=False, default=None)
 
     def __post_init__(self):
         for arr in (self.event_time, self.event_user, self.event_tag, self.event_first):
             arr.setflags(write=False)
 
-    @cached_property
+    @property
     def user_labels(self) -> tuple:
-        table = self.user_table
-        return table if isinstance(table, tuple) else table.decode("user")
+        return self.user_table.labels
 
-    @cached_property
+    @property
     def tag_labels(self) -> tuple:
-        table = self.tag_table
-        return table if isinstance(table, tuple) else table.decode("tag")
+        return self.tag_table.labels
 
     # -- counts -----------------------------------------------------------
 
@@ -215,23 +314,11 @@ class Dataset:
 
     # -- label lookups ----------------------------------------------------
 
-    def _handle(self, kind: str, label: str) -> int:
-        slot = f"_{kind}_index"
-        index = getattr(self, slot)
-        if index is None:
-            labels = getattr(self, f"{kind}_labels")
-            index = {lab: i for i, lab in enumerate(labels)}
-            object.__setattr__(self, slot, index)
-        try:
-            return index[label]
-        except KeyError:
-            raise UnknownIdError(f"unknown {kind}: {label!r}") from None
-
     def user_handle(self, label: str) -> int:
-        return self._handle("user", label)
+        return self.user_table.handle(label)
 
     def tag_handle(self, label: str) -> int:
-        return self._handle("tag", label)
+        return self.tag_table.handle(label)
 
     def user_label(self, handle: int) -> str:
         return self.user_labels[handle]
@@ -309,18 +396,6 @@ def _is_words(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == np.uint64
 
 
-def _word_labels(words: np.ndarray) -> list:
-    """The labels of label words, as str: one decode of their bytes, each
-    word's padding dropped and a line feed after it; words that hold a line
-    feed themselves are decoded one by one."""
-    rows = np.zeros((len(words), 9), dtype=np.uint8)
-    rows[:, :8] = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-    if (rows == ord("\n")).any():
-        return [row.tobytes().rstrip(b"\0").decode("utf-8") for row in rows[:, :8]]
-    rows[:, 8] = ord("\n")
-    return rows.tobytes().replace(b"\0", b"").decode("utf-8").split("\n")[:-1]
-
-
 def _column_list(column):
     """A LogColumns column as a list: label words decoded once per distinct
     word, int64 times as ints with None for SINCE_ALWAYS."""
@@ -328,7 +403,7 @@ def _column_list(column):
         return column
     if _is_words(column):
         words, inverse = np.unique(column, return_inverse=True)
-        return list(map(_word_labels(words).__getitem__, inverse.tolist()))
+        return list(map(Labels.from_words(words, "label").labels.__getitem__, inverse.tolist()))
     values = column.tolist()
     if (column == SINCE_ALWAYS).any():
         values = [None if t == SINCE_ALWAYS else t for t in values]
@@ -396,22 +471,23 @@ def build_dataset(
     return _dataset_from_columns(adoptions, follows, reverse_edges, mutual_edges)
 
 
-def _intern(columns: tuple) -> tuple:
-    """(labels, handles, index) of label columns: their distinct labels in
-    sorted order, each column's handles into them as int32, and the label ->
-    handle dict, or None where none was built. Columns of label words take
-    one np.unique and decode only the distinct words; any other column makes
-    the lists of all of them interned through a set, a sort and a dict."""
+def _intern(columns: tuple, kind: str) -> tuple:
+    """(table, handles) of label columns: the Labels of their distinct labels
+    in sorted order, and each column's handles into it as int32. Columns of
+    label words take one np.unique and decode only the distinct words; any
+    other column makes the lists of all of them interned through a set, a
+    sort and a dict."""
     if all(map(_is_words, columns)):
         words, inverse = np.unique(np.concatenate(columns), return_inverse=True)
         inverse = inverse.astype(np.int32)
-        return (tuple(_word_labels(words)),
-                np.split(inverse, np.cumsum(list(map(len, columns)))[:-1]), None)
+        return (Labels.from_words(words, kind),
+                np.split(inverse, np.cumsum(list(map(len, columns)))[:-1]))
     columns = list(map(_column_list, columns))
     labels = tuple(sorted(set().union(*columns)))
     index = {lab: i for i, lab in enumerate(labels)}
-    return labels, [np.fromiter(map(index.__getitem__, column), dtype=np.int32,
-                                count=len(column)) for column in columns], index
+    return Labels.from_text(labels, kind), [
+        np.fromiter(map(index.__getitem__, column), dtype=np.int32, count=len(column))
+        for column in columns]
 
 
 def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
@@ -454,15 +530,15 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
 
     # Handles: lexicographic over the union of labels seen anywhere.
     users, times = adoptions.columns[0], adoptions.columns[2]
-    user_labels, (ev_user, src, dst), user_index = _intern((users, src, dst))
-    tag_labels, (ev_tag,), tag_index = _intern((adoptions.columns[1],))
+    user_table, (ev_user, src, dst) = _intern((users, src, dst), "user")
+    tag_table, (ev_tag,) = _intern((adoptions.columns[1],), "tag")
 
     n_events = len(ev_user)
     ev_time = np.asarray(times, dtype=np.int64)
     # One sort on (time rank, pair rank), both below n_events, so the key
     # fits int64; equal keys are equal events, so the sort need not be stable.
     _, time_rank = np.unique(ev_time, return_inverse=True)
-    pairs, pair_rank = np.unique(ev_user.astype(np.int64) * len(tag_labels) + ev_tag,
+    pairs, pair_rank = np.unique(ev_user.astype(np.int64) * len(tag_table) + ev_tag,
                                  return_inverse=True)
     order = np.argsort(time_rank * n_events + pair_rank)
     ev_user, ev_tag, ev_time = ev_user[order], ev_tag[order], ev_time[order]
@@ -475,11 +551,11 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
     n_rows = len(src)
     if not n_rows:  # an empty graph is static
         since = None
-    graph = build_follower_graph(np.column_stack((src, dst)), len(user_labels), since)
+    graph = build_follower_graph(np.column_stack((src, dst)), len(user_table), since)
 
     return Dataset(
-        user_table=user_labels,
-        tag_table=tag_labels,
+        user_table=user_table,
+        tag_table=tag_table,
         event_time=ev_time,
         event_user=ev_user,
         event_tag=ev_tag,
@@ -489,8 +565,6 @@ def _dataset_from_columns(adoptions: LogColumns, follows: LogColumns,
             "self_loops_dropped": self_loops,
             "duplicate_edges_dropped": n_rows - graph.n_edges,
         },
-        _user_index=user_index,
-        _tag_index=tag_index,
     )
 
 

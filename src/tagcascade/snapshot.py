@@ -35,15 +35,15 @@ honest file's. A load refuses a checksum mismatch, trailing bytes and
 arrays that break the layout the exposure kernel relies on. A label table is
 checked as one block: offsets that start at 0, never decrease and stay in
 the file, a blob that is valid UTF-8 and no offset inside a UTF-8
-character. Splitting it into labels waits for their first use
-(`PackedLabels`).
+character. It is kept as the `events.Labels` of its two arrays, which a
+save writes back as they are; splitting it into labels, and checking that
+they are sorted and unique, waits for their first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import operator
 import os
 import stat
 import struct
@@ -51,7 +51,7 @@ import struct
 import numpy as np
 
 from .errors import SnapshotFormatError
-from .events import Dataset, FollowerGraph
+from .events import Dataset, FollowerGraph, Labels
 
 MAGIC = b"CSCD"
 VERSION = 3
@@ -60,53 +60,15 @@ _TRAILER = hashlib.sha256().digest_size
 _NOT_UTF8 = "a label or warning key is not valid UTF-8"
 
 
-class PackedLabels:
-    """A label table as a snapshot stores it, checked but not yet split:
-    label h is `text[bounds[h]:bounds[h + 1]]`. `decode` splits it, which
-    only the first use of a Dataset's labels asks for.
-    """
-
-    __slots__ = ("text", "bounds")
-
-    def __init__(self, text: str, bounds: np.ndarray):
-        self.text = text
-        self.bounds = bounds
-
-    def __len__(self) -> int:
-        return self.bounds.shape[0] - 1
-
-    def decode(self, kind: str) -> tuple:
-        """The labels as a tuple, checked by `_sorted_unique`."""
-        text, bounds = self.text, self.bounds.tolist()
-        return _sorted_unique(tuple([text[a:b] for a, b in zip(bounds, bounds[1:])]), kind)
-
-
-def _sorted_unique(labels: tuple, kind: str) -> tuple:
-    """`labels`, refused unless strictly increasing, as interning in label
-    order makes every table."""
-    if not all(map(operator.lt, labels[:-1], labels[1:])):
-        raise SnapshotFormatError(f"the {kind} labels are not sorted and unique")
-    return labels
-
-
-def _packed(labels: tuple) -> tuple:
-    """(offsets, blob) of a label table."""
-    raw = [label.encode("utf-8") for label in labels]
-    offsets = np.zeros(len(raw) + 1, dtype=np.uint64)
-    np.cumsum(np.fromiter(map(len, raw), dtype=np.uint64, count=len(raw)), out=offsets[1:])
-    return offsets, b"".join(raw)
-
-
 def save_snapshot(d: Dataset, path) -> None:
     buf = bytearray()
     buf += MAGIC
     flags = _FLAG_EDGE_TIMES if d.graph.since is not None else 0
     buf += struct.pack("<II", VERSION, flags)
     buf += struct.pack("<QQQQ", d.n_users, d.n_tags, d.n_events, d.n_edges)
-    for labels in (d.user_labels, d.tag_labels):
-        offsets, blob = _packed(labels)
-        buf += offsets.astype("<u8").tobytes()
-        buf += blob
+    for table in (d.user_table, d.tag_table):
+        buf += table.offsets.astype("<u8").tobytes()
+        buf += table.blob
     buf += d.event_time.astype("<i8").tobytes()
     buf += d.event_user.astype("<i4").tobytes()
     buf += d.event_tag.astype("<i4").tobytes()
@@ -171,24 +133,21 @@ class _Reader:
         except UnicodeDecodeError:
             raise SnapshotFormatError(_NOT_UTF8) from None
 
-    def packed_labels(self, count: int) -> PackedLabels:
-        """A label table, checked as one block."""
+    def labels(self, count: int, kind: str) -> Labels:
+        """A label table of `kind`, checked as one block."""
         offsets = self.array("<u8", count + 1)
         if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
             raise SnapshotFormatError("label offsets must start at 0 and never decrease")
         blob = self.take(int(offsets[-1]))
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError:
-            raise SnapshotFormatError(_NOT_UTF8) from None
-        if len(text) != len(blob):  # not ASCII: byte offsets -> code point offsets
+        if not blob.isascii():
+            try:
+                blob.decode("utf-8")
+            except UnicodeDecodeError:
+                raise SnapshotFormatError(_NOT_UTF8) from None
             starts = (np.frombuffer(blob, dtype=np.uint8) & 0xC0) != 0x80
             if not starts[offsets[offsets < len(blob)]].all():
                 raise SnapshotFormatError("a label offset falls inside a UTF-8 character")
-            chars = np.zeros(len(blob) + 1, dtype=np.int64)
-            np.cumsum(starts, out=chars[1:])
-            offsets = chars[offsets]
-        return PackedLabels(text, offsets)
+        return Labels(blob, offsets, kind)
 
 
 def _check_structure(n_users, n_tags, ev_time, ev_user, ev_tag, indptr, dst, since) -> None:
@@ -235,8 +194,8 @@ def _load(fh, size: int) -> Dataset:
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
     n_users, n_tags, n_events, n_edges = r.unpack("<QQQQ")
 
-    user_table = r.packed_labels(n_users)
-    tag_table = r.packed_labels(n_tags)
+    user_table = r.labels(n_users, "user")
+    tag_table = r.labels(n_tags, "tag")
     ev_time = r.array("<i8", n_events)
     ev_user = r.array("<i4", n_events)
     ev_tag = r.array("<i4", n_events)

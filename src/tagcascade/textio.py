@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import re
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -27,9 +27,12 @@ from .errors import DataError, MalformedRowError
 from .events import (
     _MS_PER_UNIT,
     SINCE_ALWAYS,
+    Labels,
     LogColumns,
     _column_list,
+    _encoded,
     _is_words,
+    _padded,
     parse_timestamp,
 )
 
@@ -350,38 +353,16 @@ def read_follows(path, *, time_unit: str = "ms", on_bad: str = "raise"):
 _BLOCK = 4096  # rows rendered per write: the text writers' memory stays bounded
 
 
-class LabelTable:
-    """A table of labels in handle order, such as a Dataset's `user_labels`,
-    as the writers take it: encoded to bytes once, on first use, however
-    many columns and files render it. `kind` names its labels in errors."""
-
-    def __init__(self, labels, kind: str = "label"):
-        self.labels = labels
-        self.kind = kind
-
-    def column(self, handles) -> LabelColumn:
-        """The column of the labels of `handles`."""
-        return LabelColumn(self, np.asarray(handles))
-
-    @cached_property
-    def cells(self) -> tuple:
-        """(cells, valid) of the labels: see _text_cells."""
-        return _text_cells(self.labels)
-
-    @cached_property
-    def breaks(self) -> np.ndarray:
-        """Whether each label holds a tab or a line break (CR or LF)."""
-        return np.isin(self.cells[0], _BREAKS).any(axis=1)
-
-
 class LabelColumn:
-    """A column of labels given as handles into a LabelTable."""
+    """A column of labels given as handles into a Labels table, such as a
+    Dataset's `user_table`: the table's cells are made once, however many
+    columns and files render it."""
 
     __slots__ = ("table", "handles")
 
-    def __init__(self, table: LabelTable, handles: np.ndarray):
+    def __init__(self, table: Labels, handles):
         self.table = table
-        self.handles = handles
+        self.handles = np.asarray(handles)
 
     def __len__(self) -> int:
         return len(self.handles)
@@ -391,21 +372,6 @@ _DIGITS4 = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).as
     np.uint32).ravel()  # the four ASCII digits of 0..9999 as one word each
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 _BREAKS = np.frombuffer(b"\t\r\n", dtype=np.uint8)
-
-
-def _text_cells(texts: list) -> tuple:
-    """(cells, valid) of a list of str: row i of the uint8 matrix `cells`
-    holds the UTF-8 bytes of texts[i], left-aligned, where `valid` is True."""
-    blob = "".join(texts)
-    if blob.isascii():
-        sizes = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    else:
-        sizes = np.fromiter((len(t.encode("utf-8")) for t in texts), dtype=np.intp,
-                            count=len(texts))
-    valid = np.arange(int(sizes.max(initial=0))) < sizes[:, None]
-    cells = np.zeros(valid.shape, dtype=np.uint8)
-    cells[valid] = np.frombuffer(blob.encode("utf-8"), dtype=np.uint8)
-    return cells, valid
 
 
 def _int_cells(values: np.ndarray, empty=None) -> tuple:
@@ -480,21 +446,26 @@ def _column_cells(column, quote: bool, words: bool = False, empty=None):
     up to 64 bits is rendered once per distinct bit pattern (so -0.0 stays
     apart from 0.0), by repr, then gathered. Any other sequence is rendered
     cell by cell, by _text; Python ints that fit int64 as an int64 array.
-    With `quote`, texts are quoted as csv.writer quotes them."""
+    With `quote`, texts are quoted as csv.writer quotes them; without it
+    (TSV), a text cell that holds a tab, CR or LF raises DataError naming
+    the first one."""
     if words:
         raw = column.astype(">u8").view(np.uint8).reshape(-1, 8)
         data = raw.tobytes()
         if not any(char in data for char in (b",", b'"', b"\r", b"\n")):
             return lambda start, stop: (raw[start:stop], _unless_all(raw[start:stop] != 0))
         column = _column_list(column)  # labels that need quotes
+    name = None  # of the texts to check for breaks: a float's repr holds none
     if isinstance(column, LabelColumn):
-        (cells, valid), codes = column.table.cells, column.handles
+        table, codes = column.table, column.handles
+        (cells, valid), texts, name = table.cells, table.labels, f"{table.kind} label"
     elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
         return lambda start, stop: _int_cells(column[start:stop], empty)
     elif isinstance(column, np.ndarray) and column.dtype.kind == "f" and column.itemsize <= 8:
         bits, codes = np.unique(np.asarray(column, dtype=np.float64).view(np.uint64),
                                 return_inverse=True)
-        cells, valid = _text_cells(list(map(float.__repr__, bits.view(np.float64).tolist())))
+        reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))
+        cells, valid = _padded(*_encoded(reprs))
     else:
         values = (column.tolist() if isinstance(column, np.ndarray) and column.dtype.kind == "b"
                   else list(column))
@@ -504,9 +475,14 @@ def _column_cells(column, quote: bool, words: bool = False, empty=None):
                 return _column_cells(np.array(values, dtype=np.int64), quote)
             except OverflowError:
                 pass
-        texts = values if kinds <= {str} else list(map(_text, values))
-        cells, valid = _text_cells(_quoted(texts) if quote else texts)
+        texts, name = values if kinds <= {str} else list(map(_text, values)), "text"
+        cells, valid = _padded(*_encoded(_quoted(texts) if quote else texts))
         codes = np.arange(len(values))
+    if name is not None and not quote:
+        broken = np.flatnonzero(np.isin(cells, _BREAKS).any(axis=1)[codes])
+        if len(broken):
+            raise DataError(f"{name} {texts[codes[broken[0]]]!r} holds a tab or a line break, "
+                            f"which a TSV cell cannot hold")
     if valid.all():  # cells of one length
         return lambda start, stop: (cells.take(codes[start:stop], axis=0), None)
     return lambda start, stop: (cells.take(codes[start:stop], axis=0),
@@ -595,21 +571,14 @@ def write_tsv(path, header: list[str], columns) -> int:
     the row count. A column is a numpy array, a sequence (list, tuple,
     range) or a LabelColumn. Cells are written as _text writes them: an
     integer as str(), a float as its shortest round-trip repr, None as an
-    empty cell. A LabelColumn with a label that holds a tab, CR or LF, which
-    no TSV cell can hold, raises DataError before the file is opened."""
+    empty cell. A text or label cell that holds a tab, CR or LF, which no
+    TSV cell can hold, raises DataError before the file is opened, naming
+    the first such cell of the first column that has one."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
-    for column in columns:
-        if isinstance(column, LabelColumn):
-            breaks = column.table.breaks[column.handles]
-            if breaks.any():
-                table = column.table
-                label = table.labels[column.handles[breaks.argmax()]]
-                raise DataError(f"{table.kind} label {label!r} holds a tab or a line break, "
-                                f"which a TSV cell cannot hold")
     return _write_rows(path, header, n, [_column_cells(c, False) for c in columns], "\t", "\n")
 
 

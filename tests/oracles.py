@@ -27,8 +27,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta
 
-from tagcascade.errors import DegenerateSampleError, InsufficientTailError, MalformedRowError
-from tagcascade.events import SINCE_ALWAYS, Dataset, FollowerGraph, parse_timestamp
+from tagcascade.errors import (
+    DataError,
+    DegenerateSampleError,
+    InsufficientTailError,
+    MalformedRowError,
+)
+from tagcascade.events import SINCE_ALWAYS, Dataset, FollowerGraph, Labels, parse_timestamp
 
 # ---------------------------------------------------------------------------
 # brute-force exposure oracle
@@ -418,14 +423,19 @@ def format_cell(value) -> str:
 def write_tsv_reference(path, header, rows) -> int:
     """Write rows of Python values as TSV one cell at a time: None is an
     empty cell, a float its repr, anything else str(). Returns the row
-    count."""
-    n = 0
+    count. A cell holding a tab, CR or LF raises DataError before the file
+    is opened, naming the first such cell of the first column with one."""
+    cells = [[format_cell(v) for v in row] for row in rows]
+    for column in zip(*cells):
+        for text in column:
+            if "\t" in text or "\r" in text or "\n" in text:
+                raise DataError(f"text {text!r} holds a tab or a line break, "
+                                f"which a TSV cell cannot hold")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(format_cell(v) for v in row) + "\n")
-            n += 1
-    return n
+        for row in cells:
+            fh.write("\t".join(row) + "\n")
+    return len(cells)
 
 
 def writerow_reference(path, header, rows) -> None:
@@ -538,8 +548,8 @@ def build_dataset_reference(adoptions, follows, *, reverse_edges=False, mutual_e
     graph = FollowerGraph(n, indptr, np.ascontiguousarray(dst[order]),
                           np.ascontiguousarray(since[order]) if timed else None)
     return Dataset(
-        user_table=user_labels,
-        tag_table=tag_labels,
+        user_table=Labels.from_text(user_labels, "user"),
+        tag_table=Labels.from_text(tag_labels, "tag"),
         event_time=np.ascontiguousarray(ev_time),
         event_user=np.ascontiguousarray(ev_user),
         event_tag=np.ascontiguousarray(ev_tag),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -12,8 +13,14 @@ from hypothesis import strategies as st
 import tagcascade as tc
 from oracles import build_dataset_reference, component_roots_reference, giant_component_reference
 from tagcascade.errors import MalformedRowError, UndefinedDensityError
-from tagcascade.events import SINCE_ALWAYS, _component_roots, build_follower_graph
-from tagcascade.snapshot import save_snapshot
+from tagcascade.events import (
+    SINCE_ALWAYS,
+    Labels,
+    LogColumns,
+    _component_roots,
+    build_follower_graph,
+)
+from tagcascade.snapshot import load_snapshot, save_snapshot
 from tagcascade.textio import (
     ADOPTIONS_HEADER,
     FOLLOWS_HEADER,
@@ -285,6 +292,48 @@ def test_later_copy_of_an_edge_only_counts_a_duplicate(follows, pick, delay):
     assert _graph_state(grown)[:-1] == _graph_state(base)[:-1]
     assert grown.warnings == dict(
         base.warnings, duplicate_edges_dropped=base.warnings["duplicate_edges_dropped"] + 1)
+
+
+# ---------------------------------------------------------------------------
+# label tables
+# ---------------------------------------------------------------------------
+
+# Empty labels, labels of 8 bytes and of more, non-ASCII ones, commas and
+# line feeds.
+_TABLE_LABEL = st.sampled_from(["", "a", ",", "a,b", "\n", "x\ny", "u0000001", "日本", "😀😀",
+                                "longer than 8", "日本語"]) | st.text(
+    st.sampled_from(["a", "é", "標", "😀", ",", "\n", " "]), max_size=10)
+
+
+def _word(label: str) -> int:
+    """The label word of a label of at most 8 UTF-8 bytes (see LogColumns)."""
+    return int.from_bytes(label.encode().ljust(8, b"\0"), "big")
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.sets(_TABLE_LABEL, max_size=12))
+@example(labels={"", "x\ny", "u0000001", "日本語"})
+def test_word_and_text_tables_agree(tmp_path_factory, labels):
+    labels = tuple(sorted(labels))
+    raw = [label.encode() for label in labels]
+    table = Labels.from_text(labels, "user")
+    assert (table.blob, table.labels) == (b"".join(raw), labels)
+    assert table.offsets.tolist() == [0, *itertools.accumulate(map(len, raw))]
+    short = tuple(label for label, data in zip(labels, raw) if len(data) <= 8)
+    words = np.array(list(map(_word, short)), dtype=np.uint64)
+    by_words, by_text = Labels.from_words(words, "user"), Labels.from_text(short, "user")
+    assert (by_words.blob, by_words.offsets.tolist(), by_words.labels) == \
+        (by_text.blob, by_text.offsets.tolist(), by_text.labels)
+    # a Dataset interned from label words saves the bytes of one built from rows
+    times, none = np.arange(len(short), dtype=np.int64), np.empty(0, dtype=np.uint64)
+    tags = np.full(len(short), _word("t"), dtype=np.uint64)
+    tmp = tmp_path_factory.mktemp("tables")
+    save_snapshot(tc.build_dataset(LogColumns(words, tags, times), LogColumns(none, none, None)),
+                  tmp / "words.cscd")
+    save_snapshot(tc.build_dataset(zip(short, ["t"] * len(short), times.tolist()), []),
+                  tmp / "rows.cscd")
+    assert (tmp / "words.cscd").read_bytes() == (tmp / "rows.cscd").read_bytes()
+    assert load_snapshot(tmp / "words.cscd").user_labels == short
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import tagcascade as tc
 from tagcascade import exposure
-from tagcascade.events import Dataset, build_follower_graph
+from tagcascade.events import Dataset, Labels, build_follower_graph
 from tagcascade.errors import NoAdoptionError, UndefinedThresholdError, UnknownIdError
 
 from oracles import assert_table_matches_oracle, brute_force_exposures, random_micro_rows
@@ -267,8 +267,8 @@ def test_exposure_memory_is_bounded():
     edges = np.column_stack([np.repeat(np.arange(n_alters, n), n_alters),
                              np.tile(np.arange(n_alters), n_egos)])
     ds = Dataset(
-        user_table=tuple(f"u{i:04d}" for i in range(n)),
-        tag_table=tuple(f"x{j:02d}" for j in range(n_tags)),
+        user_table=Labels.from_text(tuple(f"u{i:04d}" for i in range(n)), "user"),
+        tag_table=Labels.from_text(tuple(f"x{j:02d}" for j in range(n_tags)), "tag"),
         event_time=times.ravel()[order],
         event_user=user[order].astype(np.int32),
         event_tag=tag[order].astype(np.int32),

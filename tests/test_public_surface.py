@@ -1,6 +1,7 @@
 """The package exports only what a reader can reach: every name in
 `tagcascade.__all__`, other than its submodules, is used by the command
-line (`cli.py`) or named in the README's "Library use" section."""
+line (`cli.py`) or named in the README's "Library use" section. Every name
+that section gives as `tc.X`, `textio.X` or `events.X` exists."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import types
 from pathlib import Path
 
 import tagcascade
+from tagcascade import events, textio
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +28,11 @@ def test_every_exported_name_is_used_by_the_cli_or_documented():
                 if not isinstance(getattr(tagcascade, name), types.ModuleType)]
     assert exported
     assert [name for name in exported if not re.search(rf"\b{name}\b", reached)] == []
+
+
+def test_every_module_name_in_library_use_exists():
+    modules = {"tc": tagcascade, "textio": textio, "events": events}
+    named = set(re.findall(r"\b(tc|textio|events)\.(\w+)", _library_use()))
+    assert named
+    assert sorted(f"{module}.{name}" for module, name in named
+                  if not hasattr(modules[module], name)) == []

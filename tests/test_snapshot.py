@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
-from tagcascade import cli
+from tagcascade import cli, events
 from tagcascade.cli import main
 from tagcascade.errors import SnapshotFormatError
-from tagcascade.snapshot import MAGIC, PackedLabels, load_snapshot, save_snapshot
+from tagcascade.events import Labels
+from tagcascade.snapshot import MAGIC, load_snapshot, save_snapshot
 
 from oracles import random_micro_rows
 
@@ -308,6 +309,21 @@ def test_duplicate_labels_exit_two(tmp_path, capsys, version):
     assert "data error" in err and "tag label" in err
 
 
+@pytest.mark.parametrize("option", ["--out", "--per-user"])
+def test_duplicate_user_labels_fail_thresholds_outputs(tmp_path, capsys, option):
+    # The user labels are checked before the first one is written.
+    ds = tc.build_dataset([("A", "a", 1), ("B", "b", 2)], [("A", "B")])
+    path, out = tmp_path / "snap.cscd", tmp_path / "out.tsv"
+    save_snapshot(ds, path)
+    # the second user, "B", becomes a second "A", under a valid checksum
+    _corrupt_and_write(path, _in_section(ds, "user_blob", lambda a: a.__setitem__(-1, ord("A"))))
+    capsys.readouterr()
+    assert main(["thresholds", str(path), option, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "user label" in err
+    assert not out.exists()
+
+
 _FUZZ_DATASET = tc.build_dataset([("A", "x", 5), ("Bé", "y", 1), ("C", "x", 3)],
                                  [("A", "Bé", 1), ("C", "A", None)])
 
@@ -326,18 +342,18 @@ def test_every_single_byte_mutation_is_refused(tmp_path_factory, data):
 
 
 def test_labels_are_decoded_only_when_used(tmp_path, monkeypatch, capsys):
-    decoded = []
-    decode = PackedLabels.decode
-    monkeypatch.setattr(PackedLabels, "decode",
-                        lambda table, kind: decoded.append(kind) or decode(table, kind))
+    decoded = []  # the blob of each table split into labels
+    split = events._split
+    monkeypatch.setattr(events, "_split",
+                        lambda blob, offsets: decoded.append(bytes(blob)) or split(blob, offsets))
     path = tmp_path / "snap.cscd"
     save_snapshot(_abc_dataset(), path)
 
     ds = load_snapshot(path)
-    assert isinstance(ds.user_table, PackedLabels) and isinstance(ds.tag_table, PackedLabels)
+    assert isinstance(ds.user_table, Labels) and isinstance(ds.tag_table, Labels)
     assert decoded == []
     tc.adoption_curve(ds, ds.tag_handle("t"), 1)
-    assert decoded == ["tag"]
+    assert decoded == [b"t"]
 
     loads = []
     monkeypatch.setattr(cli, "load_snapshot", lambda p: loads.append(load_snapshot(p)) or loads[-1])
@@ -346,4 +362,4 @@ def test_labels_are_decoded_only_when_used(tmp_path, monkeypatch, capsys):
     assert len(loads) == 1 and decoded == []
     # the guard sees a decode where one happens
     assert main(["thresholds", str(path), "--out", str(tmp_path / "e.tsv")]) == 0
-    assert sorted(decoded) == ["tag", "user"]
+    assert sorted(decoded) == [b"ABC", b"t"]

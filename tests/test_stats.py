@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import tagcascade as tc
 from tagcascade.errors import UndefinedCorrelationError, UnknownIdError
+from tagcascade.events import Labels
 from tagcascade.exposure import ExposureTable
 
 
@@ -210,8 +211,8 @@ def _one_tag():
     (lambda: tc.adoption_curve(_one_tag(), 0, 0), ValueError,
      "bucket must be a positive duration"),
     # a tag handle in range whose tag has no event
-    (lambda: tc.adoption_curve(dataclasses.replace(_one_tag(), tag_table=("x", "y"),
-                                                   _tag_index=None), 1, 10),
+    (lambda: tc.adoption_curve(dataclasses.replace(_one_tag(), tag_table=Labels.from_text(
+        ("x", "y"), "tag")), 1, 10),
      UnknownIdError, "tag 'y' has no events"),
     (lambda: tc.popularity_threshold_correlation(_records([(1, 0.2), (2, 0.2), (3, 0.2)])),
      UndefinedCorrelationError, "all exposure values identical"),

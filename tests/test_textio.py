@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,14 +15,14 @@ from hypothesis import strategies as st
 
 from tagcascade import textio
 from tagcascade.errors import DataError, MalformedRowError, UsageError
-from tagcascade.events import SINCE_ALWAYS, LogColumns, build_dataset
+from tagcascade.events import SINCE_ALWAYS, Labels, LogColumns, build_dataset
 from tagcascade.snapshot import save_snapshot
 from tagcascade.textio import (
     _BLOCK,
-    LabelTable,
     ADOPTIONS_HEADER,
     FOLLOWS_HEADER,
     FOLLOWS_HEADER_TIMED,
+    LabelColumn,
     dump_json,
     file_digest,
     parse_duration_ms,
@@ -440,7 +441,8 @@ def test_a_clean_log_of_short_labels_takes_the_word_path(tmp_path):
     (tmp_path / "f.csv").write_bytes(b"src_id,dst_id\nu0000001,u0000002\n")
     follows, _ = read_follows(tmp_path / "f.csv")
     ds = build_dataset(rows, follows)
-    assert ds.user_labels == ("", "u0000001", "u0000002", "日本") and ds._user_index is None
+    assert ds.user_labels == ("", "u0000001", "u0000002", "日本")
+    assert "_index" not in vars(ds.user_table)  # no label -> handle dict was built
 
 
 # Labels that need quoting (separators, quotes, line breaks), spaces,
@@ -605,7 +607,7 @@ class _Labels:
 
     def column(self):
         """The column as write_tsv takes a label column."""
-        return LabelTable(self.table).column(self.handles)
+        return LabelColumn(Labels.from_text(self.table, "user"), self.handles)
 
 
 @st.composite
@@ -667,9 +669,34 @@ def test_write_tsv_matches_per_cell_reference(columns):
     given_columns = [c.column() if isinstance(c, _Labels) else c for c in columns]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        assert write_tsv(tmp / "out.tsv", header, given_columns) == n
-        assert write_tsv_reference(tmp / "ref.tsv", header, _python_rows(columns)) == n
-        assert (tmp / "out.tsv").read_bytes() == (tmp / "ref.tsv").read_bytes()
+        got = _tsv_outcome(write_tsv, tmp / "out.tsv", header, given_columns)
+        expected = _tsv_outcome(write_tsv_reference, tmp / "ref.tsv", header,
+                                _python_rows(columns))
+    assert got == expected
+    assert got[0] in (n, "refused")
+
+
+def _tsv_outcome(write, path, header, columns):
+    """(row count, bytes written) of a TSV writer, or ("refused", message)
+    when it raises DataError, which it must do before opening `path`."""
+    try:
+        n = write(path, header, columns)
+    except DataError as exc:
+        assert not path.exists()
+        return "refused", str(exc)
+    return n, path.read_bytes()
+
+
+@pytest.mark.parametrize("columns,named", [
+    ([["x\ty", "p\nq"], [1, 2]], "'x\\ty'"),
+    ([[1, 2], ["ok", "p\r"]], "'p\\r'"),
+    ([np.arange(2), np.array(["a", "b\nc"], dtype=object)], "'b\\nc'"),
+])
+def test_write_tsv_refuses_text_no_tsv_cell_can_hold(tmp_path, columns, named):
+    path = tmp_path / "out.tsv"
+    with pytest.raises(DataError, match=re.escape(f"text {named} holds a tab or a line break")):
+        write_tsv(path, ["a", "b"], columns)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("header,columns", [
