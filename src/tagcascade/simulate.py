@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, UnsupportedModelError, UsageError
-from .events import (Dataset, FollowerGraph, LogColumns, _csr_indptr, _csr_sources,
+from .events import (Dataset, FollowerGraph, Labels, LogColumns, _csr_indptr, _csr_sources,
                      build_dataset, build_follower_graph)
 from .exposure import all_exposures
 from .stats import spearman_rho
@@ -507,6 +507,11 @@ def _node_id(label: str) -> int:
     return int(digits)
 
 
+def _node_ids(table: Labels) -> np.ndarray:
+    """The node id of each label of `table` by `_node_id`'s rule."""
+    return np.fromiter(map(_node_id, table.labels), dtype=np.int64, count=len(table))
+
+
 def recover_from_ingested(
     ds: Dataset,
     *,
@@ -520,7 +525,7 @@ def recover_from_ingested(
     are step indices; step 0 marks seeds."""
     table = all_exposures(ds, ties=ties)
     # dataset handle -> simulation node id, via the synthetic labels
-    node_of = np.fromiter(map(_node_id, ds.user_labels), dtype=np.int64, count=ds.n_users)
+    node_of = _node_ids(ds.user_table)
     if ds.n_users and not 0 <= node_of.min() <= node_of.max() < theta.shape[0]:
         raise DataError(f"theta holds {theta.shape[0]} planted thresholds, but node ids "
                         f"reach {int(node_of.max())}")

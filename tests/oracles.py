@@ -11,9 +11,10 @@ component comes from a union-find that merges one edge at a time, the
 diffusion models walk adopters and edges one Python step at a time, the
 reference ingest checks and interns one row at a time, the result references
 build per-user thresholds, curve buckets and correlation bins one row at a
-time, the JSON text comes from the standard library's own encoder, and the
-reference CSV reader takes one csv.reader row at a time. Tests
-compare library output against these, never the other way round.
+time, the JSON text comes from the standard library's own encoder, the
+reference CSV reader takes one csv.reader row at a time, and simulated node
+ids are parsed one label at a time. Tests compare library output against
+these, never the other way round.
 """
 
 from __future__ import annotations
@@ -558,6 +559,18 @@ def build_dataset_reference(adoptions, follows, *, reverse_edges=False, mutual_e
         warnings={"self_loops_dropped": self_loops,
                   "duplicate_edges_dropped": n_rows - int(keep.sum())},
     )
+
+
+def node_ids_reference(table: Labels) -> np.ndarray:
+    """The node id of each label of `table`, one label at a time: u followed
+    by ASCII digits, else DataError; an id past int64 raises OverflowError."""
+    def node_id(label: str) -> int:
+        digits = label[1:]
+        if label[:1] != "u" or not (digits.isascii() and digits.isdigit()):
+            raise DataError(f"user {label!r} is not a simulated node label (u followed by digits)")
+        return int(digits)
+
+    return np.fromiter(map(node_id, table.labels), dtype=np.int64, count=len(table))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tagcascade as tc
 from tagcascade import simulate
 from tagcascade.errors import UnsupportedModelError, UsageError
-from tagcascade.events import build_follower_graph
+from tagcascade.events import Labels, build_follower_graph
 from tagcascade.simulate import (
     CascadeParams,
     LearningParams,
@@ -19,6 +19,7 @@ from tagcascade.simulate import (
     ThresholdParams,
     ThresholdSpec,
     _uint32_stream,
+    _node_ids,
     _node_words,
     erdos_renyi,
     preferential_attachment,
@@ -30,7 +31,12 @@ from tagcascade.simulate import (
 )
 from tagcascade.textio import write_adoptions_csv, write_follows_csv
 
-from oracles import draws_below, preferential_attachment_reference, simulate_reference
+from oracles import (
+    draws_below,
+    node_ids_reference,
+    preferential_attachment_reference,
+    simulate_reference,
+)
 
 
 def _cycle_graph():
@@ -477,6 +483,59 @@ def test_node_words_are_the_words_of_the_node_labels():
     ids = [0, 1, 9, 10, 4_321_987, 10**7 - 1]
     words = _node_words(10**7)[ids]
     assert words.tolist() == [int.from_bytes(b"u%07d" % i, "big") for i in ids]
+
+
+# Node labels of 1-20 digits (20 overflow int64), leading zeros included, and
+# labels the rule refuses: bare u, capital U, signs, a space, non-ASCII digits
+# and other multi-byte text.
+_NODE_LABEL = st.builds("u".__add__, st.text(st.sampled_from("0123456789"), min_size=1,
+                                             max_size=20))
+_REFUSED_LABEL = st.sampled_from(["u", "U7", "u-1", "u+1", "u 1", "u\u0661\u0662", "ü7", "u7é",
+                                  "日本", "", "v1"])
+
+
+@st.composite
+def _label_tables(draw):
+    """Sorted distinct labels: all of one width (u%0Nd), of mixed widths, or
+    with a few labels the rule refuses."""
+    shape = draw(st.sampled_from(["width", "mixed", "refused"]))
+    if shape == "width":
+        width = draw(st.integers(1, 20))
+        ids = draw(st.sets(st.integers(0, 10**width - 1), max_size=12))
+        labels = {"u%0*d" % (width, i) for i in ids}
+    else:
+        labels = draw(st.sets(_NODE_LABEL, max_size=12))
+        if shape == "refused":
+            labels |= draw(st.sets(_REFUSED_LABEL, min_size=1, max_size=2))
+    return tuple(sorted(labels))
+
+
+def _ids_or_error(node_ids, table):
+    try:
+        return node_ids(table).tolist()
+    except (tc.DataError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=_label_tables(), source=st.sampled_from(["text", "words", "snapshot"]))
+@example(labels=(), source="snapshot")
+@example(labels=("u0000000", "u0000001", "u0009999"), source="words")
+@example(labels=("u007", "u1", "u99999999999999999999"), source="text")
+@example(labels=("u1", "u\u0661\u0662"), source="snapshot")
+def test_node_ids_equal_reference(tmp_path_factory, labels, source):
+    if source == "words":  # label words hold labels of at most 8 bytes
+        labels = tuple(label for label in labels if len(label.encode()) <= 8)
+        words = np.array([int.from_bytes(label.encode().ljust(8, b"\0"), "big")
+                          for label in labels], dtype=np.uint64)
+        table = Labels.from_words(words, "user")
+    elif source == "snapshot":
+        path = tmp_path_factory.mktemp("nodes") / "ds.cscd"
+        tc.save_snapshot(tc.build_dataset([(label, "t", 1) for label in labels], []), path)
+        table = tc.load_snapshot(path).user_table
+    else:
+        table = Labels.from_text(labels, "user")
+    assert _ids_or_error(_node_ids, table) == _ids_or_error(node_ids_reference, table)
 
 
 def test_config_validation():
