@@ -391,7 +391,7 @@ def stage_simulate(o) -> dict:
             "step_counts": [int(c) for c in run.step_counts],
             "n_adopters": run.n_adopters,
             "final_saturation": run.final_saturation,
-            "theta": None if run.theta is None else [float(v) for v in run.theta],
+            "theta": None if run.theta is None else run.theta.tolist(),
             "edge_prob": run.edge_prob,
             "lag": run.lag,
             "files": {"adoptions": "adoptions.csv", "follows": "follows.csv"},
@@ -413,14 +413,19 @@ def _read_manifest(run_dir: Path) -> dict:
     well_formed = {
         "files": isinstance(files, dict)
         and all(isinstance(files.get(key), str) for key in ("adoptions", "follows")),
-        "theta": theta is None
-        or (isinstance(theta, list) and all(_json_is(v, float) for v in theta)),
+        "theta": theta is None  # bool is a type of its own, so true is no number
+        or (isinstance(theta, list) and set(map(type, theta)) <= {int, float}),
         "n_users": _json_is(manifest["n_users"], int),
         "seed_users": isinstance(manifest["seed_users"], list),
     }
     bad = [key for key, ok in well_formed.items() if not ok]
     if bad:
         raise DataError(f"{run_dir}: manifest.json has a malformed {', '.join(bad)}")
+    if theta is not None:
+        try:
+            manifest["theta"] = np.asarray(theta, dtype=np.float64)
+        except OverflowError:  # a JSON integer past the largest float
+            raise DataError(f"{run_dir}: manifest.json has a malformed theta") from None
     return manifest
 
 
@@ -442,7 +447,7 @@ def stage_recover(o) -> dict:
         try:
             reports.append(recover_from_ingested(
                 ds,
-                theta=np.asarray(manifest["theta"], dtype=np.float64),
+                theta=manifest["theta"],
                 n_users=int(manifest["n_users"]),
                 n_seeds=len(manifest["seed_users"]),
                 ties=o.ties,

@@ -507,9 +507,32 @@ def _node_id(label: str) -> int:
     return int(digits)
 
 
+_POWERS = 10 ** np.arange(19, dtype=np.int64)  # the place values of a u and up to 18 digits
+
+
 def _node_ids(table: Labels) -> np.ndarray:
-    """The node id of each label of `table` by `_node_id`'s rule."""
-    return np.fromiter(map(_node_id, table.labels), dtype=np.int64, count=len(table))
+    """The node id of each label of `table` by `_node_id`'s rule, parsed from
+    its bytes: the labels' digit values right-aligned in a matrix (one
+    reshape when all labels are of one size), the u zeroed, times the powers
+    of ten. A table with a label the rule refuses, or with more than 18
+    digits, goes through `_node_id` label by label, which raises the first
+    label's error in handle order (OverflowError for an id past int64)."""
+    n = len(table)
+    data = np.frombuffer(table.blob, dtype=np.uint8)
+    offsets = table.offsets.astype(np.intp)
+    lead, sizes = offsets[:-1], np.diff(offsets)
+    value = data - np.uint8(ord("0"))  # a digit's value; every other byte is above 9
+    if n and 2 <= sizes.min() and sizes.max() <= 19 and (data[lead] == ord("u")).all():
+        value[lead] = 0
+        if (value <= 9).all():
+            width = int(sizes.max())
+            if sizes.min() == width:
+                cells = value.reshape(n, width)
+            else:
+                cells = np.zeros((n, width), dtype=np.uint8)
+                cells[np.arange(width) >= (width - sizes)[:, None]] = value
+            return cells @ _POWERS[width - 1::-1]
+    return np.fromiter(map(_node_id, table.labels), dtype=np.int64, count=n)
 
 
 def recover_from_ingested(
@@ -525,10 +548,14 @@ def recover_from_ingested(
     are step indices; step 0 marks seeds."""
     table = all_exposures(ds, ties=ties)
     # dataset handle -> simulation node id, via the synthetic labels
-    node_of = _node_ids(ds.user_table)
-    if ds.n_users and not 0 <= node_of.min() <= node_of.max() < theta.shape[0]:
+    try:
+        node_of = _node_ids(ds.user_table)
+        top = int(node_of.max(initial=-1))
+    except OverflowError:  # an id past int64, and so past the end of theta
+        top = max(map(_node_id, ds.user_labels))
+    if top >= theta.shape[0]:
         raise DataError(f"theta holds {theta.shape[0]} planted thresholds, but node ids "
-                        f"reach {int(node_of.max())}")
+                        f"reach {top}")
     use = (table.time > 0) & table.defined_mask
     nodes = node_of[table.user[use]]
     expo = table.exposure[use]

@@ -489,6 +489,9 @@ def test_recover_zero_violations(tmp_path, capsys):
 _THETA_OVERFLOW = "2" + "0" * 308 + ".0"  # 2e308 with no exponent: past the largest float
 
 
+_NOT_NUMBERS = {"str": "0.1", "null": None, "list": [0.1], "object": {"theta": 0.1}}
+
+
 @pytest.mark.parametrize("damage,named", [
     ("delete", "manifest.json"),
     ("not-json", "manifest.json"),
@@ -499,8 +502,14 @@ _THETA_OVERFLOW = "2" + "0" * 308 + ".0"  # 2e308 with no exponent: past the lar
     ("short-theta", "theta"),
     ("files-list", "files"),
     ("label", "alice"),
+    ("huge-label", "node ids reach 99999999999999999999"),
     ("n_users-bool", "n_users"),
     ("theta-bool", "theta"),
+    ("theta-str", "theta"),
+    ("theta-null", "theta"),
+    ("theta-list", "theta"),
+    ("theta-object", "theta"),
+    ("theta-huge-int", "theta"),
     ("theta-nan", "NaN"),
     ("theta-overflow", _THETA_OVERFLOW),
 ])
@@ -513,9 +522,10 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
     manifest_path = out / "run_0001" / "manifest.json"
     if damage == "delete":
         manifest_path.unlink()
-    elif damage == "label":  # a user who is no simulated node
+    elif damage in ("label", "huge-label"):  # a user who is no simulated node
+        user = "alice" if damage == "label" else "u99999999999999999999"  # past int64
         with open(out / "run_0001" / "adoptions.csv", "a", encoding="utf-8") as fh:
-            fh.write("alice,sim,3\n")
+            fh.write(f"{user},sim,3\n")
     elif damage == "not-json":
         manifest_path.write_text("{truncated")
     else:
@@ -528,10 +538,14 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
             manifest["n_users"] = True
         elif damage == "theta-bool":
             manifest["theta"][0] = True
+        elif damage.startswith("theta-") and damage[6:] in _NOT_NUMBERS:
+            manifest["theta"][5] = _NOT_NUMBERS[damage[6:]]
         elif damage == "theta-nan":  # json.dumps writes NaN, which no JSON number is
             manifest["theta"] = [float("nan")] * len(manifest["theta"])
         elif damage == "theta-overflow":  # json.dumps cannot write it: put in as text
             manifest["theta"][3] = _MARK
+        elif damage == "theta-huge-int":  # an integer no float holds
+            manifest["theta"][3] = 10**400
         else:
             del manifest[damage]
         manifest_path.write_text(json.dumps(manifest).replace(json.dumps(_MARK), _THETA_OVERFLOW))

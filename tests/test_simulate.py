@@ -523,6 +523,7 @@ def _ids_or_error(node_ids, table):
 @example(labels=("u0000000", "u0000001", "u0009999"), source="words")
 @example(labels=("u007", "u1", "u99999999999999999999"), source="text")
 @example(labels=("u1", "u\u0661\u0662"), source="snapshot")
+@example(labels=("U7", "u1", "v1"), source="words")
 def test_node_ids_equal_reference(tmp_path_factory, labels, source):
     if source == "words":  # label words hold labels of at most 8 bytes
         labels = tuple(label for label in labels if len(label.encode()) <= 8)
