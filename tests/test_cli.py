@@ -489,7 +489,9 @@ def test_recover_zero_violations(tmp_path, capsys):
 _THETA_OVERFLOW = "2" + "0" * 308 + ".0"  # 2e308 with no exponent: past the largest float
 
 
-_NOT_NUMBERS = {"str": "0.1", "null": None, "list": [0.1], "object": {"theta": 0.1}}
+# theta elements that are no number, or an integer that no float holds
+_BAD_THETA = {"theta-str": "0.1", "theta-null": None, "theta-list": [0.1],
+              "theta-object": {"theta": 0.1}, "theta-huge-int": 10**400}
 
 
 @pytest.mark.parametrize("damage,named", [
@@ -538,14 +540,12 @@ def test_recover_malformed_manifest_is_data_error(tmp_path, capsys, damage, name
             manifest["n_users"] = True
         elif damage == "theta-bool":
             manifest["theta"][0] = True
-        elif damage.startswith("theta-") and damage[6:] in _NOT_NUMBERS:
-            manifest["theta"][5] = _NOT_NUMBERS[damage[6:]]
+        elif damage in _BAD_THETA:
+            manifest["theta"][5] = _BAD_THETA[damage]
         elif damage == "theta-nan":  # json.dumps writes NaN, which no JSON number is
             manifest["theta"] = [float("nan")] * len(manifest["theta"])
         elif damage == "theta-overflow":  # json.dumps cannot write it: put in as text
             manifest["theta"][3] = _MARK
-        elif damage == "theta-huge-int":  # an integer no float holds
-            manifest["theta"][3] = 10**400
         else:
             del manifest[damage]
         manifest_path.write_text(json.dumps(manifest).replace(json.dumps(_MARK), _THETA_OVERFLOW))
