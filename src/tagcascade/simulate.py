@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, UnsupportedModelError, UsageError
 from .events import (Dataset, FollowerGraph, Labels, LogColumns, _csr_indptr, _csr_sources,
-                     build_dataset, build_follower_graph)
+                     _padded, build_dataset, build_follower_graph)
 from .exposure import all_exposures
 from .stats import spearman_rho
 
@@ -512,26 +512,22 @@ _POWERS = 10 ** np.arange(19, dtype=np.int64)  # the place values of a u and up 
 
 def _node_ids(table: Labels) -> np.ndarray:
     """The node id of each label of `table` by `_node_id`'s rule, parsed from
-    its bytes: the labels' digit values right-aligned in a matrix (one
-    reshape when all labels are of one size), the u zeroed, times the powers
-    of ten. A table with a label the rule refuses, or with more than 18
-    digits, goes through `_node_id` label by label, which raises the first
-    label's error in handle order (OverflowError for an id past int64)."""
+    its bytes: the labels' digit values left-aligned in a matrix
+    (`events._padded`), the u zeroed, times the powers of ten, less the
+    places a shorter label leaves empty. A table with a label the rule
+    refuses, or with more than 18 digits, goes through `_node_id` label by
+    label, which raises the first label's error in handle order
+    (OverflowError for an id past int64)."""
     n = len(table)
     data = np.frombuffer(table.blob, dtype=np.uint8)
-    offsets = table.offsets.astype(np.intp)
-    lead, sizes = offsets[:-1], np.diff(offsets)
+    lead, sizes = table.offsets[:-1].astype(np.intp), np.diff(table.offsets).astype(np.intp)
     value = data - np.uint8(ord("0"))  # a digit's value; every other byte is above 9
     if n and 2 <= sizes.min() and sizes.max() <= 19 and (data[lead] == ord("u")).all():
         value[lead] = 0
         if (value <= 9).all():
-            width = int(sizes.max())
-            if sizes.min() == width:
-                cells = value.reshape(n, width)
-            else:
-                cells = np.zeros((n, width), dtype=np.uint8)
-                cells[np.arange(width) >= (width - sizes)[:, None]] = value
-            return cells @ _POWERS[width - 1::-1]
+            cells, _ = _padded(value, table.offsets)
+            width = cells.shape[1]
+            return (cells @ _POWERS[width - 1::-1]) // _POWERS[width - sizes]
     return np.fromiter(map(_node_id, table.labels), dtype=np.int64, count=n)
 
 
@@ -550,9 +546,10 @@ def recover_from_ingested(
     # dataset handle -> simulation node id, via the synthetic labels
     try:
         node_of = _node_ids(ds.user_table)
-        top = int(node_of.max(initial=-1))
     except OverflowError:  # an id past int64, and so past the end of theta
-        top = max(map(_node_id, ds.user_labels))
+        raise DataError(f"theta holds {theta.shape[0]} planted thresholds, but node ids "
+                        "reach past int64") from None
+    top = int(node_of.max(initial=-1))
     if top >= theta.shape[0]:
         raise DataError(f"theta holds {theta.shape[0]} planted thresholds, but node ids "
                         f"reach {top}")

@@ -504,7 +504,7 @@ _BAD_THETA = {"theta-str": "0.1", "theta-null": None, "theta-list": [0.1],
     ("short-theta", "theta"),
     ("files-list", "files"),
     ("label", "alice"),
-    ("huge-label", "node ids reach 99999999999999999999"),
+    ("huge-label", "node ids reach past int64"),
     ("n_users-bool", "n_users"),
     ("theta-bool", "theta"),
     ("theta-str", "theta"),
