@@ -305,7 +305,7 @@ def _resolve_graph(graph_cfg: dict, kind: str, seed: int):
     if kind == "dataset":
         snapshot = _cfg_value(graph_cfg, "snapshot", "dataset graph")
         ds = load_snapshot(snapshot)
-        return ds.graph, ds, {"kind": "dataset", "snapshot": snapshot}
+        return ds.graph, ds, {"kind": "dataset", "snapshot": snapshot, "sha256": ds.sha256}
     params = {key: _cfg_value(graph_cfg, key, f"{kind} graph", json_type)
               for key, json_type in GRAPH_PARAMS.get(kind, ())}
     graph = gen_graph(kind, seed, **params)
@@ -365,6 +365,8 @@ def stage_simulate(o) -> dict:
     if (_cfg_value(sim_cfg, "shared_graph", "simulation config", bool, default=False)
             or kind == "dataset"):
         shared = _resolve_graph(graph_cfg, kind, derive_seed(o.seed, 0))
+    if kind == "dataset":
+        o.found_inputs = {"graph_snapshot": _input_entry(shared[2]["snapshot"], shared[1].sha256)}
     run_summaries = []
     for r in range(o.runs):
         graph, ds_source, g_echo = (shared
@@ -493,7 +495,8 @@ class Opt(NamedTuple):
 class Command(NamedTuple):
     """One subcommand. `body` names its stage function, looked up at call
     time. Its report echoes the resolved values named in `config`, records
-    the positional options and the `inputs` flags under "inputs" (files with
+    the positional options, the `inputs` flags and the files a stage puts in
+    `found_inputs` (a dataset graph's snapshot) under "inputs" (files with
     their digest), and lists `outputs` under their key; inside a pipeline
     out_dir each output gets a fixed file name. The result JSON is written
     to the path of the `summary` option."""
@@ -614,11 +617,12 @@ def _run_command(name: str, args) -> dict:
         args.seed = _resolve_seed(args.seed)
     result = _run_stage(cmd, args)
     outputs = {key: getattr(args, dest) for dest, (key, _) in cmd.outputs.items()}
+    inputs = {key: _input_entry(getattr(args, dest), getattr(args, f"{dest}_sha256", None))
+              for dest, key in _inputs(cmd).items()}
     return _report(
         name,
         {key: getattr(args, key) for key in cmd.config},
-        {key: _input_entry(getattr(args, dest), getattr(args, f"{dest}_sha256", None))
-         for dest, key in _inputs(cmd).items()},
+        {**inputs, **getattr(args, "found_inputs", {})},
         {key: str(path) for key, path in outputs.items() if path},
         result,
         started,

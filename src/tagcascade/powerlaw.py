@@ -40,111 +40,115 @@ class PowerLawFit:
         }
 
 
-def _log_zeta(alpha: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """log zeta(alpha, q) per lane. The logs are taken with math.log, one
-    element at a time: np.log can differ from it in the last bit, and the
-    fitted exponent must not depend on the vector path. The root bracket
-    keeps alpha > 1, off the pole of zeta."""
-    from scipy.special import zeta  # imported here, as by every zeta user: it is slow to load
-
-    z = zeta(alpha, q)
-    out = np.full_like(z, np.inf)  # an infinite zeta stays infinite
-    ok = (z > 0) & np.isfinite(z)
-    out[ok] = list(map(math.log, z[ok].tolist()))
-    # Underflow guard: zeta(a, q) ~ q^-a for large a.
-    low = ~ok & ~np.isinf(z)
-    out[low] = -alpha[low] * np.array(list(map(math.log, q[low].tolist())))
-    return out
+_EM_DIRECT = 10  # terms of the Hurwitz zeta sum taken one by one
+# B_2j / (2j)!, j = 1..7: the Euler-Maclaurin weights of the rest of the sum
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+               -691 / 1307674368000, 1 / 74724249600)
 
 
-_MLE_DIFF_H = 1e-6
-# scipy's brentq defaults, which the lock-step solve reproduces
-_BRENT_XTOL = 1e-12
-_BRENT_RTOL = 4 * np.finfo(float).eps
-_BRENT_MAXITER = 100
+def _hurwitz(alpha, q, derivs: bool = False):
+    """S = zeta(alpha, q) * q^alpha per element, and with `derivs` also its
+    first and second alpha-derivatives.
+
+    S is the sum over k >= 0 of (1 + k/q)^-alpha: its first _EM_DIRECT terms
+    one by one, the rest by Euler-Maclaurin at a = q + _EM_DIRECT. No term
+    exceeds 1, so S cannot underflow where zeta does, and zeta(alpha, v) /
+    zeta(alpha, x) = (v/x)^-alpha S(v) / S(x). For alpha >= 1.01 and q >= 1
+    the relative error is a few float64 roundings.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    neg = -alpha
+    s = np.ones(np.broadcast(alpha, q).shape)  # the k = 0 term
+    s1, s2 = np.zeros(s.shape), np.zeros(s.shape)
+    for k in range(1, _EM_DIRECT):
+        log_k = np.log1p(k / q)
+        term = np.exp(neg * log_k)
+        s += term
+        if derivs:
+            term *= log_k
+            s1 -= term
+            s2 += term * log_k
+    # the rest is (a/q)^-alpha * g(alpha), and g1, g2 are g's alpha-derivatives
+    a = q + _EM_DIRECT
+    log_a = np.log1p(_EM_DIRECT / q)
+    inv_a2 = 1.0 / (a * a)
+    pole = alpha - 1.0
+    g, g1, g2 = a / pole + 0.5, -a / pole**2, 2.0 * a / pole**3
+    rise, rise1, rise2 = alpha, 1.0, 0.0  # (alpha)_(2j-1) and its derivatives
+    a_pow = 1.0 / a  # a^(1-2j)
+    for j, weight in enumerate(_EM_WEIGHTS):
+        g = g + weight * a_pow * rise
+        if derivs:
+            g1 = g1 + weight * a_pow * rise1
+            g2 = g2 + weight * a_pow * rise2
+        for c in (2 * j + 1, 2 * j + 2):
+            if derivs:
+                rise2, rise1 = rise2 * (alpha + c) + 2.0 * rise1, rise1 * (alpha + c) + rise
+            rise = rise * (alpha + c)
+        a_pow = a_pow * inv_a2
+    tail = np.exp(neg * log_a)
+    if not derivs:
+        return s + tail * g
+    return (s + tail * g, s1 + tail * (g1 - log_a * g),
+            s2 + tail * (g2 - 2.0 * log_a * g1 + log_a * log_a * g))
 
 
-def _mle_grad(alpha: np.ndarray, mean_log: np.ndarray, xmin: np.ndarray) -> np.ndarray:
-    """d/da of the per-sample log-likelihood: mean(log x) + d/da log zeta(a, xmin)."""
-    dlz = _log_zeta(alpha + _MLE_DIFF_H, xmin) - _log_zeta(alpha - _MLE_DIFF_H, xmin)
-    return mean_log + dlz / (2.0 * _MLE_DIFF_H)
+def _ccdf(alpha, xmin, v):
+    """zeta(alpha, v) / zeta(alpha, xmin): P(X >= v) of the power law from xmin."""
+    return np.power(v / xmin, -alpha) * _hurwitz(alpha, v) / _hurwitz(alpha, xmin)
 
 
-def _check_grad(*grads: np.ndarray) -> None:
-    if any(np.isnan(g).any() for g in grads):
-        raise ValueError("the likelihood gradient is NaN; solver cannot continue")
+_XTOL = 1e-12  # a lane stops when its Newton step or its bracket is this narrow
+_MAXITER = 100
+
+
+def _mle_slope(alpha, excess, xmin):
+    """The per-sample log-likelihood gradient mean(log x) + zeta'/zeta(alpha,
+    xmin), given `excess` = mean(log x) - log(xmin), and its alpha-derivative
+    (the variance of log x under the model, so the gradient increases)."""
+    s, s1, s2 = _hurwitz(alpha, xmin, derivs=True)
+    ratio = s1 / s  # zeta'/zeta = ratio - log(xmin)
+    return excess + ratio, s2 / s - ratio * ratio
 
 
 def _solve_alpha(mean_log: np.ndarray, xmin: np.ndarray) -> np.ndarray:
-    """MLE exponent of every lane: maximize -alpha * sum(log x) -
-    n * log(zeta(alpha, xmin)) by solving the stationarity condition.
+    """MLE exponent of every lane: the root of the gradient of the
+    per-sample log-likelihood -alpha mean(log x) - log zeta(alpha, xmin).
 
-    The gradient is strictly increasing (the log-likelihood is concave in
-    alpha), so a lane whose gradient does not change sign over
-    [_ALPHA_LO, _ALPHA_HI] takes the bound. The others run Brent's method
-    in lock step: each live lane takes exactly the steps of scipy's brentq
-    (brentq.c) alone, so the roots are bit-identical to scalar solves. The
-    per-sample normalization plus a root bracket at 1e-12 keeps alpha-hat a
-    pure function of the empirical distribution: duplicating every sample
-    moves it by well under 1e-9.
+    The gradient increases from -inf at the pole alpha = 1 towards
+    mean(log(x / xmin)) > 0, so the exponent is its one root clipped to
+    [_ALPHA_LO, _ALPHA_HI]. Each lane takes Newton steps, clipped to that
+    range, from the continuous estimate 1 + 1/(mean(log x) - log(xmin - 1/2));
+    a lane whose root lies beyond a bound stops there. A step that leaves the
+    bracket of the points evaluated is replaced by bisection. A lane stops
+    when its step or its bracket is within _XTOL; the second ends a lane
+    whose gradient's sign flickers with rounding at the root. Lanes are
+    independent of each other. Duplicating every sample moves alpha-hat by
+    well under 1e-9.
     """
     alpha = np.empty(mean_log.shape[0])
-    g_hi = _mle_grad(np.full(alpha.shape, _ALPHA_HI), mean_log, xmin)
-    alpha[g_hi <= 0] = _ALPHA_HI
-    # a NaN gradient fails both bound tests and raises below, as in brentq
-    lanes = np.flatnonzero(~(g_hi <= 0))
-    g_lo = _mle_grad(np.full(lanes.shape, _ALPHA_LO), mean_log[lanes], xmin[lanes])
-    alpha[lanes[g_lo >= 0]] = _ALPHA_LO
-    live = ~(g_lo >= 0)
-    lanes, fpre, fcur = lanes[live], g_lo[live], g_hi[lanes[live]]
-    _check_grad(fpre, fcur)
-
-    xpre = np.full(lanes.shape, _ALPHA_LO)
-    xcur = np.full(lanes.shape, _ALPHA_HI)
-    xblk, fblk, spre, scur = (np.zeros(lanes.shape) for _ in range(4))
-    for _ in range(_BRENT_MAXITER):
-        # keep the root bracketed between xcur and xblk
-        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        step = xcur - xpre
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
-        # xcur is the end with the smaller |f|
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-
-        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        alpha[lanes[done]] = xcur[done]
+    lanes = np.arange(alpha.shape[0])
+    excess = mean_log - np.log(xmin)
+    x = np.clip(1.0 + 1.0 / (mean_log - np.log(xmin - 0.5)), _ALPHA_LO, _ALPHA_HI)
+    lo, hi = np.ones(x.shape), np.full(x.shape, np.inf)  # the pole, and alpha -> inf
+    for _ in range(_MAXITER):
+        g, slope = _mle_slope(x, excess[lanes], xmin[lanes])
+        if np.isnan(g).any():
+            raise ValueError("the likelihood gradient is NaN; solver cannot continue")
+        lo, hi = np.where(g < 0, x, lo), np.where(g > 0, x, hi)
+        step = g / slope
+        newton = np.clip(x - step, _ALPHA_LO, _ALPHA_HI)
+        low, high = np.maximum(lo, _ALPHA_LO), np.minimum(hi, _ALPHA_HI)
+        done = (np.abs(step) <= _XTOL) | (high - low <= _XTOL)
+        alpha[lanes[done]] = newton[done]
         if done.all():
             return alpha
-        if done.any():
-            keep = ~done
-            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                v[keep] for v in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
-
-        # secant (two distinct points) or inverse quadratic step; lanes that
-        # take neither discard it, so its division warnings do not matter
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
-            )
-            limit = np.where(np.abs(spre) < 3 * np.abs(sbis) - delta,
-                             np.abs(spre), 3 * np.abs(sbis) - delta)
-            short = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)) & (2 * np.abs(stry) < limit)
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-
-        xpre, fpre = xcur, fcur
-        xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                        xcur + np.where(sbis > 0, delta, -delta))
-        fcur = _mle_grad(xcur, mean_log[lanes], xmin[lanes])
-        _check_grad(fcur)
-    raise RuntimeError(f"alpha MLE failed to converge after {_BRENT_MAXITER} iterations")
+        keep = ~done
+        lanes, x, lo, hi, newton, low, high = (
+            v[keep] for v in (lanes, x, lo, hi, newton, low, high))
+        x = np.where((lo < newton) & (newton < hi), newton, (low + high) / 2)
+    raise RuntimeError(f"alpha MLE failed to converge after {_MAXITER} iterations")
 
 
 _KS_BLOCK = 1 << 17  # tail-triangle elements per KS block (bounds memory)
@@ -160,10 +164,10 @@ def _ks_distances(alpha, first, stop, below, n_tail, vals, starts, ends) -> np.n
     empirical CDF is flat between observed values, so the supremum over
     all integers is attained either at an observed value or just before
     the next one. The lanes' tails, laid end to end, form a triangle per
-    sample; it is evaluated in blocks of about _KS_BLOCK elements.
+    sample; it is evaluated in blocks of about _KS_BLOCK elements. Zeta
+    values are taken relative to xmin^-alpha, so a far tail cannot
+    underflow its lane's normalization.
     """
-    from scipy.special import zeta
-
     sizes = stop - first
     lane_end = np.cumsum(sizes)
     out = np.empty(alpha.shape[0])
@@ -177,9 +181,10 @@ def _ks_distances(alpha, first, stop, below, n_tail, vals, starts, ends) -> np.n
         idx = np.arange(seg.shape[0]) - heads[seg] + first[lo:hi][seg]
         a = alpha[lo:hi][seg]
         v = vals[idx]
-        surv_next = zeta(a, v + 1.0)              # zeta(a, v+1)
-        surv_at = surv_next + np.power(v, -a)     # zeta(a, v)
-        z_norm = surv_at[heads][seg]              # zeta(a, xmin)
+        x0 = v[heads][seg]
+        surv_next = np.power((v + 1.0) / x0, -a) * _hurwitz(a, v + 1.0)  # zeta(a, v+1) x0^a
+        surv_at = surv_next + np.power(v / x0, -a)                        # zeta(a, v) x0^a
+        z_norm = surv_at[heads][seg]                                      # zeta(a, x0) x0^a
         fit_at = 1.0 - surv_next / z_norm         # F(v)
         fit_before = 1.0 - surv_at / z_norm       # F(v - 1)
         b, n = below[lo:hi][seg], n_tail[lo:hi][seg]
@@ -250,40 +255,31 @@ def _scan_xmin(samples: list, min_tail: int = 2) -> list:
 def _tail_cdf(alpha: float, xmin: int, kmax: int) -> np.ndarray:
     """Inverse-CDF table of the fitted discrete power law: P(X <= k) for
     k = xmin..kmax."""
-    from scipy.special import zeta
-
     ks = np.arange(xmin, kmax + 1, dtype=np.float64)
-    return np.cumsum(np.power(ks, -alpha) / zeta(alpha, float(xmin)))
+    return np.cumsum(np.power(ks / xmin, -alpha) / _hurwitz(alpha, float(xmin)))
 
 
-def _sample_fitted_tail(alpha: float, xmin: int, size: int, rng: np.random.Generator, kmax: int,
-                        cdf: np.ndarray | None = None) -> np.ndarray:
-    """Draw from the fitted discrete power law via an inverse-CDF table,
-    falling back to bisection on the survival function for the far tail.
-    `cdf`, when given, is `_tail_cdf(alpha, xmin, kmax)`, built once for
-    many draws."""
-    from scipy.special import zeta
-
-    if cdf is None:
-        cdf = _tail_cdf(alpha, xmin, kmax)
-    u = rng.random(size)
+def _sample_fitted_tail(alpha: float, xmin: int, u: np.ndarray, kmax: int,
+                        cdf: np.ndarray) -> np.ndarray:
+    """Draws from the fitted discrete power law for the uniforms `u`, by
+    inverse CDF: the table `cdf` = _tail_cdf(alpha, xmin, kmax) up to kmax,
+    and beyond it the smallest k >= kmax with P(X >= k+1) <= 1 - u, found
+    for every such draw together by doubling, then bisection. Each draw
+    depends on its own uniform only."""
     idx = np.searchsorted(cdf, u, side="left")
-    out = xmin + idx
-    overflow = idx >= cdf.shape[0]
-    for i in np.flatnonzero(overflow):
-        # find the smallest k with zeta(a, k+1) <= target
-        target = (1.0 - u[i]) * zeta(alpha, float(xmin))
-        lo, hi = kmax, 2 * kmax
-        while zeta(alpha, hi + 1.0) > target and hi < 2**62:
-            lo, hi = hi, hi * 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if zeta(alpha, mid + 1.0) <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        out[i] = lo
-    return out.astype(np.int64)
+    out = (xmin + idx).astype(np.int64)
+    over = idx >= cdf.shape[0]
+    target = 1.0 - u[over]
+    lo = np.full(target.shape, kmax, dtype=np.int64)
+    hi = 2 * lo
+    while (grow := (_ccdf(alpha, xmin, hi + 1.0) > target) & (hi < 2**62)).any():
+        lo, hi = np.where(grow, hi, lo), np.where(grow, 2 * hi, hi)
+    while (split := lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        above = _ccdf(alpha, xmin, mid + 1.0) > target
+        lo, hi = np.where(split & above, mid + 1, lo), np.where(split & ~above, mid, hi)
+    out[over] = lo
+    return out
 
 
 def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads) -> list:
@@ -299,16 +295,16 @@ def _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, threads) 
     cdf = _tail_cdf(alpha, xmin, kmax)  # every replicate draws from the same table
 
     def draw_and_scan(chunk) -> list:
-        synth = []
+        bodies, uniforms = [], []
         for seed in chunk:
             rng = np.random.Generator(np.random.PCG64(int(seed)))
             n_body = int(rng.binomial(n, p_body))
-            parts = []
-            if n_body:
-                parts.append(body[rng.integers(0, body.shape[0], n_body)])
-            if n - n_body:
-                parts.append(_sample_fitted_tail(alpha, xmin, n - n_body, rng, kmax, cdf))
-            synth.append(np.sort(np.concatenate(parts)))
+            bodies.append(body[rng.integers(0, body.shape[0], n_body)] if n_body else body[:0])
+            uniforms.append(rng.random(n - n_body))
+        # the chunk's tail draws in one call, then split per replicate
+        tails = _sample_fitted_tail(alpha, xmin, np.concatenate(uniforms), kmax, cdf)
+        ends = np.cumsum([u.shape[0] for u in uniforms])[:-1]
+        synth = [np.sort(np.concatenate((b, t))) for b, t in zip(bodies, np.split(tails, ends))]
         # A degenerate replicate (e.g. single repeated value) fits nothing;
         # count it as at least as extreme as the observed distance.
         return [math.inf if isinstance(fit, Exception) else fit[2]
@@ -383,7 +379,4 @@ def fit_power_law(
 
 def fitted_tail_ccdf(fit: PowerLawFit, values: np.ndarray) -> np.ndarray:
     """Model CCDF P(X >= v) at integer values >= xmin, for plotting/export."""
-    from scipy.special import zeta
-
-    vals = np.asarray(values, dtype=np.float64)
-    return zeta(fit.alpha, vals) / zeta(fit.alpha, float(fit.xmin))
+    return _ccdf(fit.alpha, float(fit.xmin), np.asarray(values, dtype=np.float64))

@@ -671,6 +671,27 @@ def test_dataset_graph_seed_users_are_labels(snapshot, tmp_path, capsys, users, 
         assert not out.exists()
 
 
+def test_dataset_graph_digest_names_the_snapshot_bytes(tmp_path, capsys):
+    # two logs over the same users, so only the snapshot bytes differ
+    digests = []
+    for name, follows in (("one", [["a", "b"]]), ("two", [["b", "a"]])):
+        (tmp_path / name).mkdir()
+        snap = _ingest_rows(tmp_path / name, capsys, [["a", "x", 1], ["b", "x", 2]], follows)
+        cfg = tmp_path / name / "sim.json"
+        cfg.write_text(json.dumps({"graph": {"kind": "dataset", "snapshot": str(snap)},
+                                   "model": "threshold", "params": _THRESHOLD}))
+        out = tmp_path / name / "runs"
+        code, report = _run(capsys, "simulate", "--config", str(cfg), "--seed", "1",
+                            "--runs", "2", "--out", str(out))
+        assert code == 0
+        for run in ("run_0000", "run_0001"):
+            graph = json.loads((out / run / "manifest.json").read_text())["graph"]
+            assert graph == {"kind": "dataset", "snapshot": str(snap), "sha256": _sha256(snap)}
+        assert report["inputs"]["graph_snapshot"] == {"path": str(snap), "sha256": _sha256(snap)}
+        digests.append(_sha256(snap))
+    assert digests[0] != digests[1]
+
+
 _THRESHOLD = {"thresholds": {"kind": "constant", "c": 0.5}}
 _ER = {"kind": "erdos_renyi", "n": 20, "mean_out_degree": 2}
 
@@ -1146,12 +1167,12 @@ def test_cli_import_loads_neither_scipy_nor_concurrent_futures():
 
 def test_fit_powerlaw_in_a_fresh_process_equals_in_process(snapshot, tmp_path, capsys,
                                                            monkeypatch):
-    # The fresh process loads scipy.special inside the fit, where this one
-    # has it loaded already; both give the same report and files.
+    # The fit needs no scipy: the fresh process has loaded no scipy module
+    # when main returns, and gives the same report and files as this one.
     argv = ["fit-powerlaw", str(snapshot), "--bootstrap", "20", "--seed", "5",
             "--out", "fit.tsv", "--summary", "fit.json"]
-    probe = ("import sys, tagcascade.cli; assert 'scipy.special' not in sys.modules; "
-             "sys.exit(tagcascade.cli.main(sys.argv[1:]))")
+    probe = ("import sys, tagcascade.cli; code = tagcascade.cli.main(sys.argv[1:]); "
+             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']; sys.exit(code)")
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     fresh.mkdir()
     here.mkdir()

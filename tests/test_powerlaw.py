@@ -9,14 +9,19 @@ from scipy.special import zeta
 
 import tagcascade as tc
 from tagcascade.errors import DegenerateSampleError, InsufficientTailError
+from tagcascade import powerlaw
 from tagcascade.powerlaw import (
     _bootstrap_distances,
+    _ccdf,
+    _hurwitz,
     _sample_fitted_tail,
     _scan_xmin,
+    _solve_alpha,
+    _tail_cdf,
     fit_power_law,
 )
 
-from oracles import scan_xmin, zeta_sample
+from oracles import alpha_mle, scan_xmin, zeta_sample
 
 
 def test_zeta_sampler_matches_model_pmf():
@@ -150,6 +155,100 @@ def test_ks_distance_is_true_sup_norm():
 
 
 # ---------------------------------------------------------------------------
+# the Hurwitz zeta and the exponent solve
+# ---------------------------------------------------------------------------
+
+def _zeta_grid():
+    """(alpha, q) pairs: alpha from 1.01 to 20, q from 1 to 2^53."""
+    alphas = np.concatenate([np.linspace(1.01, 20, 39), [1.5, 2.0, 2.5, 3.0]])
+    qs = np.unique(np.concatenate([np.arange(1, 41), np.round(2.0 ** np.linspace(0, 53, 80))]))
+    return (m.ravel() for m in np.meshgrid(alphas, qs))
+
+
+def test_hurwitz_matches_scipy_zeta():
+    alpha, q = _zeta_grid()
+    # S q^-alpha as (S/q) q^(1-alpha): q^-alpha alone is subnormal at q = 2^53
+    got = _hurwitz(alpha, q) / q * np.power(q, 1.0 - alpha)
+    np.testing.assert_allclose(got, zeta(alpha, q), rtol=1e-14, atol=0)
+
+
+def test_hurwitz_ratio_where_zeta_underflows():
+    # zeta(alpha, xmin) below 1e-186, or 0 in float64: the CCDF is taken
+    # from S alone, here against 80-digit sums
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 80
+    for a in (12.0, 16.5, 20.0):
+        for xmin in (2.0**56, 2.0**60, 3.0**38):
+            for v in (xmin, 1.5 * xmin, 3 * xmin, 10 * xmin):
+                want = mpmath.zeta(a, mpmath.mpf(v)) / mpmath.zeta(a, mpmath.mpf(xmin))
+                assert float(_ccdf(a, xmin, v)) == pytest.approx(float(want), rel=1e-14, abs=0)
+
+
+def test_hurwitz_alpha_derivative_matches_richardson_difference():
+    alpha, q = _zeta_grid()
+    keep = q <= 2**20  # q^alpha stays finite below
+    alpha, q = alpha[keep], q[keep]
+    s, s1, _ = _hurwitz(alpha, q, derivs=True)
+    got = np.power(q, -alpha) * (s1 - np.log(q) * s)  # d zeta / d alpha
+    h = 0.005 * (alpha - 1) / np.maximum(1.0, np.log(q))
+    d1, d2, d3 = ((zeta(alpha + t, q) - zeta(alpha - t, q)) / (2 * t) for t in (h, h / 2, h / 4))
+    r1, r2 = (4 * d2 - d1) / 3, (4 * d3 - d2) / 3
+    # the difference's own error, about 1e-8 at q = 1 and alpha near 20, sets the bound
+    np.testing.assert_allclose(got, (16 * r2 - r1) / 15, rtol=1e-7, atol=0)
+    # the second derivative against a difference of the first
+    t = 1e-4 * (alpha - 1)
+    ds = (_hurwitz(alpha + t, q, derivs=True)[1] - _hurwitz(alpha - t, q, derivs=True)[1]) / (2 * t)
+    np.testing.assert_allclose(_hurwitz(alpha, q, derivs=True)[2], ds, rtol=1e-6, atol=1e-300)
+
+
+# (mean log x, xmin, exponent or None for the scalar reference's)
+_EDGE_LANES = {
+    "beyond-high": (math.log(5) + 1e-9, 5.0, 20.0),  # tail nearly all at xmin
+    "beyond-low": (200.0, 1.0, 1.01),
+    # the xmin = 1 lane of the seed-7 dense-workload popularity sample
+    "dense-q1": (2.249201374483977, 1.0, None),
+    "two-values": ((30 * math.log(3) + 2 * math.log(7)) / 32, 3.0, None),
+}
+
+
+@pytest.mark.parametrize("lane", sorted(_EDGE_LANES))
+def test_solver_edge_lanes_finish_under_cap(monkeypatch, lane):
+    monkeypatch.setattr(powerlaw, "_MAXITER", 8)
+    mean_log, xmin, want = _EDGE_LANES[lane]
+    got = float(_solve_alpha(np.array([mean_log]), np.array([xmin]))[0])
+    if want is None:
+        assert got == pytest.approx(alpha_mle(mean_log, 1, int(xmin)), rel=1e-6)
+    else:
+        assert got == want
+
+
+def test_solver_lanes_are_independent():
+    mean_log, xmin = (np.array(col) for col in zip(*(v[:2] for v in _EDGE_LANES.values())))
+    together = _solve_alpha(mean_log, xmin)
+    alone = [_solve_alpha(mean_log[i:i + 1], xmin[i:i + 1])[0] for i in range(xmin.shape[0])]
+    assert together.tolist() == alone
+
+
+def test_solver_stops_when_the_gradient_sign_flickers(monkeypatch):
+    # rounding noise larger than the step tolerance, alternating in sign:
+    # the bracket test ends the lane under the cap
+    slope = powerlaw._mle_slope
+    calls = []
+
+    def flickering(alpha, excess, xmin):
+        calls.append(None)
+        g, d = slope(alpha, excess, xmin)
+        return g + 1e-10 * (-1) ** len(calls), d
+
+    mean_log, xmin, _ = _EDGE_LANES["dense-q1"]
+    exact = _solve_alpha(np.array([mean_log]), np.array([xmin]))[0]
+    monkeypatch.setattr(powerlaw, "_mle_slope", flickering)
+    monkeypatch.setattr(powerlaw, "_MAXITER", 16)
+    got = _solve_alpha(np.array([mean_log]), np.array([xmin]))[0]
+    assert abs(got - exact) < 1e-9
+
+
+# ---------------------------------------------------------------------------
 # the batched cutoff scan against the scalar reference
 # ---------------------------------------------------------------------------
 
@@ -263,7 +362,8 @@ def _replicates(sorted_samples, alpha, xmin, seeds) -> list:
         n_body = int(r.binomial(n, body.shape[0] / n))
         parts = [body[r.integers(0, body.shape[0], n_body)]] if n_body else []
         if n - n_body:
-            parts.append(_sample_fitted_tail(alpha, xmin, n - n_body, r, kmax))
+            parts.append(_sample_fitted_tail(alpha, xmin, r.random(n - n_body), kmax,
+                                             _tail_cdf(alpha, xmin, kmax)))
         out.append(np.sort(np.concatenate(parts)))
     return out
 
