@@ -61,6 +61,6 @@ from .stats import (
     popularity_threshold_correlation,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -346,130 +346,130 @@ def test_pin_parser_surface():
 # sort-join kernel replaced it.
 PINS = {
     "ingest_stats": {
-        "ingest.report": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
-        "ingest.report_file": "5a9b17426d5bc69dd2adbfa6a8f0fef161dfd6b4e958500482aa3bc26e1456d4",
+        "ingest.report": "c65e675035130a555a50f7a5a4525cf8f00776ab0ec69bbf33da7cad3b14e163",
+        "ingest.report_file": "c65e675035130a555a50f7a5a4525cf8f00776ab0ec69bbf33da7cad3b14e163",
         "ingest.snapshot": "b98ae3cec53c10997f30b3bfaa4666a0886559a6c3b832db018dd0e0611ea36d",
-        "ingest_mutual.report": "e6e1241cd3cb07a54db99ff7a20eb08c748b6614c637a7d6d76485e4e8f30122",
+        "ingest_mutual.report": "2249e074820257e5bbebfff3626ca6ab7b729168bf72c4f884a53de81e3214c6",
         "ingest_mutual.snapshot": "146f01264b937fc3a94605c21fca04db223a8f6db654856a82c15633ffe40fc4",
-        "stats.report": "9c913516991822a92b6d0c28df55f8dee34cc1496ef664069ad4d865413b96da",
+        "stats.report": "84e753e18c2c9772ebc485676f0da041cddd08dc49b8ed61a4e4e2e785ec710e",
     },
     "thresholds-strict-adopters": {
-        "report": "4a76b6d7e2ff7b3d4a9789e06c23d7e73d03eeb73cf2205b3920fc4046e3fa06",
+        "report": "f0f09038c13c2a0abbf32a4d82efbe59941641daccaffd160015b78289eeaa7d",
         "exposures": "b27256118cadf02630905f3150f7fbf7e8c5a584ebb0e857a90f7a72acd593a9",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-strict-usages": {
-        "report": "94371349301b14c65367c0619ed74eb875f70c06c0f7cdcccf93380f18b0bcfe",
+        "report": "faaf563c88fbfe5a74ed9304cd7afcbe8f3212334f686619de118f6224959850",
         "exposures": "b401d67f6847bdefa99505d10a2fde05858b4e34f33f8cec39453011bf437d4b",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-inclusive-adopters": {
-        "report": "953289d518bed14b68f9fef2e2eb6c56f9aacaacb35bfcdbcd333b3afa7737b2",
+        "report": "16d156d08fa1b710fe461a00af58b0f7545144d9fe63da6b311a447ddbfdf95a",
         "exposures": "ac62098925616052092ef6aef974ef9102650b8942c9e9a8b497c53cb746083b",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-inclusive-usages": {
-        "report": "e6dfc9c8c124fbfda4d2611a35ab922852d6b1ec313415f9807355d33e04a01d",
+        "report": "0cc383fbb074b92c20042cd1c39f33da123fe588d6f284c49f5c4ccf66394036",
         "exposures": "cc2289a0e71f508ec675ad5b9ab5088edd579220e864b659234ecd7bc09bfbea",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-timed-strict-adopters": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "eb3b16be301e7464b905eb8c6a5efa204325c3e6803cd8d15b8f95863042f3e8",
+        "report": "90c03b9cbf84b94affc678507c981924c0bba5e1e6a4866d0e0958a640c175f2",
         "exposures": "71c6564146ca2c31ad08f55ba105f174d413e92af3bfbef8c3a037c15f045ce6",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-strict-usages": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "c3a0ff84e2cfcd706131e27d813d6d9f7a7a9e1bc4fec56761b6d9266d76f4a6",
+        "report": "f4af853e66699daa1b8b272bbf2eed750e1bf06324bcfccf3d45e9b7f01a5261",
         "exposures": "60dd905e9504a375d76bd5d17f6ed40e5b8aa71f5b588517e2ba53741ece75a2",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-inclusive-adopters": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "cf50926e9a68ecd99cc9708cbff0a7a40705eed87432318b979123d193babd40",
+        "report": "6f71717585de7852db4f1e2815ed9ab1136cbaf9a4231863722705401c33d44e",
         "exposures": "753d60bf644951e4339178c0ab94e75d5850ee04d9e3dfe3405a4eccc555000c",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "thresholds-timed-inclusive-usages": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "548ebb8430052a673ec25464d983fcdba410317da9ebe23bd3857b9a62535e1f",
+        "report": "afec526a06452d8cbd14db393cd3c2f66b44d5e86ff053fe8b79e6aa895cb36e",
         "exposures": "d97b1889dc8399af64ad19e091810b4a38c42b513ce9f20e5f63fb38c6a169e2",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "fit_curve_correlate": {
-        "fit.report": "396a6a4b76fb7e75c03212e4ea1d68da0d20891f2fe1cbe56eb79f26f4e5b1ee",
-        "fit.tsv": "a40e399af13faa8dc11cb377ddacde4f6abfe6f88ff1b29023f40886fac67475",
-        "fit.json": "5c83b6fbecc806456a6553067f01163841ea49057183f8e6e13fe5208e204f40",
-        "fit.report_file": "396a6a4b76fb7e75c03212e4ea1d68da0d20891f2fe1cbe56eb79f26f4e5b1ee",
-        "fit_usages.report": "285baba21fad05c7b40d97fc8072550fc66bc300ca8f96d3b0517dc9cd9981a3",
-        "curve.report": "caf5174df4cba78f88ee9890a3036fd29e1f36524a606e7ae0e8bee7b47f7996",
+        "fit.report": "738dcd8513794f2d1c392a6dc75b2276408d2666e271c5a2538e91543375c7c2",
+        "fit.tsv": "5ff09b5715d17d12af5deaa59ac305f26aae1e64516a74b5692934063f2b2506",
+        "fit.json": "c0e87ed67b37b7b283fcf1de4d460d9b874e28f84677f25c7f795d54087cfff1",
+        "fit.report_file": "738dcd8513794f2d1c392a6dc75b2276408d2666e271c5a2538e91543375c7c2",
+        "fit_usages.report": "2055df644438bf9ea7e32bcb952501a9f6a848eab1b0d1eaee7eff23ebc73a28",
+        "curve.report": "07bae4111180907e9bb93b0446727ea1867d1512309c9ed122cb1db67f076d7e",
         "curve.tsv": "ebf56dfaac1edee103a248a7de6d80b4a3bba85c57d9ac8f43407bb181271cd8",
         "curve.json": "46622f8df490510d5763d692f8135291135cbdd49628b29368e097604f53cded",
-        "spearman.report": "23d7cce461a4d564e738873662d016ee2c9dbab93fbe49d2f380ad265159f6ca",
+        "spearman.report": "9fe658d0ac6e0b713830d72153c8b4ac2908af5466e217dd53a512a77032761a",
         "spearman.tsv": "9a1b947bc5f9081a5bcb66bf60fb07cae7417c6e52bc3dbedf5d12a41b0a9ff0",
         "spearman.json": "b73264e72fd4efb15938eb210ce19debc1fc9bef8de674af41173a67fefa3d94",
-        "pearson.report": "e5accf3232e4e01a63a873e882400aac24e1d27c2a1366fa005a46b88820ead7",
+        "pearson.report": "9c112b237e1edf1bfc338e70b78530cbf2156d32ff7fc901415b2a367ea0293b",
         "pearson.tsv": "97345bac971e40249a01efe8d09ab0c310ddda903f2a7e48240bf4804f483c8f",
         "pearson.json": "483727e7a54a82d16ef8affaa58163ad7c53326d48f6c3282dd66165175496ae",
     },
     "simulate-dataset-threshold": {
-        "report": "1226db0a493d844fd8e7db665ec1dcf9efeff060c7da6d2669507b011dfd6ba5",
-        "runs": "65cbb5d42cc4ab8a5136e6fa30aa27a5930cfba87ef40f074e10fc91aede67fa",
+        "report": "61c80a97e1da87cc1584b07b7b63c16d2542a2627f6b319119bcaa66dd00ce56",
+        "runs": "982cfa537fe2e5c77d42b3e20267f157668195ec48bc3038ae35eb1948c2f10a",
     },
     "simulate-dataset-cascade": {
-        "report": "ff0b0b7e96278a15ee65da6f71c391b27ef4d7067fb32f62fc6da16b6ed1d502",
-        "runs": "9711ca15ae490af54f193848870c38bed3c86fd5a71b5567101b6495e480df38",
+        "report": "d9306d56a48f0d76a3013c4fb3bdc750566fc20acff659406a097eff31a0a560",
+        "runs": "adae511a774c0d3fc19bd67facb449d965f1f8bf0b8d60973faf422ba49e89f5",
     },
     "simulate-dataset-learning": {
-        "report": "385bbf9954f62d4abbea398b1efe9edf59a503ca25569b7d2d4ff5243a6b0256",
-        "runs": "b463e87c4f25641c8ec7c14c5e101576ffcd3ffa6202ec5333313084af3bb84b",
+        "report": "9fba7503b67690e6f5fa89da926582d30310aee2550b208188a110dfd7d5d661",
+        "runs": "bf198e3bc2d118b91856fc03eb5e298cacdc7b318048d210483a4efb0d8908d3",
     },
     "simulate-er-threshold": {
-        "report": "fb19c0286d1056528c0f74989d4d572ce747174b59b3d0aaa6640182e7ffd1fa",
+        "report": "2037fa31fc9dea6c124bb02529f1719dfa5dd00ee41c59503b45e6ea67e064f4",
         "runs": "4504daff0b6e40fc7792383d360bee31682b39c92d43bf37638f683c7758b8a4",
     },
     "simulate-er-cascade": {
-        "report": "f0a1569b3335e78caba08de7b8557fc03fd401a26bcc14cc13dc488e93a93676",
+        "report": "13157f49b08a07c7d476af9d6e5cb227e6e92726cd61d7d87a458d0fd7e16dba",
         "runs": "aa4738fcabdb87b9d57bff6c00730715fcdfd91455367762acb794b55748931e",
     },
     "simulate-er-learning": {
-        "report": "a8daeb540802a4ad0001770aad57835cee55e68d6ea909d19f0976cf4102c0e6",
+        "report": "701243626d7d3b48f372d0260c0c6432d3b04cf3ea39c5e5863b6a5e1b601646",
         "runs": "c281745459d4f1e660e7202838dc167e4462bfc07379fbcd3a330c2de34c1fbf",
     },
     "simulate-pa-threshold": {
-        "report": "f1c9c4df6fd8d0befc2158fd63ef181cd77f85329ca0bee649488bb0caefd053",
+        "report": "6159a563690c411f86d8df565babb71cc14a2d01a92d28bb3674cce6355d3e36",
         "runs": "888cd56004b6eac40044250297aaa735acea8fbd75ad8952fb5615522e285496",
     },
     "simulate-pa-cascade": {
-        "report": "ebc7d92ba583beed9d0db885a51ff8bec9278d9e88606925b5186a39673483f2",
+        "report": "fee2d6307edf5e345167cd7e24e5976b787acb2ba174ab3ea3053216c6967312",
         "runs": "f830d04df88b0ea41156e37d5763cf34d5b3cb4329bf4d06f0f849123b098946",
     },
     "simulate-pa-learning": {
-        "report": "094a9d1bcf26e8e249b887188ee3dcfb1d4474aa4dd7ffd4ce7eeb54c597e03a",
+        "report": "2c35e74dc0b6db75c97982894de4b90534f58507bd9179d22bd2c885e4878696",
         "runs": "dca7c158069314c1fdf9c6deed2e86edeed80b6956133866183c3dd3c8c1354b",
     },
     "recover": {
-        "recover.report": "f3c7a3fc6cdadd9df26c01324e9111110378d61f9f8719258a4c7a99764800c8",
+        "recover.report": "b95f9311540a99da950d1fadc1ba58352c9e1530c76770a7d162a028cad61189",
         "recover.json": "902b170320523f4a9004bbeaf662e64be2e314676001209cafd33c3d8f7c77de",
-        "recover.report_file": "f3c7a3fc6cdadd9df26c01324e9111110378d61f9f8719258a4c7a99764800c8",
-        "recover_inclusive.report": "01763c9aa51443d74b0c6d55741c5ad2974bb98634963945435c4cf735305560",
+        "recover.report_file": "b95f9311540a99da950d1fadc1ba58352c9e1530c76770a7d162a028cad61189",
+        "recover_inclusive.report": "bbba07e31da7430923fe6cbfc216b69d839a80bca30d2803b12a5ffc16ee28ca",
     },
     "pipeline_full": {
-        "report": "798456f086ec6ed0ce4c3335c545465d9e561a0b8119c729faaa1a7fb035662f",
-        "out_dir": "7f516455d3db9fe4f5ecc6a3989d49149b9e3a88f5afef9d1467658a2625060c",
+        "report": "9ec656bb97d1f81c575a33fb16c05b7308ddcc8c886ebf99e3eb55d59bc4d578",
+        "out_dir": "68610a4972ff8dd1f7587c88baaa5881531b7ebb53055817ae679873fab0e520",
     },
     "pipeline_options": {
-        "report": "6a4d618866d7d415c0d1bc1565e370cc4fe944e15934b590e7be9894a6c85c3f",
-        "out_dir": "38027ee76543f95173e88658985415908e89d650af9ccad660967c6defeda6f7",
+        "report": "4a825f9e52750f719c3f51f71dd3b0eb24468dcc514c27ce9ea3fbcbd1f22f10",
+        "out_dir": "6e43e1ed87cd3aa8534bcbf13149c44f2262871fd5397ea6f9dfc7b42a5263d4",
     },
     "parser": {
         "ingest": "bd98bccc19097fdb3db697c68099a69c90441e77ab564faabdfcd004f287ad35",
