@@ -60,7 +60,7 @@ def _hurwitz(alpha, q, derivs: bool = False):
     q = np.asarray(q, dtype=np.float64)
     neg = -alpha
     s = np.ones(np.broadcast(alpha, q).shape)  # the k = 0 term
-    s1, s2 = np.zeros(s.shape), np.zeros(s.shape)
+    s1 = s2 = 0.0
     for k in range(1, _EM_DIRECT):
         log_k = np.log1p(k / q)
         term = np.exp(neg * log_k)
