@@ -4,7 +4,9 @@ These deliberately avoid the library's data structures and algorithms:
 the exposure oracle rescans raw event rows per first usage, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
 on the survival function, the cutoff scan fits one candidate at a
-time with scipy's scalar brentq, the preferential-attachment generator
+time with scipy's scalar brentq, the batched KS pass is replayed in one
+unblocked pass (it reuses the library's `_hurwitz`, so it checks the
+blocking and nothing else), the preferential-attachment generator
 draws each pick with its own `Generator.integers` call (and the bounded-draw
 rule it replays is written out as a generator of its own), the giant
 component comes from a union-find that merges one edge at a time, the
@@ -231,6 +233,31 @@ def ks_distance(alpha: float, xmin: int, vals: np.ndarray, cum_counts: np.ndarra
     emp = cum_counts / n
     emp_prev = np.concatenate(([0.0], emp[:-1]))
     return float(np.maximum(np.abs(emp - fit_at), np.abs(emp_prev - fit_before)).max())
+
+
+def ks_distances_reference(alpha, first, stop, below, n_tail, vals, starts, ends) -> np.ndarray:
+    """`powerlaw._ks_distances` as it was before its blocks were sized to the
+    cache, over the whole tail triangle at once: every element is a
+    `_hurwitz` value of its own, so any blocking must give these bits."""
+    from tagcascade.powerlaw import _hurwitz
+
+    sizes = stop - first
+    heads = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(sizes.shape[0]), sizes)  # lane of each element
+    idx = np.arange(seg.shape[0]) - heads[seg] + first[seg]
+    a = alpha[seg]
+    v = vals[idx]
+    x0 = v[heads][seg]
+    surv_next = np.power((v + 1.0) / x0, -a) * _hurwitz(a, v + 1.0)  # zeta(a, v+1) x0^a
+    surv_at = surv_next + np.power(v / x0, -a)                        # zeta(a, v) x0^a
+    z_norm = surv_at[heads][seg]                                      # zeta(a, x0) x0^a
+    fit_at = 1.0 - surv_next / z_norm         # F(v)
+    fit_before = 1.0 - surv_at / z_norm       # F(v - 1)
+    b, n = below[seg], n_tail[seg]
+    emp = (ends[idx] - b) / n
+    emp_prev = (starts[idx] - b) / n
+    gap = np.maximum(np.abs(emp - fit_at), np.abs(emp_prev - fit_before))
+    return np.maximum.reduceat(gap, heads)
 
 
 def scan_xmin(sorted_samples: np.ndarray, min_tail: int = 2):

@@ -21,7 +21,7 @@ from tagcascade.powerlaw import (
     fit_power_law,
 )
 
-from oracles import alpha_mle, scan_xmin, zeta_sample
+from oracles import alpha_mle, ks_distances_reference, scan_xmin, zeta_sample
 
 
 def test_zeta_sampler_matches_model_pmf():
@@ -389,6 +389,30 @@ def test_bootstrap_replicates_match_scalar_reference(case):
     assert (xmin, alpha) == (want[1], pytest.approx(want[0], rel=1e-6))
     for replicate in _replicates(sorted_samples, alpha, xmin, seeds):
         _assert_near_reference(replicate, min_tail, _scan_xmin([replicate], min_tail)[0])
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+def test_ks_distances_equal_unblocked_reference(monkeypatch, block):
+    # every KS pass of a batched scan and of a bootstrap chunk, bit for bit;
+    # a block of 1 holds one lane, and at 7 most lanes are longer than a block
+    if block is not None:
+        monkeypatch.setattr(powerlaw, "_KS_BLOCK", block)
+    calls = []
+    ks_distances = powerlaw._ks_distances
+
+    def recorded(*args):
+        calls.append((args, ks_distances(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(powerlaw, "_ks_distances", recorded)
+    for min_tail, batch in _scan_batches(0.0):
+        _scan_xmin(batch, min_tail)
+    sorted_samples, min_tail, alpha, xmin, seeds = _bootstrap_case("tail")
+    _bootstrap_distances(sorted_samples, alpha, xmin, seeds, min_tail, 1)
+    assert len(calls) >= 3
+    for args, got in calls:
+        want = ks_distances_reference(*args)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_cutoff_scan_memory_is_bounded():
