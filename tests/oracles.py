@@ -4,7 +4,8 @@ These deliberately avoid the library's data structures and algorithms:
 the exposure oracle rescans raw event rows per first usage, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
 on the survival function, the cutoff scan fits one candidate at a
-time with scipy's scalar brentq, the batched KS pass is replayed in one
+time with scipy's scalar brentq on a gradient from its own term-by-term
+zeta series, the batched KS pass is replayed in one
 unblocked pass (it reuses the library's `_hurwitz`, so it checks the
 blocking and nothing else), the preferential-attachment generator
 draws each pick with its own `Generator.integers` call (and the bounded-draw
@@ -183,32 +184,62 @@ def zeta_sample(alpha: float, xmin: int, size: int, rng: np.random.Generator) ->
 
 _ALPHA_LO = 1.01
 _ALPHA_HI = 20.0
-_MLE_DIFF_H = 1e-6
+_ZETA_DIRECT = 40  # terms summed one by one before the Euler-Maclaurin tail
 
 
-def _log_zeta(alpha: float, q: float) -> float:
-    if alpha <= 1.0:
-        return math.inf  # zeta pole: likelihood -inf this side of the bracket
-    z = zeta(alpha, q)
-    if z > 0 and math.isfinite(z):
-        return math.log(z)
-    if math.isinf(z):
-        return math.inf
-    # Underflow guard: zeta(a, q) ~ q^-a for large a.
-    return -alpha * math.log(q)
+def _bernoulli_over_factorial(count: int) -> list:
+    """B_2j / (2j)! for j = 1..count, exact, from the recurrence
+    sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return [float(b[2 * j] / math.factorial(2 * j)) for j in range(1, count + 1)]
+
+
+_BERNOULLI = _bernoulli_over_factorial(8)
+
+
+def _zeta_and_derivative(alpha: float, q: float) -> tuple:
+    """(zeta(alpha, q), d zeta / d alpha), both times q^alpha, one term at a
+    time: sum (q+k)^-alpha and -sum log(q+k) (q+k)^-alpha over the first
+    _ZETA_DIRECT terms, then the Euler-Maclaurin tail at a = q +
+    _ZETA_DIRECT, differentiated in alpha term by term."""
+    log_q = math.log(q)
+    z = dz = 0.0
+    for k in range(_ZETA_DIRECT):
+        log_x = math.log(q + k)
+        w = math.exp(-alpha * (log_x - log_q))
+        z += w
+        dz -= log_x * w
+    a = q + _ZETA_DIRECT
+    log_a = math.log(a)
+    w = math.exp(-alpha * (log_a - log_q))  # a^-alpha q^alpha
+    # the integral a^(1 - alpha) / (alpha - 1), and half the first term left out
+    z += a * w / (alpha - 1) + w / 2
+    dz -= a * w * (log_a / (alpha - 1) + 1 / (alpha - 1) ** 2) + log_a * w / 2
+    # B_2j / (2j)! (alpha)_(2j-1) a^(-alpha-2j+1), with d/dalpha of the Pochhammer symbol
+    poch, dpoch = alpha, 1.0
+    for j, weight in enumerate(_BERNOULLI, start=1):
+        t = weight * w * a ** (1 - 2 * j)
+        z += t * poch
+        dz += t * (dpoch - log_a * poch)
+        for c in (2 * j - 1, 2 * j):
+            dpoch = dpoch * (alpha + c) + poch
+            poch *= alpha + c
+    return z, dz
 
 
 def alpha_mle(log_sum: float, n: int, xmin: int) -> float:
     """Maximize -alpha * sum(log x) - n * log(zeta(alpha, xmin)) by solving
-    the stationarity condition mean(log x) + d/da log zeta(a, xmin) = 0
+    the stationarity condition mean(log x) + zeta'/zeta(alpha, xmin) = 0
     with scipy's scalar brentq."""
     from scipy.optimize import brentq
 
     mean_log = log_sum / n
 
     def grad(a: float) -> float:
-        dlz = (_log_zeta(a + _MLE_DIFF_H, xmin) - _log_zeta(a - _MLE_DIFF_H, xmin))
-        return mean_log + dlz / (2.0 * _MLE_DIFF_H)
+        z, dz = _zeta_and_derivative(a, float(xmin))
+        return mean_log + dz / z
 
     # grad is strictly increasing (the log-likelihood is concave in alpha)
     if grad(_ALPHA_HI) <= 0:

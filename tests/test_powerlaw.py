@@ -228,7 +228,7 @@ def test_solver_edge_lanes_finish_under_cap(monkeypatch, lane):
     mean_log, xmin, want = _EDGE_LANES[lane]
     got = float(_solve_alpha(np.array([mean_log]), np.array([xmin]))[0])
     if want is None:
-        assert got == pytest.approx(alpha_mle(mean_log, 1, int(xmin)), rel=1e-6)
+        assert got == pytest.approx(alpha_mle(mean_log, 1, int(xmin)), rel=_REF_TOL)
     else:
         assert got == want
 
@@ -291,13 +291,18 @@ def _scan_samples(rng, count):
     return out
 
 
+# How far the batched scan may sit from the oracle's. Both solve the exact
+# likelihood gradient and stop within about 1e-12 of its root; over every
+# fit the scan tests make (209 fits), alpha differs by at most 1.2e-13
+# relative and D by 9.5e-14.
+_REF_TOL = 1e-11
+
+
 def _assert_near_reference(sample, min_tail, fit):
-    """`fit` is the oracle's scan within 1e-6 in alpha (relative) and in D,
-    with the same cutoff and tail size. The oracle's alpha comes from a
-    central difference of log zeta, whose error grows with alpha: at
-    alpha = 19.02 it is 1.4e-6 off the root. A different cutoff is accepted only as a near tie:
-    the oracle's own D there is within 1e-6 of its best, and the fit then
-    matches the oracle's fit at that cutoff."""
+    """`fit` is the oracle's scan within _REF_TOL in alpha (relative) and in
+    D, with the same cutoff and tail size. A different cutoff is accepted
+    only as a near tie: the oracle's own D there is within _REF_TOL of its
+    best, and the fit then matches the oracle's fit at that cutoff."""
     want = _reference(sample, min_tail)
     if isinstance(want, type):
         assert isinstance(fit, want)
@@ -306,11 +311,11 @@ def _assert_near_reference(sample, min_tail, fit):
     if xmin != want[1]:
         tail = sample[sample >= xmin]
         at_xmin = scan_xmin(tail, tail.shape[0])  # the one candidate that keeps the whole tail
-        assert at_xmin[2] <= want[2] + 1e-6, (fit, want)
+        assert at_xmin[2] <= want[2] + _REF_TOL, (fit, want)
         want = at_xmin
     assert xmin == want[1] and n_tail == want[3]
-    assert alpha == pytest.approx(want[0], rel=1e-6)
-    assert dist == pytest.approx(want[2], abs=1e-6)
+    assert alpha == pytest.approx(want[0], rel=_REF_TOL)
+    assert dist == pytest.approx(want[2], abs=_REF_TOL)
 
 
 def _scan_batches(min_tail_fraction):
@@ -397,7 +402,7 @@ def test_bootstrap_distances_equal_replicates_scanned_alone(case):
 def test_bootstrap_replicates_match_scalar_reference(case):
     sorted_samples, min_tail, alpha, xmin, seeds = _bootstrap_case(case)
     want = scan_xmin(sorted_samples, min_tail)
-    assert (xmin, alpha) == (want[1], pytest.approx(want[0], rel=1e-6))
+    assert (xmin, alpha) == (want[1], pytest.approx(want[0], rel=_REF_TOL))
     for replicate in _replicates(sorted_samples, alpha, xmin, seeds):
         _assert_near_reference(replicate, min_tail, _scan_xmin([replicate], min_tail)[0])
 
