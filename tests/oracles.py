@@ -267,9 +267,10 @@ def ks_distance(alpha: float, xmin: int, vals: np.ndarray, cum_counts: np.ndarra
 
 
 def ks_distances_reference(alpha, first, stop, below, n_tail, vals, starts, ends) -> np.ndarray:
-    """`powerlaw._ks_distances` as it was before its blocks were sized to the
-    cache, over the whole tail triangle at once: every element is a
-    `_hurwitz` value of its own, so any blocking must give these bits."""
+    """The distances of `powerlaw._ks_distances`, over the whole tail
+    triangle in one pass, each element's zeta from its own `_hurwitz`
+    call: any blocking, and any gathering of the series' rows, must give
+    these bits."""
     from tagcascade.powerlaw import _hurwitz
 
     sizes = stop - first
