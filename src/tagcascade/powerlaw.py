@@ -185,9 +185,9 @@ def _solve_alpha(mean_log: np.ndarray, xmin: np.ndarray) -> np.ndarray:
 
 # Tail-triangle elements per KS block. A block gathers 33 float64 rows of
 # its length and makes about ten more, about 1.4 MB at 2^12, which stays in
-# a core's 2 MB L2 cache; at 2^13 and above the fit was slower, and at 2^11
-# the per-block calls cost more than they save. It also bounds the pass's
-# memory. The distances do not depend on it.
+# a core's L2 cache (2 MB on the 2-core Xeon it was measured on, where the
+# fit was slower at 2^13 and at 2^11). It also bounds the pass's memory.
+# The distances do not depend on it.
 _KS_BLOCK = 1 << 12
 
 
