@@ -1,7 +1,9 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's data structures and algorithms:
-the exposure oracle rescans raw event rows per first usage, and the
+the exposure oracle rescans raw event rows per first usage, the exposure
+kernel's previous form answers its time ranks, popularity and alter join
+by global binary searches, and the
 power-law sampler inverts the discrete CDF by doubling + binary search
 on the survival function, the cutoff scan fits one candidate at a
 time with scipy's scalar brentq on a gradient from its own term-by-term
@@ -96,6 +98,97 @@ def brute_force_exposures(adoption_rows, follow_rows, *, ties="strict", populari
             "popularity": pop,
         }
     return out
+
+
+# Alters expanded per pass of the active-alter join in `measure_reference`.
+_REFERENCE_BLOCK = 1 << 17
+
+
+def measure_reference(d, fidx, ties, popularity):
+    """The exposure records of `exposure._measure`, by global binary
+    searches: each record's time ranked among all events, popularity from
+    sorted (tag, rank) keys and two searches, and each alter's first use of
+    the tag looked up among all the records' sorted keys. The library
+    derives the same answers from the order the events already have; it
+    must give these bits."""
+    from tagcascade.events import _csr_sources
+    from tagcascade.exposure import ExposureTable
+
+    k = fidx.shape[0]
+    f_user = d.event_user[fidx].astype(np.int32, copy=False)
+    f_tag = d.event_tag[fidx].astype(np.int32, copy=False)
+    f_time = d.event_time[fidx].astype(np.int64, copy=False)
+    graph = d.graph
+
+    # Events are time-sorted, so an event time's or a `since`'s position in
+    # event_time keeps every <, <= and == between them, and fits in
+    # [0, n_events]: (row, time) and (tag, time) pack into one int64 key.
+    span = d.n_events + 1
+    f_rank = np.searchsorted(d.event_time, f_time, "left")
+    f_tag_key = f_tag.astype(np.int64) * span
+
+    # Distinct adopters (or total usages) of the tag strictly before each
+    # adoption: the keys of the tag that sort before the record's own.
+    if popularity == "adopters":
+        pop_keys = np.sort(f_tag_key + f_rank)
+    else:
+        ev_rank = np.searchsorted(d.event_time, d.event_time, "left")
+        pop_keys = np.sort(d.event_tag.astype(np.int64) * span + ev_rank)
+    out_pop = (np.searchsorted(pop_keys, f_tag_key + f_rank, "left")
+               - np.searchsorted(pop_keys, f_tag_key, "left"))
+
+    # Alters present at adoption: a prefix of the ego's row, whose edges are
+    # sorted by `since`.
+    row_lo = graph.indptr[f_user]
+    if graph.since is None:
+        nbh = graph.indptr[f_user + 1] - row_lo
+    else:
+        edge_keys = (_csr_sources(graph.indptr, graph.n).astype(np.int64) * span
+                     + np.searchsorted(d.event_time, graph.since, "left"))
+        nbh = np.searchsorted(edge_keys, f_user.astype(np.int64) * span + f_rank, "right") - row_lo
+
+    # Active alters: look up each present alter's first usage of the ego's
+    # tag among the records, compare under the tie rule and count by record.
+    # The alters of all records are scanned as one flat sequence, _BLOCK at
+    # a time, so memory stays bounded whatever the neighbourhood sizes.
+    use_key = f_user.astype(np.int64) * d.n_tags + f_tag
+    by_key = np.argsort(use_key)
+    use_key = use_key[by_key]
+    use_time = f_time[by_key]
+    earlier = np.less if ties == "strict" else np.less_equal
+    flat_end = np.cumsum(nbh)
+    flat_to_edge = row_lo + nbh - flat_end
+    out_active = np.zeros(k, dtype=np.int64)
+    total = int(flat_end[-1]) if k else 0
+    for lo in range(0, total, _REFERENCE_BLOCK):
+        hi = min(lo + _REFERENCE_BLOCK, total)
+        first = int(np.searchsorted(flat_end, lo, "right"))
+        last = int(np.searchsorted(flat_end, hi - 1, "right")) + 1
+        ends = flat_end[first:last]
+        starts = ends - nbh[first:last]
+        rec = np.repeat(np.arange(first, last), np.minimum(ends, hi) - np.maximum(starts, lo))
+        alter = graph.dst[flat_to_edge[rec] + np.arange(lo, hi)]
+        q = alter.astype(np.int64) * d.n_tags + f_tag[rec]
+        at = np.minimum(np.searchsorted(use_key, q), k - 1)
+        hit = (use_key[at] == q) & earlier(use_time[at], f_time[rec])
+        out_active += np.bincount(rec[hit], minlength=k)
+
+    out_nbh = nbh.astype(np.int32)
+    out_expo = np.divide(out_active, out_nbh, out=np.full(k, np.nan), where=out_nbh > 0)
+    return ExposureTable(f_user, f_tag, f_time, out_active.astype(np.int32), out_nbh,
+                         out_expo, out_pop.astype(np.int64, copy=False))
+
+
+def assert_tables_identical(got, want):
+    """Two ExposureTables hold the same bits: every column's dtype and
+    bytes, and `exposure`'s NaN positions."""
+    __tracebackhide__ = True
+    for column in ("user", "tag", "time", "active_alters", "neighborhood_size", "exposure",
+                   "tag_popularity_at_adoption"):
+        x, y = getattr(got, column), getattr(want, column)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), column
+        assert x.tobytes() == y.tobytes(), column
+    np.testing.assert_array_equal(np.isnan(got.exposure), np.isnan(want.exposure))
 
 
 def assert_table_matches_oracle(ds, table, oracle):

@@ -16,7 +16,13 @@ from tagcascade import exposure
 from tagcascade.events import Dataset, Labels, build_follower_graph
 from tagcascade.errors import NoAdoptionError, UndefinedThresholdError, UnknownIdError
 
-from oracles import assert_table_matches_oracle, brute_force_exposures, random_micro_rows
+from oracles import (
+    assert_table_matches_oracle,
+    assert_tables_identical,
+    brute_force_exposures,
+    measure_reference,
+    random_micro_rows,
+)
 
 
 def _record(ds, user: str, tag: str, **rules) -> dict:
@@ -252,6 +258,53 @@ def test_oracle_equivalence_tiny_blocks(monkeypatch, ties, popularity):
                                   table.neighborhood_size)] == [np.int32] * 4
         assert (table.time.dtype, table.tag_popularity_at_adoption.dtype,
                 table.exposure.dtype) == (np.int64, np.int64, np.float64)
+
+
+def _medium_rows(rng: np.random.Generator, timed: bool):
+    """A log of 4000 usages by 300 users of 60 tags over 200 distinct times
+    (heavy ties, tag groups of dozens of records, users with dozens of first
+    uses) and 3000 follow rows, `since` drawn from the same times when
+    `timed`."""
+    n_users, n_tags = 300, 60
+    users = rng.integers(0, n_users, 4000)
+    tags = np.minimum(rng.zipf(1.5, 4000) - 1, n_tags - 1)
+    times = rng.integers(0, 200, 4000)
+    adoptions = [(f"u{u}", f"x{x}", int(t)) for u, x, t in zip(users, tags, times)]
+    src, dst = rng.integers(0, n_users, (2, 3000))
+    since = rng.integers(0, 220, 3000)
+    follows = [(f"u{a}", f"u{b}", int(s) if s < 200 else None) if timed else (f"u{a}", f"u{b}")
+               for a, b, s in zip(src, dst, since)]
+    return adoptions, follows
+
+
+def _kernel_cases():
+    rng = np.random.Generator(np.random.PCG64(44))
+    cases = [random_micro_rows(rng) for _ in range(30)]
+    cases += [_medium_rows(rng, timed=False), _medium_rows(rng, timed=True)]
+    cases += [
+        ([], []),
+        ([("a", "x", 3)], [("a", "b")]),
+        ([("a", "x", 2), ("b", "x", 2), ("c", "x", 1)],
+         [("a", "b", 2), ("a", "c", 3), ("b", "a", None), ("b", "c", 1)]),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("ties", ["strict", "inclusive"])
+@pytest.mark.parametrize("popularity", ["adopters", "usages"])
+def test_measure_equals_reference_bit_for_bit(ties, popularity):
+    # Static and timed graphs (the micro rows draw both), every first usage
+    # as `all_exposures` passes them, and each user's subset as
+    # `user_threshold` passes it: every column's dtype and bytes match.
+    for adoptions, follows in _kernel_cases():
+        ds = tc.build_dataset(adoptions, follows)
+        subsets = [np.flatnonzero(ds.event_first)]
+        for u in range(min(ds.n_users, 12)):
+            tags = ds.event_tag[ds.event_first & (ds.event_user == u)]
+            subsets.append(np.flatnonzero(ds.event_first & np.isin(ds.event_tag, tags)))
+        for fidx in subsets:
+            assert_tables_identical(exposure._measure(ds, fidx, ties, popularity),
+                                    measure_reference(ds, fidx, ties, popularity))
 
 
 def test_exposure_memory_is_bounded():
