@@ -307,6 +307,58 @@ def test_measure_equals_reference_bit_for_bit(ties, popularity):
                                     measure_reference(ds, fidx, ties, popularity))
 
 
+def test_measure_on_empty_and_one_event_datasets():
+    for adoptions, follows in [([], []), ([], [("a", "b", 1)]), ([("a", "x", 5)], []),
+                               ([("a", "x", 5)], [("a", "b", 5)]), ([("a", "x", 5)], [("b", "a")])]:
+        ds = tc.build_dataset(adoptions, follows)
+        for ties in ("strict", "inclusive"):
+            for popularity in ("adopters", "usages"):
+                table = tc.all_exposures(ds, ties=ties, popularity=popularity)
+                assert len(table) == len(adoptions)
+                assert_tables_identical(
+                    table, measure_reference(ds, np.flatnonzero(ds.event_first), ties, popularity))
+                assert_table_matches_oracle(ds, table, brute_force_exposures(
+                    adoptions, follows, ties=ties, popularity=popularity))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tie_heavy_logs_match_reference_and_oracle(data):
+    # Every time is one of 1-3 values, one tag is adopted by every user at
+    # one instant, `since` values are adoption times, and u0 holds at least
+    # 64 first uses, so bisecting its slice takes at least 7 rounds.
+    n_users = data.draw(st.integers(2, 6))
+    values = data.draw(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=3,
+                                unique=True))
+    users = st.integers(0, n_users - 1).map("u{}".format)
+    times = st.sampled_from(values)
+    n_wide = data.draw(st.integers(64, 80))
+    adoptions = [("u0", f"x{j:02d}", data.draw(times)) for j in range(n_wide)]
+    adoptions += data.draw(st.lists(
+        st.tuples(users, st.integers(0, n_wide + 2).map("x{:02d}".format), times), max_size=40))
+    instant = data.draw(times)
+    adoptions += [(f"u{i}", "all", instant) for i in range(n_users)]
+    follows = [(f"u{i}", "u0", data.draw(st.none() | times)) for i in range(1, n_users)]
+    follows += data.draw(st.lists(st.tuples(users, users, st.none() | times), max_size=20))
+    timed = data.draw(st.booleans())
+    if not timed:
+        follows = [row[:2] for row in follows]
+    adoptions = data.draw(st.permutations(adoptions))
+    ds = tc.build_dataset(adoptions, follows)
+    for ties in ("strict", "inclusive"):
+        for popularity in ("adopters", "usages"):
+            table = tc.all_exposures(ds, ties=ties, popularity=popularity)
+            assert_tables_identical(
+                table, measure_reference(ds, np.flatnonzero(ds.event_first), ties, popularity))
+            assert_table_matches_oracle(ds, table, brute_force_exposures(
+                adoptions, follows, ties=ties, popularity=popularity))
+        u = data.draw(st.integers(0, ds.n_users - 1))
+        tags = ds.event_tag[ds.event_first & (ds.event_user == u)]
+        fidx = np.flatnonzero(ds.event_first & np.isin(ds.event_tag, tags))
+        assert_tables_identical(exposure._measure(ds, fidx, ties, "adopters"),
+                                measure_reference(ds, fidx, ties, "adopters"))
+
+
 def test_exposure_memory_is_bounded():
     # 200 egos each observe the same 1000 alters and all 1200 users adopt
     # the same 50 tags: 1e7 alters scanned, which unblocked would take
