@@ -99,7 +99,8 @@ def _changes(values: np.ndarray) -> np.ndarray:
 def _run_starts(flags: np.ndarray) -> np.ndarray:
     """The position at which each element's run begins, where `flags`
     marks the elements that begin one."""
-    return np.maximum.accumulate(np.where(flags, np.arange(flags.shape[0]), 0))
+    starts = np.where(flags, np.arange(flags.shape[0]), 0)
+    return np.maximum.accumulate(starts, out=starts)
 
 
 def _earlier_in_group(group: np.ndarray, rank: np.ndarray, n_groups: int) -> np.ndarray:

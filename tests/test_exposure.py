@@ -281,6 +281,10 @@ def _kernel_cases():
     rng = np.random.Generator(np.random.PCG64(44))
     cases = [random_micro_rows(rng) for _ in range(30)]
     cases += [_medium_rows(rng, timed=False), _medium_rows(rng, timed=True)]
+    # More tags than 16 bits hold: the popularity pass sorts int32 tags.
+    wide = [(f"u{j % 40}", f"x{j}", j % 7) for j in range(1 << 16 | 64)]
+    wide += [(f"u{j % 39}", f"x{j}", j % 5) for j in range(0, 1 << 16 | 64, 97)]
+    cases.append((wide, [(f"u{a}", f"u{b}") for a, b in rng.integers(0, 40, (200, 2))]))
     cases += [
         ([], []),
         ([("a", "x", 3)], [("a", "b")]),
