@@ -286,8 +286,12 @@ def _kernel_cases():
     wide += [(f"u{j % 39}", f"x{j}", j % 5) for j in range(0, 1 << 16 | 64, 97)]
     cases.append((wide, [(f"u{a}", f"u{b}") for a, b in rng.integers(0, 40, (200, 2))]))
     cases += [
-        ([], []),
-        ([("a", "x", 3)], [("a", "b")]),
+        ([], []),                                        # empty, and one event by every rule
+        ([], [("a", "b", 1)]),
+        ([("a", "x", 5)], []),
+        ([("a", "x", 5)], [("a", "b")]),
+        ([("a", "x", 5)], [("a", "b", 5)]),
+        ([("a", "x", 5)], [("b", "a")]),
         ([("a", "x", 2), ("b", "x", 2), ("c", "x", 1)],
          [("a", "b", 2), ("a", "c", 3), ("b", "a", None), ("b", "c", 1)]),
     ]
@@ -309,20 +313,6 @@ def test_measure_equals_reference_bit_for_bit(ties, popularity):
         for fidx in subsets:
             assert_tables_identical(exposure._measure(ds, fidx, ties, popularity),
                                     measure_reference(ds, fidx, ties, popularity))
-
-
-def test_measure_on_empty_and_one_event_datasets():
-    for adoptions, follows in [([], []), ([], [("a", "b", 1)]), ([("a", "x", 5)], []),
-                               ([("a", "x", 5)], [("a", "b", 5)]), ([("a", "x", 5)], [("b", "a")])]:
-        ds = tc.build_dataset(adoptions, follows)
-        for ties in ("strict", "inclusive"):
-            for popularity in ("adopters", "usages"):
-                table = tc.all_exposures(ds, ties=ties, popularity=popularity)
-                assert len(table) == len(adoptions)
-                assert_tables_identical(
-                    table, measure_reference(ds, np.flatnonzero(ds.event_first), ties, popularity))
-                assert_table_matches_oracle(ds, table, brute_force_exposures(
-                    adoptions, follows, ties=ties, popularity=popularity))
 
 
 @settings(max_examples=40, deadline=None)
