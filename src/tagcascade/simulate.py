@@ -18,7 +18,6 @@ threshold.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,98 +37,70 @@ MODELS = ("threshold", "cascade", "learning")
 # ---------------------------------------------------------------------------
 
 def erdos_renyi(n: int, mean_out_degree: float, seed: int) -> FollowerGraph:
-    """Directed G(n, p) with p = mean_out_degree / (n - 1)."""
+    """Directed G(n, p) with p = mean_out_degree / (n - 1), by geometric
+    skipping (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
+
+    The n(n - 1) ordered pairs of distinct nodes are slots in (src, dst)
+    order: slot k has src = k // (n - 1) and, as dst, the (k % (n - 1))-th
+    node other than src. The gaps from one edge's slot to the next are
+    `rng.geometric(p)` draws, taken in blocks until the walk passes the
+    last slot, so time and memory are O(n + edges), not O(n^2). p = 0 draws
+    nothing. A gap is clipped to one past the slot count, which still ends
+    the walk, before the gaps are summed: a subnormal p draws gaps of
+    2**63 - 1, whose sum would wrap around.
+    """
     if n < 2:
         raise UsageError("erdos_renyi needs n >= 2")
     p = mean_out_degree / (n - 1)
     if not 0.0 <= p <= 1.0:
         raise UsageError(f"mean_out_degree {mean_out_degree} out of range for n={n}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    srcs, dsts = [], []
-    for u in range(n):
-        mask = rng.random(n) < p
-        mask[u] = False
-        hit = np.flatnonzero(mask)
-        if hit.shape[0]:
-            srcs.append(np.full(hit.shape[0], u, dtype=np.int64))
-            dsts.append(hit)
-    if srcs:
-        edges = np.column_stack([np.concatenate(srcs), np.concatenate(dsts)])
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return build_follower_graph(edges, n)
+    slots = n * (n - 1)
+    walk, last = [np.empty(0, dtype=np.int64)], -1
+    if p > 0:
+        expect = slots * p
+        block = int(expect + 5 * expect**0.5) + 16  # a second block is a 5-sigma event
+        while last < slots:
+            walk.append(last + np.cumsum(np.minimum(rng.geometric(p, block), slots + 1)))
+            last = int(walk[-1][-1])
+    hits = np.concatenate(walk)
+    src, k = np.divmod(hits[hits < slots], n - 1)
+    # slots ascend, so the edges are distinct and in (src, dst) order already
+    return FollowerGraph(n, _csr_indptr(src, n), (k + (k >= src)).astype(np.int32))
 
 
 def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
-    """Directed preferential attachment: each new node observes m distinct
-    existing nodes chosen with probability proportional to in-degree + 1,
-    which yields a heavy-tailed in-degree (popularity) distribution.
+    """Directed preferential attachment by the edge-array method of
+    Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005): each node i >= m
+    observes the nodes of m draws, each draw picking an earlier node with
+    probability proportional to its weight, 1 plus the number of earlier
+    draws that picked it. That yields a heavy-tailed in-degree
+    (popularity) distribution. A node that i draws more than once is one
+    edge, so out-degree is between 1 and m (0 for nodes 0..m-1).
 
-    Each pick is an index into a pool that holds every node once at birth
-    and once per incoming edge. The picks replay, bit for bit, the stream
-    of scalar `Generator.integers(0, len(pool))` calls on a fresh `PCG64`,
-    but take the raw words from the bit generator in blocks instead of one
-    call per draw. A draw below a bound of 2 or more is Lemire's multiply
-    and reject, as numpy's `buffered_bounded_lemire_uint32`: a 32-bit word
-    times the bound, rejected while its low 32 bits fall below
-    (2**32 - bound) % bound, gives the high 32 bits. A bound of 1 (the
-    first pool when m is 1) takes no word. The graph for a seed therefore
-    depends on numpy keeping that stream; tests compare the generator with
-    a per-call reference, which catches a numpy release that changes it.
+    The draws index a pool that holds nodes 0..m-1 once each, then for
+    each node j >= m its m draws followed by j itself. Node i's m positions
+    are uniform over the m + (i - m)(m + 1) entries before its own, and
+    one `rng.integers` call draws them for every node. A position names a
+    node, or an earlier draw whose node it takes. Those chains are
+    resolved for all draws at once by pointer jumping: each round doubles
+    the hops a draw has covered, so it takes about log2 of the longest
+    chain rounds (5 for n = 1e4, m = 4). No Python loop runs per node.
     """
     if n < 2 or m < 1 or m >= n:
         raise UsageError("preferential_attachment needs n >= 2 and 1 <= m < n")
-    if m + (n - 1 - m) * (m + 1) >= 2**32:
-        raise UsageError(f"preferential_attachment(n={n}, m={m}) needs a pool of 2**32 "
-                         "or more entries")
-    u32 = _uint32_stream(np.random.PCG64(seed))
-    pool = list(range(m))  # each node appears once at birth, once per incoming edge
-    dst_list = []
-    for i in range(m, n):
-        bound = len(pool)
-        if bound == 1:
-            picks = {pool[0]}
-        else:
-            reject_below = (2**32 - bound) % bound
-            picks = set()
-            for x in u32:  # left at the m-th distinct pick: the next node draws on from there
-                x *= bound
-                if x & 0xFFFFFFFF >= reject_below:
-                    picks.add(pool[x >> 32])
-                    if len(picks) == m:
-                        break
-        targets = sorted(picks)
-        dst_list.extend(targets)
-        pool.extend(targets)
-        pool.append(i)
-    edges = np.column_stack([
-        np.repeat(np.arange(m, n, dtype=np.int64), m),
-        np.asarray(dst_list, dtype=np.int64),
-    ])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pos = rng.integers(0, np.repeat(m + np.arange(n - m, dtype=np.int64) * (m + 1), m))
+    # pool position m + (j - m)(m + 1) + r is draw (j - m) * m + r for r < m, node j for r = m
+    block, r = np.divmod(pos - m, m + 1)
+    ref = np.where(pos < m, pos, np.where(r == m, m + block, ~(block * m + r)))  # node, or ~draw
+    todo = np.flatnonzero(ref < 0)
+    while todo.shape[0]:
+        hop = ref[~ref[todo]]
+        ref[todo] = hop
+        todo = todo[hop < 0]
+    edges = np.column_stack([np.repeat(np.arange(m, n, dtype=np.int64), m), ref])
     return build_follower_graph(edges, n)
-
-
-_RAW_BLOCK = 2**14  # at most this many 64-bit words per random_raw call: bounded memory
-
-
-def _uint32_stream(bitgen: np.random.PCG64):
-    """The 32-bit draws a `Generator` over a fresh `bitgen` makes, in order,
-    as Python ints.
-
-    PCG64 serves 32-bit draws from each 64-bit word low half first, then
-    high half, and a fresh bit generator has no half-word buffered. The
-    halves are split arithmetically, so the order does not depend on the
-    host's byte order. Blocks of words start small and double up to
-    `_RAW_BLOCK`, so a small graph does not pay for a large block.
-    """
-    def blocks():
-        size = 64
-        while True:
-            raw = bitgen.random_raw(size)
-            yield np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel().tolist()
-            size = min(2 * size, _RAW_BLOCK)
-
-    return itertools.chain.from_iterable(blocks())
 
 
 # graph kind -> ((parameter, type), ...): the generator of that name and its

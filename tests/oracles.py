@@ -10,8 +10,8 @@ time with scipy's scalar brentq on a gradient from its own term-by-term
 zeta series, the batched KS pass is replayed in one
 unblocked pass (it reuses the library's `_hurwitz`, so it checks the
 blocking and nothing else), the preferential-attachment generator
-draws each pick with its own `Generator.integers` call (and the bounded-draw
-rule it replays is written out as a generator of its own), the giant
+keeps its pool as a Python list and looks each drawn position up in it,
+G(n, p) walks the node pairs one geometric gap at a time, the giant
 component comes from a union-find that merges one edge at a time, the
 diffusion models walk adopters and edges one Python step at a time, the
 reference ingest checks and interns one row at a time, the result references
@@ -413,45 +413,51 @@ def scan_xmin(sorted_samples: np.ndarray, min_tail: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# preferential attachment, one Generator.integers call per draw
+# graph generators, one pool entry and one slot at a time
 # ---------------------------------------------------------------------------
 
 def preferential_attachment_reference(n: int, m: int, seed: int):
-    """(indptr, dst) of the preferential-attachment graph: node i >= m
-    observes m distinct nodes drawn from a pool that holds every node once
-    at birth and once per incoming edge, each draw a scalar
-    `rng.integers(0, len(pool))`."""
+    """(indptr, dst) of the preferential-attachment graph from an explicit
+    pool list: node i >= m observes the distinct nodes at its m positions
+    in the pool as it stands before i, and the pool then grows by those m
+    nodes and by i. The positions are those `simulate.preferential_attachment`
+    draws: one `rng.integers` call, m per node, each below the length the
+    pool has before that node."""
     rng = np.random.Generator(np.random.PCG64(seed))
+    bounds, size = [], m
+    for _ in range(m, n):
+        bounds += [size] * m
+        size += m + 1
+    positions = iter(rng.integers(0, bounds).tolist())
     pool = list(range(m))
-    indptr = [0] * (m + 1)
-    dst = []
+    indptr, dst = [0] * (m + 1), []
     for i in range(m, n):
-        picks: set = set()
-        while len(picks) < m:
-            picks.add(pool[int(rng.integers(0, len(pool)))])
-        for v in sorted(picks):
-            dst.append(v)
-            pool.append(v)
-        pool.append(i)
+        picks = [pool[next(positions)] for _ in range(m)]
+        dst += sorted(set(picks))
         indptr.append(len(dst))
+        pool += picks
+        pool.append(i)
     return np.asarray(indptr, dtype=np.int64), np.asarray(dst, dtype=np.int64)
 
 
-def draws_below(u32, bound: int):
-    """The values successive `Generator.integers(0, bound)` calls return,
-    for 1 <= bound < 2**32, taking their 32-bit draws from the iterator
-    `u32`: Lemire's multiply and reject, as numpy's
-    `buffered_bounded_lemire_uint32`. A bound of 1 consumes no draw, and no
-    draw is taken before the next value is asked for. This is the rule
-    `simulate.preferential_attachment` applies inline to each pool."""
-    if bound == 1:
-        while True:
-            yield 0
-    reject_below = (2**32 - bound) % bound
-    for x in u32:
-        x *= bound
-        if x & 0xFFFFFFFF >= reject_below:
-            yield x >> 32
+def erdos_renyi_reference(n: int, mean_out_degree: float, seed: int):
+    """(indptr, dst) of directed G(n, p), p = mean_out_degree / (n - 1), by
+    a walk over the ordered pairs of distinct nodes in (src, dst) order:
+    one scalar `rng.geometric(p)` draw at a time moves the walk on to the
+    next pair that holds an edge, until it walks off the last row. p = 0
+    draws nothing."""
+    p = mean_out_degree / (n - 1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rows = [[] for _ in range(n)]
+    src, col = 0, -1  # col: the position of dst among the n - 1 nodes other than src
+    while p > 0:
+        col += int(rng.geometric(p))
+        src, col = src + col // (n - 1), col % (n - 1)
+        if src >= n:
+            break
+        rows[src].append(col if col < src else col + 1)
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    return indptr.astype(np.int64), np.asarray([v for row in rows for v in row], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from unittest import mock
 
@@ -18,7 +19,6 @@ from tagcascade.simulate import (
     SimConfig,
     ThresholdParams,
     ThresholdSpec,
-    _uint32_stream,
     _node_ids,
     _node_words,
     erdos_renyi,
@@ -32,7 +32,7 @@ from tagcascade.simulate import (
 from tagcascade.textio import write_adoptions_csv, write_follows_csv
 
 from oracles import (
-    draws_below,
+    erdos_renyi_reference,
     node_ids_reference,
     preferential_attachment_reference,
     simulate_reference,
@@ -99,48 +99,78 @@ def test_preferential_attachment_determinism_and_bounds():
         preferential_attachment(5, 5, seed=0)
 
 
-def test_preferential_attachment_equals_reference():
-    # m=1 meets a pool of one at i=1, whose pick consumes no draw; m=n-1 and
-    # n=2 are the edges of the valid range; n=2e4 runs long streams.
-    grid = [(2, 1), (3, 1), (5, 1), (40, 1), (3, 2), (10, 9), (60, 59), (30, 3),
-            (200, 2), (1000, 5), (500, 17)]
-    cases = [(n, m, seed) for n, m in grid for seed in (0, 1, 9, 2**63 + 5)]
-    cases += [(20_000, 4, seed) for seed in (3, 77, 2024)]
-    for n, m, seed in cases:
+def test_preferential_attachment_out_degrees_and_distinct_edges():
+    # Repeated draws merge, so an out-degree can fall below m: on the
+    # benchmark's graph shape, to a mean of no less than 0.95 m.
+    for n, m, seed in [(10_000, 4, s) for s in range(5)] + [(2_000, 1, 3), (3_000, 7, 8)]:
         g = preferential_attachment(n, m, seed)
-        indptr, dst = preferential_attachment_reference(n, m, seed)
-        np.testing.assert_array_equal(g.indptr, indptr, err_msg=f"{(n, m, seed)}")
-        np.testing.assert_array_equal(g.dst, dst, err_msg=f"{(n, m, seed)}")
+        out = g.out_degrees()
+        assert not out[:m].any()
+        assert out[m:].min() >= 1 and out[m:].max() <= m
+        if (n, m) == (10_000, 4):
+            assert out[m:].mean() >= 0.95 * m, seed
+        edges = g.edge_list()
+        assert (edges[:, 1] < edges[:, 0]).all()  # earlier nodes only: no self-loop
+        assert np.unique(edges[:, 0] * n + edges[:, 1]).shape[0] == g.n_edges
 
 
-def test_bounded_draw_replay_equals_generator_integers():
-    # At 2**31+1 about half of the 32-bit draws are rejected; large bounds
-    # are the only ones that reach the rejection branch.
-    rng = np.random.default_rng(12)
-    bounds = [1, 2, 3, 2**31 + 1, 2**32 - 1]
-    bounds += rng.integers(1, 2**32, 12).tolist() + rng.integers(1, 1000, 6).tolist()
-    for seed, bound in enumerate(bounds):
-        taken = []  # every 32-bit draw the replay takes
-        u32 = _uint32_stream(np.random.PCG64(seed))
-        draws = draws_below((taken.append(x) or x for x in u32), bound)
-        gen = np.random.Generator(np.random.PCG64(seed))
-        for _ in range(3000):
-            assert next(draws) == gen.integers(0, bound), (seed, bound)
-        if bound == 1:
-            assert taken == []
-        if bound == 2**31 + 1:
-            assert len(taken) > 5000
-    # Bounds that change from draw to draw share one stream, with bound 1
-    # taking no draw and odd counts of draws between them.
-    seq = rng.choice(bounds, 5000).tolist()
-    u32 = _uint32_stream(np.random.PCG64(99))
-    gen = np.random.Generator(np.random.PCG64(99))
-    assert [next(draws_below(u32, b)) for b in seq] == [int(gen.integers(0, b)) for b in seq]
+def test_erdos_renyi_edge_count_and_marginals():
+    from scipy.stats import chisquare
+
+    n, d = 300, 6.0
+    p = d / (n - 1)
+    graphs = [erdos_renyi(n, d, seed=s) for s in range(20)]
+    sigma = math.sqrt(n * (n - 1) * p * (1 - p))
+    counts = np.array([g.n_edges for g in graphs])
+    assert (np.abs(counts - n * (n - 1) * p) < 3 * sigma).all()
+    assert abs(counts.sum() - 20 * n * (n - 1) * p) < 3 * sigma * math.sqrt(20)
+    edges = np.concatenate([g.edge_list() for g in graphs])
+    assert not (edges[:, 0] == edges[:, 1]).any()
+    for side in (edges[:, 0], edges[:, 1]):  # every node equally likely as src and as dst
+        assert chisquare(np.bincount(side, minlength=n)).pvalue > 1e-3
 
 
-def test_preferential_attachment_refuses_a_pool_of_2_to_the_32():
-    with pytest.raises(UsageError, match="2\\*\\*32"):
-        preferential_attachment(2**31, 2, seed=0)  # refused before anything is drawn
+def test_generators_deterministic_per_seed():
+    for make in (lambda s: erdos_renyi(500, 4.5, s), lambda s: preferential_attachment(500, 3, s)):
+        a, b, c = make(17), make(17), make(18)
+        np.testing.assert_array_equal(a.indptr, b.indptr)
+        np.testing.assert_array_equal(a.dst, b.dst)
+        assert not np.array_equal(a.dst, c.dst)
+
+
+def test_erdos_renyi_edge_probabilities_zero_one_and_subnormal():
+    assert erdos_renyi(30, 0, seed=1).n_edges == 0
+    for n in (2, 5):  # p = 1: the complete digraph
+        edges = erdos_renyi(n, n - 1, seed=4).edge_list().tolist()
+        assert edges == [[a, b] for a in range(n) for b in range(n) if a != b]
+    # A subnormal p draws gaps of 2**63 - 1; summed unclipped they wrap
+    # around and the walk never ends. 5e-324 / 39 is 0, 1e-310 / 39 is not.
+    for d in (5e-324, 1e-310):
+        assert erdos_renyi(40, d, seed=2).n_edges == 0
+
+
+def test_generators_equal_references():
+    # m = 1 meets a pool of one at i = 1; m = n - 1 and n = 2 are the edges
+    # of the valid range; p = 1/3 is where numpy's geometric switches
+    # method; n = 2e4 runs long streams.
+    pa = [(2, 1), (3, 1), (5, 1), (40, 1), (3, 2), (10, 9), (60, 59), (30, 3),
+          (200, 2), (1000, 5), (500, 17)]
+    er = [(2, 0.5), (2, 1), (3, 1), (4, 1), (10, 9), (60, 59), (60, 4), (40, 30),
+          (200, 0.01), (1000, 5)]
+    cases = [(generate, reference, n, k, seed)
+             for generate, reference, grid in [
+                 (preferential_attachment, preferential_attachment_reference, pa),
+                 (erdos_renyi, erdos_renyi_reference, er)]
+             for n, k in grid for seed in (0, 1, 9, 2**63 + 5)]
+    cases += [(preferential_attachment, preferential_attachment_reference, 20_000, 4, seed)
+              for seed in (3, 77, 2**63 + 5)]
+    cases += [(erdos_renyi, erdos_renyi_reference, 20_000, 8, seed) for seed in (3, 2**63 + 5)]
+    for generate, reference, n, k, seed in cases:
+        g = generate(n, k, seed)
+        indptr, dst = reference(n, k, seed)
+        label = f"{generate.__name__}{(n, k, seed)}"
+        np.testing.assert_array_equal(g.indptr, indptr, err_msg=label)
+        np.testing.assert_array_equal(g.dst, dst, err_msg=label)
 
 
 # ---------------------------------------------------------------------------
