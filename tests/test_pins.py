@@ -343,133 +343,135 @@ def test_pin_parser_surface():
 
 # Digests captured from the code before the command-table rewrite of cli.py;
 # the thresholds-timed-* entries from the per-record exposure loop, before the
-# sort-join kernel replaced it.
+# sort-join kernel replaced it. A run report names the tool version, so every
+# report digest changes with `__version__`; a digest of an output file changes
+# only with that file.
 PINS = {
     "ingest_stats": {
-        "ingest.report": "c65e675035130a555a50f7a5a4525cf8f00776ab0ec69bbf33da7cad3b14e163",
-        "ingest.report_file": "c65e675035130a555a50f7a5a4525cf8f00776ab0ec69bbf33da7cad3b14e163",
+        "ingest.report": "ee698b8c146aaecb92c8c3e67563bd231329538bc8e0b26bdd544d98361d3192",
+        "ingest.report_file": "ee698b8c146aaecb92c8c3e67563bd231329538bc8e0b26bdd544d98361d3192",
         "ingest.snapshot": "b98ae3cec53c10997f30b3bfaa4666a0886559a6c3b832db018dd0e0611ea36d",
-        "ingest_mutual.report": "2249e074820257e5bbebfff3626ca6ab7b729168bf72c4f884a53de81e3214c6",
+        "ingest_mutual.report": "faeac76ed750b20995f3900b5bef69cbcd778997cbca57ee9a0ec7764838d18b",
         "ingest_mutual.snapshot": "146f01264b937fc3a94605c21fca04db223a8f6db654856a82c15633ffe40fc4",
-        "stats.report": "84e753e18c2c9772ebc485676f0da041cddd08dc49b8ed61a4e4e2e785ec710e",
+        "stats.report": "78d243dee7a8276c6e5aff1408438423316d7535140acff661d6da2d44ca92a9",
     },
     "thresholds-strict-adopters": {
-        "report": "f0f09038c13c2a0abbf32a4d82efbe59941641daccaffd160015b78289eeaa7d",
+        "report": "22acff037597c149ed5efd50379069f9ff31ced4c260012a46db56f8976ea388",
         "exposures": "b27256118cadf02630905f3150f7fbf7e8c5a584ebb0e857a90f7a72acd593a9",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-strict-usages": {
-        "report": "faaf563c88fbfe5a74ed9304cd7afcbe8f3212334f686619de118f6224959850",
+        "report": "4136f78349309bd40c31e487a2824990781504092c36c47460a6f95a5b7cd61b",
         "exposures": "b401d67f6847bdefa99505d10a2fde05858b4e34f33f8cec39453011bf437d4b",
         "per_user": "c74428b33143e681bd2f725e2fa94e56721577b161120c0d3f7db0d8812c9074",
         "summary": "9644b4976da339da5cf4a05bf09624b6f3dedd4e7fc7c40cb60625dd2e2e999e",
     },
     "thresholds-inclusive-adopters": {
-        "report": "16d156d08fa1b710fe461a00af58b0f7545144d9fe63da6b311a447ddbfdf95a",
+        "report": "e2c7b9602c2d8ae91094713c28bead92deebee4f4081df78ed8fe8b4e231effa",
         "exposures": "ac62098925616052092ef6aef974ef9102650b8942c9e9a8b497c53cb746083b",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-inclusive-usages": {
-        "report": "0cc383fbb074b92c20042cd1c39f33da123fe588d6f284c49f5c4ccf66394036",
+        "report": "3d80d585494144b83f930680096a946a50f7031804b6a40125e8e543feea6fc9",
         "exposures": "cc2289a0e71f508ec675ad5b9ab5088edd579220e864b659234ecd7bc09bfbea",
         "per_user": "0cf9eae54839d4548c5dde4c380425e08d2b25166514340a4fac88731d87464d",
         "summary": "2edbeb2c726db6fcbc80dbd9ad34eb95d824cb2b19ab28203ad64a92a95e5eee",
     },
     "thresholds-timed-strict-adopters": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "90c03b9cbf84b94affc678507c981924c0bba5e1e6a4866d0e0958a640c175f2",
+        "report": "b102a6a3333d0712a25164fa1cc469e845be7c9d593259d4192a2e9db677885b",
         "exposures": "71c6564146ca2c31ad08f55ba105f174d413e92af3bfbef8c3a037c15f045ce6",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-strict-usages": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "f4af853e66699daa1b8b272bbf2eed750e1bf06324bcfccf3d45e9b7f01a5261",
+        "report": "b02991f91396934ca6ddd24d23fcf07b5bf786aa8f885b4b548ff5adba441b17",
         "exposures": "60dd905e9504a375d76bd5d17f6ed40e5b8aa71f5b588517e2ba53741ece75a2",
         "per_user": "2b4e4f367db40486339c34626f1137d64789e7bf3c64c07d720f4da7099a3519",
         "summary": "c6f30a5523463afd6e165c3c31e2e516fd3c7277aee892a236dc131a6965c30a",
     },
     "thresholds-timed-inclusive-adopters": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "6f71717585de7852db4f1e2815ed9ab1136cbaf9a4231863722705401c33d44e",
+        "report": "1b86f38d9b87c26847d10a22491fd4733ed96e989c2aa6f6cbccee07e3c463bc",
         "exposures": "753d60bf644951e4339178c0ab94e75d5850ee04d9e3dfe3405a4eccc555000c",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "thresholds-timed-inclusive-usages": {
         "snapshot": "abc4fd7f2a2858878174352fbdeccf3464ee0912049d7e95ba5b0043e33f2480",
-        "report": "afec526a06452d8cbd14db393cd3c2f66b44d5e86ff053fe8b79e6aa895cb36e",
+        "report": "ca7e25bda606303a52299ebef3fc3389e1afa95563ab835d38e7ad63392a0256",
         "exposures": "d97b1889dc8399af64ad19e091810b4a38c42b513ce9f20e5f63fb38c6a169e2",
         "per_user": "fe4b12439e1d6c9a58c636f7ad5dad4ae0fb24df981e1e4882caaea3eaf31f47",
         "summary": "2cf83fb9074e0301c89594fd3b34cb329c8afe2cb2042105c558d6254699e5de",
     },
     "fit_curve_correlate": {
-        "fit.report": "738dcd8513794f2d1c392a6dc75b2276408d2666e271c5a2538e91543375c7c2",
+        "fit.report": "785a815877ed777c96b48e4efdeabef4763b3b6aab3f481686eea0b6ef47fd29",
         "fit.tsv": "5ff09b5715d17d12af5deaa59ac305f26aae1e64516a74b5692934063f2b2506",
         "fit.json": "c0e87ed67b37b7b283fcf1de4d460d9b874e28f84677f25c7f795d54087cfff1",
-        "fit.report_file": "738dcd8513794f2d1c392a6dc75b2276408d2666e271c5a2538e91543375c7c2",
-        "fit_usages.report": "2055df644438bf9ea7e32bcb952501a9f6a848eab1b0d1eaee7eff23ebc73a28",
-        "curve.report": "07bae4111180907e9bb93b0446727ea1867d1512309c9ed122cb1db67f076d7e",
+        "fit.report_file": "785a815877ed777c96b48e4efdeabef4763b3b6aab3f481686eea0b6ef47fd29",
+        "fit_usages.report": "45e215aa72c8dcd616e533577c59405e91c07b114a72b1077694da93c4c47e69",
+        "curve.report": "7b911dcb41f653557e4de7d4034faad48cbc15b1b3340c1d84f2479dd37396be",
         "curve.tsv": "ebf56dfaac1edee103a248a7de6d80b4a3bba85c57d9ac8f43407bb181271cd8",
         "curve.json": "46622f8df490510d5763d692f8135291135cbdd49628b29368e097604f53cded",
-        "spearman.report": "9fe658d0ac6e0b713830d72153c8b4ac2908af5466e217dd53a512a77032761a",
+        "spearman.report": "cf1702808398519d4994a0033f42ad2f68d07fb435e07f4a49682ca4661c4551",
         "spearman.tsv": "9a1b947bc5f9081a5bcb66bf60fb07cae7417c6e52bc3dbedf5d12a41b0a9ff0",
         "spearman.json": "b73264e72fd4efb15938eb210ce19debc1fc9bef8de674af41173a67fefa3d94",
-        "pearson.report": "9c112b237e1edf1bfc338e70b78530cbf2156d32ff7fc901415b2a367ea0293b",
+        "pearson.report": "453a48e0a1732c8c8b6e5663d5ac7d965a3bb74b661c8bbdd96a9a09d77fd9c4",
         "pearson.tsv": "97345bac971e40249a01efe8d09ab0c310ddda903f2a7e48240bf4804f483c8f",
         "pearson.json": "483727e7a54a82d16ef8affaa58163ad7c53326d48f6c3282dd66165175496ae",
     },
     "simulate-dataset-threshold": {
-        "report": "61c80a97e1da87cc1584b07b7b63c16d2542a2627f6b319119bcaa66dd00ce56",
+        "report": "e4938aeee2075760181f37497ad680a2acac0a329c642023a60220fa23822df8",
         "runs": "982cfa537fe2e5c77d42b3e20267f157668195ec48bc3038ae35eb1948c2f10a",
     },
     "simulate-dataset-cascade": {
-        "report": "d9306d56a48f0d76a3013c4fb3bdc750566fc20acff659406a097eff31a0a560",
+        "report": "f7096728cb7b83d81b8c4471c959913941e3e23d8e415ffea939e9ca12b234f2",
         "runs": "adae511a774c0d3fc19bd67facb449d965f1f8bf0b8d60973faf422ba49e89f5",
     },
     "simulate-dataset-learning": {
-        "report": "9fba7503b67690e6f5fa89da926582d30310aee2550b208188a110dfd7d5d661",
+        "report": "73f2ceb8fa6684b4dfc0fdb4b060f888c9e86f070911618e255bc7541ee1f5c6",
         "runs": "bf198e3bc2d118b91856fc03eb5e298cacdc7b318048d210483a4efb0d8908d3",
     },
     "simulate-er-threshold": {
-        "report": "2037fa31fc9dea6c124bb02529f1719dfa5dd00ee41c59503b45e6ea67e064f4",
-        "runs": "4504daff0b6e40fc7792383d360bee31682b39c92d43bf37638f683c7758b8a4",
+        "report": "c4e56ea658cca21f0da10407bccddfed6c1b2120859845e90a64ef18e8a33d53",
+        "runs": "b291c634ad8d664f8ef47da17bace5d8efbfb88cbfd93c2a06fff32151d8b18e",
     },
     "simulate-er-cascade": {
-        "report": "13157f49b08a07c7d476af9d6e5cb227e6e92726cd61d7d87a458d0fd7e16dba",
-        "runs": "aa4738fcabdb87b9d57bff6c00730715fcdfd91455367762acb794b55748931e",
+        "report": "4e8f9885a806483a80fee1551e44c5ada29b160b408cddca204c1ccaefcef7c1",
+        "runs": "b7b72407ee5a21e4cd4406dae106c517f72a8ef6bac1b9a1d6bbf03f121db5a9",
     },
     "simulate-er-learning": {
-        "report": "701243626d7d3b48f372d0260c0c6432d3b04cf3ea39c5e5863b6a5e1b601646",
-        "runs": "c281745459d4f1e660e7202838dc167e4462bfc07379fbcd3a330c2de34c1fbf",
+        "report": "75a3effeb3e7b4ca17242a0d6feb769afd89e47d54eaea73fb2a855753a380da",
+        "runs": "cd9b91f35413ac28b240dc4ecf0903a09839fdb7824279d0defa2e62f2c9f00d",
     },
     "simulate-pa-threshold": {
-        "report": "6159a563690c411f86d8df565babb71cc14a2d01a92d28bb3674cce6355d3e36",
-        "runs": "888cd56004b6eac40044250297aaa735acea8fbd75ad8952fb5615522e285496",
+        "report": "b9003ccc01466888436870de1c6f8710e1f0fdae210acb2a55595015fda7f2e4",
+        "runs": "ed0c0c5b287947b771eb5a786a99bba71728040f3221a566d86797414862506d",
     },
     "simulate-pa-cascade": {
-        "report": "fee2d6307edf5e345167cd7e24e5976b787acb2ba174ab3ea3053216c6967312",
-        "runs": "f830d04df88b0ea41156e37d5763cf34d5b3cb4329bf4d06f0f849123b098946",
+        "report": "c47ca4e629f62c056605cca5ab6d7e249e5c4a956c7815af7c0cf338fb6e7ebd",
+        "runs": "848570a41036878657e4a18ae371f008512e9c524d876724f0acacf4c6e9999a",
     },
     "simulate-pa-learning": {
-        "report": "2c35e74dc0b6db75c97982894de4b90534f58507bd9179d22bd2c885e4878696",
-        "runs": "dca7c158069314c1fdf9c6deed2e86edeed80b6956133866183c3dd3c8c1354b",
+        "report": "7d81ea0df85af0a55630f6f729d7d2bc958ce06e0e682bd0762e5951fdb9196b",
+        "runs": "fbc521965d05a0ded3f99d70445ff2e4192f19c17c766962b05fd1bbebe6d07a",
     },
     "recover": {
-        "recover.report": "b95f9311540a99da950d1fadc1ba58352c9e1530c76770a7d162a028cad61189",
-        "recover.json": "902b170320523f4a9004bbeaf662e64be2e314676001209cafd33c3d8f7c77de",
-        "recover.report_file": "b95f9311540a99da950d1fadc1ba58352c9e1530c76770a7d162a028cad61189",
-        "recover_inclusive.report": "bbba07e31da7430923fe6cbfc216b69d839a80bca30d2803b12a5ffc16ee28ca",
+        "recover.report": "90299c5193be312f09668739673aac7abbc6b20e1d3b52f5c74e03760104b5b6",
+        "recover.json": "253cd205c819e0e4bcdfed6f28bdbac3af81fdacd3395e731dbd1ea94f230bd3",
+        "recover.report_file": "90299c5193be312f09668739673aac7abbc6b20e1d3b52f5c74e03760104b5b6",
+        "recover_inclusive.report": "3c67d47538c060b6e33f75c6b34e68442e0ed16ba221b7a8c079b80768006d2c",
     },
     "pipeline_full": {
-        "report": "9ec656bb97d1f81c575a33fb16c05b7308ddcc8c886ebf99e3eb55d59bc4d578",
-        "out_dir": "68610a4972ff8dd1f7587c88baaa5881531b7ebb53055817ae679873fab0e520",
+        "report": "501bf654b3bec04ad41bae3da49e60a7a0946eabf4241982d3b6290899db676b",
+        "out_dir": "26282045d9fc82a85dcfcb6da3c061662091091ffeb1d4a0f6a4959f55bea36e",
     },
     "pipeline_options": {
-        "report": "4a825f9e52750f719c3f51f71dd3b0eb24468dcc514c27ce9ea3fbcbd1f22f10",
-        "out_dir": "6e43e1ed87cd3aa8534bcbf13149c44f2262871fd5397ea6f9dfc7b42a5263d4",
+        "report": "ee352bf221597c0514de46557ea37a14c7a1e16235b15ffb7eb9c1a8e5ae3acf",
+        "out_dir": "0857158c56aa20b85ddf0be2598d21bab657645781e949ef18d2a19f0a77ef60",
     },
     "parser": {
         "ingest": "bd98bccc19097fdb3db697c68099a69c90441e77ab564faabdfcd004f287ad35",
