@@ -86,6 +86,12 @@ def preferential_attachment(n: int, m: int, seed: int) -> FollowerGraph:
     resolved for all draws at once by pointer jumping: each round doubles
     the hops a draw has covered, so it takes about log2 of the longest
     chain rounds (5 for n = 1e4, m = 4). No Python loop runs per node.
+
+    This rule replaced, in 0.3.0, m distinct picks weighted by in-degree
+    + 1. On n = 1e4, m = 4, seeds 0-4, it gives 38 306-39 149 edges
+    against 39 984, a largest in-degree of 2 273-4 319 against
+    1 472-1 939, and a fitted in-degree alpha of 2.03-2.19 against
+    2.06-2.10.
     """
     if n < 2 or m < 1 or m >= n:
         raise UsageError("preferential_attachment needs n >= 2 and 1 <= m < n")
